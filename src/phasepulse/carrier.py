@@ -16,10 +16,11 @@ from itertools import permutations
 
 import numpy as np
 
-from .su2 import WeylCoords, as_unitary, weyl_coordinates, z_rot
+from .su2 import UNITARY_TOL, WeylCoords, as_unitary, weyl_coordinates, z_rot
 
 # Entries below ENTRY_ZERO_TOL count as structural zeros; permutation pivots
-# must exceed 1 - PERMUTATION_TOL in magnitude.
+# must exceed 1 - PERMUTATION_TOL in magnitude, and every other entry of
+# ``|u|`` must be a structural zero.
 ENTRY_ZERO_TOL = 1e-10
 PERMUTATION_TOL = 1e-8
 
@@ -78,22 +79,27 @@ def equivariant_permutations() -> tuple[tuple[int, int, int, int], ...]:
     )
 
 
-def abs_permutation(u, tol: float = PERMUTATION_TOL) -> CarrierPermutation | None:
-    """Permutation structure of ``|u|`` if it is one (and equivariant)."""
-    u = as_unitary(u, 4)
+def _abs_permutation(u: np.ndarray, tol: float) -> CarrierPermutation | None:
     mag = np.abs(u)
-    mapping = []
-    for row in range(4):
-        col = int(np.argmax(mag[row]))
-        if mag[row, col] < 1.0 - tol:
-            return None
-        mapping.append(col)
-    if sorted(mapping) != [0, 1, 2, 3]:
+    mapping = tuple(int(col) for col in np.argmax(mag, axis=1))
+    if sorted(mapping) != [0, 1, 2, 3] or not _is_equivariant(mapping):
         return None
-    mapping = tuple(mapping)
-    if not _is_equivariant(mapping):
+    if np.min(mag[range(4), mapping]) < 1.0 - tol:
+        return None
+    mag[range(4), mapping] = 0.0
+    if np.max(mag) > ENTRY_ZERO_TOL:
         return None
     return CarrierPermutation.from_mapping(mapping)
+
+
+def abs_permutation(u, tol: float = PERMUTATION_TOL) -> CarrierPermutation | None:
+    """Permutation structure of ``|u|`` if it is one (and equivariant).
+
+    Pivots must exceed ``1 - tol`` in magnitude and every other entry must
+    be at most ``ENTRY_ZERO_TOL``, so a gate that is only near a
+    permutation (say ``FSIM(pi/2 + 1e-4, phi)``) is not a carrier.
+    """
+    return _abs_permutation(as_unitary(u, 4), tol)
 
 
 def is_phase_carrier(u) -> bool:
@@ -112,6 +118,10 @@ def carry_map(u) -> CarryMap:
     perm = abs_permutation(u)
     if perm is None:
         raise NotCarrierError("gate is not a phase carrier")
+    return _carry_of(perm)
+
+
+def _carry_of(perm: CarrierPermutation) -> CarryMap:
     e0, e1 = perm.signs[0], perm.signs[1]
     matrix = (
         ((e0[0] + e1[0]) // 2, (e0[1] + e1[1]) // 2),
@@ -132,7 +142,10 @@ _ENC_MASK = np.array(
 
 def is_enc(u, tol: float = ENTRY_ZERO_TOL) -> bool:
     """True iff ``u`` preserves the 1+2+1 excitation-number block structure."""
-    u = as_unitary(u, 4)
+    return _is_enc(as_unitary(u, 4), tol)
+
+
+def _is_enc(u: np.ndarray, tol: float) -> bool:
     return bool(np.max(np.abs(u[~_ENC_MASK])) <= tol)
 
 
@@ -143,7 +156,10 @@ def is_generalized_enc(u, tol: float = ENTRY_ZERO_TOL) -> tuple[bool, tuple[int,
     ``{(1,1), (-1,-1), (1,-1), (-1,1)}``; each candidate is checked at two
     incommensurate probe angles and then at 20 random angles.
     """
-    u = as_unitary(u, 4)
+    return _generalized_enc(as_unitary(u, 4), tol)
+
+
+def _generalized_enc(u: np.ndarray, tol: float) -> tuple[bool, tuple[int, int] | None]:
     rng = np.random.default_rng(20)
     angles = [0.3, 1.1] + list(rng.uniform(-math.pi, math.pi, size=20))
     for p, q in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
@@ -180,14 +196,17 @@ class ClassifierResult:
     segment: Segment
 
 
-def classify(u) -> ClassifierResult:
-    """Full classification of a two-qubit unitary."""
-    u = as_unitary(u, 4)
-    perm = abs_permutation(u)
-    cmap = carry_map(u) if perm is not None else None
-    enc = is_enc(u)
-    gen, enc_map = is_generalized_enc(u)
-    coords = weyl_coordinates(u)
+def classify(u, tol: float = UNITARY_TOL) -> ClassifierResult:
+    """Full classification of a two-qubit unitary.
+
+    ``u`` is validated once, with unitarity tolerance ``tol``.
+    """
+    u = as_unitary(u, 4, tol)
+    perm = _abs_permutation(u, PERMUTATION_TOL)
+    cmap = _carry_of(perm) if perm is not None else None
+    enc = _is_enc(u, ENTRY_ZERO_TOL)
+    gen, enc_map = _generalized_enc(u, ENTRY_ZERO_TOL)
+    coords = weyl_coordinates(u, tol)
     return ClassifierResult(
         is_carrier=perm is not None,
         permutation=perm,

@@ -430,71 +430,97 @@ class _Gate2Info:
     enc_map: tuple[int, int] | None  # (p, q) with frames (t, t) -> (p*t, q*t)
 
 
+def _classify_gate2(op: Gate2) -> _Gate2Info:
+    eff = op.effective_matrix()
+    cmap = carry_map(eff) if is_phase_carrier(eff) else None
+    if is_enc(eff):
+        enc_map: tuple[int, int] | None = (1, 1)
+    else:
+        gen, enc_map = is_generalized_enc(eff)
+        if not gen:
+            enc_map = None
+    return _Gate2Info(cmap, enc_map)
+
+
 def _classify_gate2s(ir: CircuitIR, mode: PolicyMode) -> dict[int, _Gate2Info]:
+    """Classify every 2q op, each distinct (qubits, matrix) only once."""
     info: dict[int, _Gate2Info] = {}
+    seen: dict[tuple[tuple[int, int], bytes], _Gate2Info] = {}
     for i, op in enumerate(ir.ops):
         if not isinstance(op, Gate2):
             continue
-        eff = op.effective_matrix()
-        carrier = is_phase_carrier(eff)
-        cmap = carry_map(eff) if carrier else None
-        if is_enc(eff):
-            enc_map: tuple[int, int] | None = (1, 1)
-        else:
-            gen, enc_map = is_generalized_enc(eff)
-            if not gen:
-                enc_map = None
-        if mode is PolicyMode.VZ_CARRY and not carrier:
+        key = (op.qubits, op.matrix.tobytes())
+        gate_info = seen.get(key)
+        if gate_info is None:
+            gate_info = seen[key] = _classify_gate2(op)
+        if mode is PolicyMode.VZ_CARRY and gate_info.carry is None:
             raise IllegalPolicyError(
                 f"policy {mode.value!r} needs phase carriers, but {op.name} (op {i}) is not one",
                 i,
                 op.name,
             )
-        if mode is PolicyMode.ENC_MIXED and enc_map is None:
+        if mode is PolicyMode.ENC_MIXED and gate_info.enc_map is None:
             raise IllegalPolicyError(
                 f"policy {mode.value!r} needs excitation-number-conserving gates, "
                 f"but {op.name} (op {i}) is not one",
                 i,
                 op.name,
             )
-        info[i] = _Gate2Info(cmap, enc_map)
+        info[i] = gate_info
     return info
 
 
-def _embed(m: np.ndarray, qubit: int) -> np.ndarray:
-    eye = np.eye(2, dtype=complex)
-    return np.kron(m, eye) if qubit == 0 else np.kron(eye, m)
+class _SegmentProduct:
+    """Two-qubit product built as per-qubit 2x2 products between 2q gates.
+
+    1q factors on different qubits commute, so each segment between 2q
+    gates is one ``kron`` of the two per-qubit products.
+    """
+
+    def __init__(self):
+        self.u = np.eye(4, dtype=complex)
+        self.local = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+
+    def apply_1q(self, qubit: int, m: np.ndarray):
+        self.local[qubit] = m @ self.local[qubit]
+
+    def apply_2q(self, eff: np.ndarray):
+        self.u = eff @ self.total()
+        self.local = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+
+    def total(self) -> np.ndarray:
+        return np.kron(self.local[0], self.local[1]) @ self.u
 
 
 def ideal_unitary(ir: CircuitIR) -> np.ndarray:
     """Unitary of the circuit's gates (measurements contribute nothing)."""
-    u = np.eye(4, dtype=complex)
+    product = _SegmentProduct()
     for op in ir.ops:
         if isinstance(op, Gate1):
-            u = _embed(op.matrix(), op.qubit) @ u
+            product.apply_1q(op.qubit, op.matrix())
         elif isinstance(op, Gate2):
-            u = op.effective_matrix() @ u
-    return u
+            product.apply_2q(op.effective_matrix())
+    return product.total()
 
 
 class _FrameChecker:
     """Debug-mode tracker for the per-qubit frame invariant."""
 
     def __init__(self, tol: float = 1e-9):
-        self.ideal = np.eye(4, dtype=complex)
-        self.physical = np.eye(4, dtype=complex)
+        self.ideal = _SegmentProduct()
+        self.physical = _SegmentProduct()
         self.dropped = [0.0, 0.0]
         self.tol = tol
 
     def on_pulse(self, qubit: int, pulse: Pulse):
-        self.physical = _embed(pulse.unitary(), qubit) @ self.physical
+        self.physical.apply_1q(qubit, pulse.unitary())
 
     def on_commit(self, qubit: int, matrix: np.ndarray):
-        self.ideal = _embed(matrix, qubit) @ self.ideal
+        self.ideal.apply_1q(qubit, matrix)
 
     def on_gate2(self, eff: np.ndarray):
-        self.ideal = eff @ self.ideal
-        self.physical = eff @ self.physical
+        self.ideal.apply_2q(eff)
+        self.physical.apply_2q(eff)
 
     def on_drop(self, qubit: int, angle: float):
         self.dropped[qubit] += angle
@@ -502,8 +528,8 @@ class _FrameChecker:
     def check(self, frames: list[float]):
         f0 = frames[0] + self.dropped[0]
         f1 = frames[1] + self.dropped[1]
-        expected = np.kron(z_rot(f0), z_rot(f1)) @ self.ideal
-        dev = phase_distance(self.physical, expected)
+        expected = np.kron(z_rot(f0), z_rot(f1)) @ self.ideal.total()
+        dev = phase_distance(self.physical.total(), expected)
         if dev > self.tol:
             raise RuntimeError(f"frame invariant violated (deviation {dev:.3g})")
 
@@ -681,18 +707,18 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
     """Re-simulate a schedule against its circuit; returns the max deviation.
 
     Pulses become conjugated X rotations, two-qubit events look up their
-    matrix in the circuit (by position), and FRAME events are pending
-    virtual Z rotations that are corrected for before comparing with the
-    ideal unitary up to global phase.
+    matrix in the circuit (by position, after checking name and qubits),
+    and FRAME events are pending virtual Z rotations that are corrected for
+    before comparing with the ideal unitary up to global phase.
     """
     events = schedule.events if isinstance(schedule, PulseSchedule) else tuple(schedule)
     gate2_ops = ir.gate2_ops()
-    u = np.eye(4, dtype=complex)
+    product = _SegmentProduct()
     corrections = [0.0] * ir.n_qubits
     next_gate2 = 0
     for ev in events:
         if isinstance(ev, PulseEvent):
-            u = _embed(ev.pulse.unitary(), ev.qubit) @ u
+            product.apply_1q(ev.qubit, ev.pulse.unitary())
         elif isinstance(ev, Gate2Event):
             if next_gate2 >= len(gate2_ops):
                 raise ScheduleMismatchError("schedule has more GATE2 events than the circuit")
@@ -701,11 +727,15 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
                 raise ScheduleMismatchError(
                     f"GATE2 event {next_gate2} acts on {ev.qubits}, circuit says {op.qubits}"
                 )
-            u = op.effective_matrix() @ u
+            if ev.name != op.name:
+                raise ScheduleMismatchError(
+                    f"GATE2 event {next_gate2} is {ev.name}, circuit says {op.name}"
+                )
+            product.apply_2q(op.effective_matrix())
             next_gate2 += 1
         else:
             corrections[ev.qubit] += ev.angle
     if next_gate2 != len(gate2_ops):
         raise ScheduleMismatchError("schedule is missing GATE2 events")
-    corrected = np.kron(z_rot(-corrections[0]), z_rot(-corrections[1])) @ u
+    corrected = np.kron(z_rot(-corrections[0]), z_rot(-corrections[1])) @ product.total()
     return phase_distance(corrected, ideal_unitary(ir))

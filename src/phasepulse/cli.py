@@ -19,7 +19,7 @@ from . import circuit as circ
 from . import coverage as cov
 from . import pulsesim as psim
 from .carrier import classify
-from .su2 import as_unitary, phase_distance, standard_gate
+from .su2 import phase_distance, standard_gate
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -87,11 +87,9 @@ def _gate_from_spec(spec: str) -> np.ndarray:
 
 def cmd_classify(args) -> int:
     try:
-        matrix = _gate_from_spec(args.gate)
-        matrix = as_unitary(matrix, 4, tol=args.tolerance)
+        result = classify(_gate_from_spec(args.gate), tol=args.tolerance)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
-    result = classify(matrix)
     print(f"gate: {args.gate}")
     print(f"phase_carrier: {'yes' if result.is_carrier else 'no'}")
     if result.permutation is not None:

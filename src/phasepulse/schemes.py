@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -278,12 +279,50 @@ def clifford_table() -> tuple[CliffordEntry, ...]:
     )
 
 
+# A Clifford's SU(2) quaternion components have magnitudes in
+# {0, 1/2, 1/sqrt2, 1}, at least 0.2 apart; these are the midpoints.
+_CLIFFORD_GRID_MIDPOINTS = (0.25, 0.5 * (0.5 + _INV_SQRT2), 0.5 * (_INV_SQRT2 + 1.0))
+
+
+def _clifford_key(su: np.ndarray) -> tuple[int, int, int, int]:
+    """Quaternion of the det-1 ``su`` snapped to the Clifford grid, up to sign.
+
+    Each component becomes a signed grid index (0 for 0 up to 3 for 1), with
+    the overall sign chosen so the first nonzero index is positive, since
+    ``su`` and ``-su`` are the same gate.  The components are those of
+    :func:`phasepulse.su2.to_quaternion`.
+    """
+    m00, m01 = complex(su[0, 0]), complex(su[0, 1])
+    m10, m11 = complex(su[1, 0]), complex(su[1, 1])
+    key = []
+    for v in (
+        0.5 * (m00.real + m11.real),
+        0.5 * (m11.imag - m00.imag),
+        -0.5 * (m10.imag + m01.imag),
+        0.5 * (m10.real - m01.real),
+    ):
+        k = bisect(_CLIFFORD_GRID_MIDPOINTS, abs(v))
+        key.append(k if v >= 0 else -k)
+    sign = next((1 if k > 0 else -1 for k in key if k), 1)
+    return (sign * key[0], sign * key[1], sign * key[2], sign * key[3])
+
+
+@lru_cache(maxsize=1)
+def _clifford_index() -> dict[tuple[int, int, int, int], CliffordEntry]:
+    """:func:`clifford_table` keyed by :func:`_clifford_key`, built on first use."""
+    return {_clifford_key(_su2_form(entry.matrix)): entry for entry in clifford_table()}
+
+
 def special_case(u, tol: float = STRUCTURE_TOL) -> CompiledGate | None:
     """Compile ``u`` with fewer than three pulses when its shape allows it.
 
     Detection order: identity (0 pulses), anti-diagonal (one X180),
     diagonal (two X180s), Clifford table lookup (<=2 pulses).  Returns
     ``None`` for gates that need the full three-pulse scheme.
+
+    The Clifford lookup snaps ``u`` to the only table entry it can be
+    within ``CLIFFORD_TOL`` of, then confirms it with one
+    :func:`phase_distance`.
     """
     u = as_unitary(u, 2)
     if phase_distance(u, np.eye(2)) <= tol:
@@ -295,9 +334,9 @@ def special_case(u, tol: float = STRUCTURE_TOL) -> CompiledGate | None:
         return CompiledGate(PulseSequence((_anti_diagonal_pulse(su),)), 0.0, Scheme.SPECIAL)
     if off_mag <= tol:
         return CompiledGate(PulseSequence(_diagonal_pulses(su)), 0.0, Scheme.SPECIAL)
-    for entry in clifford_table():
-        if phase_distance(u, entry.matrix) <= CLIFFORD_TOL:
-            return CompiledGate(entry.sequence, 0.0, Scheme.SPECIAL)
+    entry = _clifford_index().get(_clifford_key(su))
+    if entry is not None and phase_distance(u, entry.matrix) <= CLIFFORD_TOL:
+        return CompiledGate(entry.sequence, 0.0, Scheme.SPECIAL)
     return None
 
 

@@ -76,6 +76,14 @@ def test_random_unitary_is_not_carrier():
         assert not is_phase_carrier(haar_unitary(4, rng))
 
 
+def test_near_permutation_is_not_a_carrier():
+    # pivots of |FSIM(pi/2 + 1e-4, phi)| are 1 - 5e-9, its other entries 1e-4
+    assert not is_phase_carrier(standard_gate("FSIM", PI / 2 + 1e-4, 0.3))
+    assert abs_permutation(standard_gate("FSIM", PI / 2 + 1e-4, 0.3)) is None
+    assert is_phase_carrier(standard_gate("FSIM", PI / 2, 0.3))
+    assert not classify(standard_gate("FSIM", PI / 2 + 1e-4, 0.3)).is_carrier
+
+
 def test_carry_map_goldens():
     assert carry_map(standard_gate("CZ")).matrix == ((1, 0), (0, 1))
     assert carry_map(standard_gate("ISWAP")).matrix == ((0, 1), (1, 0))

@@ -24,6 +24,7 @@ from phasepulse.circuit import (
     parse_schedule,
     simulate_schedule,
 )
+from phasepulse.circuit import _classify_gate2, _classify_gate2s
 from phasepulse.schemes import Pulse
 from phasepulse.su2 import (
     GateParams,
@@ -35,6 +36,7 @@ from phasepulse.su2 import (
 )
 
 PI = math.pi
+X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def u_line(q, p: GateParams) -> str:
@@ -414,6 +416,87 @@ def test_schedule_mismatch_errors():
     events = list(sched.events) + [Gate2Event((0, 1), "CZ")]
     with pytest.raises(ScheduleMismatchError):
         simulate_schedule(events, ir)
+    events = [  # the circuit's gate is ISWAP
+        Gate2Event(ev.qubits, "CZ") if isinstance(ev, Gate2Event) else ev for ev in sched.events
+    ]
+    with pytest.raises(ScheduleMismatchError, match="is CZ, circuit says ISWAP"):
+        simulate_schedule(events, ir)
+
+
+def _embed(m, qubit):
+    return np.kron(m, np.eye(2)) if qubit == 0 else np.kron(np.eye(2), m)
+
+
+def kron_ideal_unitary(ir):
+    """Oracle: the circuit's unitary as a product of one 4x4 factor per op."""
+    u = np.eye(4, dtype=complex)
+    for op in ir.ops:
+        if isinstance(op, Gate1):
+            u = _embed(op.matrix(), op.qubit) @ u
+        elif isinstance(op, Gate2):
+            u = op.effective_matrix() @ u
+    return u
+
+
+def kron_simulate(events, ir):
+    """Oracle: ``simulate_schedule`` with one 4x4 factor per event."""
+    gate2_ops = iter(ir.gate2_ops())
+    u = np.eye(4, dtype=complex)
+    corrections = [0.0, 0.0]
+    for ev in events:
+        if isinstance(ev, PulseEvent):
+            u = _embed(ev.pulse.unitary(), ev.qubit) @ u
+        elif isinstance(ev, Gate2Event):
+            u = next(gate2_ops).effective_matrix() @ u
+        else:
+            corrections[ev.qubit] += ev.angle
+    corrected = np.kron(z_rot(-corrections[0]), z_rot(-corrections[1])) @ u
+    return phase_distance(corrected, kron_ideal_unitary(ir))
+
+
+def test_segment_kernel_matches_per_op_kron():
+    rng = np.random.default_rng(76)
+    for mode in (PolicyMode.THREE_ALWAYS, PolicyMode.AUTO):
+        for _ in range(20):
+            ir = parse_circuit(random_circuit_text(rng, int(rng.integers(1, 30)), ANY_POOL))
+            assert np.max(np.abs(ideal_unitary(ir) - kron_ideal_unitary(ir))) <= 1e-12
+            events = list(compile_circuit(ir, CompilePolicy(mode)).events)
+            assert abs(simulate_schedule(events, ir) - kron_simulate(events, ir)) <= 1e-12
+            # a wrong schedule must deviate by the same amount under both
+            for i, ev in enumerate(events):
+                if isinstance(ev, PulseEvent):
+                    events[i] = PulseEvent(ev.qubit, Pulse(ev.pulse.sigma, ev.pulse.phase + 0.1 * i))
+            dev = simulate_schedule(events, ir)
+            assert abs(dev - kron_simulate(events, ir)) <= 1e-12
+
+
+def test_gate2_classification_memo_keeps_qubit_order():
+    # kron(I, X) classifies differently in the two qubit orders.
+    flip = " ".join(f"{z.real:g},{z.imag:g}" for z in np.kron(np.eye(2), X_MATRIX).ravel())
+    lines = ["qubits 2"]
+    for spec in ("CNOT q0 q1", "CNOT q1 q0", f"CUSTOM q0 q1 {flip}", f"CUSTOM q1 q0 {flip}"):
+        lines += [f"G2 {spec}", "X90 q0"] * 3
+    ir = parse_circuit("\n".join(lines))
+    for mode in (PolicyMode.THREE_ALWAYS, PolicyMode.AUTO):
+        info = _classify_gate2s(ir, mode)
+        assert info == {
+            i: _classify_gate2(op) for i, op in enumerate(ir.ops) if isinstance(op, Gate2)
+        }
+    first = [info[i] for i in (0, 6, 12, 18)]
+    assert first[2].enc_map != first[3].enc_map
+    assert first[2].carry != first[3].carry
+
+
+def test_auto_exact_through_near_carrier_fsim():
+    # FSIM(pi/2 + 1e-4, phi) is not a carrier, so auto must not carry frames through it
+    rng = np.random.default_rng(77)
+    lines = ["qubits 2"]
+    for _ in range(4):
+        lines += [u_line(0, random_gate_params(rng)), u_line(1, random_gate_params(rng))]
+        lines.append(f"G2 FSIM({PI / 2 + 1e-4!r},0.3) q0 q1")
+    ir = parse_circuit("\n".join(lines))
+    sched = compile_circuit(ir, CompilePolicy(PolicyMode.AUTO))
+    assert simulate_schedule(sched, ir) < 1e-10
 
 
 def test_measurement_invariance_of_frames():

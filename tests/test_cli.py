@@ -92,6 +92,17 @@ def test_verify_detects_corruption(circuit_file, tmp_path, capsys):
     assert main(["verify", circuit_file, str(sched)]) == 3
 
 
+def test_verify_rejects_renamed_gate2(circuit_file, tmp_path, capsys):
+    sched = tmp_path / "sched.txt"
+    assert main(["compile", circuit_file, "-o", str(sched)]) == 0
+    text = sched.read_text()
+    assert "GATE2 CZ q0 q1" in text
+    sched.write_text(text.replace("GATE2 CZ q0 q1", "GATE2 CNOT q0 q1"))
+    capsys.readouterr()
+    assert main(["verify", circuit_file, str(sched)]) == 1
+    assert "CNOT" in capsys.readouterr().err
+
+
 def test_classify_cz(capsys):
     assert main(["classify", "CZ"]) == 0
     out = capsys.readouterr().out
@@ -127,6 +138,19 @@ def test_classify_non_unitary(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["1,0"] * 16)))
     assert main(["classify", "CUSTOM"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_classify_custom_honours_tolerance(monkeypatch, capsys):
+    # unitarity defect about 6e-7: accepted at 1e-5, rejected at the default 1e-8
+    m = standard_gate("ISWAP") * (1.0 + 3e-7)
+    text = " ".join(f"{z.real!r},{z.imag!r}" for z in m.ravel().tolist())
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["classify", "CUSTOM", "--tolerance", "1e-5"]) == 0
+    assert "phase_carrier: yes" in capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["classify", "CUSTOM"]) == 1
+    err = capsys.readouterr().err
+    assert "not unitary" in err and "Traceback" not in err
 
 
 def test_stats_subcommand(tmp_path, capsys):

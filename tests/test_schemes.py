@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_gate_params
 from phasepulse.schemes import (
+    CLIFFORD_TOL,
+    STRUCTURE_TOL,
     CliffordCategory,
+    CompiledGate,
     Pulse,
     PulseSequence,
     Scheme,
@@ -19,6 +22,7 @@ from phasepulse.schemes import (
     two_pulse,
     virtual_z,
 )
+from phasepulse.schemes import _anti_diagonal_pulse, _diagonal_pulses, _su2_form
 from phasepulse.su2 import (
     GateParams,
     normalize_angle,
@@ -180,6 +184,45 @@ def test_special_never_longer_than_three():
     for entry in clifford_table():
         cg = special_case(entry.matrix)
         assert cg is not None and len(cg.sequence) <= 2
+
+
+def linear_scan_special_case(u, tol=STRUCTURE_TOL):
+    """Oracle: ``special_case`` with a linear scan over the Clifford table."""
+    if phase_distance(u, np.eye(2)) <= tol:
+        return CompiledGate(PulseSequence(()), 0.0, Scheme.SPECIAL)
+    su = _su2_form(u)
+    if max(abs(u[0, 0]), abs(u[1, 1])) <= tol:
+        return CompiledGate(PulseSequence((_anti_diagonal_pulse(su),)), 0.0, Scheme.SPECIAL)
+    if max(abs(u[0, 1]), abs(u[1, 0])) <= tol:
+        return CompiledGate(PulseSequence(_diagonal_pulses(su)), 0.0, Scheme.SPECIAL)
+    for entry in clifford_table():
+        if phase_distance(u, entry.matrix) <= CLIFFORD_TOL:
+            return CompiledGate(entry.sequence, 0.0, Scheme.SPECIAL)
+    return None
+
+
+def _nearby(u, eps, rng):
+    # exp(-i eps n.sigma) @ u: a unitary between eps/sqrt2 and eps from u.
+    n = rng.normal(size=3)
+    n /= np.linalg.norm(n)
+    h = n[0] * np.array([[0, 1], [1, 0]]) + n[1] * np.array([[0, -1j], [1j, 0]])
+    h = h + n[2] * np.array([[1, 0], [0, -1]])
+    return (math.cos(eps) * np.eye(2) - 1j * math.sin(eps) * h) @ u
+
+
+def test_special_case_lookup_matches_linear_scan():
+    rng = np.random.default_rng(19)
+    for entry in clifford_table():
+        for _ in range(4):
+            u = np.exp(1j * rng.uniform(-PI, PI)) * entry.matrix
+            assert special_case(u) == linear_scan_special_case(u)
+            near, far = _nearby(u, 1e-9, rng), _nearby(u, 1e-6, rng)
+            hit = special_case(near)
+            assert hit is not None and hit == linear_scan_special_case(near)
+            assert special_case(far) is None and linear_scan_special_case(far) is None
+    for _ in range(1000):
+        u = haar_unitary(2, rng)
+        assert special_case(u) == linear_scan_special_case(u)
 
 
 def test_clifford_table_shape():
