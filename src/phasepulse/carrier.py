@@ -130,49 +130,57 @@ def _carry_of(perm: CarrierPermutation) -> CarryMap:
     return CarryMap(matrix)
 
 
-_ENC_MASK = np.array(
-    [
-        [True, False, False, False],
-        [False, True, True, False],
-        [False, True, True, False],
-        [False, False, False, True],
-    ]
-)
+# Candidate (p, q) for ``u (Z_t x Z_t) == (Z_pt x Z_qt) u``: comparing the
+# spectra of the two generators leaves only these four, tried in this order.
+# Both generators are diagonal, so the identity holds for every t exactly
+# when u[i, j] vanishes wherever the row eigenvalue p*s0 + q*s1 differs from
+# the column eigenvalue s0 + s1, with s = (-1)**bit.
+_ENC_CANDIDATES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+_SIGNS = np.array([_bit_signs(i) for i in range(4)])
+_MUST_VANISH = {
+    (p, q): (p * _SIGNS[:, 0] + q * _SIGNS[:, 1])[:, None] != _SIGNS.sum(axis=1)[None, :]
+    for p, q in _ENC_CANDIDATES
+}
+
+
+def _conserves(u: np.ndarray, pq: tuple[int, int], tol: float) -> bool:
+    return bool(np.max(np.abs(u[_MUST_VANISH[pq]])) <= tol)
+
+
+def _enc_map(u: np.ndarray, tol: float) -> tuple[int, int] | None:
+    return next((pq for pq in _ENC_CANDIDATES if _conserves(u, pq, tol)), None)
 
 
 def is_enc(u, tol: float = ENTRY_ZERO_TOL) -> bool:
     """True iff ``u`` preserves the 1+2+1 excitation-number block structure."""
-    return _is_enc(as_unitary(u, 4), tol)
-
-
-def _is_enc(u: np.ndarray, tol: float) -> bool:
-    return bool(np.max(np.abs(u[~_ENC_MASK])) <= tol)
+    return _conserves(as_unitary(u, 4), (1, 1), tol)
 
 
 def is_generalized_enc(u, tol: float = ENTRY_ZERO_TOL) -> tuple[bool, tuple[int, int] | None]:
     """Detect ``u (Z_t x Z_t) == (Z_{p*t} x Z_{q*t}) u`` with integer p, q.
 
     Comparing spectra of the generators forces ``(p, q)`` into
-    ``{(1,1), (-1,-1), (1,-1), (-1,1)}``; each candidate is checked at two
-    incommensurate probe angles and then at 20 random angles.
+    ``{(1,1), (-1,-1), (1,-1), (-1,1)}``; each candidate, in that order, is
+    an exact zero-pattern test: every entry of ``u`` whose row and column
+    eigenvalues differ must be at most ``tol`` in magnitude.  ``(1, 1)`` is
+    :func:`is_enc`.
     """
-    return _generalized_enc(as_unitary(u, 4), tol)
+    enc_map = _enc_map(as_unitary(u, 4), tol)
+    return enc_map is not None, enc_map
 
 
-def _generalized_enc(u: np.ndarray, tol: float) -> tuple[bool, tuple[int, int] | None]:
-    rng = np.random.default_rng(20)
-    angles = [0.3, 1.1] + list(rng.uniform(-math.pi, math.pi, size=20))
-    for p, q in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
-        ok = True
-        for t in angles:
-            lhs = u @ np.kron(z_rot(t), z_rot(t))
-            rhs = np.kron(z_rot(p * t), z_rot(q * t)) @ u
-            if float(np.max(np.abs(lhs - rhs))) > tol:
-                ok = False
-                break
-        if ok:
-            return True, (p, q)
-    return False, None
+def _frame_maps(
+    u: np.ndarray,
+) -> tuple[CarrierPermutation | None, CarryMap | None, tuple[int, int] | None]:
+    """How per-qubit Z frames move through a validated two-qubit ``u``.
+
+    Returns the carrier permutation and its carry map (both None for a
+    non-carrier) and the generalized-ENC map ``(p, q)`` (None for none).
+    :func:`classify` and the circuit compiler both decide by this call.
+    """
+    perm = _abs_permutation(u, PERMUTATION_TOL)
+    cmap = _carry_of(perm) if perm is not None else None
+    return perm, cmap, _enc_map(u, ENTRY_ZERO_TOL)
 
 
 def segment_of(w: WeylCoords, tol: float = 1e-8) -> Segment:
@@ -202,17 +210,14 @@ def classify(u, tol: float = UNITARY_TOL) -> ClassifierResult:
     ``u`` is validated once, with unitarity tolerance ``tol``.
     """
     u = as_unitary(u, 4, tol)
-    perm = _abs_permutation(u, PERMUTATION_TOL)
-    cmap = _carry_of(perm) if perm is not None else None
-    enc = _is_enc(u, ENTRY_ZERO_TOL)
-    gen, enc_map = _generalized_enc(u, ENTRY_ZERO_TOL)
+    perm, cmap, enc_map = _frame_maps(u)
     coords = weyl_coordinates(u, tol)
     return ClassifierResult(
         is_carrier=perm is not None,
         permutation=perm,
         carry=cmap,
-        is_enc=enc,
-        is_generalized_enc=gen,
+        is_enc=enc_map == (1, 1),
+        is_generalized_enc=enc_map is not None,
         enc_map=enc_map,
         weyl=coords,
         segment=segment_of(coords),

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .carrier import CarryMap, carry_map, is_enc, is_generalized_enc, is_phase_carrier
+from .carrier import CarryMap, _frame_maps
 from .schemes import (
     CompiledGate,
     Pulse,
@@ -40,7 +41,11 @@ PI = math.pi
 
 
 class CircuitError(ValueError):
-    pass
+    """Invalid circuit or schedule; ``op_index`` is the offending op's index, if any."""
+
+    def __init__(self, message: str, op_index: int | None = None):
+        super().__init__(message)
+        self.op_index = op_index
 
 
 class CircuitSyntaxError(CircuitError):
@@ -51,8 +56,7 @@ class CircuitSyntaxError(CircuitError):
 
 class IllegalPolicyError(CircuitError):
     def __init__(self, message: str, op_index: int, gate_name: str):
-        super().__init__(message)
-        self.op_index = op_index
+        super().__init__(message, op_index)
         self.gate_name = gate_name
 
 
@@ -110,11 +114,11 @@ class CircuitIR:
             qubits = op.qubits if isinstance(op, Gate2) else (op.qubit,)
             for q in qubits:
                 if not 0 <= q < self.n_qubits:
-                    raise CircuitError(f"op {i}: qubit index {q} out of range")
+                    raise CircuitError(f"op {i}: qubit index {q} out of range", i)
                 if q in measured:
-                    raise CircuitError(f"op {i}: qubit {q} already measured")
+                    raise CircuitError(f"op {i}: qubit {q} already measured", i)
             if isinstance(op, Gate2) and op.qubits[0] == op.qubits[1]:
-                raise CircuitError(f"op {i}: two-qubit gate needs distinct qubits")
+                raise CircuitError(f"op {i}: two-qubit gate needs distinct qubits", i)
             if isinstance(op, Measure):
                 measured.add(op.qubit)
 
@@ -124,28 +128,29 @@ class CircuitIR:
 
 _QUBIT_RE = re.compile(r"^q(\d+)$")
 _PARAM_GATE_RE = re.compile(r"^([A-Z]+)\((.*)\)$")
+_FIXED_GATE2 = ("CZ", "CNOT", "SWAP", "ISWAP", "SQISW")
 
 _X90_PARAMS = GateParams(0.0, -PI / 2, PI / 4)
 _X180_PARAMS = GateParams(0.0, -PI / 2, PI / 2)
 
 
-def _parse_float(tok: str, line: int) -> float:
+def _parse_float(tok: str) -> float:
     try:
         value = float(tok)
     except ValueError:
-        raise CircuitSyntaxError(f"expected a number, got {tok!r}", line) from None
+        raise CircuitError(f"expected a number, got {tok!r}") from None
     if not math.isfinite(value):
-        raise CircuitSyntaxError(f"number must be finite, got {tok!r}", line)
+        raise CircuitError(f"number must be finite, got {tok!r}")
     return value
 
 
-def _parse_qubit(tok: str, n_qubits: int, line: int) -> int:
+def _parse_qubit(tok: str, n_qubits: int) -> int:
     m = _QUBIT_RE.match(tok)
     if not m:
-        raise CircuitSyntaxError(f"expected a qubit like 'q0', got {tok!r}", line)
+        raise CircuitError(f"expected a qubit like 'q0', got {tok!r}")
     q = int(m.group(1))
     if q >= n_qubits:
-        raise CircuitSyntaxError(f"qubit {tok} out of range for {n_qubits} qubits", line)
+        raise CircuitError(f"qubit {tok} out of range for {n_qubits} qubits")
     return q
 
 
@@ -156,66 +161,91 @@ def _format_angle(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _parse_gate2(tokens: list[str], n_qubits: int, line: int) -> Gate2:
-    spec = tokens[1]
-    fixed = {"CZ", "CNOT", "SWAP", "ISWAP", "SQISW"}
-    if spec in fixed:
-        if len(tokens) != 4:
-            raise CircuitSyntaxError(f"G2 {spec} takes two qubits", line)
-        q0 = _parse_qubit(tokens[2], n_qubits, line)
-        q1 = _parse_qubit(tokens[3], n_qubits, line)
-        return Gate2((q0, q1), spec, standard_gate(spec))
+def parse_gate_spec(spec: str, entries: Sequence[str] = ()) -> tuple[str, np.ndarray]:
+    """Label and matrix of a two-qubit gate spec, as written on a ``G2`` line.
+
+    ``spec`` is CZ, CNOT, SWAP, ISWAP, SQISW, ``CPHASE(phi)``,
+    ``FSIM(theta,phi)`` or CUSTOM, whose 16 row-major ``re,im`` tokens are
+    ``entries``.  A CUSTOM matrix is not checked for unitarity here.  Raises
+    :class:`CircuitError` for a malformed spec.
+    """
     if spec == "CUSTOM":
-        if len(tokens) != 4 + 16:
-            raise CircuitSyntaxError("G2 CUSTOM takes two qubits and 16 re,im pairs", line)
-        q0 = _parse_qubit(tokens[2], n_qubits, line)
-        q1 = _parse_qubit(tokens[3], n_qubits, line)
-        entries = []
-        for tok in tokens[4:]:
+        if len(entries) != 16:
+            raise CircuitError(f"CUSTOM takes 16 're,im' pairs, got {len(entries)}")
+        values = []
+        for tok in entries:
             pieces = tok.split(",")
             if len(pieces) != 2:
-                raise CircuitSyntaxError(f"expected 're,im', got {tok!r}", line)
-            entries.append(complex(_parse_float(pieces[0], line), _parse_float(pieces[1], line)))
-        matrix = np.array(entries, dtype=complex).reshape(4, 4)
-        try:
-            matrix = as_unitary(matrix, 4, tol=1e-8)
-        except ValueError as exc:
-            raise CircuitSyntaxError(f"CUSTOM matrix: {exc}", line) from None
-        return Gate2((q0, q1), "CUSTOM", matrix)
+                raise CircuitError(f"expected 're,im', got {tok!r}")
+            values.append(complex(_parse_float(pieces[0]), _parse_float(pieces[1])))
+        return "CUSTOM", np.array(values, dtype=complex).reshape(4, 4)
+    if entries:
+        raise CircuitError(f"unexpected tokens after {spec}: {' '.join(entries)}")
+    if spec in _FIXED_GATE2:
+        return spec, standard_gate(spec)
     m = _PARAM_GATE_RE.match(spec)
-    if m:
-        name, arg_text = m.group(1), m.group(2)
-        args = [_parse_float(a.strip(), line) for a in arg_text.split(",")] if arg_text else []
-        if name == "CPHASE" and len(args) == 1:
-            label = f"CPHASE({_format_angle(args[0])})"
-        elif name == "FSIM" and len(args) == 2:
-            label = f"FSIM({_format_angle(args[0])},{_format_angle(args[1])})"
-        else:
-            raise CircuitSyntaxError(f"unknown or malformed gate {spec!r}", line)
-        if len(tokens) != 4:
-            raise CircuitSyntaxError(f"G2 {name}(...) takes two qubits", line)
-        q0 = _parse_qubit(tokens[2], n_qubits, line)
-        q1 = _parse_qubit(tokens[3], n_qubits, line)
-        return Gate2((q0, q1), label, standard_gate(name, *args))
-    raise CircuitSyntaxError(f"unknown two-qubit gate {spec!r}", line)
+    if not m:
+        raise CircuitError(f"unknown two-qubit gate {spec!r}")
+    name, arg_text = m.groups()
+    args = [_parse_float(a.strip()) for a in arg_text.split(",")] if arg_text else []
+    if (name, len(args)) not in (("CPHASE", 1), ("FSIM", 2)):
+        raise CircuitError(f"unknown or malformed gate {spec!r}")
+    return f"{name}({','.join(map(_format_angle, args))})", standard_gate(name, *args)
+
+
+def _parse_op(tokens: list[str], n_qubits: int) -> Op:
+    head = tokens[0]
+    if head == "U":
+        if len(tokens) != 5:
+            raise CircuitError("usage: U q<i> <alpha> <beta> <gamma>")
+        q = _parse_qubit(tokens[1], n_qubits)
+        a, b, g = (_parse_float(t) for t in tokens[2:5])
+        return Gate1(q, GateParams(a, b, g))
+    if head == "RZ":
+        if len(tokens) != 3:
+            raise CircuitError("usage: RZ q<i> <theta>")
+        q = _parse_qubit(tokens[1], n_qubits)
+        return Gate1(q, GateParams(-0.5 * _parse_float(tokens[2]), 0.0, 0.0))
+    if head == "X90":
+        if len(tokens) != 2:
+            raise CircuitError("usage: X90 q<i>")
+        return Gate1(_parse_qubit(tokens[1], n_qubits), _X90_PARAMS)
+    if head == "X180":
+        if len(tokens) != 2:
+            raise CircuitError("usage: X180 q<i>")
+        return Gate1(_parse_qubit(tokens[1], n_qubits), _X180_PARAMS)
+    if head == "G2":
+        if len(tokens) < 4:
+            raise CircuitError("usage: G2 <gate> q<i> q<j> [16 're,im' pairs for CUSTOM]")
+        label, matrix = parse_gate_spec(tokens[1], tokens[4:])
+        if label == "CUSTOM":
+            matrix = as_unitary(matrix, 4, tol=1e-8)
+        qubits = (_parse_qubit(tokens[2], n_qubits), _parse_qubit(tokens[3], n_qubits))
+        return Gate2(qubits, label, matrix)
+    if head == "M":
+        if len(tokens) != 2:
+            raise CircuitError("usage: M q<i>")
+        return Measure(_parse_qubit(tokens[1], n_qubits))
+    raise CircuitError(f"unknown op {head!r}")
 
 
 def parse_circuit(text: str) -> CircuitIR:
     """Parse the line-based circuit format (see the package README).
 
     One op per line; ``#`` starts a comment; the first op line must be
-    preceded by a ``qubits 2`` header.  All angles are radians.
+    preceded by a ``qubits 2`` header.  All angles are radians.  Every
+    error, including an illegal circuit found by :class:`CircuitIR`, is a
+    :class:`CircuitSyntaxError` at the offending line.
     """
     n_qubits: int | None = None
     ops: list[Op] = []
-    measured: set[int] = set()
+    op_lines: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        head = tokens[0]
-        if head == "qubits":
+        if tokens[0] == "qubits":
             if n_qubits is not None:
                 raise CircuitSyntaxError("duplicate 'qubits' header", line_no)
             if len(tokens) != 2:
@@ -229,53 +259,17 @@ def parse_circuit(text: str) -> CircuitIR:
             continue
         if n_qubits is None:
             raise CircuitSyntaxError("first statement must be 'qubits 2'", line_no)
-
-        if head == "U":
-            if len(tokens) != 5:
-                raise CircuitSyntaxError("usage: U q<i> <alpha> <beta> <gamma>", line_no)
-            q = _parse_qubit(tokens[1], n_qubits, line_no)
-            a, b, g = (_parse_float(t, line_no) for t in tokens[2:5])
-            try:
-                op: Op = Gate1(q, GateParams(a, b, g))
-            except ValueError as exc:
-                raise CircuitSyntaxError(str(exc), line_no) from None
-        elif head == "RZ":
-            if len(tokens) != 3:
-                raise CircuitSyntaxError("usage: RZ q<i> <theta>", line_no)
-            q = _parse_qubit(tokens[1], n_qubits, line_no)
-            theta = _parse_float(tokens[2], line_no)
-            op = Gate1(q, GateParams(-0.5 * theta, 0.0, 0.0))
-        elif head == "X90":
-            if len(tokens) != 2:
-                raise CircuitSyntaxError("usage: X90 q<i>", line_no)
-            op = Gate1(_parse_qubit(tokens[1], n_qubits, line_no), _X90_PARAMS)
-        elif head == "X180":
-            if len(tokens) != 2:
-                raise CircuitSyntaxError("usage: X180 q<i>", line_no)
-            op = Gate1(_parse_qubit(tokens[1], n_qubits, line_no), _X180_PARAMS)
-        elif head == "G2":
-            if len(tokens) < 2:
-                raise CircuitSyntaxError("G2 needs a gate name", line_no)
-            op = _parse_gate2(tokens, n_qubits, line_no)
-        elif head == "M":
-            if len(tokens) != 2:
-                raise CircuitSyntaxError("usage: M q<i>", line_no)
-            op = Measure(_parse_qubit(tokens[1], n_qubits, line_no))
-        else:
-            raise CircuitSyntaxError(f"unknown op {head!r}", line_no)
-
-        qubits = op.qubits if isinstance(op, Gate2) else (op.qubit,)
-        for q in qubits:
-            if q in measured:
-                raise CircuitSyntaxError(f"qubit q{q} was already measured", line_no)
-        if isinstance(op, Gate2) and op.qubits[0] == op.qubits[1]:
-            raise CircuitSyntaxError("two-qubit gate needs distinct qubits", line_no)
-        if isinstance(op, Measure):
-            measured.add(op.qubit)
-        ops.append(op)
+        try:
+            ops.append(_parse_op(tokens, n_qubits))
+        except ValueError as exc:
+            raise CircuitSyntaxError(str(exc), line_no) from None
+        op_lines.append(line_no)
     if n_qubits is None:
         raise CircuitSyntaxError("missing 'qubits 2' header", 1)
-    return CircuitIR(n_qubits, tuple(ops))
+    try:
+        return CircuitIR(n_qubits, tuple(ops))
+    except CircuitError as exc:
+        raise CircuitSyntaxError(str(exc), op_lines[exc.op_index]) from None
 
 
 def merge_adjacent_1q(ir: CircuitIR) -> CircuitIR:
@@ -403,24 +397,26 @@ def parse_schedule(text: str) -> list[Event]:
             continue
         tokens = line.split()
         kind = tokens[0]
-        if kind == "PULSE" and len(tokens) == 4:
-            q = _parse_qubit(tokens[1], 2, line_no)
-            if not (tokens[2].startswith("sigma=") and tokens[3].startswith("phase=")):
-                raise CircuitSyntaxError("malformed PULSE line", line_no)
-            sigma = _parse_float(tokens[2][len("sigma="):], line_no)
-            phase = _parse_float(tokens[3][len("phase="):], line_no)
-            events.append(PulseEvent(q, Pulse(sigma, phase)))
-        elif kind == "GATE2" and len(tokens) == 4:
-            q0 = _parse_qubit(tokens[2], 2, line_no)
-            q1 = _parse_qubit(tokens[3], 2, line_no)
-            events.append(Gate2Event((q0, q1), tokens[1]))
-        elif kind == "FRAME" and len(tokens) == 3:
-            q = _parse_qubit(tokens[1], 2, line_no)
-            if not tokens[2].startswith("z="):
-                raise CircuitSyntaxError("malformed FRAME line", line_no)
-            events.append(FrameEvent(q, _parse_float(tokens[2][len("z="):], line_no)))
-        else:
-            raise CircuitSyntaxError(f"unrecognized schedule line {raw!r}", line_no)
+        try:
+            if kind == "PULSE" and len(tokens) == 4:
+                q = _parse_qubit(tokens[1], 2)
+                if not (tokens[2].startswith("sigma=") and tokens[3].startswith("phase=")):
+                    raise CircuitError("malformed PULSE line")
+                sigma = _parse_float(tokens[2][len("sigma="):])
+                phase = _parse_float(tokens[3][len("phase="):])
+                events.append(PulseEvent(q, Pulse(sigma, phase)))
+            elif kind == "GATE2" and len(tokens) == 4:
+                qubits = (_parse_qubit(tokens[2], 2), _parse_qubit(tokens[3], 2))
+                events.append(Gate2Event(qubits, tokens[1]))
+            elif kind == "FRAME" and len(tokens) == 3:
+                q = _parse_qubit(tokens[1], 2)
+                if not tokens[2].startswith("z="):
+                    raise CircuitError("malformed FRAME line")
+                events.append(FrameEvent(q, _parse_float(tokens[2][len("z="):])))
+            else:
+                raise CircuitError(f"unrecognized schedule line {raw!r}")
+        except ValueError as exc:
+            raise CircuitSyntaxError(str(exc), line_no) from None
     return events
 
 
@@ -431,15 +427,8 @@ class _Gate2Info:
 
 
 def _classify_gate2(op: Gate2) -> _Gate2Info:
-    eff = op.effective_matrix()
-    cmap = carry_map(eff) if is_phase_carrier(eff) else None
-    if is_enc(eff):
-        enc_map: tuple[int, int] | None = (1, 1)
-    else:
-        gen, enc_map = is_generalized_enc(eff)
-        if not gen:
-            enc_map = None
-    return _Gate2Info(cmap, enc_map)
+    _, carry, enc_map = _frame_maps(as_unitary(op.effective_matrix(), 4))
+    return _Gate2Info(carry, enc_map)
 
 
 def _classify_gate2s(ir: CircuitIR, mode: PolicyMode) -> dict[int, _Gate2Info]:
@@ -709,17 +698,24 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
     Pulses become conjugated X rotations, two-qubit events look up their
     matrix in the circuit (by position, after checking name and qubits),
     and FRAME events are pending virtual Z rotations that are corrected for
-    before comparing with the ideal unitary up to global phase.
+    before comparing with the ideal unitary up to global phase.  A FRAME
+    ends its qubit: a later PULSE on that qubit, or any later GATE2, raises
+    :class:`ScheduleMismatchError`.
     """
     events = schedule.events if isinstance(schedule, PulseSchedule) else tuple(schedule)
     gate2_ops = ir.gate2_ops()
     product = _SegmentProduct()
     corrections = [0.0] * ir.n_qubits
+    framed = [False] * ir.n_qubits
     next_gate2 = 0
     for ev in events:
         if isinstance(ev, PulseEvent):
+            if framed[ev.qubit]:
+                raise ScheduleMismatchError(f"PULSE on q{ev.qubit} after its FRAME")
             product.apply_1q(ev.qubit, ev.pulse.unitary())
         elif isinstance(ev, Gate2Event):
+            if any(framed):
+                raise ScheduleMismatchError(f"GATE2 event {next_gate2} after a FRAME")
             if next_gate2 >= len(gate2_ops):
                 raise ScheduleMismatchError("schedule has more GATE2 events than the circuit")
             op = gate2_ops[next_gate2]
@@ -735,6 +731,7 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
             next_gate2 += 1
         else:
             corrections[ev.qubit] += ev.angle
+            framed[ev.qubit] = True
     if next_gate2 != len(gate2_ops):
         raise ScheduleMismatchError("schedule is missing GATE2 events")
     corrected = np.kron(z_rot(-corrections[0]), z_rot(-corrections[1])) @ product.total()

@@ -13,13 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import circuit as circ
 from . import coverage as cov
 from . import pulsesim as psim
 from .carrier import classify
-from .su2 import phase_distance, standard_gate
+from .su2 import phase_distance
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -68,26 +66,12 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _gate_from_spec(spec: str) -> np.ndarray:
-    if spec.upper() == "CUSTOM":
-        tokens = sys.stdin.read().split()
-        if len(tokens) != 16:
-            raise ValueError("CUSTOM expects 16 're,im' pairs on stdin")
-        entries = []
-        for tok in tokens:
-            re_s, im_s = tok.split(",")
-            entries.append(complex(float(re_s), float(im_s)))
-        return np.array(entries, dtype=complex).reshape(4, 4)
-    m = circ._PARAM_GATE_RE.match(spec)
-    if m:
-        args = [float(a) for a in m.group(2).split(",")] if m.group(2) else []
-        return standard_gate(m.group(1), *args)
-    return standard_gate(spec)
-
-
 def cmd_classify(args) -> int:
+    spec = args.gate.upper()
     try:
-        result = classify(_gate_from_spec(args.gate), tol=args.tolerance)
+        entries = sys.stdin.read().split() if spec == "CUSTOM" else ()
+        _, matrix = circ.parse_gate_spec(spec, entries)
+        result = classify(matrix, tol=args.tolerance)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
     print(f"gate: {args.gate}")

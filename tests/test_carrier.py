@@ -1,3 +1,4 @@
+import itertools
 import math
 from itertools import permutations
 
@@ -230,3 +231,59 @@ def test_classify_cz_vs_cnot():
     assert r.is_carrier and r.segment is Segment.I_CNOT
     r = classify(standard_gate("CNOT"))
     assert not r.is_carrier and not r.is_enc and not r.is_generalized_enc
+
+
+def _probe_generalized_enc(u, tol):
+    """Reference: the former random probe for ``is_generalized_enc``.
+
+    Each candidate ``(p, q)`` is checked at two incommensurate angles and
+    then at 20 seeded random angles.
+    """
+    rng = np.random.default_rng(20)
+    angles = [0.3, 1.1] + list(rng.uniform(-PI, PI, size=20))
+    for p, q in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+        ok = True
+        for t in angles:
+            lhs = u @ np.kron(z_rot(t), z_rot(t))
+            rhs = np.kron(z_rot(p * t), z_rot(q * t)) @ u
+            if float(np.max(np.abs(lhs - rhs))) > tol:
+                ok = False
+                break
+        if ok:
+            return True, (p, q)
+    return False, None
+
+
+def test_zero_pattern_matches_random_probe():
+    """The exact test agrees with the probe it replaced.
+
+    At angle t the probe's residual in entry (i, j) is ``|u_ij|`` times
+    ``|2 sin(t d / 4)| <= 2``, where d is the eigenvalue gap, while the exact
+    test bounds ``|u_ij|`` itself.  For FSIM within 1e-10 of a multiple of
+    pi/2 the entries off the zero pattern are about ``tol``, so there the
+    verdict may instead match the probe at ``2 tol``.
+    """
+    tol = 1e-10
+    rng = np.random.default_rng(40)
+    Y = np.array([[0, -1j], [1j, 0]])
+    paulis = [np.kron(a, b) for a, b in itertools.product((I2, X, Y, np.diag([1, -1])), repeat=2)]
+
+    def dressed(g, n):
+        return [(paulis[i] @ g @ paulis[j], False) for i, j in rng.integers(0, 16, (n, 2))]
+
+    cases = []
+    for g in [standard_gate(n) for n in ("CZ", "SWAP", "ISWAP", "SQISW")] + [
+        standard_gate("CPHASE", 0.7), standard_gate("FSIM", 0.4, 0.9), np.eye(4)
+    ]:
+        cases += dressed(g, 24)
+    cases += [(np.diag(np.exp(1j * rng.uniform(-PI, PI, 4))), False) for _ in range(30)]
+    cases += [(haar_unitary(4, rng), False) for _ in range(50)]
+    for k, sign, exp in itertools.product(range(4), (1, -1), range(3, 13)):
+        fsim = standard_gate("FSIM", k * PI / 2 + sign * 10.0**-exp, 0.3)
+        cases += [(u, exp == 10) for u, _ in dressed(fsim, 2)]
+    for u, at_tol in cases:
+        got, expected = is_generalized_enc(u, tol), _probe_generalized_enc(u, tol)
+        if at_tol and got != expected:
+            expected = _probe_generalized_enc(u, 2 * tol)
+        assert got == expected
+        assert is_enc(u, tol) == (got[1] == (1, 1))

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import haar_unitary, random_gate_params
 from phasepulse.circuit import (
+    CircuitError,
     CircuitIR,
     CircuitSyntaxError,
     CompilePolicy,
@@ -137,6 +138,26 @@ def test_ir_validation_direct():
         CircuitIR(3, ())
     with pytest.raises(Exception):
         CircuitIR(2, (Measure(0), Gate1(0, GateParams(0, 0, 0))))
+    with pytest.raises(CircuitError, match="already measured") as err:
+        CircuitIR(2, (Gate1(1, GateParams(0, 0, 0)), Measure(0), Gate1(0, GateParams(0, 0, 0))))
+    assert err.value.op_index == 2
+    with pytest.raises(CircuitError, match="distinct qubits") as err:
+        CircuitIR(2, (Measure(0), Gate2((1, 1), "CZ", standard_gate("CZ"))))
+    assert err.value.op_index == 1
+
+
+def test_legality_errors_keep_their_line():
+    text = "qubits 2\n# measure first\nM q0\n\nU q0 0 0 0  # too late\n"
+    with pytest.raises(CircuitSyntaxError, match="already measured") as err:
+        parse_circuit(text)
+    assert err.value.line == 5
+    with pytest.raises(CircuitSyntaxError, match="distinct qubits") as err:
+        parse_circuit("qubits 2\n\n# a comment\nX90 q1\nG2 CZ q1 q1\n")
+    assert err.value.line == 5
+    # the whole text is parsed before CircuitIR checks legality
+    with pytest.raises(CircuitSyntaxError, match="unknown op") as err:
+        parse_circuit(text + "FROB q1\n")
+    assert err.value.line == 6
 
 
 # ---------------------------------------------------------------- merging
@@ -421,6 +442,21 @@ def test_schedule_mismatch_errors():
     ]
     with pytest.raises(ScheduleMismatchError, match="is CZ, circuit says ISWAP"):
         simulate_schedule(events, ir)
+
+
+def test_frame_must_end_its_qubit():
+    ir = carrier_sandwich_circuit(np.random.default_rng(75))
+    events = compile_circuit(ir, CompilePolicy(PolicyMode.VZ_CARRY)).events
+    frames = [ev for ev in events if isinstance(ev, FrameEvent)]
+    rest = [ev for ev in events if not isinstance(ev, FrameEvent)]
+    assert simulate_schedule(rest + frames, ir) < 1e-10
+    with pytest.raises(ScheduleMismatchError, match="PULSE on q0 after its FRAME"):
+        simulate_schedule(frames + rest, ir)
+    ir = parse_circuit("qubits 2\nG2 CZ q0 q1\n")
+    gate2, frame0, frame1 = compile_circuit(ir).events
+    assert simulate_schedule([gate2, frame0, frame1], ir) < 1e-12
+    with pytest.raises(ScheduleMismatchError, match="GATE2 event 0 after a FRAME"):
+        simulate_schedule([frame0, gate2, frame1], ir)
 
 
 def _embed(m, qubit):

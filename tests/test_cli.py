@@ -103,6 +103,66 @@ def test_verify_rejects_renamed_gate2(circuit_file, tmp_path, capsys):
     assert "CNOT" in capsys.readouterr().err
 
 
+def test_verify_rejects_frame_above_pulses(circuit_file, tmp_path, capsys):
+    sched = tmp_path / "sched.txt"
+    assert main(["compile", circuit_file, "--policy", "vz-carry", "-o", str(sched)]) == 0
+    lines = sched.read_text().splitlines()
+    frames = [line for line in lines if line.startswith("FRAME")]
+    assert len(frames) == 2
+    sched.write_text("\n".join(frames + [ln for ln in lines if ln not in frames]) + "\n")
+    capsys.readouterr()
+    assert main(["verify", circuit_file, str(sched)]) == 1
+    err = capsys.readouterr().err
+    assert "after its FRAME" in err and "Traceback" not in err
+
+
+_CARRY_CZ = (
+    "phase_carrier: yes\npermutation: (0, 1, 2, 3)\n"
+    "carry_map: phi0 = 1*theta0 + 0*theta1, phi1 = 0*theta0 + 1*theta1\n"
+)
+_CARRY_SWAP = (
+    "phase_carrier: yes\npermutation: (0, 2, 1, 3)\n"
+    "carry_map: phi0 = 0*theta0 + 1*theta1, phi1 = 1*theta0 + 0*theta1\n"
+)
+_ENC = "enc: yes\ngeneralized_enc: yes (phi0 = 1*theta, phi1 = 1*theta)\n"
+CLASSIFY_GOLDENS = {
+    "CZ": _CARRY_CZ + _ENC + "weyl: (1.570796327, 0.000000000, 0.000000000)\nsegment: I-CNOT\n",
+    "CNOT": "phase_carrier: no\nenc: no\ngeneralized_enc: no\n"
+    "weyl: (1.570796327, 0.000000000, 0.000000000)\nsegment: I-CNOT\n",
+    "SWAP": _CARRY_SWAP + _ENC
+    + "weyl: (1.570796327, 1.570796327, 1.570796327)\nsegment: iSWAP-SWAP\n",
+    "ISWAP": _CARRY_SWAP + _ENC
+    + "weyl: (1.570796327, 1.570796327, 0.000000000)\nsegment: iSWAP-SWAP\n",
+    "SQISW": "phase_carrier: no\n" + _ENC
+    + "weyl: (0.785398163, 0.785398163, 0.000000000)\nsegment: off-segment\n",
+    "CPHASE(0.5)": _CARRY_CZ + _ENC
+    + "weyl: (0.250000000, 0.000000000, 0.000000000)\nsegment: I-CNOT\n",
+    "FSIM(0.4,0.2)": "phase_carrier: no\n" + _ENC
+    + "weyl: (0.400000000, 0.400000000, 0.100000000)\nsegment: off-segment\n",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CLASSIFY_GOLDENS))
+def test_classify_goldens(spec, capsys):
+    assert main(["classify", spec]) == 0
+    assert capsys.readouterr().out == f"gate: {spec}\n" + CLASSIFY_GOLDENS[spec]
+
+
+def test_classify_lowercase_name(capsys):
+    assert main(["classify", "cz"]) == 0
+    assert capsys.readouterr().out == "gate: cz\n" + CLASSIFY_GOLDENS["CZ"]
+
+
+def test_classify_malformed_specs(monkeypatch, capsys):
+    assert main(["classify", "FSIM(0.1)"]) == 1
+    err = capsys.readouterr().err
+    assert "FSIM(0.1)" in err and "Traceback" not in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["1,2,3"] + ["1,0"] * 15)))
+    assert main(["classify", "CUSTOM"]) == 1
+    err = capsys.readouterr().err
+    assert "'1,2,3'" in err and "Traceback" not in err
+
+
 def test_classify_cz(capsys):
     assert main(["classify", "CZ"]) == 0
     out = capsys.readouterr().out
