@@ -9,6 +9,7 @@ compilation), moved (carried through two-qubit gates), and retired
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from collections.abc import Sequence
@@ -22,12 +23,13 @@ from .schemes import (
     CompiledGate,
     Pulse,
     Scheme,
-    special_case,
+    _special_case,
     three_pulse,
     virtual_z,
 )
 from .su2 import (
     GateParams,
+    _params_from_unitary,
     as_unitary,
     normalize_angle,
     params_from_unitary,
@@ -286,7 +288,7 @@ def merge_adjacent_1q(ir: CircuitIR) -> CircuitIR:
             if idx is not None:
                 prev = out[idx]
                 combined = op.matrix() @ prev.matrix()
-                out[idx] = Gate1(op.qubit, params_from_unitary(combined)[0])
+                out[idx] = Gate1(op.qubit, _params_from_unitary(combined)[0])
             else:
                 open_idx[op.qubit] = len(out)
                 out.append(op)
@@ -459,26 +461,55 @@ def _classify_gate2s(ir: CircuitIR, mode: PolicyMode) -> dict[int, _Gate2Info]:
     return info
 
 
+_IDENTITY_2 = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+
+
+def _frame_diagonal(f0: float, f1: float) -> np.ndarray:
+    """Diagonal of ``kron(z_rot(f0), z_rot(f1))``."""
+    e0, e1 = cmath.exp(-0.5j * f0), cmath.exp(-0.5j * f1)
+    return np.array([e0 * e1, e0 / e1, e1 / e0, 1.0 / (e0 * e1)])
+
+
 class _SegmentProduct:
     """Two-qubit product built as per-qubit 2x2 products between 2q gates.
 
-    1q factors on different qubits commute, so each segment between 2q
-    gates is one ``kron`` of the two per-qubit products.
+    Each qubit's running product is four Python complex numbers (row-major),
+    left-multiplied in closed form: a pulse as its conjugated X rotation and
+    a 1q gate from its :class:`GateParams`.  1q factors on different qubits
+    commute, so each segment between 2q gates becomes one 4x4, the outer
+    product of the two per-qubit products.
     """
 
     def __init__(self):
         self.u = np.eye(4, dtype=complex)
-        self.local = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+        self.local = [_IDENTITY_2, _IDENTITY_2]
 
-    def apply_1q(self, qubit: int, m: np.ndarray):
-        self.local[qubit] = m @ self.local[qubit]
+    def apply_1q(self, qubit: int, a: complex, b: complex, c: complex, d: complex):
+        """Left-multiply the qubit's product by ``[[a, b], [c, d]]``."""
+        p, q, r, s = self.local[qubit]
+        self.local[qubit] = (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+
+    def apply_pulse(self, qubit: int, pulse: Pulse):
+        """``conjugated_x(sigma, phase) == [[cos, -i sin e], [-i sin e*, cos]]``, half angles."""
+        half = 0.5 * pulse.sigma
+        cos, sin = math.cos(half), math.sin(half)
+        e = cmath.exp(1j * pulse.phase)
+        self.apply_1q(qubit, cos, -1j * sin * e, -1j * sin * e.conjugate(), cos)
+
+    def apply_params(self, qubit: int, p: GateParams):
+        """The matrix of :func:`unitary_from_params`."""
+        cg, sg = math.cos(p.gamma), math.sin(p.gamma)
+        ea, eb = cmath.exp(1j * p.alpha), cmath.exp(1j * p.beta)
+        self.apply_1q(qubit, ea * cg, -sg / eb, eb * sg, cg / ea)
 
     def apply_2q(self, eff: np.ndarray):
         self.u = eff @ self.total()
-        self.local = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+        self.local = [_IDENTITY_2, _IDENTITY_2]
 
     def total(self) -> np.ndarray:
-        return np.kron(self.local[0], self.local[1]) @ self.u
+        a = np.array(self.local[0]).reshape(2, 1, 2, 1)
+        b = np.array(self.local[1]).reshape(1, 2, 1, 2)
+        return (a * b).reshape(4, 4) @ self.u
 
 
 def ideal_unitary(ir: CircuitIR) -> np.ndarray:
@@ -486,7 +517,7 @@ def ideal_unitary(ir: CircuitIR) -> np.ndarray:
     product = _SegmentProduct()
     for op in ir.ops:
         if isinstance(op, Gate1):
-            product.apply_1q(op.qubit, op.matrix())
+            product.apply_params(op.qubit, op.params)
         elif isinstance(op, Gate2):
             product.apply_2q(op.effective_matrix())
     return product.total()
@@ -502,10 +533,10 @@ class _FrameChecker:
         self.tol = tol
 
     def on_pulse(self, qubit: int, pulse: Pulse):
-        self.physical.apply_1q(qubit, pulse.unitary())
+        self.physical.apply_pulse(qubit, pulse)
 
     def on_commit(self, qubit: int, matrix: np.ndarray):
-        self.ideal.apply_1q(qubit, matrix)
+        self.ideal.apply_1q(qubit, *matrix.ravel().tolist())
 
     def on_gate2(self, eff: np.ndarray):
         self.ideal.apply_2q(eff)
@@ -515,9 +546,8 @@ class _FrameChecker:
         self.dropped[qubit] += angle
 
     def check(self, frames: list[float]):
-        f0 = frames[0] + self.dropped[0]
-        f1 = frames[1] + self.dropped[1]
-        expected = np.kron(z_rot(f0), z_rot(f1)) @ self.ideal.total()
+        diagonal = _frame_diagonal(frames[0] + self.dropped[0], frames[1] + self.dropped[1])
+        expected = diagonal[:, None] * self.ideal.total()
         dev = phase_distance(self.physical.total(), expected)
         if dev > self.tol:
             raise RuntimeError(f"frame invariant violated (deviation {dev:.3g})")
@@ -571,13 +601,13 @@ def compile_circuit(
 
     def compile_exact(qubit: int, target: np.ndarray):
         """Emit pulses realizing ``target`` exactly (no new frame)."""
-        compiled = special_case(target) if policy.special_cases else None
+        compiled = _special_case(target) if policy.special_cases else None
         if compiled is None:
-            compiled = three_pulse(params_from_unitary(target)[0])
+            compiled = three_pulse(_params_from_unitary(target)[0])
         emit(qubit, compiled)
 
     def compile_vz(qubit: int, target: np.ndarray) -> float:
-        compiled = virtual_z(params_from_unitary(target)[0])
+        compiled = virtual_z(_params_from_unitary(target)[0])
         emit(qubit, compiled)
         return compiled.residual_z
 
@@ -642,17 +672,16 @@ def compile_circuit(
     for i, op in enumerate(ir.ops):
         if isinstance(op, Gate1):
             stats.gates_1q += 1
+            matrix = op.matrix()
             if mode is PolicyMode.THREE_ALWAYS:
-                compile_exact(op.qubit, op.matrix())
-                commit(op.qubit, op.matrix())
+                compile_exact(op.qubit, matrix)
+                commit(op.qubit, matrix)
             elif mode is PolicyMode.VZ_CARRY:
-                frames[op.qubit] = compile_vz(
-                    op.qubit, op.matrix() @ z_rot(-frames[op.qubit])
-                )
-                commit(op.qubit, op.matrix())
+                frames[op.qubit] = compile_vz(op.qubit, matrix @ z_rot(-frames[op.qubit]))
+                commit(op.qubit, matrix)
             else:
                 prev = buffers[op.qubit]
-                buffers[op.qubit] = op.matrix() @ prev if prev is not None else op.matrix()
+                buffers[op.qubit] = matrix @ prev if prev is not None else matrix
         elif isinstance(op, Gate2):
             stats.gates_2q += 1
             gate_info = info[i]
@@ -698,9 +727,10 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
     Pulses become conjugated X rotations, two-qubit events look up their
     matrix in the circuit (by position, after checking name and qubits),
     and FRAME events are pending virtual Z rotations that are corrected for
-    before comparing with the ideal unitary up to global phase.  A FRAME
-    ends its qubit: a later PULSE on that qubit, or any later GATE2, raises
-    :class:`ScheduleMismatchError`.
+    before comparing with the ideal unitary up to global phase.  Each qubit
+    needs exactly one FRAME, as :func:`compile_circuit` emits, and it ends
+    the qubit: a second or missing FRAME, a later PULSE on that qubit, or
+    any later GATE2 raises :class:`ScheduleMismatchError`.
     """
     events = schedule.events if isinstance(schedule, PulseSchedule) else tuple(schedule)
     gate2_ops = ir.gate2_ops()
@@ -712,7 +742,7 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
         if isinstance(ev, PulseEvent):
             if framed[ev.qubit]:
                 raise ScheduleMismatchError(f"PULSE on q{ev.qubit} after its FRAME")
-            product.apply_1q(ev.qubit, ev.pulse.unitary())
+            product.apply_pulse(ev.qubit, ev.pulse)
         elif isinstance(ev, Gate2Event):
             if any(framed):
                 raise ScheduleMismatchError(f"GATE2 event {next_gate2} after a FRAME")
@@ -730,9 +760,13 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
             product.apply_2q(op.effective_matrix())
             next_gate2 += 1
         else:
-            corrections[ev.qubit] += ev.angle
+            if framed[ev.qubit]:
+                raise ScheduleMismatchError(f"second FRAME for q{ev.qubit}")
+            corrections[ev.qubit] = ev.angle
             framed[ev.qubit] = True
     if next_gate2 != len(gate2_ops):
         raise ScheduleMismatchError("schedule is missing GATE2 events")
-    corrected = np.kron(z_rot(-corrections[0]), z_rot(-corrections[1])) @ product.total()
+    if not all(framed):
+        raise ScheduleMismatchError(f"schedule has no FRAME for q{framed.index(False)}")
+    corrected = _frame_diagonal(-corrections[0], -corrections[1])[:, None] * product.total()
     return phase_distance(corrected, ideal_unitary(ir))

@@ -200,6 +200,7 @@ class CliffordEntry:
     sequence: PulseSequence
 
 
+_IDENTITY = np.eye(2, dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1j], [1j, 0.0]])
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -322,10 +323,14 @@ def special_case(u, tol: float = STRUCTURE_TOL) -> CompiledGate | None:
 
     The Clifford lookup snaps ``u`` to the only table entry it can be
     within ``CLIFFORD_TOL`` of, then confirms it with one
-    :func:`phase_distance`.
+    :func:`phase_distance`.  Validates ``u`` first.
     """
-    u = as_unitary(u, 2)
-    if phase_distance(u, np.eye(2)) <= tol:
+    return _special_case(as_unitary(u, 2), tol)
+
+
+def _special_case(u: np.ndarray, tol: float = STRUCTURE_TOL) -> CompiledGate | None:
+    """:func:`special_case` for a 2x2 unitary the caller has validated."""
+    if phase_distance(u, _IDENTITY) <= tol:
         return CompiledGate(PulseSequence(()), 0.0, Scheme.SPECIAL)
     su = _su2_form(u)
     diag_mag = max(abs(u[0, 0]), abs(u[1, 1]))

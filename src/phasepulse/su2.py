@@ -227,8 +227,13 @@ def params_from_unitary(u, tol: float = UNITARY_TOL) -> tuple[GateParams, float]
 
     Returns ``(params, phase)`` with ``u == exp(i*phase) * matrix(params)``.
     When ``gamma`` hits 0 or pi/2 the unconstrained angle is set to 0.
+    Validates ``u`` first.
     """
-    u = as_unitary(u, 2, tol)
+    return _params_from_unitary(as_unitary(u, 2, tol))
+
+
+def _params_from_unitary(u: np.ndarray) -> tuple[GateParams, float]:
+    """:func:`params_from_unitary` for a 2x2 unitary the caller has validated."""
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     gphase = 0.5 * cmath.phase(det)
     su = u * cmath.exp(-1j * gphase)

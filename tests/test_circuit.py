@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import haar_unitary, random_gate_params
+from phasepulse import su2
 from phasepulse.circuit import (
     CircuitError,
     CircuitIR,
@@ -442,6 +444,41 @@ def test_schedule_mismatch_errors():
     ]
     with pytest.raises(ScheduleMismatchError, match="is CZ, circuit says ISWAP"):
         simulate_schedule(events, ir)
+
+
+def test_compile_validates_each_distinct_gate2_once(monkeypatch):
+    # Compiler internals trust the matrices they build from validated
+    # GateParams: only the Gate2 check in _classify_gate2 validates.
+    calls = []
+    original = su2.as_unitary
+
+    def counting(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return original(m, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("phasepulse") and vars(module).get("as_unitary") is original:
+            monkeypatch.setattr(module, "as_unitary", counting)
+    rng = np.random.default_rng(79)
+    for mode, pool in (
+        (PolicyMode.THREE_ALWAYS, ANY_POOL),
+        (PolicyMode.AUTO, ANY_POOL),
+        (PolicyMode.VZ_CARRY, CARRIER_POOL),
+        (PolicyMode.ENC_MIXED, ENC_POOL),
+    ):
+        # X90 and RZ take the special cases
+        text = random_circuit_text(rng, 40, pool).replace(
+            "qubits 2\n", "qubits 2\nX90 q0\nRZ q1 0.5\nG2 CZ q0 q1\n"
+        )
+        ir = parse_circuit(text)
+        distinct = {(op.qubits, op.matrix.tobytes()) for op in ir.gate2_ops()}
+        calls.clear()
+        merged = merge_adjacent_1q(ir)
+        assert calls == []
+        for circuit in (ir, merged):
+            compile_circuit(circuit, CompilePolicy(mode))
+            assert calls == [(4, 4)] * len(distinct)
+            calls.clear()
 
 
 def test_frame_must_end_its_qubit():

@@ -116,6 +116,22 @@ def test_verify_rejects_frame_above_pulses(circuit_file, tmp_path, capsys):
     assert "after its FRAME" in err and "Traceback" not in err
 
 
+def test_verify_needs_exactly_one_frame_per_qubit(circuit_file, tmp_path, capsys):
+    sched = tmp_path / "sched.txt"
+    assert main(["compile", circuit_file, "-o", str(sched)]) == 0
+    text = sched.read_text()
+    assert "FRAME q0 z=0\n" in text and "FRAME q1 z=0\n" in text
+    for bad, message in (
+        (text + "FRAME q0 z=0\n", "second FRAME for q0"),
+        (text.replace("FRAME q1 z=0\n", ""), "no FRAME for q1"),
+    ):
+        sched.write_text(bad)
+        capsys.readouterr()
+        assert main(["verify", circuit_file, str(sched)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
 _CARRY_CZ = (
     "phase_carrier: yes\npermutation: (0, 1, 2, 3)\n"
     "carry_map: phi0 = 1*theta0 + 0*theta1, phi1 = 0*theta0 + 1*theta1\n"
