@@ -226,8 +226,10 @@ def params_from_unitary(u, tol: float = UNITARY_TOL) -> tuple[GateParams, float]
     """Invert :func:`unitary_from_params` up to a global phase.
 
     Returns ``(params, phase)`` with ``u == exp(i*phase) * matrix(params)``.
-    When ``gamma`` hits 0 or pi/2 the unconstrained angle is set to 0.
-    Validates ``u`` first.
+    ``gamma = atan2(|m10|, |m00|)`` of the det-1 form ``m``, which stays
+    exact at 0 where ``acos(|m00|)`` would give 1.5e-8 for ``|m00|`` one
+    rounding below 1.  When ``gamma`` hits 0 or pi/2 the unconstrained
+    angle is set to 0.  Validates ``u`` first.
     """
     return _params_from_unitary(as_unitary(u, 2, tol))
 
@@ -238,7 +240,7 @@ def _params_from_unitary(u: np.ndarray) -> tuple[GateParams, float]:
     gphase = 0.5 * cmath.phase(det)
     su = u * cmath.exp(-1j * gphase)
     m00, m10 = complex(su[0, 0]), complex(su[1, 0])
-    gamma = math.acos(min(1.0, abs(m00)))
+    gamma = math.atan2(abs(m10), abs(m00))
     alpha = cmath.phase(m00) if abs(m00) > 1e-13 else 0.0
     beta = cmath.phase(m10) if abs(m10) > 1e-13 else 0.0
     return GateParams(alpha, beta, gamma), gphase

@@ -132,6 +132,21 @@ def test_verify_needs_exactly_one_frame_per_qubit(circuit_file, tmp_path, capsys
         assert message in err and "Traceback" not in err
 
 
+def test_verify_accepts_auto_schedule_of_exact_frames(tmp_path, capsys):
+    # The frame after the first CZ makes |u00| of the last RZ's target round
+    # to 1 - 1.1e-16; an acos-based gamma put one pulse off by 3e-8.
+    path = tmp_path / "circuit.txt"
+    path.write_text(
+        "qubits 2\nRZ q0 3.141592653589793\nRZ q0 3.141592653589793\n"
+        "RZ q0 1.5707963267948966\nG2 CZ q0 q1\nRZ q0 1.5707963267948966\nG2 CZ q0 q1\n"
+    )
+    sched = tmp_path / "sched.txt"
+    assert main(["compile", str(path), "--policy", "auto", "-o", str(sched)]) == 0
+    assert "phase=1.57079629699" not in sched.read_text()
+    capsys.readouterr()
+    assert main(["verify", str(path), str(sched)]) == 0
+
+
 _CARRY_CZ = (
     "phase_carrier: yes\npermutation: (0, 1, 2, 3)\n"
     "carry_map: phi0 = 1*theta0 + 0*theta1, phi1 = 0*theta0 + 1*theta1\n"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -172,6 +173,15 @@ def test_params_degenerate_angles():
     assert p.beta == 0.0 and abs(p.gamma) < 1e-12
     p, _ = params_from_unitary(conjugated_x(PI, 0.3))  # gamma = pi/2: alpha unconstrained
     assert p.alpha == 0.0 and abs(p.gamma - PI / 2) < 1e-12
+
+
+def test_params_diagonal_clifford_products_have_zero_gamma():
+    # |u00| of these products rounds to 1 - 1.1e-16, where acos(|u00|) is
+    # 1.49e-8 but atan2(|u10|, |u00|) is exactly 0
+    quarter_turns = [z_rot(k * PI / 2) for k in (-3, -2, -1, 1, 2, 3)]
+    for factors in itertools.product(quarter_turns, repeat=4):
+        u = factors[0] @ factors[1] @ factors[2] @ factors[3]
+        assert params_from_unitary(u)[0].gamma == 0.0
 
 
 def test_params_rejects_non_unitary():
