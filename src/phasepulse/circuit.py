@@ -29,6 +29,8 @@ from .schemes import (
 )
 from .su2 import (
     GateParams,
+    _conjugated_x_entries,
+    _params_entries,
     _params_from_unitary,
     as_unitary,
     normalize_angle,
@@ -474,10 +476,10 @@ class _SegmentProduct:
     """Two-qubit product built as per-qubit 2x2 products between 2q gates.
 
     Each qubit's running product is four Python complex numbers (row-major),
-    left-multiplied in closed form: a pulse as its conjugated X rotation and
-    a 1q gate from its :class:`GateParams`.  1q factors on different qubits
-    commute, so each segment between 2q gates becomes one 4x4, the outer
-    product of the two per-qubit products.
+    left-multiplied in closed form by the entries of a pulse
+    (``_conjugated_x_entries``) or a 1q gate (``_params_entries``).  1q
+    factors on different qubits commute, so each segment between 2q gates
+    becomes one 4x4, the outer product of the two per-qubit products.
     """
 
     def __init__(self):
@@ -488,19 +490,6 @@ class _SegmentProduct:
         """Left-multiply the qubit's product by ``[[a, b], [c, d]]``."""
         p, q, r, s = self.local[qubit]
         self.local[qubit] = (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
-
-    def apply_pulse(self, qubit: int, pulse: Pulse):
-        """``conjugated_x(sigma, phase) == [[cos, -i sin e], [-i sin e*, cos]]``, half angles."""
-        half = 0.5 * pulse.sigma
-        cos, sin = math.cos(half), math.sin(half)
-        e = cmath.exp(1j * pulse.phase)
-        self.apply_1q(qubit, cos, -1j * sin * e, -1j * sin * e.conjugate(), cos)
-
-    def apply_params(self, qubit: int, p: GateParams):
-        """The matrix of :func:`unitary_from_params`."""
-        cg, sg = math.cos(p.gamma), math.sin(p.gamma)
-        ea, eb = cmath.exp(1j * p.alpha), cmath.exp(1j * p.beta)
-        self.apply_1q(qubit, ea * cg, -sg / eb, eb * sg, cg / ea)
 
     def apply_2q(self, eff: np.ndarray):
         self.u = eff @ self.total()
@@ -517,7 +506,7 @@ def ideal_unitary(ir: CircuitIR) -> np.ndarray:
     product = _SegmentProduct()
     for op in ir.ops:
         if isinstance(op, Gate1):
-            product.apply_params(op.qubit, op.params)
+            product.apply_1q(op.qubit, *_params_entries(op.params))
         elif isinstance(op, Gate2):
             product.apply_2q(op.effective_matrix())
     return product.total()
@@ -533,7 +522,7 @@ class _FrameChecker:
         self.tol = tol
 
     def on_pulse(self, qubit: int, pulse: Pulse):
-        self.physical.apply_pulse(qubit, pulse)
+        self.physical.apply_1q(qubit, *_conjugated_x_entries(pulse.sigma, pulse.phase))
 
     def on_commit(self, qubit: int, matrix: np.ndarray):
         self.ideal.apply_1q(qubit, *matrix.ravel().tolist())
@@ -742,7 +731,7 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
         if isinstance(ev, PulseEvent):
             if framed[ev.qubit]:
                 raise ScheduleMismatchError(f"PULSE on q{ev.qubit} after its FRAME")
-            product.apply_pulse(ev.qubit, ev.pulse)
+            product.apply_1q(ev.qubit, *_conjugated_x_entries(ev.pulse.sigma, ev.pulse.phase))
         elif isinstance(ev, Gate2Event):
             if any(framed):
                 raise ScheduleMismatchError(f"GATE2 event {next_gate2} after a FRAME")

@@ -145,9 +145,14 @@ def conjugated_x(sigma: float, phase: float) -> np.ndarray:
     sigma, phase = float(sigma), float(phase)
     if not (math.isfinite(sigma) and math.isfinite(phase)):
         raise ValueError("angles must be finite")
+    return np.array(_conjugated_x_entries(sigma, phase)).reshape(2, 2)
+
+
+def _conjugated_x_entries(sigma: float, phase: float) -> tuple[complex, ...]:
+    """Row-major entries of :func:`conjugated_x` for finite angles."""
     c, s = math.cos(0.5 * sigma), math.sin(0.5 * sigma)
     e = cmath.exp(1j * phase)
-    return np.array([[c, -1j * s * e], [-1j * s * e.conjugate(), c]])
+    return (c, -1j * s * e, -1j * s * e.conjugate(), c)
 
 
 def phase_canonical(m) -> np.ndarray:
@@ -217,9 +222,14 @@ class GateParams:
 
 def unitary_from_params(p: GateParams) -> np.ndarray:
     """Matrix of ``p`` (see :class:`GateParams`)."""
+    return np.array(_params_entries(p)).reshape(2, 2)
+
+
+def _params_entries(p: GateParams) -> tuple[complex, ...]:
+    """Row-major entries of :func:`unitary_from_params`."""
     cg, sg = math.cos(p.gamma), math.sin(p.gamma)
     ea, eb = cmath.exp(1j * p.alpha), cmath.exp(1j * p.beta)
-    return np.array([[ea * cg, -sg / eb], [eb * sg, cg / ea]])
+    return (ea * cg, -sg / eb, eb * sg, cg / ea)
 
 
 def params_from_unitary(u, tol: float = UNITARY_TOL) -> tuple[GateParams, float]:
