@@ -176,8 +176,8 @@ def test_params_degenerate_angles():
 
 
 def test_params_diagonal_clifford_products_have_zero_gamma():
-    # |u00| of these products rounds to 1 - 1.1e-16, where acos(|u00|) is
-    # 1.49e-8 but atan2(|u10|, |u00|) is exactly 0
+    # |u00| of some of these products rounds to 1 - 1.1e-16, where
+    # acos(|u00|) is 1.49e-8 but atan2(|u10|, |u00|) is exactly 0
     quarter_turns = [z_rot(k * PI / 2) for k in (-3, -2, -1, 1, 2, 3)]
     for factors in itertools.product(quarter_turns, repeat=4):
         u = factors[0] @ factors[1] @ factors[2] @ factors[3]
