@@ -15,6 +15,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -28,17 +29,19 @@ from .schemes import (
     virtual_z,
 )
 from .su2 import (
+    _IDENTITY_ENTRIES,
     GateParams,
     _conjugated_x_entries,
+    _mul_entries,
     _params_entries,
     _params_from_unitary,
+    _z_rot_entries,
     as_unitary,
     normalize_angle,
     params_from_unitary,
     phase_distance,
     standard_gate,
     unitary_from_params,
-    z_rot,
 )
 
 PI = math.pi
@@ -81,6 +84,10 @@ class Gate1:
         return unitary_from_params(self.params)
 
 
+# Basis order |00>, |01>, |10>, |11> with the two qubits' bits exchanged.
+_SWAPPED_BASIS = np.array([0, 2, 1, 3])
+
+
 @dataclass(frozen=True, eq=False)
 class Gate2:
     """Two-qubit gate; ``matrix`` is in the order the qubits were named."""
@@ -89,12 +96,15 @@ class Gate2:
     name: str
     matrix: np.ndarray
 
+    @cached_property
     def effective_matrix(self) -> np.ndarray:
-        """The matrix in the fixed (qubit 0, qubit 1) basis."""
+        """The matrix in the fixed (qubit 0, qubit 1) basis; read-only, built once."""
         if self.qubits == (0, 1):
-            return self.matrix
-        swap = standard_gate("SWAP")
-        return swap @ self.matrix @ swap
+            m = self.matrix.view()
+        else:
+            m = self.matrix.take(_SWAPPED_BASIS, 0).take(_SWAPPED_BASIS, 1)
+        m.setflags(write=False)
+        return m
 
 
 @dataclass(frozen=True)
@@ -288,8 +298,8 @@ def merge_adjacent_1q(ir: CircuitIR) -> CircuitIR:
         if isinstance(op, Gate1):
             idx = open_idx[op.qubit]
             if idx is not None:
-                prev = out[idx]
-                combined = op.matrix() @ prev.matrix()
+                prev = _params_entries(out[idx].params)
+                combined = _mul_entries(_params_entries(op.params), prev)
                 out[idx] = Gate1(op.qubit, _params_from_unitary(combined)[0])
             else:
                 open_idx[op.qubit] = len(out)
@@ -431,7 +441,7 @@ class _Gate2Info:
 
 
 def _classify_gate2(op: Gate2) -> _Gate2Info:
-    _, carry, enc_map = _frame_maps(as_unitary(op.effective_matrix(), 4))
+    _, carry, enc_map = _frame_maps(as_unitary(op.effective_matrix, 4))
     return _Gate2Info(carry, enc_map)
 
 
@@ -463,9 +473,6 @@ def _classify_gate2s(ir: CircuitIR, mode: PolicyMode) -> dict[int, _Gate2Info]:
     return info
 
 
-_IDENTITY_2 = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-
-
 def _frame_diagonal(f0: float, f1: float) -> np.ndarray:
     """Diagonal of ``kron(z_rot(f0), z_rot(f1))``."""
     e0, e1 = cmath.exp(-0.5j * f0), cmath.exp(-0.5j * f1)
@@ -476,24 +483,23 @@ class _SegmentProduct:
     """Two-qubit product built as per-qubit 2x2 products between 2q gates.
 
     Each qubit's running product is four Python complex numbers (row-major),
-    left-multiplied in closed form by the entries of a pulse
-    (``_conjugated_x_entries``) or a 1q gate (``_params_entries``).  1q
-    factors on different qubits commute, so each segment between 2q gates
-    becomes one 4x4, the outer product of the two per-qubit products.
+    left-multiplied in closed form (``_mul_entries``) by the entries of a
+    pulse (``_conjugated_x_entries``) or a 1q gate (``_params_entries``).
+    1q factors on different qubits commute, so each segment between 2q
+    gates becomes one 4x4, the outer product of the two per-qubit products.
     """
 
     def __init__(self):
         self.u = np.eye(4, dtype=complex)
-        self.local = [_IDENTITY_2, _IDENTITY_2]
+        self.local = [_IDENTITY_ENTRIES, _IDENTITY_ENTRIES]
 
-    def apply_1q(self, qubit: int, a: complex, b: complex, c: complex, d: complex):
-        """Left-multiply the qubit's product by ``[[a, b], [c, d]]``."""
-        p, q, r, s = self.local[qubit]
-        self.local[qubit] = (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+    def apply_1q(self, qubit: int, m: tuple[complex, ...]):
+        """Left-multiply the qubit's product by the 2x2 with row-major entries ``m``."""
+        self.local[qubit] = _mul_entries(m, self.local[qubit])
 
     def apply_2q(self, eff: np.ndarray):
         self.u = eff @ self.total()
-        self.local = [_IDENTITY_2, _IDENTITY_2]
+        self.local = [_IDENTITY_ENTRIES, _IDENTITY_ENTRIES]
 
     def total(self) -> np.ndarray:
         a = np.array(self.local[0]).reshape(2, 1, 2, 1)
@@ -506,9 +512,9 @@ def ideal_unitary(ir: CircuitIR) -> np.ndarray:
     product = _SegmentProduct()
     for op in ir.ops:
         if isinstance(op, Gate1):
-            product.apply_1q(op.qubit, *_params_entries(op.params))
+            product.apply_1q(op.qubit, _params_entries(op.params))
         elif isinstance(op, Gate2):
-            product.apply_2q(op.effective_matrix())
+            product.apply_2q(op.effective_matrix)
     return product.total()
 
 
@@ -522,10 +528,10 @@ class _FrameChecker:
         self.tol = tol
 
     def on_pulse(self, qubit: int, pulse: Pulse):
-        self.physical.apply_1q(qubit, *_conjugated_x_entries(pulse.sigma, pulse.phase))
+        self.physical.apply_1q(qubit, _conjugated_x_entries(pulse.sigma, pulse.phase))
 
-    def on_commit(self, qubit: int, matrix: np.ndarray):
-        self.ideal.apply_1q(qubit, *matrix.ravel().tolist())
+    def on_commit(self, qubit: int, m: tuple[complex, ...]):
+        self.ideal.apply_1q(qubit, m)
 
     def on_gate2(self, eff: np.ndarray):
         self.ideal.apply_2q(eff)
@@ -572,7 +578,7 @@ def compile_circuit(
     events: list[Event] = []
     stats = ScheduleStats(per_qubit=[0] * ir.n_qubits)
     frames = [0.0] * ir.n_qubits
-    buffers: list[np.ndarray | None] = [None] * ir.n_qubits
+    buffers: list[tuple[complex, ...] | None] = [None] * ir.n_qubits
     measured = [False] * ir.n_qubits
     checker = _FrameChecker() if check_frames else None
     lazy = mode in (PolicyMode.ENC_MIXED, PolicyMode.AUTO)
@@ -588,33 +594,33 @@ def compile_circuit(
         stats.elided += compiled.elided
         stats.schemes[compiled.scheme.value] += 1
 
-    def compile_exact(qubit: int, target: np.ndarray):
+    def compile_exact(qubit: int, target: tuple[complex, ...]):
         """Emit pulses realizing ``target`` exactly (no new frame)."""
         compiled = _special_case(target) if policy.special_cases else None
         if compiled is None:
             compiled = three_pulse(_params_from_unitary(target)[0])
         emit(qubit, compiled)
 
-    def compile_vz(qubit: int, target: np.ndarray) -> float:
+    def compile_vz(qubit: int, target: tuple[complex, ...]) -> float:
         compiled = virtual_z(_params_from_unitary(target)[0])
         emit(qubit, compiled)
         return compiled.residual_z
 
-    def take_buffer(qubit: int) -> np.ndarray | None:
+    def take_buffer(qubit: int) -> tuple[complex, ...] | None:
         buffered = buffers[qubit]
         buffers[qubit] = None
         return buffered
 
-    def commit(qubit: int, matrix: np.ndarray):
+    def commit(qubit: int, m: tuple[complex, ...]):
         if checker:
-            checker.on_commit(qubit, matrix)
+            checker.on_commit(qubit, m)
 
     def flush_vz(qubit: int):
         """Compile the buffered gate with virtual-Z, folding in the frame."""
         buffered = take_buffer(qubit)
         if buffered is None:
             return
-        frames[qubit] = compile_vz(qubit, buffered @ z_rot(-frames[qubit]))
+        frames[qubit] = compile_vz(qubit, _mul_entries(buffered, _z_rot_entries(-frames[qubit])))
         commit(qubit, buffered)
 
     def flush_zero(qubit: int):
@@ -622,10 +628,8 @@ def compile_circuit(
         buffered = take_buffer(qubit)
         if buffered is None and frames[qubit] == 0.0:
             return
-        target = (buffered if buffered is not None else np.eye(2, dtype=complex)) @ z_rot(
-            -frames[qubit]
-        )
-        compile_exact(qubit, target)
+        gate = buffered if buffered is not None else _IDENTITY_ENTRIES
+        compile_exact(qubit, _mul_entries(gate, _z_rot_entries(-frames[qubit])))
         if buffered is not None:
             commit(qubit, buffered)
         frames[qubit] = 0.0
@@ -635,14 +639,14 @@ def compile_circuit(
         qa, qb = min(op.qubits), max(op.qubits)
         buffered_a = take_buffer(qa)
         if buffered_a is not None:
-            frames[qa] = compile_vz(qa, buffered_a @ z_rot(-frames[qa]))
+            frames[qa] = compile_vz(qa, _mul_entries(buffered_a, _z_rot_entries(-frames[qa])))
             commit(qa, buffered_a)
         # else: no pulses needed; the existing frame plays the theta_A role.
         theta_a = frames[qa]
         buffered_b = take_buffer(qb)
-        gate_b = buffered_b if buffered_b is not None else np.eye(2, dtype=complex)
-        target_b = z_rot(theta_a) @ gate_b @ z_rot(-frames[qb])
-        compile_exact(qb, target_b)
+        gate_b = buffered_b if buffered_b is not None else _IDENTITY_ENTRIES
+        target_b = _mul_entries(_z_rot_entries(theta_a), gate_b)
+        compile_exact(qb, _mul_entries(target_b, _z_rot_entries(-frames[qb])))
         if buffered_b is not None:
             commit(qb, buffered_b)
         frames[qb] = theta_a
@@ -661,16 +665,17 @@ def compile_circuit(
     for i, op in enumerate(ir.ops):
         if isinstance(op, Gate1):
             stats.gates_1q += 1
-            matrix = op.matrix()
+            m = _params_entries(op.params)
             if mode is PolicyMode.THREE_ALWAYS:
-                compile_exact(op.qubit, matrix)
-                commit(op.qubit, matrix)
+                compile_exact(op.qubit, m)
+                commit(op.qubit, m)
             elif mode is PolicyMode.VZ_CARRY:
-                frames[op.qubit] = compile_vz(op.qubit, matrix @ z_rot(-frames[op.qubit]))
-                commit(op.qubit, matrix)
+                target = _mul_entries(m, _z_rot_entries(-frames[op.qubit]))
+                frames[op.qubit] = compile_vz(op.qubit, target)
+                commit(op.qubit, m)
             else:
                 prev = buffers[op.qubit]
-                buffers[op.qubit] = matrix @ prev if prev is not None else matrix
+                buffers[op.qubit] = _mul_entries(m, prev) if prev is not None else m
         elif isinstance(op, Gate2):
             stats.gates_2q += 1
             gate_info = info[i]
@@ -698,7 +703,7 @@ def compile_circuit(
             frames[1] = normalize_angle(frames[1])
             events.append(Gate2Event(op.qubits, op.name))
             if checker:
-                checker.on_gate2(op.effective_matrix())
+                checker.on_gate2(op.effective_matrix)
         else:
             do_measure(op.qubit)
         if checker:
@@ -731,7 +736,7 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
         if isinstance(ev, PulseEvent):
             if framed[ev.qubit]:
                 raise ScheduleMismatchError(f"PULSE on q{ev.qubit} after its FRAME")
-            product.apply_1q(ev.qubit, *_conjugated_x_entries(ev.pulse.sigma, ev.pulse.phase))
+            product.apply_1q(ev.qubit, _conjugated_x_entries(ev.pulse.sigma, ev.pulse.phase))
         elif isinstance(ev, Gate2Event):
             if any(framed):
                 raise ScheduleMismatchError(f"GATE2 event {next_gate2} after a FRAME")
@@ -746,7 +751,7 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
                 raise ScheduleMismatchError(
                     f"GATE2 event {next_gate2} is {ev.name}, circuit says {op.name}"
                 )
-            product.apply_2q(op.effective_matrix())
+            product.apply_2q(op.effective_matrix)
             next_gate2 += 1
         else:
             if framed[ev.qubit]:

@@ -17,7 +17,7 @@ from . import circuit as circ
 from . import coverage as cov
 from . import pulsesim as psim
 from .carrier import classify
-from .su2 import phase_distance
+from .su2 import conjugated_x, phase_distance
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -128,7 +128,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_uniqueness(args) -> int:
-    triple = cov.AngleTriple(args.omega1, args.omega2, args.omega3)
+    try:
+        triple = cov.AngleTriple(args.omega1, args.omega2, args.omega3)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INPUT)
     u_part, v_part = cov.product_coeffs(triple)
     covers = cov.covers_su2(triple)
     print(f"angles: ({triple.omega1:.9f}, {triple.omega2:.9f}, {triple.omega3:.9f})")
@@ -143,18 +146,14 @@ def cmd_uniqueness(args) -> int:
 
 
 def cmd_pulsesim(args) -> int:
-    if args.shape == "const":
-        env = psim.constant_envelope(args.area, args.phase, n_samples=args.steps)
-    else:
-        env = psim.gaussian_envelope(args.area, args.phase, n_samples=args.steps)
-    sigma = psim.integrate_sigma(env)
+    envelope = psim.constant_envelope if args.shape == "const" else psim.gaussian_envelope
     try:
+        env = envelope(args.area, args.phase, n_samples=args.steps)
+        sigma = psim.integrate_sigma(env)
         u = psim.drive_unitary(env)
+        deviation = phase_distance(u, conjugated_x(sigma, env.phase))
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
-    from .su2 import conjugated_x
-
-    deviation = phase_distance(u, conjugated_x(sigma, env.phase))
     print(f"sigma: {sigma:.12g}")
     for row in u:
         print("  " + "  ".join(f"{z.real:+.9f}{z.imag:+.9f}j" for z in row))

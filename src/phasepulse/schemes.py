@@ -19,11 +19,12 @@ import numpy as np
 
 from .su2 import (
     GateParams,
-    as_unitary,
+    _IDENTITY_ENTRIES,
+    _phase_distance_entries,
+    _unitary_entries,
     conjugated_x,
     normalize_angle,
     normalize_rotation,
-    phase_distance,
     x_rot,
     y_rot,
     z_rot,
@@ -158,29 +159,33 @@ def two_pulse(p: GateParams) -> CompiledGate:
     return CompiledGate(seq, 0.0, Scheme.TWO)
 
 
-def _su2_form(u: np.ndarray) -> np.ndarray:
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    return u * cmath.exp(-0.5j * cmath.phase(det))
+# The 1q helpers below take a 2x2 matrix as its four row-major entries.
 
 
-def _anti_diagonal_pulse(su: np.ndarray) -> Pulse:
+def _su2_form(m: tuple[complex, ...]) -> tuple[complex, ...]:
+    a, b, c, d = m
+    k = cmath.exp(-0.5j * cmath.phase(a * d - b * c))
+    return (a * k, b * k, c * k, d * k)
+
+
+def _anti_diagonal_pulse(su: tuple[complex, ...]) -> Pulse:
     # [[0, -exp(-i b)], [exp(i b), 0]] == conjugated_x(pi, 3*pi/2 - b)
-    beta = cmath.phase(complex(su[1, 0]))
+    beta = cmath.phase(su[2])
     return Pulse(PI, 1.5 * PI - beta)
 
 
-def _diagonal_pulses(su: np.ndarray) -> tuple[Pulse, Pulse]:
+def _diagonal_pulses(su: tuple[complex, ...]) -> tuple[Pulse, Pulse]:
     # diag(exp(i a), exp(-i a)) from two X180s of opposite phase shifts.
-    alpha = cmath.phase(complex(su[0, 0]))
+    alpha = cmath.phase(su[0])
     theta = -0.5 * (alpha + PI)
     return (Pulse(PI, theta), Pulse(PI, -theta))
 
 
-def _half_quarter_pulses(su: np.ndarray) -> tuple[Pulse, Pulse]:
+def _half_quarter_pulses(su: tuple[complex, ...]) -> tuple[Pulse, Pulse]:
     # conjX(pi/2, th) @ conjX(pi, ph) hits any det-1 gate with |u00| = 1/sqrt2:
     # exp(i ph) = i*sqrt2*u01 and exp(i (th-ph)) = -sqrt2*u00.
-    ph = cmath.phase(1j * math.sqrt(2.0) * complex(su[0, 1]))
-    th = ph + cmath.phase(-math.sqrt(2.0) * complex(su[0, 0]))
+    ph = cmath.phase(1j * math.sqrt(2.0) * su[1])
+    th = ph + cmath.phase(-math.sqrt(2.0) * su[0])
     return (Pulse(PI, ph), Pulse(PI / 2, th))
 
 
@@ -200,7 +205,6 @@ class CliffordEntry:
     sequence: PulseSequence
 
 
-_IDENTITY = np.eye(2, dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1j], [1j, 0.0]])
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -260,9 +264,9 @@ def clifford_table() -> tuple[CliffordEntry, ...]:
     for axis in cousin_axes:
         m = _axis_rotation(axis, PI)
         if abs(axis[2]) < 1e-12:
-            sequence = PulseSequence((_anti_diagonal_pulse(m),))
+            sequence = PulseSequence((_anti_diagonal_pulse(_unitary_entries(m)),))
         else:
-            sequence = PulseSequence(_half_quarter_pulses(m))
+            sequence = PulseSequence(_half_quarter_pulses(_unitary_entries(m)))
         entries.append((f"pi@({_axis_label(axis)})", CliffordCategory.HADAMARD_COUSIN, axis, m, sequence))
 
     for sense in (1.0, -1.0):
@@ -270,7 +274,7 @@ def clifford_table() -> tuple[CliffordEntry, ...]:
             axis = (sx * _INV_SQRT3, sy * _INV_SQRT3, sz * _INV_SQRT3)
             angle = sense * 2.0 * PI / 3.0
             m = _axis_rotation(axis, angle)
-            sequence = PulseSequence(_half_quarter_pulses(m))
+            sequence = PulseSequence(_half_quarter_pulses(_unitary_entries(m)))
             label = ("2pi/3@" if sense > 0 else "-2pi/3@") + f"({_axis_label(axis)})"
             entries.append((label, CliffordCategory.Y_ANALOG, axis, m, sequence))
 
@@ -285,7 +289,7 @@ def clifford_table() -> tuple[CliffordEntry, ...]:
 _CLIFFORD_GRID_MIDPOINTS = (0.25, 0.5 * (0.5 + _INV_SQRT2), 0.5 * (_INV_SQRT2 + 1.0))
 
 
-def _clifford_key(su: np.ndarray) -> tuple[int, int, int, int]:
+def _clifford_key(su: tuple[complex, ...]) -> tuple[int, int, int, int]:
     """Quaternion of the det-1 ``su`` snapped to the Clifford grid, up to sign.
 
     Each component becomes a signed grid index (0 for 0 up to 3 for 1), with
@@ -293,8 +297,7 @@ def _clifford_key(su: np.ndarray) -> tuple[int, int, int, int]:
     ``su`` and ``-su`` are the same gate.  The components are those of
     :func:`phasepulse.su2.to_quaternion`.
     """
-    m00, m01 = complex(su[0, 0]), complex(su[0, 1])
-    m10, m11 = complex(su[1, 0]), complex(su[1, 1])
+    m00, m01, m10, m11 = su
     key = []
     for v in (
         0.5 * (m00.real + m11.real),
@@ -309,9 +312,16 @@ def _clifford_key(su: np.ndarray) -> tuple[int, int, int, int]:
 
 
 @lru_cache(maxsize=1)
-def _clifford_index() -> dict[tuple[int, int, int, int], CliffordEntry]:
-    """:func:`clifford_table` keyed by :func:`_clifford_key`, built on first use."""
-    return {_clifford_key(_su2_form(entry.matrix)): entry for entry in clifford_table()}
+def _clifford_index() -> dict[tuple[int, int, int, int], tuple[tuple[complex, ...], CliffordEntry]]:
+    """:func:`clifford_table` keyed by :func:`_clifford_key`, built on first use.
+
+    Each value is the entry with its matrix's row-major entries.
+    """
+    index = {}
+    for entry in clifford_table():
+        m = _unitary_entries(entry.matrix)
+        index[_clifford_key(_su2_form(m))] = (m, entry)
+    return index
 
 
 def special_case(u, tol: float = STRUCTURE_TOL) -> CompiledGate | None:
@@ -325,23 +335,25 @@ def special_case(u, tol: float = STRUCTURE_TOL) -> CompiledGate | None:
     within ``CLIFFORD_TOL`` of, then confirms it with one
     :func:`phase_distance`.  Validates ``u`` first.
     """
-    return _special_case(as_unitary(u, 2), tol)
+    return _special_case(_unitary_entries(u), tol)
 
 
-def _special_case(u: np.ndarray, tol: float = STRUCTURE_TOL) -> CompiledGate | None:
-    """:func:`special_case` for a 2x2 unitary the caller has validated."""
-    if phase_distance(u, _IDENTITY) <= tol:
+def _special_case(m: tuple[complex, ...], tol: float = STRUCTURE_TOL) -> CompiledGate | None:
+    """:func:`special_case` on the row-major entries of a 2x2 unitary the
+    caller has validated."""
+    a, b, c, d = m
+    off_mag = max(abs(b), abs(c))
+    # The distance to the identity is at least off_mag.
+    if off_mag <= tol and _phase_distance_entries(m, _IDENTITY_ENTRIES) <= tol:
         return CompiledGate(PulseSequence(()), 0.0, Scheme.SPECIAL)
-    su = _su2_form(u)
-    diag_mag = max(abs(u[0, 0]), abs(u[1, 1]))
-    off_mag = max(abs(u[0, 1]), abs(u[1, 0]))
-    if diag_mag <= tol:
+    su = _su2_form(m)
+    if max(abs(a), abs(d)) <= tol:
         return CompiledGate(PulseSequence((_anti_diagonal_pulse(su),)), 0.0, Scheme.SPECIAL)
     if off_mag <= tol:
         return CompiledGate(PulseSequence(_diagonal_pulses(su)), 0.0, Scheme.SPECIAL)
-    entry = _clifford_index().get(_clifford_key(su))
-    if entry is not None and phase_distance(u, entry.matrix) <= CLIFFORD_TOL:
-        return CompiledGate(entry.sequence, 0.0, Scheme.SPECIAL)
+    hit = _clifford_index().get(_clifford_key(su))
+    if hit is not None and _phase_distance_entries(m, hit[0]) <= CLIFFORD_TOL:
+        return CompiledGate(hit[1].sequence, 0.0, Scheme.SPECIAL)
     return None
 
 

@@ -109,13 +109,42 @@ def as_unitary(m, dim: int | None = None, tol: float = UNITARY_TOL) -> np.ndarra
     return a
 
 
+def _unitary_entries(u, tol: float = UNITARY_TOL) -> tuple[complex, ...]:
+    """Validate ``u`` as a 2x2 unitary and return its row-major entries."""
+    return tuple(as_unitary(u, 2, tol).ravel().tolist())
+
+
+_IDENTITY_ENTRIES = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+
+
+def _mul_entries(x: tuple[complex, ...], y: tuple[complex, ...]) -> tuple[complex, ...]:
+    """Row-major entries of the 2x2 product ``x @ y``."""
+    a, b, c, d = x
+    p, q, r, s = y
+    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+
+
+def _phase_distance_entries(x: tuple[complex, ...], y: tuple[complex, ...]) -> float:
+    """:func:`phase_distance` of two 2x2 matrices given as row-major entries."""
+    a, b, c, d = x
+    p, q, r, s = y
+    ip = p.conjugate() * a + q.conjugate() * b + r.conjugate() * c + s.conjugate() * d
+    k = ip / abs(ip) if abs(ip) > 1e-300 else 1.0
+    return max(abs(a - k * p), abs(b - k * q), abs(c - k * r), abs(d - k * s))
+
+
 def z_rot(theta: float) -> np.ndarray:
     """Z rotation ``diag(exp(-i*theta/2), exp(+i*theta/2))``."""
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
-    half = 0.5 * theta
-    return np.array([[cmath.exp(-1j * half), 0.0], [0.0, cmath.exp(1j * half)]])
+    return np.array(_z_rot_entries(theta)).reshape(2, 2)
+
+
+def _z_rot_entries(theta: float) -> tuple[complex, ...]:
+    """Row-major entries of :func:`z_rot` for a finite angle."""
+    e = cmath.exp(-0.5j * theta)
+    return (e, 0j, 0j, e.conjugate())
 
 
 def x_rot(omega: float) -> np.ndarray:
@@ -241,15 +270,16 @@ def params_from_unitary(u, tol: float = UNITARY_TOL) -> tuple[GateParams, float]
     rounding below 1.  When ``gamma`` hits 0 or pi/2 the unconstrained
     angle is set to 0.  Validates ``u`` first.
     """
-    return _params_from_unitary(as_unitary(u, 2, tol))
+    return _params_from_unitary(_unitary_entries(u, tol))
 
 
-def _params_from_unitary(u: np.ndarray) -> tuple[GateParams, float]:
-    """:func:`params_from_unitary` for a 2x2 unitary the caller has validated."""
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    gphase = 0.5 * cmath.phase(det)
-    su = u * cmath.exp(-1j * gphase)
-    m00, m10 = complex(su[0, 0]), complex(su[1, 0])
+def _params_from_unitary(m: tuple[complex, ...]) -> tuple[GateParams, float]:
+    """:func:`params_from_unitary` on the row-major entries of a 2x2 unitary
+    the caller has validated."""
+    a, b, c, d = m
+    gphase = 0.5 * cmath.phase(a * d - b * c)
+    k = cmath.exp(-1j * gphase)
+    m00, m10 = a * k, c * k
     gamma = math.atan2(abs(m10), abs(m00))
     alpha = cmath.phase(m00) if abs(m00) > 1e-13 else 0.0
     beta = cmath.phase(m10) if abs(m10) > 1e-13 else 0.0

@@ -338,9 +338,30 @@ def test_empty_circuit():
         assert simulate_schedule(sched, ir) == 0.0
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [("CZ", ()), ("CNOT", ()), ("SWAP", ()), ("ISWAP", ()), ("SQISW", ()),
+     ("CPHASE", (0.7,)), ("FSIM", (0.4, 0.9)), ("CUSTOM", ())],
+)
+def test_effective_matrix_built_once_read_only(name, params):
+    if name == "CUSTOM":
+        m = haar_unitary(4, np.random.default_rng(3))
+    else:
+        m = standard_gate(name, *params)
+    swap = standard_gate("SWAP")
+    for qubits, expected in (((0, 1), m), ((1, 0), swap @ m @ swap)):
+        op = Gate2(qubits, name, m)
+        eff = op.effective_matrix
+        assert np.array_equal(eff, expected)
+        assert op.effective_matrix is eff
+        with pytest.raises(ValueError):
+            eff[0, 0] = 0.0
+    assert m.flags.writeable  # the gate's own matrix is left as it was
+
+
 def test_reversed_qubit_order_gate():
     ir = parse_circuit("qubits 2\nG2 CNOT q1 q0\nM q0\nM q1\n")
-    eff = ir.ops[0].effective_matrix()
+    eff = ir.ops[0].effective_matrix
     # control on qubit 1: |01> <-> |11|
     expected = np.eye(4)[:, [0, 3, 2, 1]]
     assert np.allclose(eff, expected)
@@ -507,7 +528,7 @@ def kron_ideal_unitary(ir):
         if isinstance(op, Gate1):
             u = _embed(op.matrix(), op.qubit) @ u
         elif isinstance(op, Gate2):
-            u = op.effective_matrix() @ u
+            u = op.effective_matrix @ u
     return u
 
 
@@ -520,7 +541,7 @@ def kron_simulate(events, ir):
         if isinstance(ev, PulseEvent):
             u = _embed(ev.pulse.unitary(), ev.qubit) @ u
         elif isinstance(ev, Gate2Event):
-            u = next(gate2_ops).effective_matrix() @ u
+            u = next(gate2_ops).effective_matrix @ u
         else:
             corrections[ev.qubit] += ev.angle
     corrected = np.kron(z_rot(-corrections[0]), z_rot(-corrections[1])) @ u

@@ -291,6 +291,26 @@ def test_pulsesim_subcommand(capsys):
     assert deviation < 1e-6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pulsesim", "--area", "nan"],
+        ["pulsesim", "--area", "inf"],
+        ["pulsesim", "--area", "1.57", "--steps", "0"],
+        ["pulsesim", "--area", "1.57", "--steps", "1"],
+        ["pulsesim", "--shape", "gauss", "--area", "nan"],
+        ["pulsesim", "--area", "1.57", "--phase", "nan"],
+        ["uniqueness", "--omega1", "nan", "--omega2", "1.57", "--omega3", "3.14"],
+        ["uniqueness", "--omega1", "1.57", "--omega2", "inf", "--omega3", "3.14"],
+    ],
+)
+def test_bad_numbers_exit_1_without_traceback(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_help_documents_conventions():
     parser = build_parser()
     assert "radians" in parser.description

@@ -190,7 +190,7 @@ def linear_scan_special_case(u, tol=STRUCTURE_TOL):
     """Oracle: ``special_case`` with a linear scan over the Clifford table."""
     if phase_distance(u, np.eye(2)) <= tol:
         return CompiledGate(PulseSequence(()), 0.0, Scheme.SPECIAL)
-    su = _su2_form(u)
+    su = _su2_form(tuple(np.asarray(u).ravel().tolist()))
     if max(abs(u[0, 0]), abs(u[1, 1])) <= tol:
         return CompiledGate(PulseSequence((_anti_diagonal_pulse(su),)), 0.0, Scheme.SPECIAL)
     if max(abs(u[0, 1]), abs(u[1, 0])) <= tol:
