@@ -12,13 +12,15 @@ import math
 from decimal import Decimal
 from pathlib import Path
 
+import pytest
+
 from phasepulse.circuit import CompilePolicy, PolicyMode, compile_circuit, parse_circuit
 
 DATA = Path(__file__).parent / "data"
 
 
-def _compile(policy: str) -> str:
-    ir = parse_circuit((DATA / "golden_circuit.txt").read_text())
+def _compile(policy: str, circuit: str = "golden_circuit.txt") -> str:
+    ir = parse_circuit((DATA / circuit).read_text())
     return compile_circuit(ir, CompilePolicy(PolicyMode(policy))).to_text()
 
 
@@ -45,3 +47,9 @@ def test_auto_schedule_matches_within_last_digit():
         for gv, wv in zip(gt[2:], wt[2:]):
             (gk, ga), (wk, wa) = gv.split("="), wv.split("=")
             assert gk == wk and _angle_move(ga, wa) <= Decimal("1e-11"), (g, w)
+
+
+@pytest.mark.parametrize("policy", [mode.value for mode in PolicyMode])
+def test_enc_circuit_schedule_is_byte_identical(policy):
+    got = _compile(policy, "golden_circuit_enc.txt")
+    assert got == (DATA / f"golden_enc_{policy}.txt").read_text()
