@@ -19,11 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .carrier import CarryMap, _frame_maps
+from .carrier import _frame_maps
 from .schemes import (
     CompiledGate,
     Pulse,
-    Scheme,
     _special_case,
     three_pulse,
     virtual_z,
@@ -434,43 +433,52 @@ def parse_schedule(text: str) -> list[Event]:
     return events
 
 
-@dataclass(frozen=True)
-class _Gate2Info:
-    carry: CarryMap | None
-    enc_map: tuple[int, int] | None  # (p, q) with frames (t, t) -> (p*t, q*t)
+# Each policy's 2q rules in order of preference (see compile_circuit): a gate
+# gets the first one that applies to it.  A rule comes with the integer matrix
+# that maps the frames (f0, f1) across the gate.
+_POLICY_RULES = {
+    PolicyMode.THREE_ALWAYS: ("zero",),
+    PolicyMode.VZ_CARRY: ("carry",),
+    PolicyMode.ENC_MIXED: ("enc",),
+    PolicyMode.AUTO: ("carry", "enc", "zero"),
+}
+_RULE_NEEDS = {"carry": "phase carriers", "enc": "excitation-number-conserving gates"}
+
+_FrameMatrix = tuple[tuple[int, int], tuple[int, int]]
 
 
-def _classify_gate2(op: Gate2) -> _Gate2Info:
-    _, carry, enc_map = _frame_maps(as_unitary(op.effective_matrix, 4))
-    return _Gate2Info(carry, enc_map)
+def _gate2_rules(ir: CircuitIR, mode: PolicyMode) -> dict[int, tuple[str, _FrameMatrix]]:
+    """The rule and frame matrix of every 2q op, keyed by op index.
 
-
-def _classify_gate2s(ir: CircuitIR, mode: PolicyMode) -> dict[int, _Gate2Info]:
-    """Classify every 2q op, each distinct (qubits, matrix) only once."""
-    info: dict[int, _Gate2Info] = {}
-    seen: dict[tuple[tuple[int, int], bytes], _Gate2Info] = {}
+    Each distinct (qubits, matrix) is validated and classified once.  A gate
+    to which no rule of the policy applies raises :class:`IllegalPolicyError`.
+    """
+    table = _POLICY_RULES[mode]
+    rules: dict[int, tuple[str, _FrameMatrix]] = {}
+    seen: dict[tuple[tuple[int, int], bytes], tuple[str, _FrameMatrix]] = {}
     for i, op in enumerate(ir.ops):
         if not isinstance(op, Gate2):
             continue
         key = (op.qubits, op.matrix.tobytes())
-        gate_info = seen.get(key)
-        if gate_info is None:
-            gate_info = seen[key] = _classify_gate2(op)
-        if mode is PolicyMode.VZ_CARRY and gate_info.carry is None:
-            raise IllegalPolicyError(
-                f"policy {mode.value!r} needs phase carriers, but {op.name} (op {i}) is not one",
-                i,
-                op.name,
-            )
-        if mode is PolicyMode.ENC_MIXED and gate_info.enc_map is None:
-            raise IllegalPolicyError(
-                f"policy {mode.value!r} needs excitation-number-conserving gates, "
-                f"but {op.name} (op {i}) is not one",
-                i,
-                op.name,
-            )
-        info[i] = gate_info
-    return info
+        rule = seen.get(key)
+        if rule is None:
+            _, carry, enc_map = _frame_maps(as_unitary(op.effective_matrix, 4))
+            applicable = {"zero": ((0, 0), (0, 0))}
+            if carry is not None:
+                applicable["carry"] = carry.matrix
+            if enc_map is not None:
+                applicable["enc"] = ((enc_map[0], 0), (0, enc_map[1]))
+            rule = next(((r, applicable[r]) for r in table if r in applicable), None)
+            if rule is None:
+                needs = " or ".join(_RULE_NEEDS[r] for r in table)
+                raise IllegalPolicyError(
+                    f"policy {mode.value!r} needs {needs}, but {op.name} (op {i}) is not one",
+                    i,
+                    op.name,
+                )
+            seen[key] = rule
+        rules[i] = rule
+    return rules
 
 
 def _frame_diagonal(f0: float, f1: float) -> np.ndarray:
@@ -518,200 +526,111 @@ def ideal_unitary(ir: CircuitIR) -> np.ndarray:
     return product.total()
 
 
-class _FrameChecker:
-    """Debug-mode tracker for the per-qubit frame invariant."""
-
-    def __init__(self, tol: float = 1e-9):
-        self.ideal = _SegmentProduct()
-        self.physical = _SegmentProduct()
-        self.dropped = [0.0, 0.0]
-        self.tol = tol
-
-    def on_pulse(self, qubit: int, pulse: Pulse):
-        self.physical.apply_1q(qubit, _conjugated_x_entries(pulse.sigma, pulse.phase))
-
-    def on_commit(self, qubit: int, m: tuple[complex, ...]):
-        self.ideal.apply_1q(qubit, m)
-
-    def on_gate2(self, eff: np.ndarray):
-        self.ideal.apply_2q(eff)
-        self.physical.apply_2q(eff)
-
-    def on_drop(self, qubit: int, angle: float):
-        self.dropped[qubit] += angle
-
-    def check(self, frames: list[float]):
-        diagonal = _frame_diagonal(frames[0] + self.dropped[0], frames[1] + self.dropped[1])
-        expected = diagonal[:, None] * self.ideal.total()
-        dev = phase_distance(self.physical.total(), expected)
-        if dev > self.tol:
-            raise RuntimeError(f"frame invariant violated (deviation {dev:.3g})")
-
-
-def compile_circuit(
-    ir: CircuitIR,
-    policy: CompilePolicy | None = None,
-    *,
-    check_frames: bool = False,
-) -> PulseSchedule:
+def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> PulseSchedule:
     """Lower a circuit to a pulse schedule under the given policy.
 
-    * ``three-always``: every 1q gate becomes pulses on its own (special
-      cases first when enabled, else three pulses); frames stay zero.
-    * ``vz-carry``: 1q gates use the virtual-Z scheme against the pending
-      frame; frames are carried through two-qubit gates (all of which must
-      be phase carriers) and reported at measurements.
-    * ``enc-mixed``: 1q gates are buffered until the next two-qubit gate or
-      measurement; at an ENC gate the lower-indexed qubit is compiled with
-      virtual-Z and the other with the exact scheme so both frames match
-      and commute through the gate.
-    * ``auto``: per-gate choice (carry through carriers, ENC handling for
-      ENC gates, frames forced to zero before anything else).
+    Every 1q gate is multiplied into its qubit's buffer.  ``three-always``
+    flushes the buffer at once with exact pulses (special cases first when
+    enabled, else three pulses), so its frames stay zero; ``vz-carry``
+    flushes it at once with virtual-Z against the pending frame;
+    ``enc-mixed`` and ``auto`` keep it until the qubit's next two-qubit gate
+    or measurement.  Each two-qubit gate applies the first rule of the
+    policy's table that suits it:
 
-    With ``check_frames=True`` the frame invariant is re-verified by
-    simulation after every op (slow; for tests).
+    * ``carry`` (``vz-carry``, then ``auto``): flush both qubits with
+      virtual-Z; the frames pass the phase carrier, relabelled.
+    * ``enc`` (``enc-mixed``, then ``auto``): flush the lower-indexed qubit
+      with virtual-Z and compile the other exactly onto the same frame; the
+      equal frames pass the ENC gate.
+    * ``zero`` (``three-always``, last in ``auto``): compile both qubits
+      exactly, leaving zero frames.
+
+    A measurement, or the end of the circuit, flushes the qubit with
+    virtual-Z and reports its frame.
     """
     policy = policy or CompilePolicy()
-    mode = policy.mode
-    info = _classify_gate2s(ir, mode)
+    rules = _gate2_rules(ir, policy.mode)
 
     events: list[Event] = []
     stats = ScheduleStats(per_qubit=[0] * ir.n_qubits)
     frames = [0.0] * ir.n_qubits
     buffers: list[tuple[complex, ...] | None] = [None] * ir.n_qubits
     measured = [False] * ir.n_qubits
-    checker = _FrameChecker() if check_frames else None
-    lazy = mode in (PolicyMode.ENC_MIXED, PolicyMode.AUTO)
 
     def emit(qubit: int, compiled: CompiledGate):
         for pulse in compiled.sequence:
             events.append(PulseEvent(qubit, pulse))
             stats.pulses += 1
             stats.per_qubit[qubit] += 1
-            if checker:
-                checker.on_pulse(qubit, pulse)
         stats.compiled_1q += 1
         stats.elided += compiled.elided
         stats.schemes[compiled.scheme.value] += 1
 
-    def compile_exact(qubit: int, target: tuple[complex, ...]):
-        """Emit pulses realizing ``target`` exactly (no new frame)."""
+    def unframed(qubit: int, gate: tuple[complex, ...]) -> tuple[complex, ...]:
+        """``gate @ z_rot(-frame)``: what the qubit's pulses must realize."""
+        frame = frames[qubit]
+        return gate if frame == 0.0 else _mul_entries(gate, _z_rot_entries(-frame))
+
+    def flush_vz(qubit: int):
+        """Compile the buffered gate with virtual-Z, leaving its residual frame."""
+        buffered, buffers[qubit] = buffers[qubit], None
+        if buffered is not None:
+            compiled = virtual_z(_params_from_unitary(unframed(qubit, buffered))[0])
+            emit(qubit, compiled)
+            frames[qubit] = compiled.residual_z
+
+    def flush_exact(qubit: int, frame: float = 0.0):
+        """Compile the buffered gate, or the identity, exactly onto the frame ``frame``."""
+        gate, buffers[qubit] = buffers[qubit] or _IDENTITY_ENTRIES, None
+        if frame != 0.0:
+            gate = _mul_entries(_z_rot_entries(frame), gate)
+        target = unframed(qubit, gate)
         compiled = _special_case(target) if policy.special_cases else None
         if compiled is None:
             compiled = three_pulse(_params_from_unitary(target)[0])
         emit(qubit, compiled)
+        frames[qubit] = frame
 
-    def compile_vz(qubit: int, target: tuple[complex, ...]) -> float:
-        compiled = virtual_z(_params_from_unitary(target)[0])
-        emit(qubit, compiled)
-        return compiled.residual_z
-
-    def take_buffer(qubit: int) -> tuple[complex, ...] | None:
-        buffered = buffers[qubit]
-        buffers[qubit] = None
-        return buffered
-
-    def commit(qubit: int, m: tuple[complex, ...]):
-        if checker:
-            checker.on_commit(qubit, m)
-
-    def flush_vz(qubit: int):
-        """Compile the buffered gate with virtual-Z, folding in the frame."""
-        buffered = take_buffer(qubit)
-        if buffered is None:
-            return
-        frames[qubit] = compile_vz(qubit, _mul_entries(buffered, _z_rot_entries(-frames[qubit])))
-        commit(qubit, buffered)
-
-    def flush_zero(qubit: int):
-        """Force the qubit's frame to zero, emitting exact pulses if needed."""
-        buffered = take_buffer(qubit)
-        if buffered is None and frames[qubit] == 0.0:
-            return
-        gate = buffered if buffered is not None else _IDENTITY_ENTRIES
-        compile_exact(qubit, _mul_entries(gate, _z_rot_entries(-frames[qubit])))
-        if buffered is not None:
-            commit(qubit, buffered)
-        frames[qubit] = 0.0
-
-    def flush_enc(op: Gate2):
-        """Make both frames equal before an ENC gate so they commute through."""
-        qa, qb = min(op.qubits), max(op.qubits)
-        buffered_a = take_buffer(qa)
-        if buffered_a is not None:
-            frames[qa] = compile_vz(qa, _mul_entries(buffered_a, _z_rot_entries(-frames[qa])))
-            commit(qa, buffered_a)
-        # else: no pulses needed; the existing frame plays the theta_A role.
-        theta_a = frames[qa]
-        buffered_b = take_buffer(qb)
-        gate_b = buffered_b if buffered_b is not None else _IDENTITY_ENTRIES
-        target_b = _mul_entries(_z_rot_entries(theta_a), gate_b)
-        compile_exact(qb, _mul_entries(target_b, _z_rot_entries(-frames[qb])))
-        if buffered_b is not None:
-            commit(qb, buffered_b)
-        frames[qb] = theta_a
-
-    def do_measure(qubit: int):
-        if lazy and buffers[qubit] is not None:
-            flush_vz(qubit)
-        frames[qubit] = normalize_angle(frames[qubit])
-        events.append(FrameEvent(qubit, frames[qubit]))
+    def measure(qubit: int):
+        flush_vz(qubit)
+        events.append(FrameEvent(qubit, normalize_angle(frames[qubit])))
         stats.frames += 1
-        if checker:
-            checker.on_drop(qubit, frames[qubit])
-        frames[qubit] = 0.0
         measured[qubit] = True
 
     for i, op in enumerate(ir.ops):
         if isinstance(op, Gate1):
             stats.gates_1q += 1
             m = _params_entries(op.params)
-            if mode is PolicyMode.THREE_ALWAYS:
-                compile_exact(op.qubit, m)
-                commit(op.qubit, m)
-            elif mode is PolicyMode.VZ_CARRY:
-                target = _mul_entries(m, _z_rot_entries(-frames[op.qubit]))
-                frames[op.qubit] = compile_vz(op.qubit, target)
-                commit(op.qubit, m)
-            else:
-                prev = buffers[op.qubit]
-                buffers[op.qubit] = _mul_entries(m, prev) if prev is not None else m
+            prev = buffers[op.qubit]
+            buffers[op.qubit] = m if prev is None else _mul_entries(m, prev)
+            if policy.mode is PolicyMode.THREE_ALWAYS:
+                flush_exact(op.qubit)
+            elif policy.mode is PolicyMode.VZ_CARRY:
+                flush_vz(op.qubit)
         elif isinstance(op, Gate2):
             stats.gates_2q += 1
-            gate_info = info[i]
-            if mode is PolicyMode.THREE_ALWAYS:
-                pass  # frames are identically zero
-            elif mode is PolicyMode.VZ_CARRY:
-                frames[0], frames[1] = gate_info.carry(frames[0], frames[1])
-            elif mode is PolicyMode.ENC_MIXED:
-                flush_enc(op)
-                p, q = gate_info.enc_map
-                frames[0], frames[1] = p * frames[0], q * frames[1]
-            else:  # AUTO
-                if gate_info.carry is not None:
-                    for q in sorted(op.qubits):
-                        flush_vz(q)
-                    frames[0], frames[1] = gate_info.carry(frames[0], frames[1])
-                elif gate_info.enc_map is not None:
-                    flush_enc(op)
-                    p, q = gate_info.enc_map
-                    frames[0], frames[1] = p * frames[0], q * frames[1]
-                else:
-                    for q in sorted(op.qubits):
-                        flush_zero(q)
-            frames[0] = normalize_angle(frames[0])
-            frames[1] = normalize_angle(frames[1])
+            rule, ((a, b), (c, d)) = rules[i]
+            qa, qb = sorted(op.qubits)
+            if rule == "carry":
+                flush_vz(qa)
+                flush_vz(qb)
+            elif rule == "enc":
+                flush_vz(qa)
+                flush_exact(qb, frames[qa])
+            else:
+                for q in (qa, qb):
+                    if buffers[q] is not None or frames[q] != 0.0:
+                        flush_exact(q)
+            f0, f1 = frames
+            frames[0] = normalize_angle(a * f0 + b * f1)
+            frames[1] = normalize_angle(c * f0 + d * f1)
             events.append(Gate2Event(op.qubits, op.name))
-            if checker:
-                checker.on_gate2(op.effective_matrix)
         else:
-            do_measure(op.qubit)
-        if checker:
-            checker.check(frames)
+            measure(op.qubit)
 
     for q in range(ir.n_qubits):
         if not measured[q]:
-            do_measure(q)
+            measure(q)
     return PulseSchedule(ir.n_qubits, tuple(events), stats)
 
 

@@ -39,6 +39,9 @@ class Envelope:
         phase = float(self.phase)
         if not math.isfinite(phase):
             raise ValueError("phase must be finite")
+        # Bounds the area and every step area, so integrating cannot overflow.
+        if not math.isfinite(float(np.max(np.abs(samples))) * (samples.size * dt)):
+            raise ValueError("envelope area overflows a float")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "dt", dt)

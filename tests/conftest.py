@@ -4,6 +4,13 @@ import math
 
 import numpy as np
 
+from phasepulse.circuit import (
+    CircuitIR,
+    CompilePolicy,
+    PulseSchedule,
+    compile_circuit,
+    simulate_schedule,
+)
 from phasepulse.su2 import GateParams
 
 PI = math.pi
@@ -46,3 +53,18 @@ def makhlin_from_weyl(c1: float, c2: float, c3: float) -> tuple[float, float, fl
     g2 = 0.25 * math.sin(2 * c1) * math.sin(2 * c2) * math.sin(2 * c3)
     g3 = 4 * g1 - math.cos(2 * c1) * math.cos(2 * c2) * math.cos(2 * c3)
     return g1, g2, g3
+
+
+def compile_verifying_prefixes(ir: CircuitIR, policy: CompilePolicy) -> PulseSchedule:
+    """Compile ``ir``, first checking that every prefix verifies within 1e-9.
+
+    A prefix's schedule is the schedule so far plus the flushes and FRAMEs
+    that end it, so ``simulate_schedule`` checks the compiler's frame
+    invariant after every op.  Returns the schedule of the whole circuit.
+    """
+    for k in range(len(ir.ops) + 1):
+        prefix = CircuitIR(ir.n_qubits, ir.ops[:k])
+        schedule = compile_circuit(prefix, policy)
+        deviation = simulate_schedule(schedule, prefix)
+        assert deviation <= 1e-9, f"prefix of {k} ops deviates by {deviation:.3g}"
+    return schedule

@@ -4,8 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_gate_params
+from conftest import compile_verifying_prefixes, haar_unitary, random_gate_params
 from phasepulse import su2
+from phasepulse.carrier import classify
 from phasepulse.circuit import (
     CircuitError,
     CircuitIR,
@@ -27,7 +28,7 @@ from phasepulse.circuit import (
     parse_schedule,
     simulate_schedule,
 )
-from phasepulse.circuit import _classify_gate2, _classify_gate2s
+from phasepulse.circuit import _gate2_rules
 from phasepulse.schemes import Pulse
 from phasepulse.su2 import (
     GateParams,
@@ -218,7 +219,7 @@ def carrier_sandwich_circuit(rng):
 
 def test_vz_carry_eight_pulses():
     ir = carrier_sandwich_circuit(np.random.default_rng(61))
-    sched = compile_circuit(ir, CompilePolicy(PolicyMode.VZ_CARRY), check_frames=True)
+    sched = compile_verifying_prefixes(ir, CompilePolicy(PolicyMode.VZ_CARRY))
     assert sched.stats.pulses == 8
     assert sched.stats.schemes["vz"] == 4
     frames = [ev for ev in sched.events if isinstance(ev, FrameEvent)]
@@ -228,7 +229,7 @@ def test_vz_carry_eight_pulses():
 
 def test_three_always_frames_zero():
     ir = carrier_sandwich_circuit(np.random.default_rng(62))
-    sched = compile_circuit(ir, CompilePolicy(PolicyMode.THREE_ALWAYS), check_frames=True)
+    sched = compile_verifying_prefixes(ir, CompilePolicy(PolicyMode.THREE_ALWAYS))
     assert sched.stats.pulses == 12
     for ev in sched.events:
         if isinstance(ev, FrameEvent):
@@ -261,7 +262,7 @@ def test_enc_mixed_layer_pulse_count():
         ]
     lines += ["M q0", "M q1"]
     ir = parse_circuit("\n".join(lines))
-    enc = compile_circuit(ir, CompilePolicy(PolicyMode.ENC_MIXED), check_frames=True)
+    enc = compile_verifying_prefixes(ir, CompilePolicy(PolicyMode.ENC_MIXED))
     three = compile_circuit(ir, CompilePolicy(PolicyMode.THREE_ALWAYS))
     assert enc.stats.pulses == 50  # 2 + 3 per layer
     assert three.stats.pulses == 60
@@ -273,7 +274,7 @@ def test_depth_one_gate_before_measure_uses_vz():
     text = "\n".join(["qubits 2", u_line(0, random_gate_params(rng)), "M q0", "M q1"])
     ir = parse_circuit(text)
     for mode in (PolicyMode.VZ_CARRY, PolicyMode.ENC_MIXED, PolicyMode.AUTO):
-        sched = compile_circuit(ir, CompilePolicy(mode), check_frames=True)
+        sched = compile_verifying_prefixes(ir, CompilePolicy(mode))
         assert sched.stats.pulses == 2
         assert sched.stats.schemes["vz"] == 1
         assert simulate_schedule(sched, ir) < 1e-9
@@ -295,8 +296,28 @@ def test_auto_handles_mixed_gate_set():
         "M q1",
     ]
     ir = parse_circuit("\n".join(lines))
-    sched = compile_circuit(ir, CompilePolicy(PolicyMode.AUTO), check_frames=True)
+    sched = compile_verifying_prefixes(ir, CompilePolicy(PolicyMode.AUTO))
     assert simulate_schedule(sched, ir) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "left, enc_map",
+    [((X_MATRIX, X_MATRIX), (-1, -1)), ((np.eye(2), X_MATRIX), (1, -1)), ((X_MATRIX, np.eye(2)), (-1, 1))],
+)
+def test_generalized_enc_gates_compile(left, enc_map):
+    # A Pauli-X dressed SQISW passes equal frames (t, t) on as (p*t, q*t).
+    m = np.kron(*left) @ standard_gate("SQISW")
+    result = classify(m)
+    assert result.enc_map == enc_map and not result.is_carrier
+    entries = " ".join(f"{z.real:.17g},{z.imag:.17g}" for z in m.ravel())
+    rng = np.random.default_rng(80)
+    lines = ["qubits 2"]
+    for _ in range(3):
+        lines += [u_line(0, random_gate_params(rng)), u_line(1, random_gate_params(rng))]
+        lines.append(f"G2 CUSTOM q0 q1 {entries}")
+    ir = parse_circuit("\n".join(lines + ["M q0", "M q1"]))
+    for mode in (PolicyMode.ENC_MIXED, PolicyMode.AUTO):
+        compile_verifying_prefixes(ir, CompilePolicy(mode))
 
 
 def test_enc_empty_buffer_fill():
@@ -307,7 +328,7 @@ def test_enc_empty_buffer_fill():
         ["qubits 2", u_line(0, random_gate_params(rng)), "G2 SQISW q0 q1", "M q0", "M q1"]
     )
     ir = parse_circuit(text)
-    sched = compile_circuit(ir, CompilePolicy(PolicyMode.ENC_MIXED), check_frames=True)
+    sched = compile_verifying_prefixes(ir, CompilePolicy(PolicyMode.ENC_MIXED))
     assert sched.stats.schemes["special"] == 1
     assert sched.stats.pulses == 4
     assert simulate_schedule(sched, ir) < 1e-9
@@ -315,7 +336,7 @@ def test_enc_empty_buffer_fill():
 
 def test_enc_gate_with_no_pending_gates_is_free():
     ir = parse_circuit("qubits 2\nG2 SQISW q0 q1\nM q0\nM q1\n")
-    sched = compile_circuit(ir, CompilePolicy(PolicyMode.ENC_MIXED), check_frames=True)
+    sched = compile_verifying_prefixes(ir, CompilePolicy(PolicyMode.ENC_MIXED))
     assert sched.stats.pulses == 0
     assert simulate_schedule(sched, ir) < 1e-12
 
@@ -324,7 +345,7 @@ def test_end_of_circuit_frames_emitted():
     rng = np.random.default_rng(67)
     text = "\n".join(["qubits 2", u_line(0, random_gate_params(rng)), "G2 CZ q0 q1"])
     ir = parse_circuit(text)
-    sched = compile_circuit(ir, CompilePolicy(PolicyMode.VZ_CARRY), check_frames=True)
+    sched = compile_verifying_prefixes(ir, CompilePolicy(PolicyMode.VZ_CARRY))
     frames = [ev for ev in sched.events if isinstance(ev, FrameEvent)]
     assert {f.qubit for f in frames} == {0, 1}
     assert simulate_schedule(sched, ir) < 1e-9
@@ -381,7 +402,7 @@ def test_mid_circuit_measure_on_one_qubit():
     ]
     ir = parse_circuit("\n".join(lines))
     for mode in PolicyMode:
-        sched = compile_circuit(ir, CompilePolicy(mode), check_frames=True)
+        sched = compile_verifying_prefixes(ir, CompilePolicy(mode))
         assert simulate_schedule(sched, ir) < 1e-9
 
 
@@ -405,7 +426,7 @@ def test_random_circuits_all_policies():
     for mode, pool in pools.items():
         for _ in range(25):
             ir = parse_circuit(random_circuit_text(rng, int(rng.integers(1, 20)), pool))
-            sched = compile_circuit(ir, CompilePolicy(mode), check_frames=True)
+            sched = compile_verifying_prefixes(ir, CompilePolicy(mode))
             assert simulate_schedule(sched, ir) < 1e-8
 
 
@@ -469,7 +490,7 @@ def test_schedule_mismatch_errors():
 
 def test_compile_validates_each_distinct_gate2_once(monkeypatch):
     # Compiler internals trust the matrices they build from validated
-    # GateParams: only the Gate2 check in _classify_gate2 validates.
+    # GateParams: only the Gate2 check in _gate2_rules validates.
     calls = []
     original = su2.as_unitary
 
@@ -572,13 +593,19 @@ def test_gate2_classification_memo_keeps_qubit_order():
         lines += [f"G2 {spec}", "X90 q0"] * 3
     ir = parse_circuit("\n".join(lines))
     for mode in (PolicyMode.THREE_ALWAYS, PolicyMode.AUTO):
-        info = _classify_gate2s(ir, mode)
-        assert info == {
-            i: _classify_gate2(op) for i, op in enumerate(ir.ops) if isinstance(op, Gate2)
+        rules = _gate2_rules(ir, mode)
+        assert rules == {
+            i: _gate2_rules(CircuitIR(2, (op,)), mode)[0]
+            for i, op in enumerate(ir.ops)
+            if isinstance(op, Gate2)
         }
-    first = [info[i] for i in (0, 6, 12, 18)]
-    assert first[2].enc_map != first[3].enc_map
-    assert first[2].carry != first[3].carry
+    assert rules[12] == ("carry", ((1, 0), (0, -1)))
+    assert rules[18] == ("carry", ((-1, 0), (0, 1)))
+    flips = CircuitIR(2, (ir.ops[12], ir.ops[18]))
+    assert _gate2_rules(flips, PolicyMode.ENC_MIXED) == {
+        0: ("enc", ((1, 0), (0, -1))),
+        1: ("enc", ((-1, 0), (0, 1))),
+    }
 
 
 def test_auto_exact_through_near_carrier_fsim():
@@ -620,7 +647,7 @@ def test_lazy_buffers_flushed_at_end_without_measure():
     lines = ["qubits 2", u_line(0, random_gate_params(rng)), u_line(1, random_gate_params(rng))]
     ir = parse_circuit("\n".join(lines))
     for mode in (PolicyMode.ENC_MIXED, PolicyMode.AUTO):
-        sched = compile_circuit(ir, CompilePolicy(mode), check_frames=True)
+        sched = compile_verifying_prefixes(ir, CompilePolicy(mode))
         assert sched.stats.compiled_1q == 2  # nothing silently dropped
         assert simulate_schedule(sched, ir) < 1e-9
 

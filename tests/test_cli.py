@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,10 +303,13 @@ def test_pulsesim_subcommand(capsys):
         ["pulsesim", "--area", "1.57", "--phase", "nan"],
         ["uniqueness", "--omega1", "nan", "--omega2", "1.57", "--omega3", "3.14"],
         ["uniqueness", "--omega1", "1.57", "--omega2", "inf", "--omega3", "3.14"],
+        ["pulsesim", "--area", "1e308", "--steps", "2"],
     ],
 )
 def test_bad_numbers_exit_1_without_traceback(argv, capsys):
-    assert main(argv) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numeric warning is not a clean error either
+        assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")

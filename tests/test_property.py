@@ -3,8 +3,9 @@
 Circuits mix Haar-random and Clifford ``U`` gates, ``RZ``, ``X90`` and
 ``X180`` with every two-qubit family in both qubit orders, with and without
 measurements (some mid-circuit).  Under every legal policy, with special
-cases on and off, the frame checker must pass and the schedule must verify
-through its text form.
+cases on and off, every prefix of the circuit must verify, which checks the
+frame invariant after every op, and the schedule must verify through its
+text form.
 """
 
 import math
@@ -13,12 +14,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_unitary
+from conftest import compile_verifying_prefixes, haar_unitary
 from phasepulse.circuit import (
     CompilePolicy,
     IllegalPolicyError,
     PolicyMode,
-    compile_circuit,
     parse_circuit,
     parse_schedule,
     simulate_schedule,
@@ -90,7 +90,7 @@ def test_every_legal_policy_verifies_through_text(text):
         for special_cases in (True, False):
             policy = CompilePolicy(mode, special_cases)
             try:
-                schedule = compile_circuit(ir, policy, check_frames=True)
+                schedule = compile_verifying_prefixes(ir, policy)
             except IllegalPolicyError:
                 assert mode in (PolicyMode.VZ_CARRY, PolicyMode.ENC_MIXED)
                 continue
