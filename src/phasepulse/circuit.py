@@ -30,7 +30,7 @@ from .schemes import (
 from .su2 import (
     _IDENTITY_ENTRIES,
     GateParams,
-    _conjugated_x_entries,
+    _conjugated_x_array,
     _mul_entries,
     _params_entries,
     _params_from_unitary,
@@ -487,43 +487,96 @@ def _frame_diagonal(f0: float, f1: float) -> np.ndarray:
     return np.array([e0 * e1, e0 / e1, e1 / e0, 1.0 / (e0 * e1)])
 
 
-class _SegmentProduct:
-    """Two-qubit product built as per-qubit 2x2 products between 2q gates.
+_POWERS_OF_TWO = 1 << np.arange(62)
 
-    Each qubit's running product is four Python complex numbers (row-major),
-    left-multiplied in closed form (``_mul_entries``) by the entries of a
-    pulse (``_conjugated_x_entries``) or a 1q gate (``_params_entries``).
-    1q factors on different qubits commute, so each segment between 2q
-    gates becomes one 4x4, the outer product of the two per-qubit products.
+
+def _tree_product(factors: np.ndarray, keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """Time-ordered product of each key's factors, shape ``(n_keys, d, d)``.
+
+    ``factors[i]`` is a ``d x d`` factor of key ``keys[i]``, and factors of
+    one key act in index order, so a key's product is ``last @ ... @ first``;
+    a key with no factor gets the identity.  One stable sort and one gather
+    lay each key's factors out as a run for :func:`_pairwise_rounds`, padded
+    with identities to the run's own power of two: at most double the run,
+    never the longest run, so memory stays O(len(factors) + n_keys).
     """
+    counts = np.bincount(keys, minlength=n_keys)
+    widths = _POWERS_OF_TWO[np.searchsorted(_POWERS_OF_TWO, counts)]
+    by_width = np.argsort(-widths, kind="stable")
+    sorted_widths = widths[by_width]
+    ends = np.cumsum(sorted_widths)
+    run_start = np.empty_like(ends)
+    run_start[by_width] = ends - sorted_widths
+    order = np.argsort(keys, kind="stable")
+    shift = run_start - (np.cumsum(counts) - counts)
+    source = np.full(ends[-1], len(keys))
+    source[np.arange(len(keys)) + shift[keys[order]]] = order
+    identity = np.eye(factors.shape[-1], dtype=complex)
+    runs = _pairwise_rounds(np.concatenate((factors, identity[None]))[source], sorted_widths)
+    out = np.empty_like(runs)
+    out[by_width] = runs
+    return out
 
-    def __init__(self):
-        self.u = np.eye(4, dtype=complex)
-        self.local = [_IDENTITY_ENTRIES, _IDENTITY_ENTRIES]
 
-    def apply_1q(self, qubit: int, m: tuple[complex, ...]):
-        """Left-multiply the qubit's product by the 2x2 with row-major entries ``m``."""
-        self.local[qubit] = _mul_entries(m, self.local[qubit])
+def _pairwise_rounds(runs: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Product of each run of ``runs``, one per entry of ``widths``.
 
-    def apply_2q(self, eff: np.ndarray):
-        self.u = eff @ self.total()
-        self.local = [_IDENTITY_ENTRIES, _IDENTITY_ENTRIES]
+    The runs lie back to back, each of a power-of-two width, in
+    non-increasing order of width, so every run starts at a multiple of its
+    width.  Each round is then one batched ``@`` over the even-odd pairs of
+    the runs still wider than one, and halves them; it takes log2(widest)
+    rounds.  Within a run, later factors multiply from the left.
+    """
+    step = 1
+    while len(runs) > len(widths):
+        wide = len(runs) - len(widths) + np.count_nonzero(widths > step)
+        pairs = runs[1:wide:2] @ runs[0:wide:2]
+        runs = np.concatenate((pairs, runs[wide:])) if wide < len(runs) else pairs
+        step *= 2
+    return runs
 
-    def total(self) -> np.ndarray:
-        a = np.array(self.local[0]).reshape(2, 1, 2, 1)
-        b = np.array(self.local[1]).reshape(1, 2, 1, 2)
-        return (a * b).reshape(4, 4) @ self.u
+
+def _chain_unitaries(factors: np.ndarray, keys: np.ndarray, gate2_ops: list[Gate2],
+                     n_chains: int) -> np.ndarray:
+    """Two-qubit unitaries of ``n_chains`` chains that share the 2q gates ``gate2_ops``.
+
+    The ``n`` gates split each chain into ``n + 1`` segments.  ``factors`` are the chains' 1q 2x2s,
+    and ``keys[i] = (chain * (n + 1) + segment) * 2 + qubit``.  1q factors on
+    different qubits commute, so each segment is the broadcast outer product
+    of its two per-qubit products (:func:`_tree_product`).  Each chain
+    alternates segments and gates, padded with identities to a power of two,
+    and is reduced by the same :func:`_pairwise_rounds`.
+    """
+    n_seg = len(gate2_ops) + 1
+    local = _tree_product(factors, keys, n_chains * n_seg * 2)
+    local = local.reshape(n_chains, n_seg, 2, 2, 2)
+    segments = local[:, :, 0, :, None, :, None] * local[:, :, 1, None, :, None, :]
+    width = 1 << (2 * n_seg - 2).bit_length()
+    chain = np.empty((n_chains, width, 4, 4), dtype=complex)
+    chain[:, 0:2 * n_seg:2] = segments.reshape(n_chains, n_seg, 4, 4)
+    chain[:, 1:2 * n_seg - 1:2] = np.reshape([op.effective_matrix for op in gate2_ops], (-1, 4, 4))
+    chain[:, 2 * n_seg - 1:] = np.eye(4)
+    return _pairwise_rounds(chain.reshape(-1, 4, 4), np.full(n_chains, width))
+
+
+def _gate_factors(ir: CircuitIR, first_key: int) -> tuple[list[int], list[tuple[complex, ...]]]:
+    """Keys (see :func:`_chain_unitaries`) and entries of the circuit's 1q gates."""
+    keys, entries = [], []
+    key = first_key
+    for op in ir.ops:
+        if isinstance(op, Gate1):
+            keys.append(key + op.qubit)
+            entries.append(_params_entries(op.params))
+        elif isinstance(op, Gate2):
+            key += 2
+    return keys, entries
 
 
 def ideal_unitary(ir: CircuitIR) -> np.ndarray:
     """Unitary of the circuit's gates (measurements contribute nothing)."""
-    product = _SegmentProduct()
-    for op in ir.ops:
-        if isinstance(op, Gate1):
-            product.apply_1q(op.qubit, _params_entries(op.params))
-        elif isinstance(op, Gate2):
-            product.apply_2q(op.effective_matrix)
-    return product.total()
+    keys, entries = _gate_factors(ir, 0)
+    factors = np.array(entries, dtype=complex).reshape(-1, 2, 2)
+    return _chain_unitaries(factors, np.array(keys, dtype=np.intp), ir.gate2_ops(), 1)[0]
 
 
 def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> PulseSchedule:
@@ -643,11 +696,14 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
     before comparing with the ideal unitary up to global phase.  Each qubit
     needs exactly one FRAME, as :func:`compile_circuit` emits, and it ends
     the qubit: a second or missing FRAME, a later PULSE on that qubit, or
-    any later GATE2 raises :class:`ScheduleMismatchError`.
+    any later GATE2 raises :class:`ScheduleMismatchError`.  The schedule and
+    the circuit are reduced as two chains of one :func:`_chain_unitaries` call.
     """
     events = schedule.events if isinstance(schedule, PulseSchedule) else tuple(schedule)
     gate2_ops = ir.gate2_ops()
-    product = _SegmentProduct()
+    keys: list[int] = []
+    sigmas: list[float] = []
+    phases: list[float] = []
     corrections = [0.0] * ir.n_qubits
     framed = [False] * ir.n_qubits
     next_gate2 = 0
@@ -655,7 +711,9 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
         if isinstance(ev, PulseEvent):
             if framed[ev.qubit]:
                 raise ScheduleMismatchError(f"PULSE on q{ev.qubit} after its FRAME")
-            product.apply_1q(ev.qubit, _conjugated_x_entries(ev.pulse.sigma, ev.pulse.phase))
+            keys.append(2 * next_gate2 + ev.qubit)
+            sigmas.append(ev.pulse.sigma)
+            phases.append(ev.pulse.phase)
         elif isinstance(ev, Gate2Event):
             if any(framed):
                 raise ScheduleMismatchError(f"GATE2 event {next_gate2} after a FRAME")
@@ -670,7 +728,6 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
                 raise ScheduleMismatchError(
                     f"GATE2 event {next_gate2} is {ev.name}, circuit says {op.name}"
                 )
-            product.apply_2q(op.effective_matrix)
             next_gate2 += 1
         else:
             if framed[ev.qubit]:
@@ -681,5 +738,13 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
         raise ScheduleMismatchError("schedule is missing GATE2 events")
     if not all(framed):
         raise ScheduleMismatchError(f"schedule has no FRAME for q{framed.index(False)}")
-    corrected = _frame_diagonal(-corrections[0], -corrections[1])[:, None] * product.total()
-    return phase_distance(corrected, ideal_unitary(ir))
+    gate_keys, gate_entries = _gate_factors(ir, 2 * (next_gate2 + 1))
+    factors = np.concatenate((
+        _conjugated_x_array(np.array(sigmas), np.array(phases)),
+        np.array(gate_entries, dtype=complex).reshape(-1, 2, 2),
+    ))
+    physical, ideal = _chain_unitaries(
+        factors, np.array(keys + gate_keys, dtype=np.intp), gate2_ops, 2
+    )
+    corrected = _frame_diagonal(-corrections[0], -corrections[1])[:, None] * physical
+    return phase_distance(corrected, ideal)

@@ -174,14 +174,23 @@ def conjugated_x(sigma: float, phase: float) -> np.ndarray:
     sigma, phase = float(sigma), float(phase)
     if not (math.isfinite(sigma) and math.isfinite(phase)):
         raise ValueError("angles must be finite")
-    return np.array(_conjugated_x_entries(sigma, phase)).reshape(2, 2)
+    return _conjugated_x_array(sigma, phase)
 
 
-def _conjugated_x_entries(sigma: float, phase: float) -> tuple[complex, ...]:
-    """Row-major entries of :func:`conjugated_x` for finite angles."""
-    c, s = math.cos(0.5 * sigma), math.sin(0.5 * sigma)
-    e = cmath.exp(1j * phase)
-    return (c, -1j * s * e, -1j * s * e.conjugate(), c)
+def _conjugated_x_array(sigma, phase) -> np.ndarray:
+    """:func:`conjugated_x` of finite angles, broadcast over arrays of them.
+
+    Returns shape ``(..., 2, 2)``: ``[[c, -i s e], [-i s e*, c]]`` with
+    ``c, s = cos, sin(sigma / 2)`` and ``e = exp(i*phase)``; the lower-left
+    entry is minus the conjugate of the upper-right one.
+    """
+    half = 0.5 * np.asarray(sigma, dtype=float)
+    se = -1j * np.sin(half) * np.exp(1j * np.asarray(phase, dtype=float))
+    out = np.empty(se.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = np.cos(half)
+    out[..., 0, 1] = se
+    out[..., 1, 0] = -se.conj()
+    return out
 
 
 def phase_canonical(m) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -583,6 +584,91 @@ def test_segment_kernel_matches_per_op_kron():
                     events[i] = PulseEvent(ev.qubit, Pulse(ev.pulse.sigma, ev.pulse.phase + 0.1 * i))
             dev = simulate_schedule(events, ir)
             assert abs(dev - kron_simulate(events, ir)) <= 1e-12
+
+
+def random_pulses(rng, qubit, count):
+    return [
+        PulseEvent(qubit, Pulse(rng.uniform(-PI, PI), rng.uniform(-PI, PI))) for _ in range(count)
+    ]
+
+
+def assert_kernel_matches_kron(events, ir):
+    assert np.max(np.abs(ideal_unitary(ir) - kron_ideal_unitary(ir))) <= 1e-12
+    assert abs(simulate_schedule(events, ir) - kron_simulate(events, ir)) <= 1e-12
+
+
+EDGE_CIRCUITS = {
+    "empty": "qubits 2\n",
+    "gates2-only": "qubits 2\nG2 CZ q0 q1\nG2 ISWAP q1 q0\nG2 SWAP q0 q1\n",
+    "one-qubit": "qubits 2\nU q1 0.3 -0.4 0.7\nG2 CZ q0 q1\nX90 q1\nRZ q1 0.2\nG2 CZ q1 q0\nX180 q1\n",
+    # four 2q gates, so five segments and a chain of nine factors
+    "odd-segments": "qubits 2\n" + "U q0 0.1 0.2 0.3\nU q1 -0.5 0.4 1.2\nG2 CZ q0 q1\n" * 4,
+    "reversed-gates": (
+        "qubits 2\nU q0 0.1 0.2 0.3\nG2 CNOT q1 q0\nU q1 -0.5 0.4 1.2\n"
+        "G2 FSIM(0.4,0.9) q1 q0\nX90 q0\nG2 CPHASE(1.1) q1 q0\nU q1 1.0 -2.0 0.6\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CIRCUITS))
+def test_kernel_edge_shapes_match_per_op_kron(name):
+    ir = parse_circuit(EDGE_CIRCUITS[name])
+    for mode in PolicyMode:
+        try:
+            events = list(compile_circuit(ir, CompilePolicy(mode)).events)
+        except IllegalPolicyError:
+            continue
+        if name == "gates2-only":
+            assert not any(isinstance(ev, PulseEvent) for ev in events)
+        if name == "one-qubit":
+            assert {ev.qubit for ev in events if isinstance(ev, PulseEvent)} == {1}
+        assert_kernel_matches_kron(events, ir)
+        if name == "empty":
+            assert simulate_schedule(events, ir) == 0.0
+        shifted = [
+            PulseEvent(ev.qubit, Pulse(ev.pulse.sigma, ev.pulse.phase + 0.1 * i))
+            if isinstance(ev, PulseEvent) else ev
+            for i, ev in enumerate(events)
+        ]
+        assert_kernel_matches_kron(shifted, ir)
+
+
+def test_kernel_single_long_run_matches_per_op_kron():
+    # 37 factors in one (segment, qubit) run: odd at every tree round
+    rng = np.random.default_rng(81)
+    lines = ["qubits 2"] + [u_line(0, random_gate_params(rng)) for _ in range(37)]
+    ir = parse_circuit("\n".join(lines))
+    events = random_pulses(rng, 0, 37) + [FrameEvent(0, 0.3), FrameEvent(1, -0.2)]
+    assert_kernel_matches_kron(events, ir)
+
+
+def test_kernel_skewed_segments_match_per_op_kron_without_padding():
+    # 1,000 segments; one (segment, qubit) run holds 1,001 of the 1,400 pulses
+    rng = np.random.default_rng(82)
+    lines = ["qubits 2"]
+    events = []
+    for k in range(1000):
+        if k == 500:
+            lines += [u_line(1, random_gate_params(rng)) for _ in range(301)]
+            events += random_pulses(rng, 1, 1001)
+        elif k % 3 == 0:
+            lines.append(u_line(k % 2, random_gate_params(rng)))
+            events += random_pulses(rng, k % 2, 1)
+        if k < 999:
+            lines.append("G2 CZ q0 q1" if k % 2 else "G2 CNOT q1 q0")
+            events.append(Gate2Event((0, 1) if k % 2 else (1, 0), "CZ" if k % 2 else "CNOT"))
+    ir = parse_circuit("\n".join(lines))
+    events += [FrameEvent(0, 0.1), FrameEvent(1, 0.2)]
+    assert_kernel_matches_kron(events, ir)
+    # Padding every run to the longest one would allocate 2,000 runs x 1,024
+    # factors x 64 bytes, 131 MB; the kernel's peak stays a few MB.
+    tracemalloc.start()
+    try:
+        simulate_schedule(events, ir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_gate2_classification_memo_keeps_qubit_order():
