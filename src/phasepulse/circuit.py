@@ -669,7 +669,8 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
                 flush_vz(qb)
             elif rule == "enc":
                 flush_vz(qa)
-                flush_exact(qb, frames[qa])
+                if buffers[qb] is not None or frames[qb] != frames[qa]:
+                    flush_exact(qb, frames[qa])
             else:
                 for q in (qa, qb):
                     if buffers[q] is not None or frames[q] != 0.0:

@@ -70,6 +70,20 @@ def test_compile_policy_error(tmp_path, capsys):
     assert "SQISW" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("special", [[], ["--no-special-cases"]])
+def test_enc_partner_already_on_frame_costs_nothing(tmp_path, capsys, special):
+    # Neither qubit has a pending gate and both frames are 0, so the ENC
+    # partner needs no pulses, and nothing counts as a compiled 1q gate.
+    path = tmp_path / "sq.txt"
+    path.write_text("qubits 2\nG2 SQISW q0 q1\nG2 SQISW q0 q1\nM q0\nM q1\n")
+    assert main(["compile", str(path), "--policy", "enc-mixed", *special]) == 0
+    assert capsys.readouterr().out == (
+        "GATE2 SQISW q0 q1\nGATE2 SQISW q0 q1\nFRAME q0 z=0\nFRAME q1 z=0\n"
+        "# stats: pulses=0 q0=0 q1=0 gates_1q=0 gates_2q=2 compiled_1q=0 pulses_per_1q=0 "
+        "vz=0 three=0 four=0 two=0 special=0 elided=0 frames=2\n"
+    )
+
+
 def test_compile_verify_round_trip(circuit_file, tmp_path, capsys):
     sched = tmp_path / "sched.txt"
     assert main(["compile", circuit_file, "--policy", "auto", "-o", str(sched)]) == 0
