@@ -593,8 +593,9 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
     * ``carry`` (``vz-carry``, then ``auto``): flush both qubits with
       virtual-Z; the frames pass the phase carrier, relabelled.
     * ``enc`` (``enc-mixed``, then ``auto``): flush the lower-indexed qubit
-      with virtual-Z and compile the other exactly onto the same frame; the
-      equal frames pass the ENC gate.
+      with virtual-Z and compile the other exactly onto the same frame,
+      unless it has no pending gate and is already there; the equal frames
+      pass the ENC gate.
     * ``zero`` (``three-always``, last in ``auto``): compile both qubits
       exactly, leaving zero frames.
 
