@@ -540,12 +540,13 @@ def _chain_unitaries(factors: np.ndarray, keys: np.ndarray, gate2_ops: list[Gate
                      n_chains: int) -> np.ndarray:
     """Two-qubit unitaries of ``n_chains`` chains that share the 2q gates ``gate2_ops``.
 
-    The ``n`` gates split each chain into ``n + 1`` segments.  ``factors`` are the chains' 1q 2x2s,
-    and ``keys[i] = (chain * (n + 1) + segment) * 2 + qubit``.  1q factors on
-    different qubits commute, so each segment is the broadcast outer product
-    of its two per-qubit products (:func:`_tree_product`).  Each chain
-    alternates segments and gates, padded with identities to a power of two,
-    and is reduced by the same :func:`_pairwise_rounds`.
+    The ``n`` gates split each chain into ``n + 1`` segments.  ``factors``
+    are the chains' 1q 2x2s, and ``keys[i] = (chain * (n + 1) + segment) * 2
+    + qubit``.  1q factors on different qubits commute, so each segment is
+    the broadcast outer product of its two per-qubit products
+    (:func:`_tree_product`).  Each chain alternates its ``2n + 1`` segments
+    and gates, padded with identities to a power of two, and is reduced by
+    the same :func:`_pairwise_rounds`.
     """
     n_seg = len(gate2_ops) + 1
     local = _tree_product(factors, keys, n_chains * n_seg * 2)
@@ -740,7 +741,7 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
         raise ScheduleMismatchError("schedule is missing GATE2 events")
     if not all(framed):
         raise ScheduleMismatchError(f"schedule has no FRAME for q{framed.index(False)}")
-    gate_keys, gate_entries = _gate_factors(ir, 2 * (next_gate2 + 1))
+    gate_keys, gate_entries = _gate_factors(ir, 2 * (len(gate2_ops) + 1))  # chain 1
     factors = np.concatenate((
         _conjugated_x_array(np.array(sigmas), np.array(phases)),
         np.array(gate_entries, dtype=complex).reshape(-1, 2, 2),
