@@ -22,6 +22,9 @@ from .carrier import (
     segment_of,
 )
 from .circuit import (
+    FRAME,
+    GATE2,
+    PULSE,
     CircuitError,
     CircuitIR,
     CircuitSyntaxError,

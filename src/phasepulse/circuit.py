@@ -16,6 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from math import isfinite
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .su2 import (
     GateParams,
     _conjugated_x_array,
     _mul_entries,
+    _normalize_angle_array,
     _params_entries,
     _params_from_unitary,
     _z_rot_entries,
@@ -78,6 +80,11 @@ class Gate1:
     @classmethod
     def from_matrix(cls, qubit: int, matrix) -> "Gate1":
         return cls(qubit, params_from_unitary(matrix)[0])
+
+    @cached_property
+    def entries(self) -> tuple[complex, ...]:
+        """Row-major entries of the gate's 2x2 unitary, computed once."""
+        return _params_entries(self.params)
 
     def matrix(self) -> np.ndarray:
         return unitary_from_params(self.params)
@@ -297,8 +304,7 @@ def merge_adjacent_1q(ir: CircuitIR) -> CircuitIR:
         if isinstance(op, Gate1):
             idx = open_idx[op.qubit]
             if idx is not None:
-                prev = _params_entries(out[idx].params)
-                combined = _mul_entries(_params_entries(op.params), prev)
+                combined = _mul_entries(op.entries, out[idx].entries)
                 out[idx] = Gate1(op.qubit, _params_from_unitary(combined)[0])
             else:
                 open_idx[op.qubit] = len(out)
@@ -346,6 +352,9 @@ class FrameEvent:
 
 Event = PulseEvent | Gate2Event | FrameEvent
 
+# Event kinds, the codes of PulseSchedule.kind.
+PULSE, GATE2, FRAME = 0, 1, 2
+
 _SCHEME_KEYS = ("vz", "three", "four", "two", "special")
 
 
@@ -379,58 +388,166 @@ class ScheduleStats:
         return "# stats: " + " ".join(parts)
 
 
+# The rows of a schedule as they are written, five numbers an event (kind,
+# qubit, second qubit, value, second value) back to back; see PulseSchedule.
+_Rows = list[float]
+
+
 @dataclass(eq=False)
 class PulseSchedule:
+    """A schedule as columns, one row per event in time order.
+
+    ``kind[i]`` is PULSE, GATE2 or FRAME.  ``qubits[i]`` holds the event's
+    qubit, and for a GATE2 its second qubit (else 0).  ``values[i]`` is
+    ``(sigma, phase)`` for a PULSE and ``(z, 0)`` for a FRAME (else zeros).
+    ``gate2_names`` names the GATE2 events in order.  ``stats`` is None for a
+    parsed schedule.  :attr:`events` shows the rows as event objects.
+    """
+
     n_qubits: int
-    events: tuple[Event, ...]
-    stats: ScheduleStats
+    kind: np.ndarray
+    qubits: np.ndarray
+    values: np.ndarray
+    gate2_names: tuple[str, ...]
+    stats: ScheduleStats | None = None
+
+    @classmethod
+    def _from_rows(cls, n_qubits: int, rows: _Rows, names: list[str],
+                   stats: ScheduleStats | None) -> "PulseSchedule":
+        table = np.array(rows, dtype=float).reshape(-1, 5)
+        return cls(
+            n_qubits,
+            table[:, 0].astype(np.int8),
+            table[:, 1:3].astype(np.int8),
+            table[:, 3:],
+            tuple(names),
+            stats,
+        )
+
+    @classmethod
+    def from_events(cls, events: Sequence[Event], n_qubits: int = 2,
+                    stats: ScheduleStats | None = None) -> "PulseSchedule":
+        """The schedule of hand-built events."""
+        rows: _Rows = []
+        names: list[str] = []
+        for ev in events:
+            if isinstance(ev, PulseEvent):
+                rows += PULSE, ev.qubit, 0, ev.pulse.sigma, ev.pulse.phase
+            elif isinstance(ev, Gate2Event):
+                rows += GATE2, *ev.qubits, 0.0, 0.0
+                names.append(ev.name)
+            else:
+                rows += FRAME, ev.qubit, 0, ev.angle, 0.0
+        return cls._from_rows(n_qubits, rows, names, stats)
+
+    def _columns(self, values: np.ndarray) -> zip:
+        """Rows of ``(kind, qubit, second qubit, value, second value)`` as Python numbers."""
+        return zip(self.kind.tolist(), *self.qubits.T.tolist(), *values.T.tolist())
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        names = iter(self.gate2_names)
+        return tuple(
+            PulseEvent(q, Pulse(a, b)) if k == PULSE
+            else Gate2Event((q, q2), next(names)) if k == GATE2
+            else FrameEvent(q, a)
+            for k, q, q2, a, b in self._columns(self.values)
+        )
+
+    def __len__(self) -> int:
+        return len(self.kind)
 
     def to_text(self) -> str:
-        lines = []
-        for ev in self.events:
-            if isinstance(ev, PulseEvent):
-                lines.append(
-                    f"PULSE q{ev.qubit} sigma={_format_angle(ev.pulse.sigma)} "
-                    f"phase={_format_angle(ev.pulse.phase)}"
-                )
-            elif isinstance(ev, Gate2Event):
-                lines.append(f"GATE2 {ev.name} q{ev.qubits[0]} q{ev.qubits[1]}")
-            else:
-                lines.append(f"FRAME q{ev.qubit} z={_format_angle(ev.angle)}")
-        lines.append(self.stats.stats_line())
+        names = iter(self.gate2_names)
+        # + 0.0 turns -0.0 into 0.0, so angles print as _format_angle prints them
+        lines = [
+            "PULSE q%d sigma=%.12g phase=%.12g" % (q, a, b) if k == PULSE
+            else f"GATE2 {next(names)} q{q} q{q2}" if k == GATE2
+            else "FRAME q%d z=%.12g" % (q, a)
+            for k, q, q2, a, b in self._columns(self.values + 0.0)
+        ]
+        if self.stats is not None:
+            lines.append(self.stats.stats_line())
         return "\n".join(lines) + "\n"
 
 
-def parse_schedule(text: str) -> list[Event]:
-    """Parse schedule text back into events (comment lines are skipped)."""
-    events: list[Event] = []
+# A line as PulseSchedule.to_text writes it.  Groups 1-3 are a PULSE's qubit,
+# sigma and phase, 4-6 a GATE2's name and qubits, 7-8 a FRAME's qubit and z.
+_NUMBER = r"([-+.0-9e]+)"
+_EVENT_LINE_RE = re.compile(
+    rf"PULSE q([01]) sigma={_NUMBER} phase={_NUMBER}"
+    r"|GATE2 ([-+.,()0-9A-Za-z]+) q([01]) q([01])"
+    rf"|FRAME q([01]) z={_NUMBER}"
+)
+
+
+def _read_event(raw: str, rows: _Rows, names: list[str]) -> None:
+    """Append the event of a schedule line, checked token by token, if it has one."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return
+    tokens = line.split()
+    kind = tokens[0]
+    if kind == "PULSE" and len(tokens) == 4:
+        q = _parse_qubit(tokens[1], 2)
+        if not (tokens[2].startswith("sigma=") and tokens[3].startswith("phase=")):
+            raise CircuitError("malformed PULSE line")
+        sigma = _parse_float(tokens[2][len("sigma="):])
+        rows += PULSE, q, 0, sigma, _parse_float(tokens[3][len("phase="):])
+    elif kind == "GATE2" and len(tokens) == 4:
+        rows += GATE2, _parse_qubit(tokens[2], 2), _parse_qubit(tokens[3], 2), 0.0, 0.0
+        names.append(tokens[1])
+    elif kind == "FRAME" and len(tokens) == 3:
+        q = _parse_qubit(tokens[1], 2)
+        if not tokens[2].startswith("z="):
+            raise CircuitError("malformed FRAME line")
+        rows += FRAME, q, 0, _parse_float(tokens[2][len("z="):]), 0.0
+    else:
+        raise CircuitError(f"unrecognized schedule line {raw!r}")
+
+
+def parse_schedule(text: str) -> PulseSchedule:
+    """Parse schedule text into a :class:`PulseSchedule` with ``stats=None``.
+
+    Comment and blank lines are skipped.  A line as
+    :meth:`PulseSchedule.to_text` writes it takes one regex match; any other
+    line, and one whose numbers are not finite, is checked token by token
+    (:func:`_read_event`), which words the error.  PULSE angles are then
+    normalized in one step, as :class:`Pulse` does; FRAME angles are kept
+    as written.
+    """
+    rows: _Rows = []
+    names: list[str] = []
+    match = _EVENT_LINE_RE.fullmatch
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind = tokens[0]
-        try:
-            if kind == "PULSE" and len(tokens) == 4:
-                q = _parse_qubit(tokens[1], 2)
-                if not (tokens[2].startswith("sigma=") and tokens[3].startswith("phase=")):
-                    raise CircuitError("malformed PULSE line")
-                sigma = _parse_float(tokens[2][len("sigma="):])
-                phase = _parse_float(tokens[3][len("phase="):])
-                events.append(PulseEvent(q, Pulse(sigma, phase)))
-            elif kind == "GATE2" and len(tokens) == 4:
-                qubits = (_parse_qubit(tokens[2], 2), _parse_qubit(tokens[3], 2))
-                events.append(Gate2Event(qubits, tokens[1]))
-            elif kind == "FRAME" and len(tokens) == 3:
-                q = _parse_qubit(tokens[1], 2)
-                if not tokens[2].startswith("z="):
-                    raise CircuitError("malformed FRAME line")
-                events.append(FrameEvent(q, _parse_float(tokens[2][len("z="):])))
+        m = match(raw)
+        if m is not None:
+            q, sigma, phase, name, q0, q1, fq, z = m.groups()
+            try:
+                if q is not None:
+                    row = PULSE, int(q), 0, float(sigma), float(phase)
+                elif name is not None:
+                    row = GATE2, int(q0), int(q1), 0.0, 0.0
+                else:
+                    row = FRAME, int(fq), 0, float(z), 0.0
+            except ValueError:
+                pass  # not a number: the token check below words the error
             else:
-                raise CircuitError(f"unrecognized schedule line {raw!r}")
+                if isfinite(row[3]) and isfinite(row[4]):
+                    rows += row
+                    if name is not None:
+                        names.append(name)
+                    continue
+        try:
+            _read_event(raw, rows, names)
         except ValueError as exc:
             raise CircuitSyntaxError(str(exc), line_no) from None
-    return events
+    schedule = PulseSchedule._from_rows(2, rows, names, None)
+    angles = _normalize_angle_array(schedule.values)
+    sigma = angles[:, 0]
+    np.copyto(sigma, PI, where=sigma == -PI)  # (-pi, pi], as normalize_rotation keeps it
+    np.copyto(schedule.values, angles, where=(schedule.kind == PULSE)[:, None])
+    return schedule
 
 
 # Each policy's 2q rules in order of preference (see compile_circuit): a gate
@@ -560,24 +677,24 @@ def _chain_unitaries(factors: np.ndarray, keys: np.ndarray, gate2_ops: list[Gate
     return _pairwise_rounds(chain.reshape(-1, 4, 4), np.full(n_chains, width))
 
 
-def _gate_factors(ir: CircuitIR, first_key: int) -> tuple[list[int], list[tuple[complex, ...]]]:
-    """Keys (see :func:`_chain_unitaries`) and entries of the circuit's 1q gates."""
-    keys, entries = [], []
+def _gate_factors(ir: CircuitIR, first_key: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys (see :func:`_chain_unitaries`) and 2x2 matrices of the circuit's 1q gates."""
+    keys: list[int] = []
+    entries: list[complex] = []
     key = first_key
     for op in ir.ops:
         if isinstance(op, Gate1):
             keys.append(key + op.qubit)
-            entries.append(_params_entries(op.params))
+            entries += op.entries
         elif isinstance(op, Gate2):
             key += 2
-    return keys, entries
+    return np.array(keys, dtype=np.intp), np.array(entries, dtype=complex).reshape(-1, 2, 2)
 
 
 def ideal_unitary(ir: CircuitIR) -> np.ndarray:
     """Unitary of the circuit's gates (measurements contribute nothing)."""
-    keys, entries = _gate_factors(ir, 0)
-    factors = np.array(entries, dtype=complex).reshape(-1, 2, 2)
-    return _chain_unitaries(factors, np.array(keys, dtype=np.intp), ir.gate2_ops(), 1)[0]
+    keys, factors = _gate_factors(ir, 0)
+    return _chain_unitaries(factors, keys, ir.gate2_ops(), 1)[0]
 
 
 def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> PulseSchedule:
@@ -606,17 +723,19 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
     policy = policy or CompilePolicy()
     rules = _gate2_rules(ir, policy.mode)
 
-    events: list[Event] = []
+    rows: _Rows = []
+    names: list[str] = []
     stats = ScheduleStats(per_qubit=[0] * ir.n_qubits)
     frames = [0.0] * ir.n_qubits
     buffers: list[tuple[complex, ...] | None] = [None] * ir.n_qubits
     measured = [False] * ir.n_qubits
 
     def emit(qubit: int, compiled: CompiledGate):
-        for pulse in compiled.sequence:
-            events.append(PulseEvent(qubit, pulse))
-            stats.pulses += 1
-            stats.per_qubit[qubit] += 1
+        pulses = compiled.sequence.pulses
+        for p in pulses:
+            rows.extend((PULSE, qubit, 0, p.sigma, p.phase))
+        stats.pulses += len(pulses)
+        stats.per_qubit[qubit] += len(pulses)
         stats.compiled_1q += 1
         stats.elided += compiled.elided
         stats.schemes[compiled.scheme.value] += 1
@@ -648,14 +767,14 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
 
     def measure(qubit: int):
         flush_vz(qubit)
-        events.append(FrameEvent(qubit, normalize_angle(frames[qubit])))
+        rows.extend((FRAME, qubit, 0, normalize_angle(frames[qubit]), 0.0))
         stats.frames += 1
         measured[qubit] = True
 
     for i, op in enumerate(ir.ops):
         if isinstance(op, Gate1):
             stats.gates_1q += 1
-            m = _params_entries(op.params)
+            m = op.entries
             prev = buffers[op.qubit]
             buffers[op.qubit] = m if prev is None else _mul_entries(m, prev)
             if policy.mode is PolicyMode.THREE_ALWAYS:
@@ -680,17 +799,65 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
             f0, f1 = frames
             frames[0] = normalize_angle(a * f0 + b * f1)
             frames[1] = normalize_angle(c * f0 + d * f1)
-            events.append(Gate2Event(op.qubits, op.name))
+            rows.extend((GATE2, *op.qubits, 0.0, 0.0))
+            names.append(op.name)
         else:
             measure(op.qubit)
 
     for q in range(ir.n_qubits):
         if not measured[q]:
             measure(q)
-    return PulseSchedule(ir.n_qubits, tuple(events), stats)
+    return PulseSchedule._from_rows(ir.n_qubits, rows, names, stats)
 
 
-def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> float:
+def _check_schedule(schedule: PulseSchedule, gate2_ops: list[Gate2]) -> list[int]:
+    """Each qubit's FRAME row, once ``schedule`` is found to match ``gate2_ops``.
+
+    Raises :class:`ScheduleMismatchError` for the earliest bad event: a GATE2
+    on other qubits or by another name than its circuit gate, or past the
+    last one; or, after the first FRAME, a GATE2, a PULSE on a framed qubit
+    or a second FRAME.  Then a missing GATE2 or FRAME is an error too.  The
+    events after the first FRAME, as a rule only the last few, are checked
+    one by one.
+    """
+    kind, qubits = schedule.kind, schedule.qubits
+    n = len(kind)
+    frame_rows = np.flatnonzero(kind == FRAME).tolist()
+    first_frame = [n] * schedule.n_qubits
+    for row, q in zip(frame_rows[::-1], qubits[frame_rows[::-1], 0].tolist()):
+        first_frame[q] = row
+    start = min(first_frame) + 1
+    late = n  # the first bad event after the first FRAME
+    for row, k, q in zip(range(start, n), kind[start:].tolist(), qubits[start:, 0].tolist()):
+        if k == GATE2 or row > first_frame[q]:
+            late = row
+            break
+    gate_rows = np.flatnonzero(kind[:late] == GATE2)
+    names = schedule.gate2_names
+    for i, (got, op) in enumerate(zip(qubits[gate_rows].tolist(), gate2_ops)):
+        if tuple(got) != op.qubits:
+            raise ScheduleMismatchError(
+                f"GATE2 event {i} acts on {tuple(got)}, circuit says {op.qubits}"
+            )
+        if names[i] != op.name:
+            raise ScheduleMismatchError(f"GATE2 event {i} is {names[i]}, circuit says {op.name}")
+    if len(gate_rows) > len(gate2_ops):
+        raise ScheduleMismatchError("schedule has more GATE2 events than the circuit")
+    if late < n:
+        q = qubits[late, 0]
+        if kind[late] == GATE2:
+            raise ScheduleMismatchError(f"GATE2 event {len(gate_rows)} after a FRAME")
+        if kind[late] == PULSE:
+            raise ScheduleMismatchError(f"PULSE on q{q} after its FRAME")
+        raise ScheduleMismatchError(f"second FRAME for q{q}")
+    if len(gate_rows) < len(gate2_ops):
+        raise ScheduleMismatchError("schedule is missing GATE2 events")
+    if n in first_frame:
+        raise ScheduleMismatchError(f"schedule has no FRAME for q{first_frame.index(n)}")
+    return first_frame
+
+
+def simulate_schedule(schedule: PulseSchedule | Sequence[Event], ir: CircuitIR) -> float:
     """Re-simulate a schedule against its circuit; returns the max deviation.
 
     Pulses become conjugated X rotations, two-qubit events look up their
@@ -699,55 +866,24 @@ def simulate_schedule(schedule: PulseSchedule | list[Event], ir: CircuitIR) -> f
     before comparing with the ideal unitary up to global phase.  Each qubit
     needs exactly one FRAME, as :func:`compile_circuit` emits, and it ends
     the qubit: a second or missing FRAME, a later PULSE on that qubit, or
-    any later GATE2 raises :class:`ScheduleMismatchError`.  The schedule and
-    the circuit are reduced as two chains of one :func:`_chain_unitaries` call.
+    any later GATE2 raises :class:`ScheduleMismatchError`
+    (:func:`_check_schedule`).  An event sequence is read through
+    :meth:`PulseSchedule.from_events`.  The schedule and the circuit are
+    reduced as two chains of one :func:`_chain_unitaries` call.
     """
-    events = schedule.events if isinstance(schedule, PulseSchedule) else tuple(schedule)
+    if not isinstance(schedule, PulseSchedule):
+        schedule = PulseSchedule.from_events(schedule, ir.n_qubits)
     gate2_ops = ir.gate2_ops()
-    keys: list[int] = []
-    sigmas: list[float] = []
-    phases: list[float] = []
-    corrections = [0.0] * ir.n_qubits
-    framed = [False] * ir.n_qubits
-    next_gate2 = 0
-    for ev in events:
-        if isinstance(ev, PulseEvent):
-            if framed[ev.qubit]:
-                raise ScheduleMismatchError(f"PULSE on q{ev.qubit} after its FRAME")
-            keys.append(2 * next_gate2 + ev.qubit)
-            sigmas.append(ev.pulse.sigma)
-            phases.append(ev.pulse.phase)
-        elif isinstance(ev, Gate2Event):
-            if any(framed):
-                raise ScheduleMismatchError(f"GATE2 event {next_gate2} after a FRAME")
-            if next_gate2 >= len(gate2_ops):
-                raise ScheduleMismatchError("schedule has more GATE2 events than the circuit")
-            op = gate2_ops[next_gate2]
-            if tuple(ev.qubits) != op.qubits:
-                raise ScheduleMismatchError(
-                    f"GATE2 event {next_gate2} acts on {ev.qubits}, circuit says {op.qubits}"
-                )
-            if ev.name != op.name:
-                raise ScheduleMismatchError(
-                    f"GATE2 event {next_gate2} is {ev.name}, circuit says {op.name}"
-                )
-            next_gate2 += 1
-        else:
-            if framed[ev.qubit]:
-                raise ScheduleMismatchError(f"second FRAME for q{ev.qubit}")
-            corrections[ev.qubit] = ev.angle
-            framed[ev.qubit] = True
-    if next_gate2 != len(gate2_ops):
-        raise ScheduleMismatchError("schedule is missing GATE2 events")
-    if not all(framed):
-        raise ScheduleMismatchError(f"schedule has no FRAME for q{framed.index(False)}")
-    gate_keys, gate_entries = _gate_factors(ir, 2 * (len(gate2_ops) + 1))  # chain 1
-    factors = np.concatenate((
-        _conjugated_x_array(np.array(sigmas), np.array(phases)),
-        np.array(gate_entries, dtype=complex).reshape(-1, 2, 2),
-    ))
-    physical, ideal = _chain_unitaries(
-        factors, np.array(keys + gate_keys, dtype=np.intp), gate2_ops, 2
-    )
-    corrected = _frame_diagonal(-corrections[0], -corrections[1])[:, None] * physical
+    first_frame = _check_schedule(schedule, gate2_ops)
+    kind = schedule.kind
+    pulse = kind == PULSE
+    # a pulse's segment is the number of GATE2 events before it
+    keys = (2 * np.cumsum(kind == GATE2) + schedule.qubits[:, 0])[pulse]
+    gate_keys, gate_factors = _gate_factors(ir, 2 * (len(gate2_ops) + 1))  # chain 1
+    angles = schedule.values[pulse]
+    factors = np.concatenate((_conjugated_x_array(angles[:, 0], angles[:, 1]), gate_factors))
+    keys = np.concatenate((keys, gate_keys))
+    physical, ideal = _chain_unitaries(factors, keys, gate2_ops, 2)
+    f0, f1 = schedule.values[first_frame, 0].tolist()
+    corrected = _frame_diagonal(-f0, -f1)[:, None] * physical
     return phase_distance(corrected, ideal)

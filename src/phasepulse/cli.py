@@ -116,11 +116,11 @@ def cmd_stats(args) -> int:
 def cmd_verify(args) -> int:
     try:
         ir = circ.parse_circuit(_read_input(args.circuit))
-        events = circ.parse_schedule(_read_input(args.schedule))
+        schedule = circ.parse_schedule(_read_input(args.schedule))
     except (OSError, circ.CircuitError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     try:
-        deviation = circ.simulate_schedule(events, ir)
+        deviation = circ.simulate_schedule(schedule, ir)
     except circ.ScheduleMismatchError as exc:
         return _fail(str(exc), EXIT_INPUT)
     print(f"max deviation: {deviation:.6g}")

@@ -76,13 +76,22 @@ def normalize_rotation(x: float) -> float:
     return PI if y == -PI else y
 
 
+def _normalize_angle_array(x: np.ndarray) -> np.ndarray:
+    """:func:`normalize_angle` of finite angles, elementwise and bit for bit."""
+    y = np.fmod(x + PI, TAU)
+    np.add(y, TAU, out=y, where=y < 0.0)
+    y -= PI
+    np.subtract(y, TAU, out=y, where=y >= PI)  # the rounding guard at the upper seam
+    return y
+
+
 def _finite_matrix(m, dim: int | None = None) -> np.ndarray:
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if dim is not None and a.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -100,9 +109,22 @@ def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
         return False
 
 
+# Scaling by this power of two is exact, and keeps the norm of a column of
+# finite entries finite.
+_NORM_SCALE = 2.0 ** -600
+
+
 def as_unitary(m, dim: int | None = None, tol: float = UNITARY_TOL) -> np.ndarray:
     """Validate and return ``m`` as a complex128 unitary array."""
     a = _finite_matrix(m, dim)
+    # A column's squared norm is a diagonal entry of a^dag a, so a column
+    # longer than sqrt(1 + tol) fails the defect test below anyway.  Checked
+    # first, on scaled norms, it keeps huge entries out of that product,
+    # where they would overflow.
+    scaled = float(np.max(np.hypot.reduce(np.abs(a * _NORM_SCALE), axis=0)))
+    if scaled > math.sqrt(1.0 + tol) * _NORM_SCALE:
+        norm = scaled / _NORM_SCALE
+        raise ValueError(f"matrix is not unitary (defect {norm * norm - 1.0:.3g} > {tol:.3g})")
     defect = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
     if defect > tol:
         raise ValueError(f"matrix is not unitary (defect {defect:.3g} > {tol:.3g})")

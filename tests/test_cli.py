@@ -306,6 +306,13 @@ def test_pulsesim_subcommand(capsys):
     assert deviation < 1e-6
 
 
+HUGE_ENTRIES = " ".join(["1e308,0"] * 16)  # their products overflow
+BAD_NUMBERS_STDIN = {
+    "compile": f"qubits 2\nG2 CUSTOM q0 q1 {HUGE_ENTRIES}\n",
+    "classify": HUGE_ENTRIES,
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -318,9 +325,12 @@ def test_pulsesim_subcommand(capsys):
         ["uniqueness", "--omega1", "nan", "--omega2", "1.57", "--omega3", "3.14"],
         ["uniqueness", "--omega1", "1.57", "--omega2", "inf", "--omega3", "3.14"],
         ["pulsesim", "--area", "1e308", "--steps", "2"],
+        ["compile", "-"],  # a CUSTOM gate of huge entries, from BAD_NUMBERS_STDIN
+        ["classify", "CUSTOM"],
     ],
 )
-def test_bad_numbers_exit_1_without_traceback(argv, capsys):
+def test_bad_numbers_exit_1_without_traceback(argv, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(BAD_NUMBERS_STDIN.get(argv[0], "")))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numeric warning is not a clean error either
         assert main(argv) == 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import haar_unitary, makhlin_from_weyl, makhlin_invariants, random_gate_params
 from phasepulse.su2 import (
     GateParams,
+    _normalize_angle_array,
     Quaternion,
     equal_up_to_global_phase,
     from_quaternion,
@@ -40,6 +41,16 @@ def test_normalize_angle_range():
         y = normalize_angle(x)
         assert -PI <= y < PI
         assert abs(math.remainder(y - x, 2 * PI)) < 1e-12
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_normalize_angle_array_is_bit_identical(xs):
+    seams = [PI, -PI, 3 * PI, -3 * PI, 2 * PI, -0.0, 0.0, 1e-300, -1e-300, 1e308, -1e308,
+             math.nextafter(PI, 0.0), math.nextafter(-PI, 0.0), math.nextafter(PI, 4.0)]
+    x = np.array(xs + seams)
+    got = _normalize_angle_array(x)
+    assert got.tobytes() == np.array([normalize_angle(v) for v in x.tolist()]).tobytes()
 
 
 def test_normalize_rotation_keeps_pi():
