@@ -64,9 +64,10 @@ def mangled_circuits(draw) -> str:
         op = draw(st.sampled_from(
             ("replace", "entry", "count", "space", "insert", "repeat", "drop")
         ))
-        if op == "entry" and tokens[1:2] == ["CUSTOM"]:
+        custom = tokens[1:2] == ["CUSTOM"] and len(tokens) > 4  # entries start at token 4
+        if op == "entry" and custom:
             tokens[draw(st.integers(4, len(tokens) - 1))] = draw(st.sampled_from(ENTRIES))
-        elif op == "count" and tokens[1:2] == ["CUSTOM"]:
+        elif op == "count" and custom:
             if draw(st.booleans()):
                 del tokens[draw(st.integers(4, len(tokens) - 1))]
             else:
