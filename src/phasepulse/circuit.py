@@ -15,7 +15,6 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from math import isfinite
 
 import numpy as np
@@ -72,6 +71,24 @@ class ScheduleMismatchError(CircuitError):
     pass
 
 
+class _computed_once:
+    """``functools.cached_property`` minus the lock Python 3.11 takes on every
+    first read, which costs about as much as computing a gate's entries.  The
+    value is stored on the instance under the function's name, so later
+    reads do not reach this descriptor.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Gate1:
     qubit: int
@@ -81,7 +98,7 @@ class Gate1:
     def from_matrix(cls, qubit: int, matrix) -> "Gate1":
         return cls(qubit, params_from_unitary(matrix)[0])
 
-    @cached_property
+    @_computed_once
     def entries(self) -> tuple[complex, ...]:
         """Row-major entries of the gate's 2x2 unitary, computed once."""
         return _params_entries(self.params)
@@ -102,7 +119,7 @@ class Gate2:
     name: str
     matrix: np.ndarray
 
-    @cached_property
+    @_computed_once
     def effective_matrix(self) -> np.ndarray:
         """The matrix in the fixed (qubit 0, qubit 1) basis; read-only, built once."""
         if self.qubits == (0, 1):
@@ -414,19 +431,19 @@ class PulseSchedule:
     @classmethod
     def _from_rows(cls, n_qubits: int, rows: _Rows, names: list[str],
                    stats: ScheduleStats | None) -> "PulseSchedule":
-        table = np.array(rows, dtype=float).reshape(-1, 5)
+        # The column pairs are built as (2, n) arrays, so the transposes that
+        # _columns lists are contiguous.
         return cls(
             n_qubits,
-            table[:, 0].astype(np.int8),
-            table[:, 1:3].astype(np.int8),
-            table[:, 3:],
+            np.array(rows[0::5], dtype=np.int8),
+            np.array((rows[1::5], rows[2::5]), dtype=np.int8).T,
+            np.array((rows[3::5], rows[4::5]), dtype=float).T,
             tuple(names),
             stats,
         )
 
     @classmethod
-    def from_events(cls, events: Sequence[Event], n_qubits: int = 2,
-                    stats: ScheduleStats | None = None) -> "PulseSchedule":
+    def from_events(cls, events: Sequence[Event]) -> "PulseSchedule":
         """The schedule of hand-built events."""
         rows: _Rows = []
         names: list[str] = []
@@ -438,7 +455,7 @@ class PulseSchedule:
                 names.append(ev.name)
             else:
                 rows += FRAME, ev.qubit, 0, ev.angle, 0.0
-        return cls._from_rows(n_qubits, rows, names, stats)
+        return cls._from_rows(2, rows, names, None)
 
     def _columns(self, values: np.ndarray) -> zip:
         """Rows of ``(kind, qubit, second qubit, value, second value)`` as Python numbers."""
@@ -872,7 +889,7 @@ def simulate_schedule(schedule: PulseSchedule | Sequence[Event], ir: CircuitIR) 
     reduced as two chains of one :func:`_chain_unitaries` call.
     """
     if not isinstance(schedule, PulseSchedule):
-        schedule = PulseSchedule.from_events(schedule, ir.n_qubits)
+        schedule = PulseSchedule.from_events(schedule)
     gate2_ops = ir.gate2_ops()
     first_frame = _check_schedule(schedule, gate2_ops)
     kind = schedule.kind

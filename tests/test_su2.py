@@ -11,9 +11,11 @@ from phasepulse.su2 import (
     GateParams,
     _normalize_angle_array,
     Quaternion,
+    as_unitary,
     equal_up_to_global_phase,
     from_quaternion,
     conjugated_x,
+    is_unitary,
     normalize_angle,
     normalize_rotation,
     params_from_unitary,
@@ -51,6 +53,21 @@ def test_normalize_angle_array_is_bit_identical(xs):
     x = np.array(xs + seams)
     got = _normalize_angle_array(x)
     assert got.tobytes() == np.array([normalize_angle(v) for v in x.tolist()]).tobytes()
+
+
+@pytest.mark.parametrize("big", [2.0, 1e308, 1.7e308 + 1.7e308j])
+def test_huge_entries_are_not_unitary_without_overflow(big):
+    m = np.full((4, 4), big)
+    assert not is_unitary(m)
+    with pytest.raises(ValueError, match="not unitary"):
+        as_unitary(m)
+
+
+def test_entry_guard_keeps_what_the_defect_test_accepts():
+    # entries just under sqrt(1 + tol): squared column norms 1 + 0.9 tol
+    m = np.eye(2) * math.sqrt(1.0 + 0.9e-8)
+    assert unitarity_defect(m) <= 1e-8
+    assert is_unitary(m) and as_unitary(m, 2, 1e-8) is not None
 
 
 def test_normalize_rotation_keeps_pi():
