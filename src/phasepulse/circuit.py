@@ -21,16 +21,17 @@ import numpy as np
 
 from .carrier import _frame_maps
 from .schemes import (
-    CompiledGate,
     Pulse,
-    _special_case,
-    three_pulse,
-    virtual_z,
+    _Pairs,
+    _special_pairs,
+    _three_pulse_pairs,
+    _virtual_z_pairs,
 )
 from .su2 import (
     _IDENTITY_ENTRIES,
     GateParams,
     _conjugated_x_array,
+    _gate_angles,
     _mul_entries,
     _normalize_angle_array,
     _params_entries,
@@ -418,7 +419,9 @@ class PulseSchedule:
     qubit, and for a GATE2 its second qubit (else 0).  ``values[i]`` is
     ``(sigma, phase)`` for a PULSE and ``(z, 0)`` for a FRAME (else zeros).
     ``gate2_names`` names the GATE2 events in order.  ``stats`` is None for a
-    parsed schedule.  :attr:`events` shows the rows as event objects.
+    parsed schedule.  :attr:`events` shows the rows as event objects.  PULSE
+    angles are normalized as :class:`Pulse` normalizes them; FRAME angles
+    are kept as given.
     """
 
     n_qubits: int
@@ -431,13 +434,20 @@ class PulseSchedule:
     @classmethod
     def _from_rows(cls, n_qubits: int, rows: _Rows, names: list[str],
                    stats: ScheduleStats | None) -> "PulseSchedule":
+        kind = np.array(rows[0::5], dtype=np.int8)
         # The column pairs are built as (2, n) arrays, so the transposes that
-        # _columns lists are contiguous.
+        # _columns lists are contiguous.  Every schedule's PULSE angles are
+        # normalized here; normalizing is idempotent, so angles that already
+        # are keep every bit.
+        values = np.array((rows[3::5], rows[4::5]), dtype=float)
+        angles = _normalize_angle_array(values)
+        np.copyto(angles[0], PI, where=angles[0] == -PI)  # sigma in (-pi, pi]
+        np.copyto(values, angles, where=kind == PULSE)
         return cls(
             n_qubits,
-            np.array(rows[0::5], dtype=np.int8),
+            kind,
             np.array((rows[1::5], rows[2::5]), dtype=np.int8).T,
-            np.array((rows[3::5], rows[4::5]), dtype=float).T,
+            values.T,
             tuple(names),
             stats,
         )
@@ -529,9 +539,8 @@ def parse_schedule(text: str) -> PulseSchedule:
     Comment and blank lines are skipped.  A line as
     :meth:`PulseSchedule.to_text` writes it takes one regex match; any other
     line, and one whose numbers are not finite, is checked token by token
-    (:func:`_read_event`), which words the error.  PULSE angles are then
-    normalized in one step, as :class:`Pulse` does; FRAME angles are kept
-    as written.
+    (:func:`_read_event`), which words the error.  FRAME angles are kept as
+    written.
     """
     rows: _Rows = []
     names: list[str] = []
@@ -559,12 +568,7 @@ def parse_schedule(text: str) -> PulseSchedule:
             _read_event(raw, rows, names)
         except ValueError as exc:
             raise CircuitSyntaxError(str(exc), line_no) from None
-    schedule = PulseSchedule._from_rows(2, rows, names, None)
-    angles = _normalize_angle_array(schedule.values)
-    sigma = angles[:, 0]
-    np.copyto(sigma, PI, where=sigma == -PI)  # (-pi, pi], as normalize_rotation keeps it
-    np.copyto(schedule.values, angles, where=(schedule.kind == PULSE)[:, None])
-    return schedule
+    return PulseSchedule._from_rows(2, rows, names, None)
 
 
 # Each policy's 2q rules in order of preference (see compile_circuit): a gate
@@ -747,15 +751,14 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
     buffers: list[tuple[complex, ...] | None] = [None] * ir.n_qubits
     measured = [False] * ir.n_qubits
 
-    def emit(qubit: int, compiled: CompiledGate):
-        pulses = compiled.sequence.pulses
-        for p in pulses:
-            rows.extend((PULSE, qubit, 0, p.sigma, p.phase))
-        stats.pulses += len(pulses)
-        stats.per_qubit[qubit] += len(pulses)
+    def emit(qubit: int, pairs: _Pairs, scheme: str):
+        """Write a compiled gate's raw (sigma, phase) pairs as PULSE rows."""
+        for sigma, phase in pairs:
+            rows.extend((PULSE, qubit, 0, sigma, phase))
+        stats.pulses += len(pairs)
+        stats.per_qubit[qubit] += len(pairs)
         stats.compiled_1q += 1
-        stats.elided += compiled.elided
-        stats.schemes[compiled.scheme.value] += 1
+        stats.schemes[scheme] += 1
 
     def unframed(qubit: int, gate: tuple[complex, ...]) -> tuple[complex, ...]:
         """``gate @ z_rot(-frame)``: what the qubit's pulses must realize."""
@@ -766,9 +769,9 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
         """Compile the buffered gate with virtual-Z, leaving its residual frame."""
         buffered, buffers[qubit] = buffers[qubit], None
         if buffered is not None:
-            compiled = virtual_z(_params_from_unitary(unframed(qubit, buffered))[0])
-            emit(qubit, compiled)
-            frames[qubit] = compiled.residual_z
+            alpha, beta, gamma, _ = _gate_angles(unframed(qubit, buffered))
+            pairs, frames[qubit] = _virtual_z_pairs(alpha, beta, gamma)
+            emit(qubit, pairs, "vz")
 
     def flush_exact(qubit: int, frame: float = 0.0):
         """Compile the buffered gate, or the identity, exactly onto the frame ``frame``."""
@@ -776,10 +779,12 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
         if frame != 0.0:
             gate = _mul_entries(_z_rot_entries(frame), gate)
         target = unframed(qubit, gate)
-        compiled = _special_case(target) if policy.special_cases else None
-        if compiled is None:
-            compiled = three_pulse(_params_from_unitary(target)[0])
-        emit(qubit, compiled)
+        pairs = _special_pairs(target) if policy.special_cases else None
+        if pairs is not None:
+            emit(qubit, pairs, "special")
+        else:
+            alpha, beta, gamma, _ = _gate_angles(target)
+            emit(qubit, _three_pulse_pairs(alpha, beta, gamma), "three")
         frames[qubit] = frame
 
     def measure(qubit: int):

@@ -4,6 +4,15 @@ Every scheme emits a time-ordered :class:`PulseSequence` (index 0 acts
 first) whose product reproduces the target gate up to a global phase.  The
 virtual-Z scheme additionally leaves a pending Z rotation *after* the
 pulses: ``pulse product == z_rot(residual_z) @ target`` up to phase.
+
+The schemes the compiler uses each have a private core that returns the
+pulses as raw ``(sigma, phase)`` pairs, before normalization:
+:func:`_three_pulse_pairs`, :func:`_virtual_z_pairs` (with the residual)
+and :func:`_special_pairs`.  :func:`phasepulse.circuit.compile_circuit`
+writes the pairs straight into its schedule rows, whose PULSE angles are
+normalized once when the schedule is built; :func:`three_pulse`,
+:func:`virtual_z` and :func:`special_case` wrap the same cores in
+:class:`Pulse` objects, which normalize them the same way.
 """
 
 from __future__ import annotations
@@ -105,6 +114,10 @@ class CompiledGate:
         return self.sequence.unitary()
 
 
+# Time-ordered pulses as raw (sigma, phase) pairs.
+_Pairs = tuple[tuple[float, float], ...]
+
+
 def three_pulse(p: GateParams) -> CompiledGate:
     """Exact compilation as conjugated X90, X180, X90 pulses.
 
@@ -112,11 +125,13 @@ def three_pulse(p: GateParams) -> CompiledGate:
     ``phi = -beta + gamma - pi``; the X180 sits between the two X90s and
     the omega pulse acts first.
     """
-    theta = p.alpha - p.beta
-    omega = -p.alpha - p.beta
-    phi = -p.beta + p.gamma - PI
-    seq = PulseSequence.of((PI / 2, omega), (PI, phi), (PI / 2, theta))
+    seq = PulseSequence.of(*_three_pulse_pairs(p.alpha, p.beta, p.gamma))
     return CompiledGate(seq, 0.0, Scheme.THREE)
+
+
+def _three_pulse_pairs(alpha: float, beta: float, gamma: float) -> _Pairs:
+    """The pulses of :func:`three_pulse` for the angles of a :class:`GateParams`."""
+    return ((PI / 2, -alpha - beta), (PI, -beta + gamma - PI), (PI / 2, alpha - beta))
 
 
 def virtual_z(p: GateParams) -> CompiledGate:
@@ -127,12 +142,17 @@ def virtual_z(p: GateParams) -> CompiledGate:
     ``omega + phi`` and the leftover ``z_rot(residual_z)`` is the left
     factor of the physical product.
     """
-    theta = -p.alpha + p.beta
-    phi = PI - 2.0 * p.gamma
-    omega = -p.alpha - p.beta - PI
+    pairs, residual = _virtual_z_pairs(p.alpha, p.beta, p.gamma)
+    return CompiledGate(PulseSequence.of(*pairs), residual, Scheme.VZ)
+
+
+def _virtual_z_pairs(alpha: float, beta: float, gamma: float) -> tuple[_Pairs, float]:
+    """The pulses and the normalized residual of :func:`virtual_z`."""
+    theta = -alpha + beta
+    phi = PI - 2.0 * gamma
+    omega = -alpha - beta - PI
     residual = normalize_angle(-(theta + phi + omega))
-    seq = PulseSequence.of((PI / 2, omega), (PI / 2, omega + phi))
-    return CompiledGate(seq, residual, Scheme.VZ)
+    return ((PI / 2, omega), (PI / 2, omega + phi)), residual
 
 
 def four_pulse(p: GateParams) -> CompiledGate:
@@ -168,25 +188,25 @@ def _su2_form(m: tuple[complex, ...]) -> tuple[complex, ...]:
     return (a * k, b * k, c * k, d * k)
 
 
-def _anti_diagonal_pulse(su: tuple[complex, ...]) -> Pulse:
+def _anti_diagonal_pair(su: tuple[complex, ...]) -> tuple[float, float]:
     # [[0, -exp(-i b)], [exp(i b), 0]] == conjugated_x(pi, 3*pi/2 - b)
     beta = cmath.phase(su[2])
-    return Pulse(PI, 1.5 * PI - beta)
+    return (PI, 1.5 * PI - beta)
 
 
-def _diagonal_pulses(su: tuple[complex, ...]) -> tuple[Pulse, Pulse]:
+def _diagonal_pairs(su: tuple[complex, ...]) -> _Pairs:
     # diag(exp(i a), exp(-i a)) from two X180s of opposite phase shifts.
     alpha = cmath.phase(su[0])
     theta = -0.5 * (alpha + PI)
-    return (Pulse(PI, theta), Pulse(PI, -theta))
+    return ((PI, theta), (PI, -theta))
 
 
-def _half_quarter_pulses(su: tuple[complex, ...]) -> tuple[Pulse, Pulse]:
+def _half_quarter_pairs(su: tuple[complex, ...]) -> _Pairs:
     # conjX(pi/2, th) @ conjX(pi, ph) hits any det-1 gate with |u00| = 1/sqrt2:
     # exp(i ph) = i*sqrt2*u01 and exp(i (th-ph)) = -sqrt2*u00.
     ph = cmath.phase(1j * math.sqrt(2.0) * su[1])
     th = ph + cmath.phase(-math.sqrt(2.0) * su[0])
-    return (Pulse(PI, ph), Pulse(PI / 2, th))
+    return ((PI, ph), (PI / 2, th))
 
 
 class CliffordCategory(Enum):
@@ -264,9 +284,9 @@ def clifford_table() -> tuple[CliffordEntry, ...]:
     for axis in cousin_axes:
         m = _axis_rotation(axis, PI)
         if abs(axis[2]) < 1e-12:
-            sequence = PulseSequence((_anti_diagonal_pulse(_unitary_entries(m)),))
+            sequence = seq(_anti_diagonal_pair(_unitary_entries(m)))
         else:
-            sequence = PulseSequence(_half_quarter_pulses(_unitary_entries(m)))
+            sequence = seq(*_half_quarter_pairs(_unitary_entries(m)))
         entries.append((f"pi@({_axis_label(axis)})", CliffordCategory.HADAMARD_COUSIN, axis, m, sequence))
 
     for sense in (1.0, -1.0):
@@ -274,7 +294,7 @@ def clifford_table() -> tuple[CliffordEntry, ...]:
             axis = (sx * _INV_SQRT3, sy * _INV_SQRT3, sz * _INV_SQRT3)
             angle = sense * 2.0 * PI / 3.0
             m = _axis_rotation(axis, angle)
-            sequence = PulseSequence(_half_quarter_pulses(_unitary_entries(m)))
+            sequence = seq(*_half_quarter_pairs(_unitary_entries(m)))
             label = ("2pi/3@" if sense > 0 else "-2pi/3@") + f"({_axis_label(axis)})"
             entries.append((label, CliffordCategory.Y_ANALOG, axis, m, sequence))
 
@@ -312,15 +332,16 @@ def _clifford_key(su: tuple[complex, ...]) -> tuple[int, int, int, int]:
 
 
 @lru_cache(maxsize=1)
-def _clifford_index() -> dict[tuple[int, int, int, int], tuple[tuple[complex, ...], CliffordEntry]]:
+def _clifford_index() -> dict[tuple[int, int, int, int], tuple[tuple[complex, ...], _Pairs]]:
     """:func:`clifford_table` keyed by :func:`_clifford_key`, built on first use.
 
-    Each value is the entry with its matrix's row-major entries.
+    Each value is an entry's matrix as row-major entries, and its pulses as
+    (sigma, phase) pairs.
     """
     index = {}
     for entry in clifford_table():
         m = _unitary_entries(entry.matrix)
-        index[_clifford_key(_su2_form(m))] = (m, entry)
+        index[_clifford_key(_su2_form(m))] = (m, tuple((p.sigma, p.phase) for p in entry.sequence))
     return index
 
 
@@ -335,25 +356,26 @@ def special_case(u, tol: float = STRUCTURE_TOL) -> CompiledGate | None:
     within ``CLIFFORD_TOL`` of, then confirms it with one
     :func:`phase_distance`.  Validates ``u`` first.
     """
-    return _special_case(_unitary_entries(u), tol)
+    pairs = _special_pairs(_unitary_entries(u), tol)
+    return None if pairs is None else CompiledGate(PulseSequence.of(*pairs), 0.0, Scheme.SPECIAL)
 
 
-def _special_case(m: tuple[complex, ...], tol: float = STRUCTURE_TOL) -> CompiledGate | None:
-    """:func:`special_case` on the row-major entries of a 2x2 unitary the
-    caller has validated."""
+def _special_pairs(m: tuple[complex, ...], tol: float = STRUCTURE_TOL) -> _Pairs | None:
+    """The pulses of :func:`special_case` for the row-major entries of a 2x2
+    unitary the caller has validated, or None."""
     a, b, c, d = m
     off_mag = max(abs(b), abs(c))
     # The distance to the identity is at least off_mag.
     if off_mag <= tol and _phase_distance_entries(m, _IDENTITY_ENTRIES) <= tol:
-        return CompiledGate(PulseSequence(()), 0.0, Scheme.SPECIAL)
+        return ()
     su = _su2_form(m)
     if max(abs(a), abs(d)) <= tol:
-        return CompiledGate(PulseSequence((_anti_diagonal_pulse(su),)), 0.0, Scheme.SPECIAL)
+        return (_anti_diagonal_pair(su),)
     if off_mag <= tol:
-        return CompiledGate(PulseSequence(_diagonal_pulses(su)), 0.0, Scheme.SPECIAL)
+        return _diagonal_pairs(su)
     hit = _clifford_index().get(_clifford_key(su))
     if hit is not None and _phase_distance_entries(m, hit[0]) <= CLIFFORD_TOL:
-        return CompiledGate(hit[1].sequence, 0.0, Scheme.SPECIAL)
+        return hit[1]
     return None
 
 

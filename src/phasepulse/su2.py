@@ -97,8 +97,20 @@ def _finite_matrix(m, dim: int | None = None) -> np.ndarray:
 
 
 def unitarity_defect(m) -> float:
-    """Max-norm of ``m^dag m - I``."""
-    a = _finite_matrix(m)
+    """Max-norm of ``m^dag m - I``; ``inf`` for an entry above ``2**500``."""
+    return _unitarity_defect(_finite_matrix(m))
+
+
+def _unitarity_defect(a: np.ndarray) -> float:
+    """:func:`unitarity_defect` of a finite square array, with no overflow.
+
+    A column's squared norm, a diagonal entry of ``a^dag a``, is at least its
+    largest entry squared, so an entry above ``2**500`` puts the defect above
+    ``2**1000``; it is reported as ``inf`` before the product could overflow.
+    Halving keeps ``abs()`` finite near 1e308.
+    """
+    if np.abs(0.5 * a).max() > 2.0**499:
+        return math.inf
     return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
 
 
@@ -113,13 +125,7 @@ def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
 def as_unitary(m, dim: int | None = None, tol: float = UNITARY_TOL) -> np.ndarray:
     """Validate and return ``m`` as a complex128 unitary array."""
     a = _finite_matrix(m, dim)
-    # An entry above sqrt(1 + tol) makes its column's squared norm, a diagonal
-    # entry of a^dag a, fail the defect test anyway; rejecting it first keeps
-    # that product from overflowing.  Halving keeps abs() finite near 1e308.
-    half_max = float(np.abs(0.5 * a).max())
-    if half_max > 0.5 * math.sqrt(1.0 + tol):
-        raise ValueError(f"matrix is not unitary (an entry has magnitude {2.0 * half_max:.3g})")
-    defect = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
+    defect = _unitarity_defect(a)
     if defect > tol:
         raise ValueError(f"matrix is not unitary (defect {defect:.3g} > {tol:.3g})")
     return a
@@ -301,14 +307,21 @@ def params_from_unitary(u, tol: float = UNITARY_TOL) -> tuple[GateParams, float]
 def _params_from_unitary(m: tuple[complex, ...]) -> tuple[GateParams, float]:
     """:func:`params_from_unitary` on the row-major entries of a 2x2 unitary
     the caller has validated."""
+    alpha, beta, gamma, gphase = _gate_angles(m)
+    return GateParams(alpha, beta, gamma), gphase
+
+
+def _gate_angles(m: tuple[complex, ...]) -> tuple[float, float, float, float]:
+    """``(alpha, beta, gamma, phase)`` of :func:`_params_from_unitary` as
+    floats, the angles normalized as :class:`GateParams` keeps them."""
     a, b, c, d = m
     gphase = 0.5 * cmath.phase(a * d - b * c)
     k = cmath.exp(-1j * gphase)
     m00, m10 = a * k, c * k
-    gamma = math.atan2(abs(m10), abs(m00))
-    alpha = cmath.phase(m00) if abs(m00) > 1e-13 else 0.0
-    beta = cmath.phase(m10) if abs(m10) > 1e-13 else 0.0
-    return GateParams(alpha, beta, gamma), gphase
+    alpha = normalize_angle(cmath.phase(m00)) if abs(m00) > 1e-13 else 0.0
+    beta = normalize_angle(cmath.phase(m10)) if abs(m10) > 1e-13 else 0.0
+    # atan2 of two magnitudes lies in [0, pi/2], as GateParams keeps gamma.
+    return alpha, beta, math.atan2(abs(m10), abs(m00)), gphase
 
 
 @dataclass(frozen=True)

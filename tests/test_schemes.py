@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_gate_params
+from phasepulse.circuit import (
+    PULSE,
+    CircuitIR,
+    CompilePolicy,
+    Gate1,
+    Measure,
+    PolicyMode,
+    compile_circuit,
+    parse_circuit,
+)
 from phasepulse.schemes import (
     CLIFFORD_TOL,
     STRUCTURE_TOL,
@@ -22,7 +33,7 @@ from phasepulse.schemes import (
     two_pulse,
     virtual_z,
 )
-from phasepulse.schemes import _anti_diagonal_pulse, _diagonal_pulses, _su2_form
+from phasepulse.schemes import _anti_diagonal_pair, _clifford_index, _diagonal_pairs, _su2_form
 from phasepulse.su2 import (
     GateParams,
     normalize_angle,
@@ -192,9 +203,9 @@ def linear_scan_special_case(u, tol=STRUCTURE_TOL):
         return CompiledGate(PulseSequence(()), 0.0, Scheme.SPECIAL)
     su = _su2_form(tuple(np.asarray(u).ravel().tolist()))
     if max(abs(u[0, 0]), abs(u[1, 1])) <= tol:
-        return CompiledGate(PulseSequence((_anti_diagonal_pulse(su),)), 0.0, Scheme.SPECIAL)
+        return CompiledGate(PulseSequence.of(_anti_diagonal_pair(su)), 0.0, Scheme.SPECIAL)
     if max(abs(u[0, 1]), abs(u[1, 0])) <= tol:
-        return CompiledGate(PulseSequence(_diagonal_pulses(su)), 0.0, Scheme.SPECIAL)
+        return CompiledGate(PulseSequence.of(*_diagonal_pairs(su)), 0.0, Scheme.SPECIAL)
     for entry in clifford_table():
         if phase_distance(u, entry.matrix) <= CLIFFORD_TOL:
             return CompiledGate(entry.sequence, 0.0, Scheme.SPECIAL)
@@ -352,3 +363,51 @@ def test_sequence_time_ordering():
     seq = PulseSequence.of((PI / 2, 0.0), (PI, 0.25))
     manual = Pulse(PI, 0.25).unitary() @ Pulse(PI / 2, 0.0).unitary()
     assert np.max(np.abs(seq.unitary() - manual)) < 1e-15
+
+
+def _pairs(compiled):
+    return np.array([(p.sigma, p.phase) for p in compiled.sequence], dtype=float).reshape(-1, 2)
+
+
+def test_compiled_pulses_are_the_public_schemes_bit_for_bit():
+    # compile_circuit writes the scheme cores' raw pairs and normalizes them
+    # when the schedule is built; the public schemes normalize the same
+    # pairs in Pulse.  Both must give the same bits.
+    rng = np.random.default_rng(24)
+    targets = [haar_unitary(2, rng) for _ in range(200)]
+    targets += [np.eye(2), np.diag([1j, -1j]), np.array([[0, 1], [1, 0]])]
+    for entry in clifford_table():
+        targets += [np.exp(1j * rng.uniform(-PI, PI)) * entry.matrix for _ in range(3)]
+    for u in targets:
+        gate = Gate1.from_matrix(0, u)
+        params = params_from_unitary(gate.matrix())[0]
+        exact = special_case(gate.matrix()) or three_pulse(params)
+        vz = virtual_z(params)
+        ir = CircuitIR(2, (gate, Measure(0), Measure(1)))
+        for policy, compiled in [
+            (CompilePolicy(PolicyMode.THREE_ALWAYS), exact),
+            (CompilePolicy(PolicyMode.THREE_ALWAYS, special_cases=False), three_pulse(params)),
+            (CompilePolicy(PolicyMode.VZ_CARRY), vz),
+        ]:
+            schedule = compile_circuit(ir, policy)
+            got = schedule.values[schedule.kind == PULSE]
+            assert got.tobytes() == _pairs(compiled).tobytes()
+        assert schedule.events[-2].angle == vz.residual_z
+
+
+def test_compile_builds_no_scheme_objects(monkeypatch):
+    # The compiler writes the cores' raw pairs into its rows; the Clifford
+    # table's Pulses are built once per process, before compiling.
+    ir = parse_circuit((Path(__file__).parent / "data" / "golden_circuit_enc.txt").read_text())
+    _clifford_index()
+
+    def built(*args, **kwargs):
+        raise AssertionError("compile_circuit built a scheme object")
+
+    monkeypatch.setattr(Pulse, "__post_init__", built)
+    monkeypatch.setattr(PulseSequence, "__init__", built)
+    monkeypatch.setattr(CompiledGate, "__init__", built)
+    monkeypatch.setattr(GateParams, "__post_init__", built)
+    for mode in PolicyMode:  # the circuit is legal under every policy
+        for special_cases in (True, False):
+            compile_circuit(ir, CompilePolicy(mode, special_cases))

@@ -63,6 +63,30 @@ def test_huge_entries_are_not_unitary_without_overflow(big):
         as_unitary(m)
 
 
+@pytest.mark.parametrize("big", [1e308, 1.7e308 + 1.7e308j, -3e200j])
+def test_unitarity_defect_of_huge_entries_is_inf_without_overflow(big):
+    # tier-1 turns numpy's overflow RuntimeWarning into an error
+    assert unitarity_defect(np.full((4, 4), big)) == math.inf
+
+
+def test_unitarity_defect_is_exact_below_the_overflow_guard():
+    # entries of 2**400 square to 2**800: finite, and no overflow in the product
+    m = np.diag([2.0**400, 1.0])
+    assert unitarity_defect(m) == 2.0**800 - 1.0
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_normalize_angle_array_is_idempotent(xs):
+    # Schedules normalize PULSE angles once, on rows that may be normalized
+    # already, so a second application must keep every bit.
+    seams = [PI, -PI, 3 * PI, -3 * PI, 2 * PI, -0.0, 0.0, 1e-300, -1e-300, 1e-20, -1e-20,
+             math.nextafter(PI, 0.0), math.nextafter(-PI, 0.0), math.nextafter(PI, 4.0),
+             math.nextafter(-PI, -4.0), PI / 2, -PI / 2, 1e308, -1e308]
+    once = _normalize_angle_array(np.array(xs + seams))
+    assert _normalize_angle_array(once).tobytes() == once.tobytes()
+
+
 def test_entry_guard_keeps_what_the_defect_test_accepts():
     # entries just under sqrt(1 + tol): squared column norms 1 + 0.9 tol
     m = np.eye(2) * math.sqrt(1.0 + 0.9e-8)
