@@ -79,19 +79,6 @@ def equivariant_permutations() -> tuple[tuple[int, int, int, int], ...]:
     )
 
 
-def _abs_permutation(u: np.ndarray, tol: float) -> CarrierPermutation | None:
-    mag = np.abs(u)
-    mapping = tuple(int(col) for col in np.argmax(mag, axis=1))
-    if sorted(mapping) != [0, 1, 2, 3] or not _is_equivariant(mapping):
-        return None
-    if np.min(mag[range(4), mapping]) < 1.0 - tol:
-        return None
-    mag[range(4), mapping] = 0.0
-    if np.max(mag) > ENTRY_ZERO_TOL:
-        return None
-    return CarrierPermutation.from_mapping(mapping)
-
-
 def abs_permutation(u, tol: float = PERMUTATION_TOL) -> CarrierPermutation | None:
     """Permutation structure of ``|u|`` if it is one (and equivariant).
 
@@ -99,7 +86,7 @@ def abs_permutation(u, tol: float = PERMUTATION_TOL) -> CarrierPermutation | Non
     be at most ``ENTRY_ZERO_TOL``, so a gate that is only near a
     permutation (say ``FSIM(pi/2 + 1e-4, phi)``) is not a carrier.
     """
-    return _abs_permutation(as_unitary(u, 4), tol)
+    return _frame_maps(as_unitary(u, 4)[None], perm_tol=tol)[0][0]
 
 
 def is_phase_carrier(u) -> bool:
@@ -115,10 +102,10 @@ def carry_map(u) -> CarryMap:
     ``p0 + p1 = s(00)_0 t0 + s(00)_1 t1`` and
     ``p0 - p1 = s(01)_0 t0 + s(01)_1 t1``.
     """
-    perm = abs_permutation(u)
-    if perm is None:
+    cmap = _frame_maps(as_unitary(u, 4)[None])[0][1]
+    if cmap is None:
         raise NotCarrierError("gate is not a phase carrier")
-    return _carry_of(perm)
+    return cmap
 
 
 def _carry_of(perm: CarrierPermutation) -> CarryMap:
@@ -130,30 +117,9 @@ def _carry_of(perm: CarrierPermutation) -> CarryMap:
     return CarryMap(matrix)
 
 
-# Candidate (p, q) for ``u (Z_t x Z_t) == (Z_pt x Z_qt) u``: comparing the
-# spectra of the two generators leaves only these four, tried in this order.
-# Both generators are diagonal, so the identity holds for every t exactly
-# when u[i, j] vanishes wherever the row eigenvalue p*s0 + q*s1 differs from
-# the column eigenvalue s0 + s1, with s = (-1)**bit.
-_ENC_CANDIDATES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
-_SIGNS = np.array([_bit_signs(i) for i in range(4)])
-_MUST_VANISH = {
-    (p, q): (p * _SIGNS[:, 0] + q * _SIGNS[:, 1])[:, None] != _SIGNS.sum(axis=1)[None, :]
-    for p, q in _ENC_CANDIDATES
-}
-
-
-def _conserves(u: np.ndarray, pq: tuple[int, int], tol: float) -> bool:
-    return bool(np.max(np.abs(u[_MUST_VANISH[pq]])) <= tol)
-
-
-def _enc_map(u: np.ndarray, tol: float) -> tuple[int, int] | None:
-    return next((pq for pq in _ENC_CANDIDATES if _conserves(u, pq, tol)), None)
-
-
 def is_enc(u, tol: float = ENTRY_ZERO_TOL) -> bool:
     """True iff ``u`` preserves the 1+2+1 excitation-number block structure."""
-    return _conserves(as_unitary(u, 4), (1, 1), tol)
+    return _frame_maps(as_unitary(u, 4)[None], enc_tol=tol)[0][2] == (1, 1)
 
 
 def is_generalized_enc(u, tol: float = ENTRY_ZERO_TOL) -> tuple[bool, tuple[int, int] | None]:
@@ -165,22 +131,62 @@ def is_generalized_enc(u, tol: float = ENTRY_ZERO_TOL) -> tuple[bool, tuple[int,
     eigenvalues differ must be at most ``tol`` in magnitude.  ``(1, 1)`` is
     :func:`is_enc`.
     """
-    enc_map = _enc_map(as_unitary(u, 4), tol)
+    enc_map = _frame_maps(as_unitary(u, 4)[None], enc_tol=tol)[0][2]
     return enc_map is not None, enc_map
 
 
-def _frame_maps(
-    u: np.ndarray,
-) -> tuple[CarrierPermutation | None, CarryMap | None, tuple[int, int] | None]:
-    """How per-qubit Z frames move through a validated two-qubit ``u``.
+# The eight equivariant permutations with their carry maps.
+_CARRIERS = tuple(
+    (perm, _carry_of(perm))
+    for perm in map(CarrierPermutation.from_mapping, equivariant_permutations())
+)
 
-    Returns the carrier permutation and its carry map (both None for a
-    non-carrier) and the generalized-ENC map ``(p, q)`` (None for none).
+# Candidate (p, q) for ``u (Z_t x Z_t) == (Z_pt x Z_qt) u``: comparing the
+# spectra of the two generators leaves only these four, tried in this order.
+# Both generators are diagonal, so the identity holds for every t exactly
+# when u[i, j] vanishes wherever the row eigenvalue p*s0 + q*s1 differs from
+# the column eigenvalue s0 + s1, with s = (-1)**bit.
+_ENC_CANDIDATES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+_SIGNS = np.array([_bit_signs(i) for i in range(4)])
+
+# Over the 16 row-major entries of a 4x4: column j of _PIVOT marks the
+# nonzero entries of permutation j (_OFF_PIVOT the others), and column c of
+# _ENC_VANISH the entries that must vanish for ENC candidate c.
+_PIVOT = np.array([[perm.mapping[i // 4] == i % 4 for perm, _ in _CARRIERS] for i in range(16)])
+_OFF_PIVOT = ~_PIVOT
+_ENC_VANISH = np.transpose([
+    ((p * _SIGNS[:, 0] + q * _SIGNS[:, 1])[:, None] != _SIGNS.sum(axis=1)).ravel()
+    for p, q in _ENC_CANDIDATES
+])
+
+
+def _frame_maps(
+    u: np.ndarray, perm_tol: float = PERMUTATION_TOL, enc_tol: float = ENTRY_ZERO_TOL
+) -> list[tuple[CarrierPermutation | None, CarryMap | None, tuple[int, int] | None]]:
+    """How per-qubit Z frames move through each gate of a validated ``(k, 4, 4)`` stack.
+
+    Returns, per gate, the carrier permutation and its carry map (both None
+    for a non-carrier) and the generalized-ENC map ``(p, q)`` (None for
+    none).  ``np.abs`` is taken once, and each test is a boolean matrix
+    product of the entries that break a bound with the masks above.  A gate
+    is a carrier when one of the eight equivariant permutations has no
+    pivot of ``|u|`` below ``1 - perm_tol`` and no other entry above
+    ``ENTRY_ZERO_TOL``; for ``perm_tol < 1 - ENTRY_ZERO_TOL`` each pivot is
+    then the strict maximum of its row, so at most one permutation passes,
+    and it is the row-wise argmax of ``|u|``.  ``(p, q)`` is the first ENC
+    candidate with no entry that must vanish above ``enc_tol``.
     :func:`classify` and the circuit compiler both decide by this call.
     """
-    perm = _abs_permutation(u, PERMUTATION_TOL)
-    cmap = _carry_of(perm) if perm is not None else None
-    return perm, cmap, _enc_map(u, ENTRY_ZERO_TOL)
+    mag = np.abs(u).reshape(-1, 16)
+    # [k, j]: gate k has a small pivot or a large off-pivot entry for permutation j
+    broken = ((mag < 1.0 - perm_tol) @ _PIVOT) | (~(mag <= ENTRY_ZERO_TOL) @ _OFF_PIVOT)
+    # [k, c]: gate k has an entry above enc_tol where ENC candidate c needs a zero
+    stray = ~(mag <= enc_tol) @ _ENC_VANISH
+    out = []
+    for b, e in zip(broken.tolist(), stray.tolist()):
+        perm, cmap = _CARRIERS[b.index(False)] if False in b else (None, None)
+        out.append((perm, cmap, _ENC_CANDIDATES[e.index(False)] if False in e else None))
+    return out
 
 
 def segment_of(w: WeylCoords, tol: float = 1e-8) -> Segment:
@@ -210,7 +216,7 @@ def classify(u, tol: float = UNITARY_TOL) -> ClassifierResult:
     ``u`` is validated once, with unitarity tolerance ``tol``.
     """
     u = as_unitary(u, 4, tol)
-    perm, cmap, enc_map = _frame_maps(u)
+    perm, cmap, enc_map = _frame_maps(u[None])[0]
     coords = weyl_coordinates(u, tol)
     return ClassifierResult(
         is_carrier=perm is not None,

@@ -29,13 +29,17 @@ from .schemes import (
 )
 from .su2 import (
     _IDENTITY_ENTRIES,
+    UNITARY_TOL,
     GateParams,
+    _check_shape,
     _conjugated_x_array,
     _gate_angles,
     _mul_entries,
     _normalize_angle_array,
     _params_entries,
     _params_from_unitary,
+    _unitarity_defect,
+    _unitary_error,
     _z_rot_entries,
     as_unitary,
     normalize_angle,
@@ -122,7 +126,11 @@ class Gate2:
 
     @_computed_once
     def effective_matrix(self) -> np.ndarray:
-        """The matrix in the fixed (qubit 0, qubit 1) basis; read-only, built once."""
+        """The matrix in the fixed (qubit 0, qubit 1) basis; read-only, built once.
+
+        A matrix that is not 4x4 raises the ``ValueError`` of ``as_unitary``.
+        """
+        _check_shape(self.matrix.shape, 4)
         if self.qubits == (0, 1):
             m = self.matrix.view()
         else:
@@ -588,35 +596,64 @@ _FrameMatrix = tuple[tuple[int, int], tuple[int, int]]
 def _gate2_rules(ir: CircuitIR, mode: PolicyMode) -> dict[int, tuple[str, _FrameMatrix]]:
     """The rule and frame matrix of every 2q op, keyed by op index.
 
-    Each distinct (qubits, matrix) is validated and classified once.  A gate
-    to which no rule of the policy applies raises :class:`IllegalPolicyError`.
+    The distinct gates (by qubits and the matrix's shape, dtype and bytes),
+    in op order, are stacked and then validated and classified in one
+    batched call each.  The earliest op
+    that fails raises: a matrix that is not 4x4, not finite or not unitary
+    with the ``ValueError`` of ``as_unitary``, and a gate to which no rule
+    of the policy applies with :class:`IllegalPolicyError`.
     """
-    table = _POLICY_RULES[mode]
-    rules: dict[int, tuple[str, _FrameMatrix]] = {}
-    seen: dict[tuple[tuple[int, int], bytes], tuple[str, _FrameMatrix]] = {}
+    rows: dict[tuple, int] = {}  # distinct gate -> stack row
+    firsts: list[int] = []  # op index of each row's first op
+    matrices: list[np.ndarray] = []
+    op_rows: list[tuple[int, int]] = []
+    shape_error = None
     for i, op in enumerate(ir.ops):
         if not isinstance(op, Gate2):
             continue
-        key = (op.qubits, op.matrix.tobytes())
-        rule = seen.get(key)
+        m = op.matrix
+        key = (op.qubits, m.shape, m.dtype, m.tobytes())
+        row = rows.get(key)
+        if row is None:
+            try:
+                matrix = op.effective_matrix
+            except ValueError as exc:
+                shape_error = exc
+                break
+            row = rows[key] = len(matrices)
+            matrices.append(matrix)
+            firsts.append(i)
+        op_rows.append((i, row))
+    n_valid, maps = len(matrices), []
+    if matrices:
+        stack = np.array(matrices, dtype=complex)
+        defects = _unitarity_defect(stack)
+        unitary = defects <= UNITARY_TOL
+        if not unitary.all():
+            n_valid = int(unitary.argmin())
+        maps = _frame_maps(stack[:n_valid])
+    table = _POLICY_RULES[mode]
+    rules = []
+    for row, (_, carry, enc_map) in enumerate(maps):
+        applicable = {"zero": ((0, 0), (0, 0))}
+        if carry is not None:
+            applicable["carry"] = carry.matrix
+        if enc_map is not None:
+            applicable["enc"] = ((enc_map[0], 0), (0, enc_map[1]))
+        rule = next(((r, applicable[r]) for r in table if r in applicable), None)
         if rule is None:
-            _, carry, enc_map = _frame_maps(as_unitary(op.effective_matrix, 4))
-            applicable = {"zero": ((0, 0), (0, 0))}
-            if carry is not None:
-                applicable["carry"] = carry.matrix
-            if enc_map is not None:
-                applicable["enc"] = ((enc_map[0], 0), (0, enc_map[1]))
-            rule = next(((r, applicable[r]) for r in table if r in applicable), None)
-            if rule is None:
-                needs = " or ".join(_RULE_NEEDS[r] for r in table)
-                raise IllegalPolicyError(
-                    f"policy {mode.value!r} needs {needs}, but {op.name} (op {i}) is not one",
-                    i,
-                    op.name,
-                )
-            seen[key] = rule
-        rules[i] = rule
-    return rules
+            i = firsts[row]
+            needs = " or ".join(_RULE_NEEDS[r] for r in table)
+            name = ir.ops[i].name
+            raise IllegalPolicyError(
+                f"policy {mode.value!r} needs {needs}, but {name} (op {i}) is not one", i, name
+            )
+        rules.append(rule)
+    if n_valid < len(matrices):
+        raise _unitary_error(float(defects[n_valid]), UNITARY_TOL)
+    if shape_error is not None:
+        raise shape_error
+    return {i: rules[row] for i, row in op_rows}
 
 
 def _frame_diagonal(f0: float, f1: float) -> np.ndarray:

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 input error, 2 policy/legality error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import circuit as circ
@@ -42,6 +43,17 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _tolerance_problem(tol: float) -> str | None:
+    """Why ``--tolerance`` cannot be used, or None.
+
+    A NaN tolerance would pass nothing (or, compared the other way,
+    everything), an infinite one everything, a negative one nothing.
+    """
+    if math.isfinite(tol) and tol >= 0.0:
+        return None
+    return f"--tolerance must be a finite non-negative number, got {tol!r}"
+
+
 def cmd_compile(args) -> int:
     try:
         text = _read_input(args.circuit)
@@ -68,6 +80,9 @@ def cmd_compile(args) -> int:
 
 def cmd_classify(args) -> int:
     spec = args.gate.upper()
+    problem = _tolerance_problem(args.tolerance)
+    if problem is not None:
+        return _fail(problem, EXIT_INPUT)
     try:
         entries = sys.stdin.read().split() if spec == "CUSTOM" else ()
         _, matrix = circ.parse_gate_spec(spec, entries)
@@ -114,6 +129,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    problem = _tolerance_problem(args.tolerance)
+    if problem is not None:
+        return _fail(problem, EXIT_INPUT)
     try:
         ir = circ.parse_circuit(_read_input(args.circuit))
         schedule = circ.parse_schedule(_read_input(args.schedule))

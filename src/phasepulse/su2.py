@@ -85,12 +85,17 @@ def _normalize_angle_array(x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _check_shape(shape: tuple[int, ...], dim: int | None = None) -> None:
+    """Raise the ``ValueError`` of :func:`as_unitary` for a matrix of the wrong shape."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    if dim is not None and shape != (dim, dim):
+        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {shape}")
+
+
 def _finite_matrix(m, dim: int | None = None) -> np.ndarray:
     a = np.array(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if dim is not None and a.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {a.shape}")
+    _check_shape(a.shape, dim)
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
@@ -98,36 +103,69 @@ def _finite_matrix(m, dim: int | None = None) -> np.ndarray:
 
 def unitarity_defect(m) -> float:
     """Max-norm of ``m^dag m - I``; ``inf`` for an entry above ``2**500``."""
-    return _unitarity_defect(_finite_matrix(m))
+    return float(_unitarity_defect(_finite_matrix(m)))
 
 
-def _unitarity_defect(a: np.ndarray) -> float:
-    """:func:`unitarity_defect` of a finite square array, with no overflow.
+def _unitarity_defect(a: np.ndarray) -> np.ndarray:
+    """:func:`unitarity_defect` of each matrix of a complex ``(..., d, d)`` stack.
 
-    A column's squared norm, a diagonal entry of ``a^dag a``, is at least its
-    largest entry squared, so an entry above ``2**500`` puts the defect above
-    ``2**1000``; it is reported as ``inf`` before the product could overflow.
-    Halving keeps ``abs()`` finite near 1e308.
+    A matrix with a non-finite entry gets ``nan``.  A column's squared norm,
+    a diagonal entry of ``a^dag a``, is at least its largest entry squared,
+    so an entry above ``2**500`` puts the defect above ``2**1000``; such a
+    matrix gets ``inf``.  Neither kind enters the product, so nothing
+    overflows and nothing warns.  Halving keeps ``abs()`` finite near
+    1e308; it halves the float components of a row-major copy (``np.array``
+    keeps a transposed input column-major), as a complex ``0.5 * inf``
+    would warn.
     """
-    if np.abs(0.5 * a).max() > 2.0**499:
-        return math.inf
-    return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
+    a = np.ascontiguousarray(a)
+    scale = np.abs((0.5 * a.view(float)).view(complex)).max(axis=(-2, -1))
+    small = scale <= 2.0**499  # False for nan and inf too
+    whole = small.all()
+    if not whole:
+        a = np.where(small[..., None, None], a, 0.0)
+    product = a.conj().swapaxes(-2, -1) @ a
+    defect = np.abs(product - np.eye(a.shape[-1])).max(axis=(-2, -1))
+    if whole:
+        return defect
+    return np.where(small, defect, np.where(np.isfinite(scale), math.inf, math.nan))
+
+
+def _unitary_error(defect: float, tol: float) -> ValueError | None:
+    """The error :func:`as_unitary` raises for a matrix of this defect, or None.
+
+    A NaN ``tol``, which no defect exceeds, or a negative one, which every
+    defect does, raises ``ValueError``.
+    """
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be a non-negative number, got {tol!r}")
+    if defect <= tol:
+        return None
+    if math.isnan(defect):
+        return ValueError("matrix has non-finite entries")
+    return ValueError(f"matrix is not unitary (defect {defect:.3g} > {tol:.3g})")
 
 
 def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
+    """True iff ``m`` is a finite square matrix of defect at most ``tol``.
+
+    A NaN or negative ``tol`` raises ``ValueError``.
+    """
     try:
-        as_unitary(m, tol=tol)
+        a = np.array(m, dtype=complex)
+        _check_shape(a.shape)
     except ValueError:
         return False
-    return True
+    return _unitary_error(float(_unitarity_defect(a)), tol) is None
 
 
 def as_unitary(m, dim: int | None = None, tol: float = UNITARY_TOL) -> np.ndarray:
     """Validate and return ``m`` as a complex128 unitary array."""
-    a = _finite_matrix(m, dim)
-    defect = _unitarity_defect(a)
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3g} > {tol:.3g})")
+    a = np.array(m, dtype=complex)
+    _check_shape(a.shape, dim)
+    error = _unitary_error(float(_unitarity_defect(a)), tol)
+    if error is not None:
+        raise error
     return a
 
 
@@ -425,12 +463,18 @@ def weyl_coordinates(u, tol: float = UNITARY_TOL) -> WeylCoords:
     Invariant under single-qubit rotations before/after ``u``: computed from
     the spectrum of ``m = v (YY v^T YY)`` with ``v`` the det-normalized gate
     (the eigenphases of ``m`` are local invariants), then canonicalized.
+    A loose ``tol`` can admit a singular ``u``, or one so far from unitary
+    that the spectrum is not finite: that raises ``ValueError``.
     """
     u = as_unitary(u, 4, tol)
-    det = complex(np.linalg.det(u))
-    v = u / det**0.25
-    m = v @ (_YY @ v.T @ _YY)
-    ang = np.angle(np.linalg.eigvals(m)) / PI  # in (-1, 1]
+    with np.errstate(all="ignore"):  # a non-finite result is reported below
+        det = complex(np.linalg.det(u))
+        v = u / det**0.25
+        m = v @ (_YY @ v.T @ _YY)
+        spectrum = np.linalg.eigvals(m) if np.isfinite(m).all() else m
+    if not np.isfinite(spectrum).all():
+        raise ValueError("matrix is singular or too far from unitary for Weyl coordinates")
+    ang = np.angle(spectrum) / PI  # in (-1, 1]
     ang = np.where(ang <= -0.5, ang + 2.0, ang)
     s = np.sort(ang / 2.0)[::-1]
     shift = int(round(float(s.sum())))

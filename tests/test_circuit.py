@@ -381,6 +381,21 @@ def test_effective_matrix_built_once_read_only(name, params):
     assert m.flags.writeable  # the gate's own matrix is left as it was
 
 
+@pytest.mark.parametrize("qubits", [(0, 1), (1, 0)])
+def test_wrong_shape_gate2_raises_the_same_error_in_both_qubit_orders(qubits):
+    ir = CircuitIR(2, (Gate2(qubits, "X", np.eye(2)),))
+    for run in (compile_circuit, ideal_unitary):
+        with pytest.raises(ValueError, match=r"^expected a 4x4 matrix, got shape \(2, 2\)$"):
+            run(ir)
+
+
+def test_wrong_shape_gate2_with_the_bytes_of_an_earlier_gate_is_checked():
+    eye = np.eye(4, dtype=complex)
+    ir = CircuitIR(2, (Gate2((0, 1), "A", eye), Gate2((0, 1), "B", eye.ravel())))
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(16,\)$"):
+        compile_circuit(ir)
+
+
 def test_reversed_qubit_order_gate():
     ir = parse_circuit("qubits 2\nG2 CNOT q1 q0\nM q0\nM q1\n")
     eff = ir.ops[0].effective_matrix
@@ -491,17 +506,19 @@ def test_schedule_mismatch_errors():
 
 def test_compile_validates_each_distinct_gate2_once(monkeypatch):
     # Compiler internals trust the matrices they build from validated
-    # GateParams: only the Gate2 check in _gate2_rules validates.
+    # GateParams: only _gate2_rules validates, one stack of the distinct
+    # Gate2 matrices per compile.  as_unitary goes through the same defect
+    # routine, so any other validation would be counted too.
     calls = []
-    original = su2.as_unitary
+    original = su2._unitarity_defect
 
-    def counting(m, *args, **kwargs):
-        calls.append(np.shape(m))
-        return original(m, *args, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("phasepulse") and vars(module).get("as_unitary") is original:
-            monkeypatch.setattr(module, "as_unitary", counting)
+        if name.startswith("phasepulse") and vars(module).get("_unitarity_defect") is original:
+            monkeypatch.setattr(module, "_unitarity_defect", counting)
     rng = np.random.default_rng(79)
     for mode, pool in (
         (PolicyMode.THREE_ALWAYS, ANY_POOL),
@@ -520,7 +537,7 @@ def test_compile_validates_each_distinct_gate2_once(monkeypatch):
         assert calls == []
         for circuit in (ir, merged):
             compile_circuit(circuit, CompilePolicy(mode))
-            assert calls == [(4, 4)] * len(distinct)
+            assert calls == [(len(distinct), 4, 4)]
             calls.clear()
 
 

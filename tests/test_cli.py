@@ -310,6 +310,7 @@ HUGE_ENTRIES = " ".join(["1e308,0"] * 16)  # their products overflow
 BAD_NUMBERS_STDIN = {
     "compile": f"qubits 2\nG2 CUSTOM q0 q1 {HUGE_ENTRIES}\n",
     "classify": HUGE_ENTRIES,
+    "verify": CIRCUIT,
 }
 
 
@@ -327,9 +328,23 @@ BAD_NUMBERS_STDIN = {
         ["pulsesim", "--area", "1e308", "--steps", "2"],
         ["compile", "-"],  # a CUSTOM gate of huge entries, from BAD_NUMBERS_STDIN
         ["classify", "CUSTOM"],
+        # a tolerance that is NaN, infinite or negative passes or fails everything
+        ["classify", "CUSTOM", "--tolerance", "nan"],
+        ["classify", "CUSTOM", "--tolerance", "inf"],
+        ["classify", "CZ", "--tolerance", "inf"],
+        ["classify", "CZ", "--tolerance=-1e-3"],
+        ["verify", "-", "SCHEDULE", "--tolerance", "nan"],  # CIRCUIT's correct schedule
+        ["verify", "-", "SCHEDULE", "--tolerance", "inf"],
+        ["verify", "-", "SCHEDULE", "--tolerance=-inf"],
+        ["verify", "-", "SCHEDULE", "--tolerance=-1e-3"],
     ],
 )
-def test_bad_numbers_exit_1_without_traceback(argv, monkeypatch, capsys):
+def test_bad_numbers_exit_1_without_traceback(argv, monkeypatch, capsys, circuit_file, tmp_path):
+    if "SCHEDULE" in argv:
+        schedule = str(tmp_path / "schedule.txt")
+        assert main(["compile", circuit_file, "-o", schedule]) == 0
+        capsys.readouterr()
+        argv = [schedule if a == "SCHEDULE" else a for a in argv]
     monkeypatch.setattr("sys.stdin", io.StringIO(BAD_NUMBERS_STDIN.get(argv[0], "")))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numeric warning is not a clean error either

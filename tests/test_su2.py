@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, makhlin_from_weyl, makhlin_invariants, random_gate_params
+from phasepulse.carrier import classify
+from phasepulse.schemes import special_case
 from phasepulse.su2 import (
     GateParams,
     _normalize_angle_array,
+    _unitarity_defect,
     Quaternion,
     as_unitary,
     equal_up_to_global_phase,
@@ -67,6 +70,54 @@ def test_huge_entries_are_not_unitary_without_overflow(big):
 def test_unitarity_defect_of_huge_entries_is_inf_without_overflow(big):
     # tier-1 turns numpy's overflow RuntimeWarning into an error
     assert unitarity_defect(np.full((4, 4), big)) == math.inf
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
+def test_unusable_tolerance_is_rejected(tol):
+    # a NaN tolerance would pass every matrix (defect > nan is False), a
+    # negative one would fail every one
+    with pytest.raises(ValueError, match="tolerance"):
+        as_unitary(np.ones((4, 4)), 4, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        is_unitary(np.ones((2, 2)), tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        is_unitary(np.eye(2), tol=tol)
+
+
+def test_unitarity_defect_of_a_stack_is_each_matrix_defect():
+    # tier-1 turns numpy's RuntimeWarnings into errors
+    rng = np.random.default_rng(12)
+    stack = np.array([
+        haar_unitary(4, rng),
+        np.full((4, 4), 1e308),
+        np.full((4, 4), math.nan),
+        np.full((4, 4), complex(math.inf, math.nan)),
+        np.diag([1.0, 1.0, 1.0, -1j * math.inf]),
+        np.diag([2.0**400, 1.0, 1.0, 1.0]),
+        np.full((4, 4), 1.7e308 + 1.7e308j),
+        2.0 * haar_unitary(4, rng),
+    ])
+    got = _unitarity_defect(stack)
+    assert got.shape == (len(stack),)
+    assert np.isnan(got[[2, 3, 4]]).all()
+    assert got[1] == got[6] == math.inf
+    for i in (0, 5, 7):
+        assert got[i] == unitarity_defect(stack[i])
+    assert _unitarity_defect(stack.reshape(2, 4, 4, 4)).tobytes() == got.tobytes()
+
+
+def test_transposed_matrices_are_validated_like_their_copies():
+    # np.array keeps a transposed input column-major
+    rng = np.random.default_rng(14)
+    u4, u2 = haar_unitary(4, rng), haar_unitary(2, rng)
+    for m in (u4.T, u4.conj().T, np.eye(4).T, u2.conj().T):
+        assert is_unitary(m)
+        assert unitarity_defect(m) == unitarity_defect(m.copy())
+        assert np.array_equal(as_unitary(m), m)
+    assert params_from_unitary(u2.conj().T) == params_from_unitary(u2.conj().T.copy())
+    assert special_case(u2.T) == special_case(u2.T.copy())
+    cnot = standard_gate("CNOT")
+    assert vars(classify(cnot.T)) == vars(classify(cnot.T.copy()))
 
 
 def test_unitarity_defect_is_exact_below_the_overflow_guard():
