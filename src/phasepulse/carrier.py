@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .su2 import UNITARY_TOL, WeylCoords, as_unitary, weyl_coordinates, z_rot
+from .su2 import UNITARY_TOL, WeylCoords, _weyl_coordinates, as_unitary, z_rot
 
 # Entries below ENTRY_ZERO_TOL count as structural zeros; permutation pivots
 # must exceed 1 - PERMUTATION_TOL in magnitude, and every other entry of
@@ -217,7 +217,7 @@ def classify(u, tol: float = UNITARY_TOL) -> ClassifierResult:
     """
     u = as_unitary(u, 4, tol)
     perm, cmap, enc_map = _frame_maps(u[None])[0]
-    coords = weyl_coordinates(u, tol)
+    coords = _weyl_coordinates(u)
     return ClassifierResult(
         is_carrier=perm is not None,
         permutation=perm,

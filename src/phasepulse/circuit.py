@@ -31,6 +31,7 @@ from .su2 import (
     _IDENTITY_ENTRIES,
     UNITARY_TOL,
     GateParams,
+    _angle_entries,
     _check_shape,
     _conjugated_x_array,
     _gate_angles,
@@ -78,9 +79,8 @@ class ScheduleMismatchError(CircuitError):
 
 class _computed_once:
     """``functools.cached_property`` minus the lock Python 3.11 takes on every
-    first read, which costs about as much as computing a gate's entries.  The
-    value is stored on the instance under the function's name, so later
-    reads do not reach this descriptor.
+    first read.  The value is stored on the instance under the function's
+    name, so later reads do not reach this descriptor.
     """
 
     def __init__(self, func):
@@ -103,17 +103,19 @@ class Gate1:
     def from_matrix(cls, qubit: int, matrix) -> "Gate1":
         return cls(qubit, params_from_unitary(matrix)[0])
 
-    @_computed_once
-    def entries(self) -> tuple[complex, ...]:
-        """Row-major entries of the gate's 2x2 unitary, computed once."""
-        return _params_entries(self.params)
-
     def matrix(self) -> np.ndarray:
         return unitary_from_params(self.params)
 
 
 # Basis order |00>, |01>, |10>, |11> with the two qubits' bits exchanged.
 _SWAPPED_BASIS = np.array([0, 2, 1, 3])
+
+
+def _in_fixed_basis(matrix: np.ndarray, qubits: tuple[int, int]) -> np.ndarray:
+    """A 4x4 named on ``qubits`` in the (qubit 0, qubit 1) basis, and back."""
+    if qubits == (0, 1):
+        return matrix.view()
+    return matrix.take(_SWAPPED_BASIS, 0).take(_SWAPPED_BASIS, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,10 +133,7 @@ class Gate2:
         A matrix that is not 4x4 raises the ``ValueError`` of ``as_unitary``.
         """
         _check_shape(self.matrix.shape, 4)
-        if self.qubits == (0, 1):
-            m = self.matrix.view()
-        else:
-            m = self.matrix.take(_SWAPPED_BASIS, 0).take(_SWAPPED_BASIS, 1)
+        m = _in_fixed_basis(self.matrix, self.qubits)
         m.setflags(write=False)
         return m
 
@@ -146,38 +145,173 @@ class Measure:
 
 Op = Gate1 | Gate2 | Measure
 
+# Row kinds.  CircuitIR.kind holds GATE1, GATE2 or MEASURE and
+# PulseSchedule.kind PULSE, GATE2 or FRAME; a 2q gate is GATE2 in both.
+GATE1 = PULSE = 0
+GATE2 = 1
+MEASURE = FRAME = 2
 
-@dataclass(frozen=True)
+
+# A table row of distinct 2q gates: label, matrix in the fixed basis, qubits.
+_Gate2Row = tuple[str, np.ndarray, tuple[int, int]]
+
+
+def _check_ops(n_qubits: int, kinds: list[int], q0s: list[int], q1s: list[int],
+               gates: list[_Gate2Row]) -> None:
+    """Raise :class:`CircuitError` at the first op that names a qubit out of
+    range or already measured, checking its qubits in order, or that is a
+    2q gate on one qubit twice.
+
+    A circuit passes at once if its qubits, and the 2q table's, are in
+    range, the table's pairs are distinct and its measurements come last,
+    each of another qubit; any other is checked op by op.
+    """
+    if n_qubits != 2:
+        raise CircuitError(f"this compiler handles exactly 2 qubits, got {n_qubits}")
+    first = kinds.index(MEASURE) if MEASURE in kinds else len(kinds)
+    tail = q0s[first:]
+    if (
+        min(q0s, default=0) >= 0 and max(q0s, default=0) < n_qubits
+        and all(0 <= qb < n_qubits and qa != qb for _, _, (qa, qb) in gates)
+        and kinds.count(MEASURE) == len(tail) == len(set(tail))
+    ):
+        return
+    measured: set[int] = set()
+    for i, (k, q0, q1) in enumerate(zip(kinds, q0s, q1s)):
+        for q in (q0, q1) if k == GATE2 else (q0,):
+            if not 0 <= q < n_qubits:
+                raise CircuitError(f"op {i}: qubit index {q} out of range", i)
+            if q in measured:
+                raise CircuitError(f"op {i}: qubit {q} already measured", i)
+        if k == GATE2 and q0 == q1:
+            raise CircuitError(f"op {i}: two-qubit gate needs distinct qubits", i)
+        if k == MEASURE:
+            measured.add(q0)
+
+
 class CircuitIR:
-    n_qubits: int
-    ops: tuple[Op, ...]
+    """A two-qubit circuit as columns, one row per op in order.
 
-    def __post_init__(self):
-        if self.n_qubits != 2:
-            raise CircuitError(f"this compiler handles exactly 2 qubits, got {self.n_qubits}")
-        measured: set[int] = set()
-        for i, op in enumerate(self.ops):
-            qubits = op.qubits if isinstance(op, Gate2) else (op.qubit,)
-            for q in qubits:
-                if not 0 <= q < self.n_qubits:
-                    raise CircuitError(f"op {i}: qubit index {q} out of range", i)
-                if q in measured:
-                    raise CircuitError(f"op {i}: qubit {q} already measured", i)
-            if isinstance(op, Gate2) and op.qubits[0] == op.qubits[1]:
-                raise CircuitError(f"op {i}: two-qubit gate needs distinct qubits", i)
-            if isinstance(op, Measure):
-                measured.add(op.qubit)
+    ``kind[i]`` is GATE1, GATE2 or MEASURE.  ``qubits[i]`` holds the op's
+    qubit, and for a GATE2 its second qubit in the order named (else 0).
+    ``angles[i]`` is a 1q gate's ``(alpha, beta, gamma)`` as
+    :class:`GateParams` keeps them, and ``entries[i]`` the row-major entries
+    of its 2x2, bit for bit those of ``_params_entries`` (else zeros and
+    None).  ``gate2_row[i]`` is a GATE2's row of the table of distinct 2q
+    gates (else -1): ``gate2_matrices[row]`` is the gate's read-only matrix
+    in the fixed (qubit 0, qubit 1) basis and ``gate2_labels[row]`` its
+    name.  ``lines[i]`` is the op's source line, for a parsed circuit.
+
+    ``CircuitIR(2, ops)`` builds the columns from :class:`Gate1`,
+    :class:`Gate2` and :class:`Measure` objects, with one table row per
+    distinct gate (qubits, name and matrix), and :attr:`ops` shows the rows
+    as such objects, built on first read.  Both ways share the checks of
+    :func:`_check_ops`.  A gate of ``ops`` whose matrix is not 4x4 is kept,
+    and its ``ValueError`` raised when the table is read.
+    """
+
+    n_qubits: int
+    kind: np.ndarray
+    qubits: np.ndarray
+    angles: np.ndarray
+    entries: list[tuple[complex, ...] | None]
+    gate2_row: np.ndarray
+    gate2_matrices: np.ndarray
+    gate2_labels: tuple[str, ...]
+    lines: list[int] | None
+
+    def __init__(self, n_qubits: int, ops: Sequence[Op]):
+        ops = tuple(ops)
+        kinds: list[int] = []
+        q0s: list[int] = []
+        q1s: list[int] = []
+        angles = np.zeros((len(ops), 3))
+        entries: list[tuple[complex, ...] | None] = [None] * len(ops)
+        gate2_rows = [-1] * len(ops)
+        seen: dict[tuple, int] = {}  # distinct gate -> table row
+        gates: list[_Gate2Row] = []
+        error = None
+        for i, op in enumerate(ops):
+            if isinstance(op, Gate1):
+                kinds.append(GATE1)
+                q0s.append(op.qubit)
+                q1s.append(0)
+                p = op.params
+                angles[i] = p.alpha, p.beta, p.gamma
+                entries[i] = _params_entries(p)
+            elif isinstance(op, Gate2):
+                kinds.append(GATE2)
+                q0s.append(op.qubits[0])
+                q1s.append(op.qubits[1])
+                m = op.matrix
+                key = (op.qubits, op.name, m.shape, m.dtype, m.tobytes())
+                if key not in seen:
+                    seen[key] = len(gates)
+                    try:
+                        matrix = op.effective_matrix
+                    except ValueError as exc:
+                        error = error or (len(gates), exc)
+                        matrix = np.zeros((4, 4))
+                    gates.append((op.name, matrix, op.qubits))
+                gate2_rows[i] = seen[key]
+            else:
+                kinds.append(MEASURE)
+                q0s.append(op.qubit)
+                q1s.append(0)
+        self._fill(n_qubits, kinds, q0s, q1s, angles, entries, gate2_rows, gates, None, error)
+        self.__dict__["ops"] = ops
+
+    def _fill(self, n_qubits: int, kinds: list[int], q0s: list[int], q1s: list[int],
+              angles: np.ndarray, entries: list, gate2_rows: list[int], gates: list[_Gate2Row],
+              lines: list[int] | None, gate2_error: tuple[int, ValueError] | None = None) -> None:
+        """Check the ops (:func:`_check_ops`) and store them as columns."""
+        _check_ops(n_qubits, kinds, q0s, q1s, gates)
+        self.n_qubits = n_qubits
+        self.kind = np.array(kinds, dtype=np.int8)
+        self.qubits = np.array((q0s, q1s), dtype=np.int8).T
+        self.angles = angles
+        self.entries = entries
+        self.gate2_row = np.array(gate2_rows, dtype=np.intp)
+        self.gate2_matrices = np.array([m for _, m, _ in gates], dtype=complex).reshape(-1, 4, 4)
+        self.gate2_matrices.setflags(write=False)
+        self.gate2_labels = tuple(label for label, _, _ in gates)
+        self.lines = lines
+        self._gate2_error = gate2_error  # a hand-built gate's shape error, and its table row
+
+    @_computed_once
+    def ops(self) -> tuple[Op, ...]:
+        """The rows as :class:`Gate1`, :class:`Gate2` and :class:`Measure` objects."""
+        gates: dict[int, Gate2] = {}
+        ops: list[Op] = []
+        for k, (q, q2), (a, b, g), row in zip(
+            self.kind.tolist(), self.qubits.tolist(), self.angles.tolist(), self.gate2_row.tolist()
+        ):
+            if k == GATE1:
+                ops.append(Gate1(q, GateParams(a, b, g)))
+            elif k == GATE2:
+                if row not in gates:
+                    matrix = _in_fixed_basis(self.gate2_matrices[row], (q, q2)).copy()
+                    gates[row] = Gate2((q, q2), self.gate2_labels[row], matrix)
+                ops.append(gates[row])
+            else:
+                ops.append(Measure(q))
+        return tuple(ops)
 
     def gate2_ops(self) -> list[Gate2]:
         return [op for op in self.ops if isinstance(op, Gate2)]
+
+    def _gate2_sequence(self) -> np.ndarray:
+        """The ``(m, 4, 4)`` matrices of the 2q gates in op order, in the fixed basis."""
+        if self._gate2_error is not None:
+            raise self._gate2_error[1]
+        return self.gate2_matrices[self.gate2_row[self.kind == GATE2]]
 
 
 _QUBIT_RE = re.compile(r"^q(\d+)$")
 _PARAM_GATE_RE = re.compile(r"^([A-Z]+)\((.*)\)$")
 _FIXED_GATE2 = ("CZ", "CNOT", "SWAP", "ISWAP", "SQISW")
 
-_X90_PARAMS = GateParams(0.0, -PI / 2, PI / 4)
-_X180_PARAMS = GateParams(0.0, -PI / 2, PI / 2)
+_X_GAMMA = {"90": PI / 4, "180": PI / 2}  # X90 and X180 are U(0, -pi/2, gamma)
 
 
 def _parse_float(tok: str) -> float:
@@ -239,40 +373,74 @@ def parse_gate_spec(spec: str, entries: Sequence[str] = ()) -> tuple[str, np.nda
     return f"{name}({','.join(map(_format_angle, args))})", standard_gate(name, *args)
 
 
-def _parse_op(tokens: list[str], n_qubits: int) -> Op:
+# An op as parse_circuit collects it: kind, qubit, second qubit, the raw 1q
+# angles, and for a 2q gate its table key (the spec text and qubits), label
+# and matrix in the order named.
+_OpRow = tuple[int, int, int, float, float, float, tuple[str, str, np.ndarray] | None]
+
+
+def _parse_op(tokens: list[str], n_qubits: int) -> _OpRow:
+    """Check an op line token by token; the first failing check words the error."""
     head = tokens[0]
     if head == "U":
         if len(tokens) != 5:
             raise CircuitError("usage: U q<i> <alpha> <beta> <gamma>")
         q = _parse_qubit(tokens[1], n_qubits)
         a, b, g = (_parse_float(t) for t in tokens[2:5])
-        return Gate1(q, GateParams(a, b, g))
+        GateParams(a, b, g)  # checks the range of gamma
+        return GATE1, q, 0, a, b, g, None
     if head == "RZ":
         if len(tokens) != 3:
             raise CircuitError("usage: RZ q<i> <theta>")
         q = _parse_qubit(tokens[1], n_qubits)
-        return Gate1(q, GateParams(-0.5 * _parse_float(tokens[2]), 0.0, 0.0))
-    if head == "X90":
+        return GATE1, q, 0, -0.5 * _parse_float(tokens[2]), 0.0, 0.0, None
+    if head in ("X90", "X180"):
         if len(tokens) != 2:
-            raise CircuitError("usage: X90 q<i>")
-        return Gate1(_parse_qubit(tokens[1], n_qubits), _X90_PARAMS)
-    if head == "X180":
-        if len(tokens) != 2:
-            raise CircuitError("usage: X180 q<i>")
-        return Gate1(_parse_qubit(tokens[1], n_qubits), _X180_PARAMS)
+            raise CircuitError(f"usage: {head} q<i>")
+        return GATE1, _parse_qubit(tokens[1], n_qubits), 0, 0.0, -PI / 2, _X_GAMMA[head[1:]], None
     if head == "G2":
         if len(tokens) < 4:
             raise CircuitError("usage: G2 <gate> q<i> q<j> [16 're,im' pairs for CUSTOM]")
         label, matrix = parse_gate_spec(tokens[1], tokens[4:])
         if label == "CUSTOM":
             matrix = as_unitary(matrix, 4, tol=1e-8)
-        qubits = (_parse_qubit(tokens[2], n_qubits), _parse_qubit(tokens[3], n_qubits))
-        return Gate2(qubits, label, matrix)
+        qa, qb = _parse_qubit(tokens[2], n_qubits), _parse_qubit(tokens[3], n_qubits)
+        return GATE2, qa, qb, 0.0, 0.0, 0.0, (" ".join(tokens[1:]), label, matrix)
     if head == "M":
         if len(tokens) != 2:
             raise CircuitError("usage: M q<i>")
-        return Measure(_parse_qubit(tokens[1], n_qubits))
+        return MEASURE, _parse_qubit(tokens[1], n_qubits), 0, 0.0, 0.0, 0.0, None
     raise CircuitError(f"unknown op {head!r}")
+
+
+def _parse_header(tokens: list[str], n_qubits: int | None) -> int:
+    if n_qubits is not None:
+        raise CircuitError("duplicate 'qubits' header")
+    if len(tokens) != 2:
+        raise CircuitError("usage: qubits 2")
+    try:
+        n_qubits = int(tokens[1])
+    except ValueError:
+        raise CircuitError(f"expected an integer, got {tokens[1]!r}") from None
+    if n_qubits != 2:
+        raise CircuitError("this compiler handles exactly 2 qubits")
+    return n_qubits
+
+
+# An op line as written in the format: U in groups 1-4, RZ 5-6, X90 or X180
+# 7-8, M 17, and a G2's table key, spec and qubits in 9-12, or a CUSTOM's key,
+# qubits and entries in 13-16.  Which one matched is the match's lastindex.
+_NUMBER = r"([-+.0-9e]+)"
+_OP_LINE_RE = re.compile(
+    rf"U q([01]) {_NUMBER} {_NUMBER} {_NUMBER}"
+    rf"|RZ q([01]) {_NUMBER}"
+    r"|X(90|180) q([01])"
+    r"|G2 ((CZ|CNOT|SWAP|ISWAP|SQISW|CPHASE\([-+.0-9e]+\)|FSIM\([-+.0-9e]+,[-+.0-9e]+\))"
+    r" q([01]) q([01]))"
+    r"|G2 (CUSTOM q([01]) q([01]) ((?:[-+.0-9e]+,[-+.0-9e]+ ){15}[-+.0-9e]+,[-+.0-9e]+))"
+    r"|M q([01])"
+)
+_U, _RZ, _X, _G2, _M = 4, 6, 8, 9, 17
 
 
 def parse_circuit(text: str) -> CircuitIR:
@@ -280,42 +448,135 @@ def parse_circuit(text: str) -> CircuitIR:
 
     One op per line; ``#`` starts a comment; the first op line must be
     preceded by a ``qubits 2`` header.  All angles are radians.  Every
-    error, including an illegal circuit found by :class:`CircuitIR`, is a
+    error, including an illegal circuit found by :func:`_check_ops`, is a
     :class:`CircuitSyntaxError` at the offending line.
+
+    A line as the format writes it takes one regex match; any other line is
+    checked token by token (:func:`_parse_op`).  The matched lines' numbers
+    are checked after the loop, over the whole circuit at once: finite
+    angles, ``gamma`` in range, and CUSTOM gates unitary within 1e-8 in one
+    stacked defect call.  The first bad line, found either way, is read by
+    :func:`_parse_op` again, which words its error.  The 2q gates go into a
+    table keyed by their spec text and qubits.
     """
+    lines = text.splitlines()
+    rows: list = []  # kind, qubit, second qubit, alpha, beta, gamma, table row, line: per op
+    table: dict[str, int] = {}
+    gates: list[tuple[str, np.ndarray, tuple[int, int]]] = []  # label, matrix as named, qubits
     n_qubits: int | None = None
-    ops: list[Op] = []
-    op_lines: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    error: CircuitSyntaxError | None = None
+    match = _OP_LINE_RE.fullmatch
+    for line_no, raw in enumerate(lines, start=1):
+        m = match(raw) if n_qubits else None
+        if m is not None:
+            last = m.lastindex
+            try:
+                if last == _U:
+                    q, a, b, g = m.group(1, 2, 3, 4)
+                    rows += GATE1, int(q), 0, float(a), float(b), float(g), -1, line_no
+                elif last == _RZ:
+                    q, theta = m.group(5, 6)
+                    rows += GATE1, int(q), 0, -0.5 * float(theta), 0.0, 0.0, -1, line_no
+                elif last == _X:
+                    x, q = m.group(7, 8)
+                    rows += GATE1, int(q), 0, 0.0, -PI / 2, _X_GAMMA[x], -1, line_no
+                elif last == _M:
+                    rows += MEASURE, int(m.group(17)), 0, 0.0, 0.0, 0.0, -1, line_no
+                else:
+                    key, qa, qb = m.group(9, 11, 12) if last == _G2 else m.group(13, 14, 15)
+                    qa, qb = int(qa), int(qb)
+                    row = table.get(key)
+                    if row is None:
+                        if last == _G2:
+                            label, matrix = parse_gate_spec(m.group(10))
+                        else:  # the entries' finiteness is checked with their unitarity
+                            values = np.array(list(map(float, m.group(16).replace(",", " ").split())))
+                            label, matrix = "CUSTOM", values.view(complex).reshape(4, 4)
+                        row = table[key] = len(gates)
+                        gates.append((label, matrix, (qa, qb)))
+                    rows += GATE2, qa, qb, 0.0, 0.0, 0.0, row, line_no
+                continue
+            except ValueError:
+                pass  # not a number or not a gate: the token checks word the error
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "qubits":
-            if n_qubits is not None:
-                raise CircuitSyntaxError("duplicate 'qubits' header", line_no)
-            if len(tokens) != 2:
-                raise CircuitSyntaxError("usage: qubits 2", line_no)
-            try:
-                n_qubits = int(tokens[1])
-            except ValueError:
-                raise CircuitSyntaxError(f"expected an integer, got {tokens[1]!r}", line_no) from None
-            if n_qubits != 2:
-                raise CircuitSyntaxError("this compiler handles exactly 2 qubits", line_no)
-            continue
-        if n_qubits is None:
-            raise CircuitSyntaxError("first statement must be 'qubits 2'", line_no)
         try:
-            ops.append(_parse_op(tokens, n_qubits))
+            if tokens[0] == "qubits":
+                n_qubits = _parse_header(tokens, n_qubits)
+                continue
+            if n_qubits is None:
+                raise CircuitError("first statement must be 'qubits 2'")
+            kind, q, q2, a, b, g, gate2 = _parse_op(tokens, n_qubits)
+        except ValueError as exc:
+            error = CircuitSyntaxError(str(exc), line_no)
+            break
+        row = -1
+        if gate2 is not None:
+            key, label, matrix = gate2
+            row = table.get(key)
+            if row is None:
+                row = table[key] = len(gates)
+                gates.append((label, matrix, (q, q2)))
+        rows += kind, q, q2, a, b, g, row, line_no
+
+    bad = _first_unchecked_error(rows, gates)
+    if bad is not None:
+        line_no = rows[8 * bad + 7]
+        try:
+            _parse_op(lines[line_no - 1].split("#", 1)[0].split(), 2)
         except ValueError as exc:
             raise CircuitSyntaxError(str(exc), line_no) from None
-        op_lines.append(line_no)
+        raise AssertionError(f"line {line_no} fails a check that its tokens pass")
+    if error is not None:
+        raise error
     if n_qubits is None:
         raise CircuitSyntaxError("missing 'qubits 2' header", 1)
+
+    kinds = rows[0::8]
+    alpha_beta = _normalize_angle_array(np.array((rows[3::8], rows[4::8]), dtype=float))
+    gamma = rows[5::8]
+    if min(gamma, default=0.0) < 0.0 or max(gamma, default=0.0) > PI / 2:
+        gamma = [min(max(g, 0.0), PI / 2) for g in gamma]  # as GateParams clips it
+    entries = [
+        _angle_entries(a, b, g) if k == GATE1 else None
+        for k, a, b, g in zip(kinds, *alpha_beta.tolist(), gamma)
+    ]
+    ir = CircuitIR.__new__(CircuitIR)
     try:
-        return CircuitIR(n_qubits, tuple(ops))
+        ir._fill(
+            n_qubits, kinds, rows[1::8], rows[2::8],
+            np.concatenate((alpha_beta, [gamma])).T, entries, rows[6::8],
+            [(label, _in_fixed_basis(matrix, qubits), qubits) for label, matrix, qubits in gates],
+            rows[7::8],
+        )
     except CircuitError as exc:
-        raise CircuitSyntaxError(str(exc), op_lines[exc.op_index]) from None
+        raise CircuitSyntaxError(str(exc), rows[8 * exc.op_index + 7]) from None
+    return ir
+
+
+def _first_unchecked_error(rows: list, gates: list) -> int | None:
+    """The first op of :func:`parse_circuit`'s rows that fails a check the
+    match path leaves to the whole circuit, or None.
+
+    The checks: finite angles, ``gamma`` within 1e-9 of ``[0, pi/2]``, and
+    CUSTOM gates within 1e-8 of unitary, in one stacked defect call.  A sum,
+    a min and a max over the angle columns clear most circuits at once.
+    """
+    alpha, beta, gamma = rows[3::8], rows[4::8], rows[5::8]
+    bad = []
+    if not (isfinite(sum(alpha) + sum(beta) + sum(gamma))
+            and min(gamma, default=0.0) >= -1e-9 and max(gamma, default=0.0) <= PI / 2 + 1e-9):
+        a = np.array((alpha, beta, gamma), dtype=float)
+        out = ~np.isfinite(a).all(axis=0) | (a[2] < -1e-9) | (a[2] > PI / 2 + 1e-9)
+        bad += np.flatnonzero(out)[:1].tolist()
+    custom = [row for row, (label, _, _) in enumerate(gates) if label == "CUSTOM"]
+    if custom:
+        unitary = _unitarity_defect(np.array([gates[row][1] for row in custom])) <= 1e-8
+        if not unitary.all():
+            bad.append(rows[6::8].index(custom[int(unitary.argmin())]))
+    return min(bad, default=None)
 
 
 def merge_adjacent_1q(ir: CircuitIR) -> CircuitIR:
@@ -330,7 +591,7 @@ def merge_adjacent_1q(ir: CircuitIR) -> CircuitIR:
         if isinstance(op, Gate1):
             idx = open_idx[op.qubit]
             if idx is not None:
-                combined = _mul_entries(op.entries, out[idx].entries)
+                combined = _mul_entries(_params_entries(op.params), _params_entries(out[idx].params))
                 out[idx] = Gate1(op.qubit, _params_from_unitary(combined)[0])
             else:
                 open_idx[op.qubit] = len(out)
@@ -377,9 +638,6 @@ class FrameEvent:
 
 
 Event = PulseEvent | Gate2Event | FrameEvent
-
-# Event kinds, the codes of PulseSchedule.kind.
-PULSE, GATE2, FRAME = 0, 1, 2
 
 _SCHEME_KEYS = ("vz", "three", "four", "two", "special")
 
@@ -508,7 +766,6 @@ class PulseSchedule:
 
 # A line as PulseSchedule.to_text writes it.  Groups 1-3 are a PULSE's qubit,
 # sigma and phase, 4-6 a GATE2's name and qubits, 7-8 a FRAME's qubit and z.
-_NUMBER = r"([-+.0-9e]+)"
 _EVENT_LINE_RE = re.compile(
     rf"PULSE q([01]) sigma={_NUMBER} phase={_NUMBER}"
     r"|GATE2 ([-+.,()0-9A-Za-z]+) q([01]) q([01])"
@@ -596,42 +853,23 @@ _FrameMatrix = tuple[tuple[int, int], tuple[int, int]]
 def _gate2_rules(ir: CircuitIR, mode: PolicyMode) -> dict[int, tuple[str, _FrameMatrix]]:
     """The rule and frame matrix of every 2q op, keyed by op index.
 
-    The distinct gates (by qubits and the matrix's shape, dtype and bytes),
-    in op order, are stacked and then validated and classified in one
-    batched call each.  The earliest op
-    that fails raises: a matrix that is not 4x4, not finite or not unitary
-    with the ``ValueError`` of ``as_unitary``, and a gate to which no rule
-    of the policy applies with :class:`IllegalPolicyError`.
+    The circuit's table of distinct 2q gates is validated and classified in
+    one batched call each.  The earliest op that fails raises: a matrix
+    that is not 4x4, not finite or not unitary with the ``ValueError`` of
+    ``as_unitary``, and a gate to which no rule of the policy applies with
+    :class:`IllegalPolicyError`.
     """
-    rows: dict[tuple, int] = {}  # distinct gate -> stack row
-    firsts: list[int] = []  # op index of each row's first op
-    matrices: list[np.ndarray] = []
-    op_rows: list[tuple[int, int]] = []
-    shape_error = None
-    for i, op in enumerate(ir.ops):
-        if not isinstance(op, Gate2):
-            continue
-        m = op.matrix
-        key = (op.qubits, m.shape, m.dtype, m.tobytes())
-        row = rows.get(key)
-        if row is None:
-            try:
-                matrix = op.effective_matrix
-            except ValueError as exc:
-                shape_error = exc
-                break
-            row = rows[key] = len(matrices)
-            matrices.append(matrix)
-            firsts.append(i)
-        op_rows.append((i, row))
-    n_valid, maps = len(matrices), []
-    if matrices:
-        stack = np.array(matrices, dtype=complex)
-        defects = _unitarity_defect(stack)
+    stack = ir.gate2_matrices
+    n_rows = len(stack) if ir._gate2_error is None else ir._gate2_error[0]
+    n_valid, maps = n_rows, []
+    if n_rows:
+        defects = _unitarity_defect(stack[:n_rows])
         unitary = defects <= UNITARY_TOL
         if not unitary.all():
             n_valid = int(unitary.argmin())
         maps = _frame_maps(stack[:n_valid])
+    ops = np.flatnonzero(ir.kind == GATE2)
+    op_rows = ir.gate2_row[ops]
     table = _POLICY_RULES[mode]
     rules = []
     for row, (_, carry, enc_map) in enumerate(maps):
@@ -642,18 +880,18 @@ def _gate2_rules(ir: CircuitIR, mode: PolicyMode) -> dict[int, tuple[str, _Frame
             applicable["enc"] = ((enc_map[0], 0), (0, enc_map[1]))
         rule = next(((r, applicable[r]) for r in table if r in applicable), None)
         if rule is None:
-            i = firsts[row]
+            i = int(ops[op_rows == row][0])
             needs = " or ".join(_RULE_NEEDS[r] for r in table)
-            name = ir.ops[i].name
+            name = ir.gate2_labels[row]
             raise IllegalPolicyError(
                 f"policy {mode.value!r} needs {needs}, but {name} (op {i}) is not one", i, name
             )
         rules.append(rule)
-    if n_valid < len(matrices):
+    if n_valid < n_rows:
         raise _unitary_error(float(defects[n_valid]), UNITARY_TOL)
-    if shape_error is not None:
-        raise shape_error
-    return {i: rules[row] for i, row in op_rows}
+    if ir._gate2_error is not None:
+        raise ir._gate2_error[1]
+    return {i: rules[row] for i, row in zip(ops.tolist(), op_rows.tolist())}
 
 
 def _frame_diagonal(f0: float, f1: float) -> np.ndarray:
@@ -711,48 +949,43 @@ def _pairwise_rounds(runs: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return runs
 
 
-def _chain_unitaries(factors: np.ndarray, keys: np.ndarray, gate2_ops: list[Gate2],
+def _chain_unitaries(factors: np.ndarray, keys: np.ndarray, gates: np.ndarray,
                      n_chains: int) -> np.ndarray:
-    """Two-qubit unitaries of ``n_chains`` chains that share the 2q gates ``gate2_ops``.
+    """Two-qubit unitaries of ``n_chains`` chains that share the 2q gates ``gates``.
 
-    The ``n`` gates split each chain into ``n + 1`` segments.  ``factors``
-    are the chains' 1q 2x2s, and ``keys[i] = (chain * (n + 1) + segment) * 2
-    + qubit``.  1q factors on different qubits commute, so each segment is
-    the broadcast outer product of its two per-qubit products
-    (:func:`_tree_product`).  Each chain alternates its ``2n + 1`` segments
-    and gates, padded with identities to a power of two, and is reduced by
-    the same :func:`_pairwise_rounds`.
+    The ``n`` gates, a ``(n, 4, 4)`` stack, split each chain into ``n + 1``
+    segments.  ``factors`` are the chains' 1q 2x2s, and ``keys[i] = (chain *
+    (n + 1) + segment) * 2 + qubit``.  1q factors on different qubits
+    commute, so each segment is the broadcast outer product of its two
+    per-qubit products (:func:`_tree_product`).  Each chain alternates its
+    ``2n + 1`` segments and gates, padded with identities to a power of two,
+    and is reduced by the same :func:`_pairwise_rounds`.
     """
-    n_seg = len(gate2_ops) + 1
+    n_seg = len(gates) + 1
     local = _tree_product(factors, keys, n_chains * n_seg * 2)
     local = local.reshape(n_chains, n_seg, 2, 2, 2)
     segments = local[:, :, 0, :, None, :, None] * local[:, :, 1, None, :, None, :]
     width = 1 << (2 * n_seg - 2).bit_length()
     chain = np.empty((n_chains, width, 4, 4), dtype=complex)
     chain[:, 0:2 * n_seg:2] = segments.reshape(n_chains, n_seg, 4, 4)
-    chain[:, 1:2 * n_seg - 1:2] = np.reshape([op.effective_matrix for op in gate2_ops], (-1, 4, 4))
+    chain[:, 1:2 * n_seg - 1:2] = gates
     chain[:, 2 * n_seg - 1:] = np.eye(4)
     return _pairwise_rounds(chain.reshape(-1, 4, 4), np.full(n_chains, width))
 
 
 def _gate_factors(ir: CircuitIR, first_key: int) -> tuple[np.ndarray, np.ndarray]:
     """Keys (see :func:`_chain_unitaries`) and 2x2 matrices of the circuit's 1q gates."""
-    keys: list[int] = []
-    entries: list[complex] = []
-    key = first_key
-    for op in ir.ops:
-        if isinstance(op, Gate1):
-            keys.append(key + op.qubit)
-            entries += op.entries
-        elif isinstance(op, Gate2):
-            key += 2
-    return np.array(keys, dtype=np.intp), np.array(entries, dtype=complex).reshape(-1, 2, 2)
+    kind = ir.kind
+    # a gate's segment is the number of 2q gates before it
+    keys = (first_key + 2 * np.cumsum(kind == GATE2) + ir.qubits[:, 0])[kind == GATE1]
+    entries = [m for m in ir.entries if m is not None]
+    return keys, np.array(entries, dtype=complex).reshape(-1, 2, 2)
 
 
 def ideal_unitary(ir: CircuitIR) -> np.ndarray:
     """Unitary of the circuit's gates (measurements contribute nothing)."""
     keys, factors = _gate_factors(ir, 0)
-    return _chain_unitaries(factors, keys, ir.gate2_ops(), 1)[0]
+    return _chain_unitaries(factors, keys, ir._gate2_sequence(), 1)[0]
 
 
 def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> PulseSchedule:
@@ -782,7 +1015,6 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
     rules = _gate2_rules(ir, policy.mode)
 
     rows: _Rows = []
-    names: list[str] = []
     stats = ScheduleStats(per_qubit=[0] * ir.n_qubits)
     frames = [0.0] * ir.n_qubits
     buffers: list[tuple[complex, ...] | None] = [None] * ir.n_qubits
@@ -830,20 +1062,19 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
         stats.frames += 1
         measured[qubit] = True
 
-    for i, op in enumerate(ir.ops):
-        if isinstance(op, Gate1):
-            stats.gates_1q += 1
-            m = op.entries
-            prev = buffers[op.qubit]
-            buffers[op.qubit] = m if prev is None else _mul_entries(m, prev)
+    stats.gates_1q = int(np.count_nonzero(ir.kind == GATE1))
+    stats.gates_2q = len(rules)
+    for i, (k, q, q2, m) in enumerate(zip(ir.kind.tolist(), *ir.qubits.T.tolist(), ir.entries)):
+        if k == GATE1:
+            prev = buffers[q]
+            buffers[q] = m if prev is None else _mul_entries(m, prev)
             if policy.mode is PolicyMode.THREE_ALWAYS:
-                flush_exact(op.qubit)
+                flush_exact(q)
             elif policy.mode is PolicyMode.VZ_CARRY:
-                flush_vz(op.qubit)
-        elif isinstance(op, Gate2):
-            stats.gates_2q += 1
+                flush_vz(q)
+        elif k == GATE2:
             rule, ((a, b), (c, d)) = rules[i]
-            qa, qb = sorted(op.qubits)
+            qa, qb = (q, q2) if q < q2 else (q2, q)
             if rule == "carry":
                 flush_vz(qa)
                 flush_vz(qb)
@@ -852,25 +1083,25 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
                 if buffers[qb] is not None or frames[qb] != frames[qa]:
                     flush_exact(qb, frames[qa])
             else:
-                for q in (qa, qb):
-                    if buffers[q] is not None or frames[q] != 0.0:
-                        flush_exact(q)
+                for qz in (qa, qb):
+                    if buffers[qz] is not None or frames[qz] != 0.0:
+                        flush_exact(qz)
             f0, f1 = frames
             frames[0] = normalize_angle(a * f0 + b * f1)
             frames[1] = normalize_angle(c * f0 + d * f1)
-            rows.extend((GATE2, *op.qubits, 0.0, 0.0))
-            names.append(op.name)
+            rows.extend((GATE2, q, q2, 0.0, 0.0))
         else:
-            measure(op.qubit)
+            measure(q)
 
     for q in range(ir.n_qubits):
         if not measured[q]:
             measure(q)
+    names = [ir.gate2_labels[row] for row in ir.gate2_row[ir.kind == GATE2].tolist()]
     return PulseSchedule._from_rows(ir.n_qubits, rows, names, stats)
 
 
-def _check_schedule(schedule: PulseSchedule, gate2_ops: list[Gate2]) -> list[int]:
-    """Each qubit's FRAME row, once ``schedule`` is found to match ``gate2_ops``.
+def _check_schedule(schedule: PulseSchedule, ir: CircuitIR) -> list[int]:
+    """Each qubit's FRAME row, once ``schedule`` is found to match ``ir``'s 2q gates.
 
     Raises :class:`ScheduleMismatchError` for the earliest bad event: a GATE2
     on other qubits or by another name than its circuit gate, or past the
@@ -892,15 +1123,19 @@ def _check_schedule(schedule: PulseSchedule, gate2_ops: list[Gate2]) -> list[int
             late = row
             break
     gate_rows = np.flatnonzero(kind[:late] == GATE2)
-    names = schedule.gate2_names
-    for i, (got, op) in enumerate(zip(qubits[gate_rows].tolist(), gate2_ops)):
-        if tuple(got) != op.qubits:
+    ops = np.flatnonzero(ir.kind == GATE2)
+    labels = ir.gate2_labels
+    for i, (got, want, name, row) in enumerate(zip(
+        qubits[gate_rows].tolist(), ir.qubits[ops].tolist(), schedule.gate2_names,
+        ir.gate2_row[ops].tolist(),
+    )):
+        if got != want:
             raise ScheduleMismatchError(
-                f"GATE2 event {i} acts on {tuple(got)}, circuit says {op.qubits}"
+                f"GATE2 event {i} acts on {tuple(got)}, circuit says {tuple(want)}"
             )
-        if names[i] != op.name:
-            raise ScheduleMismatchError(f"GATE2 event {i} is {names[i]}, circuit says {op.name}")
-    if len(gate_rows) > len(gate2_ops):
+        if name != labels[row]:
+            raise ScheduleMismatchError(f"GATE2 event {i} is {name}, circuit says {labels[row]}")
+    if len(gate_rows) > len(ops):
         raise ScheduleMismatchError("schedule has more GATE2 events than the circuit")
     if late < n:
         q = qubits[late, 0]
@@ -909,7 +1144,7 @@ def _check_schedule(schedule: PulseSchedule, gate2_ops: list[Gate2]) -> list[int
         if kind[late] == PULSE:
             raise ScheduleMismatchError(f"PULSE on q{q} after its FRAME")
         raise ScheduleMismatchError(f"second FRAME for q{q}")
-    if len(gate_rows) < len(gate2_ops):
+    if len(gate_rows) < len(ops):
         raise ScheduleMismatchError("schedule is missing GATE2 events")
     if n in first_frame:
         raise ScheduleMismatchError(f"schedule has no FRAME for q{first_frame.index(n)}")
@@ -932,17 +1167,17 @@ def simulate_schedule(schedule: PulseSchedule | Sequence[Event], ir: CircuitIR) 
     """
     if not isinstance(schedule, PulseSchedule):
         schedule = PulseSchedule.from_events(schedule)
-    gate2_ops = ir.gate2_ops()
-    first_frame = _check_schedule(schedule, gate2_ops)
+    first_frame = _check_schedule(schedule, ir)
+    gates = ir._gate2_sequence()
     kind = schedule.kind
     pulse = kind == PULSE
     # a pulse's segment is the number of GATE2 events before it
     keys = (2 * np.cumsum(kind == GATE2) + schedule.qubits[:, 0])[pulse]
-    gate_keys, gate_factors = _gate_factors(ir, 2 * (len(gate2_ops) + 1))  # chain 1
+    gate_keys, gate_factors = _gate_factors(ir, 2 * (len(gates) + 1))  # chain 1
     angles = schedule.values[pulse]
     factors = np.concatenate((_conjugated_x_array(angles[:, 0], angles[:, 1]), gate_factors))
     keys = np.concatenate((keys, gate_keys))
-    physical, ideal = _chain_unitaries(factors, keys, gate2_ops, 2)
+    physical, ideal = _chain_unitaries(factors, keys, gates, 2)
     f0, f1 = schedule.values[first_frame, 0].tolist()
     corrected = _frame_diagonal(-f0, -f1)[:, None] * physical
     return phase_distance(corrected, ideal)

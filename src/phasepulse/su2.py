@@ -325,8 +325,17 @@ def unitary_from_params(p: GateParams) -> np.ndarray:
 
 def _params_entries(p: GateParams) -> tuple[complex, ...]:
     """Row-major entries of :func:`unitary_from_params`."""
-    cg, sg = math.cos(p.gamma), math.sin(p.gamma)
-    ea, eb = cmath.exp(1j * p.alpha), cmath.exp(1j * p.beta)
+    return _angle_entries(p.alpha, p.beta, p.gamma)
+
+
+def _angle_entries(alpha: float, beta: float, gamma: float) -> tuple[complex, ...]:
+    """:func:`_params_entries` of the angles a :class:`GateParams` keeps.
+
+    Python scalar arithmetic on purpose: numpy's complex division differs
+    from Python's by an ulp in about a third of the divided entries.
+    """
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    ea, eb = cmath.exp(1j * alpha), cmath.exp(1j * beta)
     return (ea * cg, -sg / eb, eb * sg, cg / ea)
 
 
@@ -466,7 +475,11 @@ def weyl_coordinates(u, tol: float = UNITARY_TOL) -> WeylCoords:
     A loose ``tol`` can admit a singular ``u``, or one so far from unitary
     that the spectrum is not finite: that raises ``ValueError``.
     """
-    u = as_unitary(u, 4, tol)
+    return _weyl_coordinates(as_unitary(u, 4, tol))
+
+
+def _weyl_coordinates(u: np.ndarray) -> WeylCoords:
+    """:func:`weyl_coordinates` of a 4x4 the caller has validated."""
     with np.errstate(all="ignore"):  # a non-finite result is reported below
         det = complex(np.linalg.det(u))
         v = u / det**0.25

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary
+from phasepulse import su2
 from phasepulse.carrier import (
     NotCarrierError,
     Segment,
@@ -231,6 +232,22 @@ def test_classify_cz_vs_cnot():
     assert r.is_carrier and r.segment is Segment.I_CNOT
     r = classify(standard_gate("CNOT"))
     assert not r.is_carrier and not r.is_enc and not r.is_generalized_enc
+
+
+def test_classify_validates_its_matrix_once(monkeypatch):
+    calls = []
+    original = su2._unitarity_defect
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(su2, "_unitarity_defect", counting)
+    r = classify(standard_gate("SQISW"))
+    assert calls == [(4, 4)]
+    assert r.weyl == weyl_coordinates(standard_gate("SQISW"))
+    with pytest.raises(ValueError, match="singular or too far from unitary"):
+        classify(np.zeros((4, 4)), tol=2.0)
 
 
 def _probe_generalized_enc(u, tol):

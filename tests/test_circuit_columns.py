@@ -1,0 +1,124 @@
+"""The columns of ``CircuitIR``: bit-identical 1q entries, and one IR whichever way it is built."""
+
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from phasepulse.circuit import (
+    CircuitIR,
+    CompilePolicy,
+    Gate1,
+    Gate2,
+    IllegalPolicyError,
+    PolicyMode,
+    compile_circuit,
+    merge_adjacent_1q,
+    parse_circuit,
+    parse_schedule,
+    simulate_schedule,
+)
+from phasepulse.su2 import GateParams, _params_entries
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+PI = math.pi
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import gen  # noqa: E402  (the benchmark's seeded circuit generators)
+
+GAMMA_SEAMS = (0.0, -0.0, PI / 2, -1e-9, -5e-10, PI / 2 + 1e-9, math.nextafter(PI / 2, 4.0))
+ANGLE_SEAMS = (PI, -PI, math.nextafter(PI, 0.0), math.nextafter(-PI, 0.0), 0.0, -0.0, 3 * PI, -1e-300)
+
+
+def _bits(entries) -> list[str]:
+    return [f"{z.real.hex()} {z.imag.hex()}" for z in entries]
+
+
+angles = st.one_of(
+    st.sampled_from(ANGLE_SEAMS), st.floats(-4 * PI, 4 * PI, allow_nan=False, allow_infinity=False)
+)
+gammas = st.one_of(st.sampled_from(GAMMA_SEAMS), st.floats(-1e-9, PI / 2 + 1e-9))
+
+
+@given(a=angles, b=angles, g=gammas)
+@settings(max_examples=300, deadline=None)
+@example(a=PI, b=-PI, g=0.0)
+@example(a=-0.0, b=-0.0, g=-0.0)
+@example(a=0.1, b=0.2, g=-1e-9)
+@example(a=0.1, b=0.2, g=PI / 2 + 1e-9)
+@example(a=PI, b=PI, g=PI / 2)
+def test_entries_column_is_bit_identical_to_params_entries(a, b, g):
+    want = _bits(_params_entries(GateParams(a, b, g)))
+    ir = parse_circuit(f"qubits 2\nU q0 {a!r} {b!r} {g!r}\nU q1 {a!r} {b!r} {g!r}  # token path\n")
+    assert _bits(ir.entries[0]) == want
+    assert _bits(ir.entries[1]) == want
+    assert _bits(CircuitIR(2, ir.ops).entries[0]) == want
+
+
+def _workload_circuits() -> list[tuple[str, str]]:
+    circuits = [(name, (DATA / name).read_text()) for name in ("golden_circuit.txt", "golden_circuit_enc.txt")]
+    for workload in ("haar-cz", "clifford-mixed", "cli-small"):
+        circuits.append((workload, gen.corpus(workload, 501)[0].text))
+    return circuits
+
+
+def assert_same_columns(a: CircuitIR, b: CircuitIR) -> None:
+    for name in ("kind", "qubits", "angles", "gate2_row", "gate2_matrices"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert a.gate2_labels == b.gate2_labels
+    assert [None if e is None else _bits(e) for e in a.entries] == [
+        None if e is None else _bits(e) for e in b.entries
+    ]
+
+
+@pytest.mark.parametrize("name, text", _workload_circuits(), ids=lambda x: x[:24])
+def test_one_ir_whichever_way_it_is_built(name, text):
+    parsed = parse_circuit(text)
+    built = CircuitIR(2, parsed.ops)
+    assert_same_columns(parsed, built)
+    assert_same_columns(merge_adjacent_1q(parsed), merge_adjacent_1q(built))
+    for mode in PolicyMode:
+        assert _compiled(built, mode) == _compiled(parsed, mode)
+
+
+def _compiled(ir: CircuitIR, mode: PolicyMode) -> str:
+    """The schedule text, or the error of a policy that does not suit the circuit."""
+    try:
+        return compile_circuit(ir, CompilePolicy(mode)).to_text()
+    except IllegalPolicyError as exc:
+        return f"{exc.op_index} {exc.gate_name}: {exc}"
+
+
+def test_parse_compile_verify_build_no_op_objects(monkeypatch):
+    built = []
+    for cls in (Gate1, Gate2):
+        original = cls.__init__
+
+        def counting(self, *args, _original=original, **kwargs):
+            built.append(type(self).__name__)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for _, text in _workload_circuits():
+        ir = parse_circuit(text)
+        for mode in (PolicyMode.THREE_ALWAYS, PolicyMode.AUTO):
+            schedule = compile_circuit(ir, CompilePolicy(mode))
+            assert simulate_schedule(parse_schedule(schedule.to_text()), ir) < 1e-8
+    assert built == []
+    assert isinstance(ir.ops[0], (Gate1, Gate2)) and built  # the view builds them on request
+
+
+def test_ops_view_is_built_once_and_kept_for_hand_built_circuits():
+    ir = parse_circuit((DATA / "golden_circuit.txt").read_text())
+    assert ir.ops is ir.ops
+    ops = tuple(ir.ops)
+    assert CircuitIR(2, ops).ops is ops
+    gate2 = [op for op in ops if isinstance(op, Gate2)]
+    assert all(np.array_equal(op.effective_matrix, ir.gate2_matrices[row])
+               for op, row in zip(gate2, ir.gate2_row[ir.kind == 1].tolist()))
