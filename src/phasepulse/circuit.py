@@ -29,7 +29,6 @@ from .schemes import (
 )
 from .su2 import (
     _IDENTITY_ENTRIES,
-    UNITARY_TOL,
     GateParams,
     _angle_entries,
     _check_shape,
@@ -40,7 +39,6 @@ from .su2 import (
     _params_entries,
     _params_from_unitary,
     _unitarity_defect,
-    _unitary_error,
     _z_rot_entries,
     as_unitary,
     normalize_angle,
@@ -206,8 +204,9 @@ class CircuitIR:
     :class:`Gate2` and :class:`Measure` objects, with one table row per
     distinct gate (qubits, name and matrix), and :attr:`ops` shows the rows
     as such objects, built on first read.  Both ways share the checks of
-    :func:`_check_ops`.  A gate of ``ops`` whose matrix is not 4x4 is kept,
-    and its ``ValueError`` raised when the table is read.
+    :func:`_check_ops`.  Each distinct gate of ``ops`` is checked as named,
+    in op order, by :func:`as_unitary` (4x4, within ``UNITARY_TOL``), whose
+    ``ValueError`` the first failing op raises.
     """
 
     n_qubits: int
@@ -230,7 +229,6 @@ class CircuitIR:
         gate2_rows = [-1] * len(ops)
         seen: dict[tuple, int] = {}  # distinct gate -> table row
         gates: list[_Gate2Row] = []
-        error = None
         for i, op in enumerate(ops):
             if isinstance(op, Gate1):
                 kinds.append(GATE1)
@@ -246,24 +244,20 @@ class CircuitIR:
                 m = op.matrix
                 key = (op.qubits, op.name, m.shape, m.dtype, m.tobytes())
                 if key not in seen:
+                    as_unitary(m, 4)
                     seen[key] = len(gates)
-                    try:
-                        matrix = op.effective_matrix
-                    except ValueError as exc:
-                        error = error or (len(gates), exc)
-                        matrix = np.zeros((4, 4))
-                    gates.append((op.name, matrix, op.qubits))
+                    gates.append((op.name, op.effective_matrix, op.qubits))
                 gate2_rows[i] = seen[key]
             else:
                 kinds.append(MEASURE)
                 q0s.append(op.qubit)
                 q1s.append(0)
-        self._fill(n_qubits, kinds, q0s, q1s, angles, entries, gate2_rows, gates, None, error)
+        self._fill(n_qubits, kinds, q0s, q1s, angles, entries, gate2_rows, gates, None)
         self.__dict__["ops"] = ops
 
     def _fill(self, n_qubits: int, kinds: list[int], q0s: list[int], q1s: list[int],
               angles: np.ndarray, entries: list, gate2_rows: list[int], gates: list[_Gate2Row],
-              lines: list[int] | None, gate2_error: tuple[int, ValueError] | None = None) -> None:
+              lines: list[int] | None) -> None:
         """Check the ops (:func:`_check_ops`) and store them as columns."""
         _check_ops(n_qubits, kinds, q0s, q1s, gates)
         self.n_qubits = n_qubits
@@ -276,7 +270,6 @@ class CircuitIR:
         self.gate2_matrices.setflags(write=False)
         self.gate2_labels = tuple(label for label, _, _ in gates)
         self.lines = lines
-        self._gate2_error = gate2_error  # a hand-built gate's shape error, and its table row
 
     @_computed_once
     def ops(self) -> tuple[Op, ...]:
@@ -302,8 +295,6 @@ class CircuitIR:
 
     def _gate2_sequence(self) -> np.ndarray:
         """The ``(m, 4, 4)`` matrices of the 2q gates in op order, in the fixed basis."""
-        if self._gate2_error is not None:
-            raise self._gate2_error[1]
         return self.gate2_matrices[self.gate2_row[self.kind == GATE2]]
 
 
@@ -853,21 +844,11 @@ _FrameMatrix = tuple[tuple[int, int], tuple[int, int]]
 def _gate2_rules(ir: CircuitIR, mode: PolicyMode) -> dict[int, tuple[str, _FrameMatrix]]:
     """The rule and frame matrix of every 2q op, keyed by op index.
 
-    The circuit's table of distinct 2q gates is validated and classified in
-    one batched call each.  The earliest op that fails raises: a matrix
-    that is not 4x4, not finite or not unitary with the ``ValueError`` of
-    ``as_unitary``, and a gate to which no rule of the policy applies with
-    :class:`IllegalPolicyError`.
+    The circuit's table of distinct 2q gates, valid since the circuit was
+    built, is classified in one batched call.  The earliest op to which no
+    rule of the policy applies raises :class:`IllegalPolicyError`.
     """
-    stack = ir.gate2_matrices
-    n_rows = len(stack) if ir._gate2_error is None else ir._gate2_error[0]
-    n_valid, maps = n_rows, []
-    if n_rows:
-        defects = _unitarity_defect(stack[:n_rows])
-        unitary = defects <= UNITARY_TOL
-        if not unitary.all():
-            n_valid = int(unitary.argmin())
-        maps = _frame_maps(stack[:n_valid])
+    maps = _frame_maps(ir.gate2_matrices)
     ops = np.flatnonzero(ir.kind == GATE2)
     op_rows = ir.gate2_row[ops]
     table = _POLICY_RULES[mode]
@@ -887,10 +868,6 @@ def _gate2_rules(ir: CircuitIR, mode: PolicyMode) -> dict[int, tuple[str, _Frame
                 f"policy {mode.value!r} needs {needs}, but {name} (op {i}) is not one", i, name
             )
         rules.append(rule)
-    if n_valid < n_rows:
-        raise _unitary_error(float(defects[n_valid]), UNITARY_TOL)
-    if ir._gate2_error is not None:
-        raise ir._gate2_error[1]
     return {i: rules[row] for i, row in zip(ops.tolist(), op_rows.tolist())}
 
 

@@ -32,10 +32,16 @@ _UNITS_NOTE = (
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of a file, or of stdin for '-', read as UTF-8 whatever the
+    locale; bytes that are not UTF-8 raise :class:`~phasepulse.circuit.CircuitError`."""
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise circ.CircuitError(f"{name} is not UTF-8 text: {exc}") from None
 
 
 def _fail(message: str, code: int) -> int:
@@ -56,12 +62,8 @@ def _tolerance_problem(tol: float) -> str | None:
 
 def cmd_compile(args) -> int:
     try:
-        text = _read_input(args.circuit)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    try:
-        ir = circ.parse_circuit(text)
-    except circ.CircuitError as exc:
+        ir = circ.parse_circuit(_read_input(args.circuit))
+    except (OSError, circ.CircuitError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     policy = circ.CompilePolicy(circ.PolicyMode(args.policy), args.special_cases)
     try:
@@ -70,8 +72,11 @@ def cmd_compile(args) -> int:
         return _fail(str(exc), EXIT_POLICY)
     out = schedule.to_text()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            return _fail(str(exc), EXIT_INPUT)
         print(schedule.stats.stats_line())
     else:
         sys.stdout.write(out)

@@ -30,6 +30,7 @@ from phasepulse.circuit import (
     simulate_schedule,
 )
 from phasepulse.circuit import _gate2_rules
+from phasepulse.cli import main
 from phasepulse.schemes import Pulse
 from phasepulse.su2 import (
     GateParams,
@@ -383,17 +384,46 @@ def test_effective_matrix_built_once_read_only(name, params):
 
 @pytest.mark.parametrize("qubits", [(0, 1), (1, 0)])
 def test_wrong_shape_gate2_raises_the_same_error_in_both_qubit_orders(qubits):
-    ir = CircuitIR(2, (Gate2(qubits, "X", np.eye(2)),))
-    for run in (compile_circuit, ideal_unitary):
-        with pytest.raises(ValueError, match=r"^expected a 4x4 matrix, got shape \(2, 2\)$"):
-            run(ir)
+    with pytest.raises(ValueError, match=r"^expected a 4x4 matrix, got shape \(2, 2\)$"):
+        CircuitIR(2, (Gate2(qubits, "X", np.eye(2)),))
 
 
 def test_wrong_shape_gate2_with_the_bytes_of_an_earlier_gate_is_checked():
     eye = np.eye(4, dtype=complex)
-    ir = CircuitIR(2, (Gate2((0, 1), "A", eye), Gate2((0, 1), "B", eye.ravel())))
     with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(16,\)$"):
-        compile_circuit(ir)
+        CircuitIR(2, (Gate2((0, 1), "A", eye), Gate2((0, 1), "B", eye.ravel())))
+
+
+def test_custom_gate_on_q1_q0_is_checked_as_written_only(tmp_path, capsys):
+    # The parser and the constructor check a CUSTOM gate as written; the
+    # table holds it qubit-swapped, where its defect may be a few ulps
+    # larger.  A scaled Haar unitary whose defect straddles the tolerance
+    # that way must parse, build again from its ops, compile and verify.
+    u = haar_unitary(4, np.random.default_rng(29))
+    scale = math.sqrt(1 + 1e-8)
+    swap = [0, 2, 1, 3]
+    straddling = [
+        m for m in (u * (scale + k * np.spacing(scale)) for k in range(-40, 41))
+        if su2.is_unitary(m) and not su2.is_unitary(m[swap][:, swap])
+    ]
+    assert straddling
+    entries = " ".join(f"{z.real!r},{z.imag!r}" for z in straddling[0].ravel().tolist())
+    text = f"qubits 2\nU q0 0.3 -0.4 0.7\nG2 CUSTOM q1 q0 {entries}\nU q1 1.1 0.2 0.5\nM q0\nM q1\n"
+    ir = parse_circuit(text)
+    CircuitIR(2, ir.ops)
+    legal = []
+    for mode in PolicyMode:
+        try:
+            schedule = compile_circuit(ir, CompilePolicy(mode))
+        except IllegalPolicyError:
+            continue
+        assert simulate_schedule(schedule, ir) < 1e-9
+        legal.append(mode)
+    assert legal == [PolicyMode.THREE_ALWAYS, PolicyMode.AUTO]
+    path = tmp_path / "custom.txt"
+    path.write_text(text)
+    assert main(["compile", str(path), "--policy", "auto"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_reversed_qubit_order_gate():
@@ -505,9 +535,9 @@ def test_schedule_mismatch_errors():
 
 
 def test_compile_validates_each_distinct_gate2_once(monkeypatch):
-    # Compiler internals trust the matrices they build from validated
-    # GateParams: only _gate2_rules validates, one stack of the distinct
-    # Gate2 matrices per compile.  as_unitary goes through the same defect
+    # A CircuitIR is valid once built: CircuitIR(2, ops), and so
+    # merge_adjacent_1q, checks each distinct Gate2 once, and compile and
+    # verify trust the table.  as_unitary goes through the same defect
     # routine, so any other validation would be counted too.
     calls = []
     original = su2._unitarity_defect
@@ -531,14 +561,16 @@ def test_compile_validates_each_distinct_gate2_once(monkeypatch):
             "qubits 2\n", "qubits 2\nX90 q0\nRZ q1 0.5\nG2 CZ q0 q1\n"
         )
         ir = parse_circuit(text)
-        distinct = {(op.qubits, op.matrix.tobytes()) for op in ir.gate2_ops()}
+        distinct = {(op.qubits, op.name, op.matrix.tobytes()) for op in ir.gate2_ops()}
         calls.clear()
         merged = merge_adjacent_1q(ir)
-        assert calls == []
+        assert calls == [(4, 4)] * len(distinct)
+        calls.clear()
         for circuit in (ir, merged):
-            compile_circuit(circuit, CompilePolicy(mode))
-            assert calls == [(len(distinct), 4, 4)]
-            calls.clear()
+            schedule = compile_circuit(circuit, CompilePolicy(mode))
+            simulate_schedule(schedule, circuit)
+            ideal_unitary(circuit)
+            assert calls == []
 
 
 def test_frame_must_end_its_qubit():

@@ -14,11 +14,14 @@ one ulp either side, a scale that puts the defect near the unitarity
 tolerance, entries at the ``2**500`` overflow guard, ``1e308``, NaN and
 infinities, and wrong shapes; gates repeat and come in both qubit orders.
 For every gate the batched calls must give the same carry matrix, the same
-ENC ``(p, q)`` and the same exception type and message, and
-``_gate2_rules`` must equal the reference under every policy.
+ENC ``(p, q)`` and the same exception type and message.  Under every
+policy, building the circuit and calling ``_gate2_rules`` must give the
+first ``reference_as_unitary`` failure over the ops in order, as the
+``CircuitIR`` constructor checks them, and else the reference rules.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -217,7 +220,7 @@ EYE = np.eye(4, dtype=complex)
 
 @st.composite
 def circuits(draw):
-    """A circuit whose 2q gates repeat a small pool in both qubit orders."""
+    """The ops of a circuit whose 2q gates repeat a small pool in both qubit orders."""
     pool = draw(st.lists(st.one_of(unitaries(VALID_KINDS), matrices()), min_size=1, max_size=6))
     if draw(st.integers(0, 3)) == 0:
         pool.append(draw(st.sampled_from(WRONG_SHAPES + (EYE,))))
@@ -227,7 +230,7 @@ def circuits(draw):
             ops.append(Gate1(draw(st.integers(0, 1)), GateParams(0.1, 0.2, 0.3)))
         k = draw(st.integers(0, len(pool) - 1))
         ops.append(Gate2(draw(st.sampled_from(((0, 1), (1, 0)))), f"G{k}", pool[k]))
-    return CircuitIR(2, tuple(ops))
+    return tuple(ops)
 
 
 def _outcome(call, *args):
@@ -273,6 +276,17 @@ def test_batched_validation_matches_as_unitary(us, tol):
 
 @given(circuits())
 @settings(max_examples=200, deadline=None)
-def test_gate2_rules_match_the_scalar_reference(ir):
+def test_gate2_rules_match_the_scalar_reference(ops):
+    # CircuitIR(2, ops) checks every gate as named, in op order, before any
+    # is classified.
+    def batched(mode):
+        return _gate2_rules(CircuitIR(2, ops), mode)
+
+    def reference(mode):
+        for op in ops:
+            if isinstance(op, Gate2):
+                reference_as_unitary(op.matrix, 4)
+        return reference_gate2_rules(SimpleNamespace(ops=ops), mode)
+
     for mode in PolicyMode:
-        assert _outcome(_gate2_rules, ir, mode) == _outcome(reference_gate2_rules, ir, mode)
+        assert _outcome(batched, mode) == _outcome(reference, mode)

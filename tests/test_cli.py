@@ -51,7 +51,7 @@ def test_compile_deterministic(circuit_file, capsys):
 
 
 def test_compile_from_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(CIRCUIT))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(CIRCUIT.encode()), encoding="utf-8"))
     assert main(["compile", "-", "--policy", "three-always"]) == 0
     assert "GATE2 CZ q0 q1" in capsys.readouterr().out
 
@@ -345,10 +345,46 @@ def test_bad_numbers_exit_1_without_traceback(argv, monkeypatch, capsys, circuit
         assert main(["compile", circuit_file, "-o", schedule]) == 0
         capsys.readouterr()
         argv = [schedule if a == "SCHEDULE" else a for a in argv]
-    monkeypatch.setattr("sys.stdin", io.StringIO(BAD_NUMBERS_STDIN.get(argv[0], "")))
+    stdin = BAD_NUMBERS_STDIN.get(argv[0], "").encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numeric warning is not a clean error either
         assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+NOT_UTF8 = b"qubits 2\nX90 q0  # caf\xe9\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "LATIN1"],
+        ["stats", "LATIN1"],
+        ["verify", "LATIN1", "SCHEDULE"],
+        ["verify", "CIRCUIT", "LATIN1"],
+        ["compile", "-"],  # the same bytes on stdin
+        ["stats", "-"],
+        ["verify", "-", "SCHEDULE"],
+        ["verify", "CIRCUIT", "-"],
+        ["compile", "CIRCUIT", "-o", "NO_SUCH_DIR"],
+    ],
+)
+def test_unreadable_input_or_output_exits_1_without_traceback(argv, monkeypatch, capsys,
+                                                               circuit_file, tmp_path):
+    paths = {
+        "CIRCUIT": circuit_file,
+        "LATIN1": str(tmp_path / "latin1.txt"),
+        "SCHEDULE": str(tmp_path / "schedule.txt"),
+        "NO_SUCH_DIR": str(tmp_path / "missing" / "schedule.txt"),
+    }
+    (tmp_path / "latin1.txt").write_bytes(NOT_UTF8)
+    assert main(["compile", circuit_file, "-o", paths["SCHEDULE"]]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+    assert main([paths.get(a, a) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")

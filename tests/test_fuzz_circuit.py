@@ -1,4 +1,4 @@
-"""Hypothesis fuzz of the compile boundary: ``parse_circuit`` and CLI ``compile``.
+"""Hypothesis fuzz of the compile boundary: ``parse_circuit``, CLI ``compile`` and ``stats``.
 
 A valid circuit with every kind of op is mangled line by line: tokens
 replaced by ``nan``, ``inf``, ``1e308``, ``q7`` and other junk, CUSTOM
@@ -7,7 +7,9 @@ too many, token separators replaced by unicode whitespace, and lines
 inserted, repeated or dropped.  ``parse_circuit`` -> ``compile_circuit``
 may only raise a :class:`CircuitError` (``phasepulse compile`` exits 1), or
 an :class:`IllegalPolicyError` for the chosen policy (exit 2), with one
-``error:`` line; a traceback or a numpy ``RuntimeWarning`` fails the test.
+``error:`` line; ``phasepulse stats`` on the same file exits 0, or 1 with
+one ``error:`` line.  A traceback or a numpy ``RuntimeWarning`` fails the
+test.
 """
 
 import io
@@ -114,8 +116,18 @@ def test_mangled_circuits_fail_cleanly(circuit_file, text, mode):
             expected = 0
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["compile", str(circuit_file), "--policy", mode.value])
+        stats_out, stats_err = io.StringIO(), io.StringIO()
+        with redirect_stdout(stats_out), redirect_stderr(stats_err):
+            stats_code = main(["stats", str(circuit_file)])
     assert code == expected, err.getvalue()
     if expected:
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
     else:
         assert err.getvalue() == "" and out.getvalue().startswith(("PULSE", "GATE2", "FRAME"))
+    # stats compiles under every policy and reports the illegal ones
+    assert stats_code == (1 if expected == 1 else 0), stats_err.getvalue()
+    if stats_code:
+        assert stats_out.getvalue() == ""
+        assert len(stats_err.getvalue().splitlines()) == 1 and stats_err.getvalue().startswith("error: ")
+    else:
+        assert stats_err.getvalue() == "" and stats_out.getvalue().startswith("three-always: ")

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from phasepulse.circuit import (
     CircuitError,
+    CircuitIR,
     CircuitSyntaxError,
     Gate1,
     Gate2,
@@ -207,6 +208,7 @@ def assert_same_verdict(text: str) -> None:
             raise AssertionError(f"parse_circuit accepted what the reference rejects: {exc}")
         return
     ir = parse_circuit(text)
+    CircuitIR(2, ir.ops)  # the constructor checks the gates as the parser did
     assert len(ir.ops) == len(want)
     for got, op, entries in zip(ir.ops, want, ir.entries):
         assert type(got) is type(op)
