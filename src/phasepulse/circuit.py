@@ -150,7 +150,7 @@ GATE2 = 1
 MEASURE = FRAME = 2
 
 
-# A table row of distinct 2q gates: label, matrix in the fixed basis, qubits.
+# A table row of distinct 2q gates: label, matrix as named, qubits.
 _Gate2Row = tuple[str, np.ndarray, tuple[int, int]]
 
 
@@ -198,15 +198,16 @@ class CircuitIR:
     None).  ``gate2_row[i]`` is a GATE2's row of the table of distinct 2q
     gates (else -1): ``gate2_matrices[row]`` is the gate's read-only matrix
     in the fixed (qubit 0, qubit 1) basis and ``gate2_labels[row]`` its
-    name.  ``lines[i]`` is the op's source line, for a parsed circuit.
+    name.  ``lines[i]`` is the op's source line (0 if not parsed).
 
     ``CircuitIR(2, ops)`` builds the columns from :class:`Gate1`,
     :class:`Gate2` and :class:`Measure` objects, with one table row per
     distinct gate (qubits, name and matrix), and :attr:`ops` shows the rows
-    as such objects, built on first read.  Both ways share the checks of
-    :func:`_check_ops`.  Each distinct gate of ``ops`` is checked as named,
-    in op order, by :func:`as_unitary` (4x4, within ``UNITARY_TOL``), whose
-    ``ValueError`` the first failing op raises.
+    as such objects, built on first read.  It and :func:`parse_circuit`
+    collect the same rows for one builder, :meth:`_fill`.  Each distinct
+    gate of ``ops`` is checked as named, in op order, by :func:`as_unitary`
+    (4x4, within ``UNITARY_TOL``), whose ``ValueError`` the first failing
+    op raises.
     """
 
     n_qubits: int
@@ -217,59 +218,59 @@ class CircuitIR:
     gate2_row: np.ndarray
     gate2_matrices: np.ndarray
     gate2_labels: tuple[str, ...]
-    lines: list[int] | None
+    lines: list[int]
 
     def __init__(self, n_qubits: int, ops: Sequence[Op]):
         ops = tuple(ops)
-        kinds: list[int] = []
-        q0s: list[int] = []
-        q1s: list[int] = []
-        angles = np.zeros((len(ops), 3))
-        entries: list[tuple[complex, ...] | None] = [None] * len(ops)
-        gate2_rows = [-1] * len(ops)
+        rows: list = []  # as parse_circuit collects them, with line 0
         seen: dict[tuple, int] = {}  # distinct gate -> table row
         gates: list[_Gate2Row] = []
-        for i, op in enumerate(ops):
+        for op in ops:
             if isinstance(op, Gate1):
-                kinds.append(GATE1)
-                q0s.append(op.qubit)
-                q1s.append(0)
                 p = op.params
-                angles[i] = p.alpha, p.beta, p.gamma
-                entries[i] = _params_entries(p)
+                rows += GATE1, op.qubit, 0, p.alpha, p.beta, p.gamma, -1, 0
             elif isinstance(op, Gate2):
-                kinds.append(GATE2)
-                q0s.append(op.qubits[0])
-                q1s.append(op.qubits[1])
                 m = op.matrix
                 key = (op.qubits, op.name, m.shape, m.dtype, m.tobytes())
                 if key not in seen:
                     as_unitary(m, 4)
                     seen[key] = len(gates)
-                    gates.append((op.name, op.effective_matrix, op.qubits))
-                gate2_rows[i] = seen[key]
+                    gates.append((op.name, m, op.qubits))
+                rows += GATE2, op.qubits[0], op.qubits[1], 0.0, 0.0, 0.0, seen[key], 0
             else:
-                kinds.append(MEASURE)
-                q0s.append(op.qubit)
-                q1s.append(0)
-        self._fill(n_qubits, kinds, q0s, q1s, angles, entries, gate2_rows, gates, None)
+                rows += MEASURE, op.qubit, 0, 0.0, 0.0, 0.0, -1, 0
+        self._fill(n_qubits, rows, gates)
         self.__dict__["ops"] = ops
 
-    def _fill(self, n_qubits: int, kinds: list[int], q0s: list[int], q1s: list[int],
-              angles: np.ndarray, entries: list, gate2_rows: list[int], gates: list[_Gate2Row],
-              lines: list[int] | None) -> None:
-        """Check the ops (:func:`_check_ops`) and store them as columns."""
+    def _fill(self, n_qubits: int, rows: list, gates: list[_Gate2Row]) -> None:
+        """Check the ops (:func:`_check_ops`) and store them as columns.
+
+        ``rows`` holds eight numbers an op: kind, qubit, second qubit, raw
+        ``alpha``, ``beta`` and ``gamma`` (normalized and clipped here as
+        :class:`GateParams` does it), table row and source line; ``gates``
+        holds the table's rows with each matrix as named.
+        """
+        kinds, q0s, q1s = rows[0::8], rows[1::8], rows[2::8]
         _check_ops(n_qubits, kinds, q0s, q1s, gates)
+        alpha_beta = _normalize_angle_array(np.array((rows[3::8], rows[4::8]), dtype=float))
+        gamma = rows[5::8]
+        if min(gamma, default=0.0) < 0.0 or max(gamma, default=0.0) > PI / 2:
+            gamma = [min(max(g, 0.0), PI / 2) for g in gamma]
         self.n_qubits = n_qubits
         self.kind = np.array(kinds, dtype=np.int8)
         self.qubits = np.array((q0s, q1s), dtype=np.int8).T
-        self.angles = angles
-        self.entries = entries
-        self.gate2_row = np.array(gate2_rows, dtype=np.intp)
-        self.gate2_matrices = np.array([m for _, m, _ in gates], dtype=complex).reshape(-1, 4, 4)
+        self.angles = np.concatenate((alpha_beta, [gamma])).T
+        self.entries = [
+            _angle_entries(a, b, g) if k == GATE1 else None
+            for k, a, b, g in zip(kinds, *alpha_beta.tolist(), gamma)
+        ]
+        self.gate2_row = np.array(rows[6::8], dtype=np.intp)
+        self.gate2_matrices = np.array(
+            [_in_fixed_basis(m, qubits) for _, m, qubits in gates], dtype=complex
+        ).reshape(-1, 4, 4)
         self.gate2_matrices.setflags(write=False)
         self.gate2_labels = tuple(label for label, _, _ in gates)
-        self.lines = lines
+        self.lines = rows[7::8]
 
     @_computed_once
     def ops(self) -> tuple[Op, ...]:
@@ -525,23 +526,9 @@ def parse_circuit(text: str) -> CircuitIR:
     if n_qubits is None:
         raise CircuitSyntaxError("missing 'qubits 2' header", 1)
 
-    kinds = rows[0::8]
-    alpha_beta = _normalize_angle_array(np.array((rows[3::8], rows[4::8]), dtype=float))
-    gamma = rows[5::8]
-    if min(gamma, default=0.0) < 0.0 or max(gamma, default=0.0) > PI / 2:
-        gamma = [min(max(g, 0.0), PI / 2) for g in gamma]  # as GateParams clips it
-    entries = [
-        _angle_entries(a, b, g) if k == GATE1 else None
-        for k, a, b, g in zip(kinds, *alpha_beta.tolist(), gamma)
-    ]
     ir = CircuitIR.__new__(CircuitIR)
     try:
-        ir._fill(
-            n_qubits, kinds, rows[1::8], rows[2::8],
-            np.concatenate((alpha_beta, [gamma])).T, entries, rows[6::8],
-            [(label, _in_fixed_basis(matrix, qubits), qubits) for label, matrix, qubits in gates],
-            rows[7::8],
-        )
+        ir._fill(n_qubits, rows, gates)
     except CircuitError as exc:
         raise CircuitSyntaxError(str(exc), rows[8 * exc.op_index + 7]) from None
     return ir
@@ -633,10 +620,12 @@ Event = PulseEvent | Gate2Event | FrameEvent
 _SCHEME_KEYS = ("vz", "three", "four", "two", "special")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScheduleStats:
+    """Counts of a compiled schedule, read off its rows once it is built."""
+
     pulses: int = 0
-    per_qubit: list[int] = field(default_factory=lambda: [0, 0])
+    per_qubit: tuple[int, ...] = (0, 0)
     gates_1q: int = 0
     gates_2q: int = 0
     compiled_1q: int = 0
@@ -675,10 +664,10 @@ class PulseSchedule:
     ``kind[i]`` is PULSE, GATE2 or FRAME.  ``qubits[i]`` holds the event's
     qubit, and for a GATE2 its second qubit (else 0).  ``values[i]`` is
     ``(sigma, phase)`` for a PULSE and ``(z, 0)`` for a FRAME (else zeros).
-    ``gate2_names`` names the GATE2 events in order.  ``stats`` is None for a
-    parsed schedule.  :attr:`events` shows the rows as event objects.  PULSE
-    angles are normalized as :class:`Pulse` normalizes them; FRAME angles
-    are kept as given.
+    ``gate2_names`` names the GATE2 events in order.  ``stats`` is None
+    unless :func:`compile_circuit` built the schedule.  :attr:`events` shows
+    the rows as event objects.  PULSE angles are normalized as
+    :class:`Pulse` normalizes them; FRAME angles are kept as given.
     """
 
     n_qubits: int
@@ -689,8 +678,7 @@ class PulseSchedule:
     stats: ScheduleStats | None = None
 
     @classmethod
-    def _from_rows(cls, n_qubits: int, rows: _Rows, names: list[str],
-                   stats: ScheduleStats | None) -> "PulseSchedule":
+    def _from_rows(cls, n_qubits: int, rows: _Rows, names: list[str]) -> "PulseSchedule":
         kind = np.array(rows[0::5], dtype=np.int8)
         # The column pairs are built as (2, n) arrays, so the transposes that
         # _columns lists are contiguous.  Every schedule's PULSE angles are
@@ -700,14 +688,8 @@ class PulseSchedule:
         angles = _normalize_angle_array(values)
         np.copyto(angles[0], PI, where=angles[0] == -PI)  # sigma in (-pi, pi]
         np.copyto(values, angles, where=kind == PULSE)
-        return cls(
-            n_qubits,
-            kind,
-            np.array((rows[1::5], rows[2::5]), dtype=np.int8).T,
-            values.T,
-            tuple(names),
-            stats,
-        )
+        qubits = np.array((rows[1::5], rows[2::5]), dtype=np.int8).T
+        return cls(n_qubits, kind, qubits, values.T, tuple(names))
 
     @classmethod
     def from_events(cls, events: Sequence[Event]) -> "PulseSchedule":
@@ -722,7 +704,7 @@ class PulseSchedule:
                 names.append(ev.name)
             else:
                 rows += FRAME, ev.qubit, 0, ev.angle, 0.0
-        return cls._from_rows(2, rows, names, None)
+        return cls._from_rows(2, rows, names)
 
     def _columns(self, values: np.ndarray) -> zip:
         """Rows of ``(kind, qubit, second qubit, value, second value)`` as Python numbers."""
@@ -824,7 +806,7 @@ def parse_schedule(text: str) -> PulseSchedule:
             _read_event(raw, rows, names)
         except ValueError as exc:
             raise CircuitSyntaxError(str(exc), line_no) from None
-    return PulseSchedule._from_rows(2, rows, names, None)
+    return PulseSchedule._from_rows(2, rows, names)
 
 
 # Each policy's 2q rules in order of preference (see compile_circuit): a gate
@@ -986,13 +968,14 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
       exactly, leaving zero frames.
 
     A measurement, or the end of the circuit, flushes the qubit with
-    virtual-Z and reports its frame.
+    virtual-Z and reports its frame.  The loop only notes each compiled 1q
+    gate's scheme; the :class:`ScheduleStats` are read off the rows at the end.
     """
     policy = policy or CompilePolicy()
     rules = _gate2_rules(ir, policy.mode)
 
     rows: _Rows = []
-    stats = ScheduleStats(per_qubit=[0] * ir.n_qubits)
+    schemes: list[str] = []  # the scheme of each compiled 1q gate
     frames = [0.0] * ir.n_qubits
     buffers: list[tuple[complex, ...] | None] = [None] * ir.n_qubits
     measured = [False] * ir.n_qubits
@@ -1001,10 +984,7 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
         """Write a compiled gate's raw (sigma, phase) pairs as PULSE rows."""
         for sigma, phase in pairs:
             rows.extend((PULSE, qubit, 0, sigma, phase))
-        stats.pulses += len(pairs)
-        stats.per_qubit[qubit] += len(pairs)
-        stats.compiled_1q += 1
-        stats.schemes[scheme] += 1
+        schemes.append(scheme)
 
     def unframed(qubit: int, gate: tuple[complex, ...]) -> tuple[complex, ...]:
         """``gate @ z_rot(-frame)``: what the qubit's pulses must realize."""
@@ -1036,11 +1016,8 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
     def measure(qubit: int):
         flush_vz(qubit)
         rows.extend((FRAME, qubit, 0, normalize_angle(frames[qubit]), 0.0))
-        stats.frames += 1
         measured[qubit] = True
 
-    stats.gates_1q = int(np.count_nonzero(ir.kind == GATE1))
-    stats.gates_2q = len(rules)
     for i, (k, q, q2, m) in enumerate(zip(ir.kind.tolist(), *ir.qubits.T.tolist(), ir.entries)):
         if k == GATE1:
             prev = buffers[q]
@@ -1074,7 +1051,21 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
         if not measured[q]:
             measure(q)
     names = [ir.gate2_labels[row] for row in ir.gate2_row[ir.kind == GATE2].tolist()]
-    return PulseSchedule._from_rows(ir.n_qubits, rows, names, stats)
+    schedule = PulseSchedule._from_rows(ir.n_qubits, rows, names)
+    n = ir.n_qubits  # the rows counted by kind (PULSE, GATE2, FRAME) and qubit
+    pulses, _, frame_rows = np.bincount(
+        schedule.kind * n + schedule.qubits[:, 0], minlength=3 * n
+    ).reshape(3, n).tolist()
+    schedule.stats = ScheduleStats(
+        pulses=sum(pulses),
+        per_qubit=tuple(pulses),
+        gates_1q=int(np.count_nonzero(ir.kind == GATE1)),
+        gates_2q=len(rules),
+        compiled_1q=len(schemes),
+        frames=sum(frame_rows),
+        schemes={k: schemes.count(k) for k in _SCHEME_KEYS},
+    )
+    return schedule
 
 
 def _check_schedule(schedule: PulseSchedule, ir: CircuitIR) -> list[int]:

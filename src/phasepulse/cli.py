@@ -137,6 +137,8 @@ def cmd_verify(args) -> int:
     problem = _tolerance_problem(args.tolerance)
     if problem is not None:
         return _fail(problem, EXIT_INPUT)
+    if args.circuit == args.schedule == "-":
+        return _fail("stdin ('-') can hold the circuit or the schedule, not both", EXIT_INPUT)
     try:
         ir = circ.parse_circuit(_read_input(args.circuit))
         schedule = circ.parse_schedule(_read_input(args.schedule))
@@ -151,6 +153,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_uniqueness(args) -> int:
+    for option, value in (("--samples", args.samples), ("--seed", args.seed)):
+        if value < 0:
+            return _fail(f"{option} must be a non-negative integer, got {value}", EXIT_INPUT)
     try:
         triple = cov.AngleTriple(args.omega1, args.omega2, args.omega3)
     except ValueError as exc:
@@ -245,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         "max deviation up to global phase. " + _UNITS_NOTE,
     )
     p.add_argument("circuit", help="circuit file, or '-' for stdin")
-    p.add_argument("schedule", help="schedule file")
+    p.add_argument("schedule", help="schedule file, or '-' for stdin if the circuit is not")
     p.add_argument("--tolerance", type=float, default=1e-8, help="pass/fail threshold")
     p.set_defaults(func=cmd_verify)
 

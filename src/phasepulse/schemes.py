@@ -43,9 +43,10 @@ PI = math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
-# Detection thresholds for the special-case dispatcher.
-STRUCTURE_TOL = 1e-10
-CLIFFORD_TOL = 1e-8
+# Detection thresholds for the special-case dispatcher: a gate this close to a case
+# takes its exact pulses, and the gaps add up, so both are the text format's 1e-12.
+STRUCTURE_TOL = 1e-12
+CLIFFORD_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -805,3 +807,21 @@ def test_stats_line_contents():
     line = sched.stats.stats_line()
     assert "pulses=8" in line and "gates_2q=1" in line and "vz=4" in line
     assert sum(sched.stats.per_qubit) == sched.stats.pulses
+
+
+@pytest.mark.parametrize("mode", [PolicyMode.THREE_ALWAYS, PolicyMode.AUTO])
+def test_stats_are_frozen_and_agree_with_the_events(mode):
+    text = (Path(__file__).parent / "data" / "golden_circuit.txt").read_text()
+    ir = parse_circuit(text)
+    sched = compile_circuit(ir, CompilePolicy(mode))
+    stats = sched.stats
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats.pulses = 0
+    pulses = [ev.qubit for ev in sched.events if isinstance(ev, PulseEvent)]
+    assert stats.pulses == len(pulses)
+    assert stats.per_qubit == (pulses.count(0), pulses.count(1))
+    assert stats.frames == sum(isinstance(ev, FrameEvent) for ev in sched.events) == 2
+    assert stats.gates_1q == sum(isinstance(op, Gate1) for op in ir.ops)
+    assert stats.gates_2q == sum(isinstance(ev, Gate2Event) for ev in sched.events)
+    assert sum(stats.schemes.values()) == stats.compiled_1q > 0
+    assert stats.elided == 0

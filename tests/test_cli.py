@@ -147,6 +147,33 @@ def test_verify_needs_exactly_one_frame_per_qubit(circuit_file, tmp_path, capsys
         assert message in err and "Traceback" not in err
 
 
+def test_verify_refuses_stdin_for_both_files(monkeypatch, capsys):
+    # stdin holds one file: read twice, the schedule would be empty
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(CIRCUIT.encode()), encoding="utf-8"))
+    assert main(["verify", "-", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stdin ('-') can hold the circuit or the schedule, not both\n"
+
+
+# Gates a hair from a special case: the dispatcher used to give them the
+# case's exact pulses, and the gaps added up past verify's 1e-8.
+NEAR_SPECIAL = {
+    # X90 with gamma 4e-9 off, four times
+    "near-x90": "qubits 2\n" + "U q0 0.0 -1.5707963267948966 0.7853981673974483\n" * 4,
+    # 6e-11 from the identity, 200 times
+    "near-identity": "qubits 2\n" + "U q0 0 0 6e-11\n" * 200,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_SPECIAL))
+def test_near_special_gates_compile_to_a_schedule_that_verifies(name, tmp_path, capsys):
+    path, sched = tmp_path / "circuit.txt", tmp_path / "sched.txt"
+    path.write_text(NEAR_SPECIAL[name])
+    assert main(["compile", str(path), "-o", str(sched)]) == 0
+    assert main(["verify", str(path), str(sched)]) == 0
+
+
 def test_verify_accepts_auto_schedule_of_exact_frames(tmp_path, capsys):
     # The frame after the first CZ makes |u00| of the last RZ's target round
     # to 1 - 1.1e-16; an acos-based gamma put one pulse off by 3e-8.
@@ -337,6 +364,11 @@ BAD_NUMBERS_STDIN = {
         ["verify", "-", "SCHEDULE", "--tolerance", "inf"],
         ["verify", "-", "SCHEDULE", "--tolerance=-inf"],
         ["verify", "-", "SCHEDULE", "--tolerance=-1e-3"],
+        # a negative seed or sample count: numpy's ValueError, or a silent skip
+        ["uniqueness", "--omega1", str(PI), "--omega2", str(PI / 2), "--omega3", str(PI / 2),
+         "--samples", "1", "--seed", "-1"],
+        ["uniqueness", "--omega1", str(PI), "--omega2", str(PI / 2), "--omega3", str(PI / 2),
+         "--samples", "-3"],
     ],
 )
 def test_bad_numbers_exit_1_without_traceback(argv, monkeypatch, capsys, circuit_file, tmp_path):

@@ -194,6 +194,24 @@ def _bits(x: float) -> str:
     return float(x).hex()
 
 
+def _entry_bits(entries):
+    return None if entries is None else [(_bits(z.real), _bits(z.imag)) for z in entries]
+
+
+def assert_same_columns(got: CircuitIR, want: CircuitIR) -> None:
+    """The columns of two circuits are equal bit for bit (``lines`` aside)."""
+    assert got.kind.tolist() == want.kind.tolist()
+    assert got.qubits.tolist() == want.qubits.tolist()
+    assert [_bits(x) for x in got.angles.ravel().tolist()] == [
+        _bits(x) for x in want.angles.ravel().tolist()
+    ]
+    assert list(map(_entry_bits, got.entries)) == list(map(_entry_bits, want.entries))
+    assert got.gate2_row.tolist() == want.gate2_row.tolist()
+    assert got.gate2_matrices.shape == want.gate2_matrices.shape
+    assert got.gate2_matrices.tobytes() == want.gate2_matrices.tobytes()
+    assert got.gate2_labels == want.gate2_labels
+
+
 def assert_same_verdict(text: str) -> None:
     try:
         want = reference_parse_circuit(text)
@@ -208,7 +226,7 @@ def assert_same_verdict(text: str) -> None:
             raise AssertionError(f"parse_circuit accepted what the reference rejects: {exc}")
         return
     ir = parse_circuit(text)
-    CircuitIR(2, ir.ops)  # the constructor checks the gates as the parser did
+    assert_same_columns(CircuitIR(2, ir.ops), ir)  # one row builder for both
     assert len(ir.ops) == len(want)
     for got, op, entries in zip(ir.ops, want, ir.entries):
         assert type(got) is type(op)
@@ -218,10 +236,7 @@ def assert_same_verdict(text: str) -> None:
             assert [_bits(x) for x in (p.alpha, p.beta, p.gamma)] == [
                 _bits(x) for x in (q.alpha, q.beta, q.gamma)
             ]
-            want_entries = _params_entries(op.params)
-            assert [(_bits(z.real), _bits(z.imag)) for z in entries] == [
-                (_bits(z.real), _bits(z.imag)) for z in want_entries
-            ]
+            assert _entry_bits(entries) == _entry_bits(_params_entries(op.params))
         elif isinstance(op, Gate2):
             assert got.qubits == op.qubits and got.name == op.name
             assert got.matrix.dtype == op.matrix.dtype and got.matrix.shape == op.matrix.shape

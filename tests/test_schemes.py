@@ -227,7 +227,8 @@ def test_special_case_lookup_matches_linear_scan():
         for _ in range(4):
             u = np.exp(1j * rng.uniform(-PI, PI)) * entry.matrix
             assert special_case(u) == linear_scan_special_case(u)
-            near, far = _nearby(u, 1e-9, rng), _nearby(u, 1e-6, rng)
+            # a gate ~1e-14 off is a hit; one 1e-9 off is not (CLIFFORD_TOL is 1e-12)
+            near, far = _nearby(u, 1e-14, rng), _nearby(u, 1e-9, rng)
             hit = special_case(near)
             assert hit is not None and hit == linear_scan_special_case(near)
             assert special_case(far) is None and linear_scan_special_case(far) is None
