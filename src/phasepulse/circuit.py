@@ -187,6 +187,31 @@ def _check_ops(n_qubits: int, kinds: list[int], q0s: list[int], q1s: list[int],
             measured.add(q0)
 
 
+def _malformed(op) -> str | None:
+    """Why ``op`` is not a well-formed :class:`Gate1`, :class:`Gate2` or
+    :class:`Measure`, or None."""
+    if isinstance(op, Gate1):
+        if not isinstance(op.params, GateParams):
+            return f"Gate1 params must be GateParams, got {op.params!r}"
+        qubits = (op.qubit,)
+    elif isinstance(op, Gate2):
+        if not (isinstance(op.qubits, tuple) and len(op.qubits) == 2):
+            return f"Gate2 qubits must be a tuple of two qubits, got {op.qubits!r}"
+        if not isinstance(op.matrix, np.ndarray):
+            return f"Gate2 matrix must be a numpy array, got {type(op.matrix).__name__}"
+        # the name must come back as one token from a schedule's GATE2 line
+        if not (isinstance(op.name, str) and op.name.split() == [op.name] and "#" not in op.name):
+            return f"Gate2 name must be one word without '#', got {op.name!r}"
+        qubits = op.qubits
+    elif isinstance(op, Measure):
+        qubits = (op.qubit,)
+    else:
+        return f"expected a Gate1, Gate2 or Measure, got {type(op).__name__}"
+    if not all(isinstance(q, (int, np.integer)) for q in qubits):
+        return f"qubits must be integers, got {qubits!r}"
+    return None
+
+
 class CircuitIR:
     """A two-qubit circuit as columns, one row per op in order.
 
@@ -204,10 +229,11 @@ class CircuitIR:
     :class:`Gate2` and :class:`Measure` objects, with one table row per
     distinct gate (qubits, name and matrix), and :attr:`ops` shows the rows
     as such objects, built on first read.  It and :func:`parse_circuit`
-    collect the same rows for one builder, :meth:`_fill`.  Each distinct
-    gate of ``ops`` is checked as named, in op order, by :func:`as_unitary`
-    (4x4, within ``UNITARY_TOL``), whose ``ValueError`` the first failing
-    op raises.
+    collect the same rows for one builder, :meth:`_fill`.  Ops are checked
+    in order: one that is not such an object, or has a field of the wrong
+    type, raises :class:`CircuitError` with its ``op_index``, and each
+    distinct gate is checked as named by :func:`as_unitary` (4x4, within
+    ``UNITARY_TOL``), whose ``ValueError`` the first failing op raises.
     """
 
     n_qubits: int
@@ -225,7 +251,10 @@ class CircuitIR:
         rows: list = []  # as parse_circuit collects them, with line 0
         seen: dict[tuple, int] = {}  # distinct gate -> table row
         gates: list[_Gate2Row] = []
-        for op in ops:
+        for i, op in enumerate(ops):
+            error = _malformed(op)
+            if error is not None:
+                raise CircuitError(f"op {i}: {error}", i)
             if isinstance(op, Gate1):
                 p = op.params
                 rows += GATE1, op.qubit, 0, p.alpha, p.beta, p.gamma, -1, 0
@@ -617,7 +646,7 @@ class FrameEvent:
 
 Event = PulseEvent | Gate2Event | FrameEvent
 
-_SCHEME_KEYS = ("vz", "three", "four", "two", "special")
+_SCHEME_KEYS = ("vz", "three", "special")  # the schemes compile_circuit emits
 
 
 @dataclass(frozen=True)
@@ -630,7 +659,6 @@ class ScheduleStats:
     gates_2q: int = 0
     compiled_1q: int = 0
     frames: int = 0
-    elided: int = 0
     schemes: dict[str, int] = field(
         default_factory=lambda: {k: 0 for k in _SCHEME_KEYS}
     )
@@ -648,7 +676,7 @@ class ScheduleStats:
             f"pulses_per_1q={_format_angle(self.pulses_per_1q())}",
         ]
         parts += [f"{k}={self.schemes[k]}" for k in _SCHEME_KEYS]
-        parts += [f"elided={self.elided}", f"frames={self.frames}"]
+        parts.append(f"frames={self.frames}")
         return "# stats: " + " ".join(parts)
 
 
@@ -1004,12 +1032,11 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
         gate, buffers[qubit] = buffers[qubit] or _IDENTITY_ENTRIES, None
         if frame != 0.0:
             gate = _mul_entries(_z_rot_entries(frame), gate)
-        target = unframed(qubit, gate)
-        pairs = _special_pairs(target) if policy.special_cases else None
+        alpha, beta, gamma, _ = _gate_angles(unframed(qubit, gate))
+        pairs = _special_pairs(alpha, beta, gamma) if policy.special_cases else None
         if pairs is not None:
             emit(qubit, pairs, "special")
         else:
-            alpha, beta, gamma, _ = _gate_angles(target)
             emit(qubit, _three_pulse_pairs(alpha, beta, gamma), "three")
         frames[qubit] = frame
 

@@ -5,21 +5,21 @@ first) whose product reproduces the target gate up to a global phase.  The
 virtual-Z scheme additionally leaves a pending Z rotation *after* the
 pulses: ``pulse product == z_rot(residual_z) @ target`` up to phase.
 
-The schemes the compiler uses each have a private core that returns the
-pulses as raw ``(sigma, phase)`` pairs, before normalization:
-:func:`_three_pulse_pairs`, :func:`_virtual_z_pairs` (with the residual)
-and :func:`_special_pairs`.  :func:`phasepulse.circuit.compile_circuit`
-writes the pairs straight into its schedule rows, whose PULSE angles are
-normalized once when the schedule is built; :func:`three_pulse`,
+The schemes the compiler uses each have a private core that takes a
+gate's angles ``(alpha, beta, gamma)``, as :class:`GateParams` keeps them,
+and returns the pulses as raw ``(sigma, phase)`` pairs, before
+normalization: :func:`_three_pulse_pairs`, :func:`_virtual_z_pairs` (with
+the residual) and :func:`_special_pairs`.
+:func:`phasepulse.circuit.compile_circuit` writes the pairs straight into
+its schedule rows, whose PULSE angles are normalized once when the
+schedule is built; :func:`three_pulse`,
 :func:`virtual_z` and :func:`special_case` wrap the same cores in
 :class:`Pulse` objects, which normalize them the same way.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -28,8 +28,7 @@ import numpy as np
 
 from .su2 import (
     GateParams,
-    _IDENTITY_ENTRIES,
-    _phase_distance_entries,
+    _gate_angles,
     _unitary_entries,
     conjugated_x,
     normalize_angle,
@@ -43,10 +42,9 @@ PI = math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
-# Detection thresholds for the special-case dispatcher: a gate this close to a case
-# takes its exact pulses, and the gaps add up, so both are the text format's 1e-12.
+# Detection threshold of the special cases: a gate this close to a case takes
+# its exact pulses, and the gaps add up, so it is the text format's 1e-12.
 STRUCTURE_TOL = 1e-12
-CLIFFORD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -180,36 +178,6 @@ def two_pulse(p: GateParams) -> CompiledGate:
     return CompiledGate(seq, 0.0, Scheme.TWO)
 
 
-# The 1q helpers below take a 2x2 matrix as its four row-major entries.
-
-
-def _su2_form(m: tuple[complex, ...]) -> tuple[complex, ...]:
-    a, b, c, d = m
-    k = cmath.exp(-0.5j * cmath.phase(a * d - b * c))
-    return (a * k, b * k, c * k, d * k)
-
-
-def _anti_diagonal_pair(su: tuple[complex, ...]) -> tuple[float, float]:
-    # [[0, -exp(-i b)], [exp(i b), 0]] == conjugated_x(pi, 3*pi/2 - b)
-    beta = cmath.phase(su[2])
-    return (PI, 1.5 * PI - beta)
-
-
-def _diagonal_pairs(su: tuple[complex, ...]) -> _Pairs:
-    # diag(exp(i a), exp(-i a)) from two X180s of opposite phase shifts.
-    alpha = cmath.phase(su[0])
-    theta = -0.5 * (alpha + PI)
-    return ((PI, theta), (PI, -theta))
-
-
-def _half_quarter_pairs(su: tuple[complex, ...]) -> _Pairs:
-    # conjX(pi/2, th) @ conjX(pi, ph) hits any det-1 gate with |u00| = 1/sqrt2:
-    # exp(i ph) = i*sqrt2*u01 and exp(i (th-ph)) = -sqrt2*u00.
-    ph = cmath.phase(1j * math.sqrt(2.0) * su[1])
-    th = ph + cmath.phase(-math.sqrt(2.0) * su[0])
-    return ((PI, ph), (PI / 2, th))
-
-
 class CliffordCategory(Enum):
     PAULI_ROT = "pauli-rotation"
     HADAMARD_COUSIN = "hadamard-cousin"
@@ -256,6 +224,9 @@ def clifford_table() -> tuple[CliffordEntry, ...]:
     def seq(*pairs):
         return PulseSequence.of(*pairs)
 
+    def computed(m: np.ndarray) -> PulseSequence:
+        return seq(*_special_pairs(*_gate_angles(_unitary_entries(m))[:3]))
+
     x, y, z = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
     entries.append(("I", CliffordCategory.PAULI_ROT, None, np.eye(2, dtype=complex), seq()))
     entries.append(("X180", CliffordCategory.PAULI_ROT, x, x_rot(PI), seq((PI, 0.0))))
@@ -284,20 +255,16 @@ def clifford_table() -> tuple[CliffordEntry, ...]:
     ]
     for axis in cousin_axes:
         m = _axis_rotation(axis, PI)
-        if abs(axis[2]) < 1e-12:
-            sequence = seq(_anti_diagonal_pair(_unitary_entries(m)))
-        else:
-            sequence = seq(*_half_quarter_pairs(_unitary_entries(m)))
-        entries.append((f"pi@({_axis_label(axis)})", CliffordCategory.HADAMARD_COUSIN, axis, m, sequence))
+        label = f"pi@({_axis_label(axis)})"
+        entries.append((label, CliffordCategory.HADAMARD_COUSIN, axis, m, computed(m)))
 
     for sense in (1.0, -1.0):
         for sx, sy, sz in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
             axis = (sx * _INV_SQRT3, sy * _INV_SQRT3, sz * _INV_SQRT3)
             angle = sense * 2.0 * PI / 3.0
             m = _axis_rotation(axis, angle)
-            sequence = seq(*_half_quarter_pairs(_unitary_entries(m)))
             label = ("2pi/3@" if sense > 0 else "-2pi/3@") + f"({_axis_label(axis)})"
-            entries.append((label, CliffordCategory.Y_ANALOG, axis, m, sequence))
+            entries.append((label, CliffordCategory.Y_ANALOG, axis, m, computed(m)))
 
     return tuple(
         CliffordEntry(i, name, cat, axis, matrix, sequence)
@@ -305,78 +272,40 @@ def clifford_table() -> tuple[CliffordEntry, ...]:
     )
 
 
-# A Clifford's SU(2) quaternion components have magnitudes in
-# {0, 1/2, 1/sqrt2, 1}, at least 0.2 apart; these are the midpoints.
-_CLIFFORD_GRID_MIDPOINTS = (0.25, 0.5 * (0.5 + _INV_SQRT2), 0.5 * (_INV_SQRT2 + 1.0))
-
-
-def _clifford_key(su: tuple[complex, ...]) -> tuple[int, int, int, int]:
-    """Quaternion of the det-1 ``su`` snapped to the Clifford grid, up to sign.
-
-    Each component becomes a signed grid index (0 for 0 up to 3 for 1), with
-    the overall sign chosen so the first nonzero index is positive, since
-    ``su`` and ``-su`` are the same gate.  The components are those of
-    :func:`phasepulse.su2.to_quaternion`.
-    """
-    m00, m01, m10, m11 = su
-    key = []
-    for v in (
-        0.5 * (m00.real + m11.real),
-        0.5 * (m11.imag - m00.imag),
-        -0.5 * (m10.imag + m01.imag),
-        0.5 * (m10.real - m01.real),
-    ):
-        k = bisect(_CLIFFORD_GRID_MIDPOINTS, abs(v))
-        key.append(k if v >= 0 else -k)
-    sign = next((1 if k > 0 else -1 for k in key if k), 1)
-    return (sign * key[0], sign * key[1], sign * key[2], sign * key[3])
-
-
-@lru_cache(maxsize=1)
-def _clifford_index() -> dict[tuple[int, int, int, int], tuple[tuple[complex, ...], _Pairs]]:
-    """:func:`clifford_table` keyed by :func:`_clifford_key`, built on first use.
-
-    Each value is an entry's matrix as row-major entries, and its pulses as
-    (sigma, phase) pairs.
-    """
-    index = {}
-    for entry in clifford_table():
-        m = _unitary_entries(entry.matrix)
-        index[_clifford_key(_su2_form(m))] = (m, tuple((p.sigma, p.phase) for p in entry.sequence))
-    return index
-
-
 def special_case(u, tol: float = STRUCTURE_TOL) -> CompiledGate | None:
-    """Compile ``u`` with fewer than three pulses when its shape allows it.
+    """Compile ``u`` with fewer than three pulses when its angles allow it.
 
-    Detection order: identity (0 pulses), anti-diagonal (one X180),
-    diagonal (two X180s), Clifford table lookup (<=2 pulses).  Returns
-    ``None`` for gates that need the full three-pulse scheme.
-
-    The Clifford lookup snaps ``u`` to the only table entry it can be
-    within ``CLIFFORD_TOL`` of, then confirms it with one
-    :func:`phase_distance`.  Validates ``u`` first.
+    Returns ``None`` for gates that need the full three-pulse scheme; see
+    :func:`_special_pairs` for the cases.  Validates ``u`` first.
     """
-    pairs = _special_pairs(_unitary_entries(u), tol)
+    alpha, beta, gamma, _ = _gate_angles(_unitary_entries(u))
+    pairs = _special_pairs(alpha, beta, gamma, tol)
     return None if pairs is None else CompiledGate(PulseSequence.of(*pairs), 0.0, Scheme.SPECIAL)
 
 
-def _special_pairs(m: tuple[complex, ...], tol: float = STRUCTURE_TOL) -> _Pairs | None:
-    """The pulses of :func:`special_case` for the row-major entries of a 2x2
-    unitary the caller has validated, or None."""
-    a, b, c, d = m
-    off_mag = max(abs(b), abs(c))
-    # The distance to the identity is at least off_mag.
-    if off_mag <= tol and _phase_distance_entries(m, _IDENTITY_ENTRIES) <= tol:
-        return ()
-    su = _su2_form(m)
-    if max(abs(a), abs(d)) <= tol:
-        return (_anti_diagonal_pair(su),)
-    if off_mag <= tol:
-        return _diagonal_pairs(su)
-    hit = _clifford_index().get(_clifford_key(su))
-    if hit is not None and _phase_distance_entries(m, hit[0]) <= CLIFFORD_TOL:
-        return hit[1]
+def _special_pairs(
+    alpha: float, beta: float, gamma: float, tol: float = STRUCTURE_TOL
+) -> _Pairs | None:
+    """The pulses of :func:`special_case` for the angles of a :class:`GateParams`, or None.
+
+    A gate takes fewer than three X pulses exactly when ``gamma`` is 0, pi/4
+    or pi/2, each within ``tol``: the identity (``sin(alpha)`` 0 too) none,
+    any other diagonal gate two X180s of opposite phase shifts, an
+    anti-diagonal gate one X180, and a gate with ``|m00| = 1/sqrt2`` (every
+    Clifford that is neither) an X180 then an X90, or one X90 when
+    ``sin(alpha)`` is 0.
+    """
+    if gamma <= tol:  # diag(exp(i a), exp(-i a))
+        if abs(math.sin(alpha)) <= tol:
+            return ()
+        theta = -0.5 * (alpha + PI)
+        return ((PI, theta), (PI, -theta))
+    if gamma >= PI / 2 - tol:  # [[0, -exp(-i b)], [exp(i b), 0]]
+        return ((PI, 1.5 * PI - beta),)
+    if abs(gamma - PI / 4) <= tol:
+        if abs(math.sin(alpha)) <= tol:
+            return ((PI / 2, -0.5 * PI - alpha - beta),)
+        return ((PI, -0.5 * PI - beta), (PI / 2, alpha - beta + 0.5 * PI))
     return None
 
 

@@ -184,15 +184,6 @@ def _mul_entries(x: tuple[complex, ...], y: tuple[complex, ...]) -> tuple[comple
     return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
 
 
-def _phase_distance_entries(x: tuple[complex, ...], y: tuple[complex, ...]) -> float:
-    """:func:`phase_distance` of two 2x2 matrices given as row-major entries."""
-    a, b, c, d = x
-    p, q, r, s = y
-    ip = p.conjugate() * a + q.conjugate() * b + r.conjugate() * c + s.conjugate() * d
-    k = ip / abs(ip) if abs(ip) > 1e-300 else 1.0
-    return max(abs(a - k * p), abs(b - k * q), abs(c - k * r), abs(d - k * s))
-
-
 def z_rot(theta: float) -> np.ndarray:
     """Z rotation ``diag(exp(-i*theta/2), exp(+i*theta/2))``."""
     theta = float(theta)

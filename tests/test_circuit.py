@@ -153,6 +153,30 @@ def test_ir_validation_direct():
     assert err.value.op_index == 1
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        Gate2([0, 1], "CNOT", standard_gate("CNOT")),  # qubits a list
+        Gate2((0, 1, 0), "CNOT", standard_gate("CNOT")),
+        Gate2((0, 1), "CNOT", standard_gate("CNOT").tolist()),
+        Gate2((0, 1.0), "CZ", standard_gate("CZ")),
+        Gate2((0, 1), "MY CZ", standard_gate("CZ")),  # a schedule could not name it
+        Gate2((0, 1), "", standard_gate("CZ")),
+        Gate2((0, 1), "CZ#1", standard_gate("CZ")),
+        Gate1(0, None),
+        Gate1("q0", GateParams(0, 0, 0)),
+        Measure(None),
+        "X90 q0",
+        None,
+    ],
+)
+def test_malformed_ops_raise_circuit_error(bad):
+    # The malformed op comes after a good one, so its index is 1.
+    with pytest.raises(CircuitError, match=r"^op 1: ") as err:
+        CircuitIR(2, (Gate1(0, GateParams(0.1, 0.2, 0.3)), bad, Measure(1)))
+    assert err.value.op_index == 1
+
+
 def test_legality_errors_keep_their_line():
     text = "qubits 2\n# measure first\nM q0\n\nU q0 0 0 0  # too late\n"
     with pytest.raises(CircuitSyntaxError, match="already measured") as err:
@@ -805,7 +829,9 @@ def test_stats_line_contents():
     ir = carrier_sandwich_circuit(np.random.default_rng(76))
     sched = compile_circuit(ir, CompilePolicy(PolicyMode.VZ_CARRY))
     line = sched.stats.stats_line()
-    assert "pulses=8" in line and "gates_2q=1" in line and "vz=4" in line
+    assert "pulses=8" in line and "gates_2q=1" in line
+    # only the schemes compile_circuit emits are counted
+    assert line.endswith(" vz=4 three=0 special=0 frames=2")
     assert sum(sched.stats.per_qubit) == sched.stats.pulses
 
 
@@ -824,4 +850,4 @@ def test_stats_are_frozen_and_agree_with_the_events(mode):
     assert stats.gates_1q == sum(isinstance(op, Gate1) for op in ir.ops)
     assert stats.gates_2q == sum(isinstance(ev, Gate2Event) for ev in sched.events)
     assert sum(stats.schemes.values()) == stats.compiled_1q > 0
-    assert stats.elided == 0
+    assert set(stats.schemes) == {"vz", "three", "special"}

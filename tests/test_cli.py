@@ -80,7 +80,7 @@ def test_enc_partner_already_on_frame_costs_nothing(tmp_path, capsys, special):
     assert capsys.readouterr().out == (
         "GATE2 SQISW q0 q1\nGATE2 SQISW q0 q1\nFRAME q0 z=0\nFRAME q1 z=0\n"
         "# stats: pulses=0 q0=0 q1=0 gates_1q=0 gates_2q=2 compiled_1q=0 pulses_per_1q=0 "
-        "vz=0 three=0 four=0 two=0 special=0 elided=0 frames=2\n"
+        "vz=0 three=0 special=0 frames=2\n"
     )
 
 
@@ -171,6 +171,7 @@ def test_near_special_gates_compile_to_a_schedule_that_verifies(name, tmp_path, 
     path, sched = tmp_path / "circuit.txt", tmp_path / "sched.txt"
     path.write_text(NEAR_SPECIAL[name])
     assert main(["compile", str(path), "-o", str(sched)]) == 0
+    assert " pulses_per_1q=3 " in sched.read_text()  # no gate takes a special case
     assert main(["verify", str(path), str(sched)]) == 0
 
 

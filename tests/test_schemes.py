@@ -1,3 +1,4 @@
+import cmath
 import math
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from phasepulse.circuit import (
     parse_circuit,
 )
 from phasepulse.schemes import (
-    CLIFFORD_TOL,
     STRUCTURE_TOL,
     CliffordCategory,
     CompiledGate,
@@ -33,7 +33,6 @@ from phasepulse.schemes import (
     two_pulse,
     virtual_z,
 )
-from phasepulse.schemes import _anti_diagonal_pair, _clifford_index, _diagonal_pairs, _su2_form
 from phasepulse.su2 import (
     GateParams,
     normalize_angle,
@@ -191,10 +190,38 @@ def test_special_rejects_generic():
 
 
 def test_special_never_longer_than_three():
+    # Every Clifford has gamma 0, pi/4 or pi/2, so the closed form gives the
+    # table's pulse count whatever the global phase.
     rng = np.random.default_rng(16)
     for entry in clifford_table():
-        cg = special_case(entry.matrix)
-        assert cg is not None and len(cg.sequence) <= 2
+        for _ in range(20):
+            u = np.exp(1j * rng.uniform(-PI, PI)) * entry.matrix
+            cg = special_case(u)
+            assert cg is not None and len(cg.sequence) == len(entry.sequence) <= 2
+            assert phase_distance(cg.physical_unitary(), u) <= 1e-12
+
+
+# The oracle finds the special cases by the matrix's shape and a scan of the
+# Clifford table, apart from the closed form over the gate's angles; its
+# helpers take a 2x2's row-major entries.
+CLIFFORD_TOL = 1e-12
+
+
+def _su2_form(m):
+    a, b, c, d = m
+    k = cmath.exp(-0.5j * cmath.phase(a * d - b * c))
+    return (a * k, b * k, c * k, d * k)
+
+
+def _anti_diagonal_pair(su):
+    # [[0, -exp(-i b)], [exp(i b), 0]] == conjugated_x(pi, 3*pi/2 - b)
+    return (PI, 1.5 * PI - cmath.phase(su[2]))
+
+
+def _diagonal_pairs(su):
+    # diag(exp(i a), exp(-i a)) from two X180s of opposite phase shifts.
+    theta = -0.5 * (cmath.phase(su[0]) + PI)
+    return ((PI, theta), (PI, -theta))
 
 
 def linear_scan_special_case(u, tol=STRUCTURE_TOL):
@@ -212,6 +239,15 @@ def linear_scan_special_case(u, tol=STRUCTURE_TOL):
     return None
 
 
+def assert_matches_linear_scan(u):
+    # Both hit or both miss; a hit has the oracle's pulse count and product.
+    got, want = special_case(u), linear_scan_special_case(u)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert len(got.sequence) == len(want.sequence)
+        assert phase_distance(got.physical_unitary(), want.physical_unitary()) <= 1e-12
+
+
 def _nearby(u, eps, rng):
     # exp(-i eps n.sigma) @ u: a unitary between eps/sqrt2 and eps from u.
     n = rng.normal(size=3)
@@ -226,15 +262,32 @@ def test_special_case_lookup_matches_linear_scan():
     for entry in clifford_table():
         for _ in range(4):
             u = np.exp(1j * rng.uniform(-PI, PI)) * entry.matrix
-            assert special_case(u) == linear_scan_special_case(u)
-            # a gate ~1e-14 off is a hit; one 1e-9 off is not (CLIFFORD_TOL is 1e-12)
+            assert_matches_linear_scan(u)
+            # a gate ~1e-14 off is a hit; one 1e-9 off is not (the tolerance is 1e-12)
             near, far = _nearby(u, 1e-14, rng), _nearby(u, 1e-9, rng)
-            hit = special_case(near)
-            assert hit is not None and hit == linear_scan_special_case(near)
+            assert special_case(near) is not None
+            assert_matches_linear_scan(near)
             assert special_case(far) is None and linear_scan_special_case(far) is None
     for _ in range(1000):
-        u = haar_unitary(2, rng)
-        assert special_case(u) == linear_scan_special_case(u)
+        assert_matches_linear_scan(haar_unitary(2, rng))
+
+
+def test_quarter_turn_non_cliffords_cost_fewer_than_three_pulses():
+    # gamma = pi/4 takes an X180 and an X90, and one X90 when alpha is 0 or
+    # -pi, Clifford or not; a three-always compile emits the same counts.
+    rng = np.random.default_rng(26)
+    cases = [(rng.uniform(-PI, PI), rng.uniform(-PI, PI), 2) for _ in range(50)]
+    cases += [(alpha, rng.uniform(-PI, PI), 1) for alpha in (0.0, -PI) for _ in range(25)]
+    for alpha, beta, n_pulses in cases:
+        p = GateParams(alpha, beta, PI / 4)
+        u = unitary_from_params(p)
+        cg = special_case(u)
+        assert cg is not None and len(cg.sequence) == n_pulses
+        assert phase_distance(cg.physical_unitary(), u) <= 1e-12
+        schedule = compile_circuit(
+            CircuitIR(2, (Gate1(0, p), Measure(0), Measure(1))), CompilePolicy(PolicyMode.THREE_ALWAYS)
+        )
+        assert schedule.stats.pulses == n_pulses and schedule.stats.schemes["special"] == 1
 
 
 def test_clifford_table_shape():
@@ -397,10 +450,8 @@ def test_compiled_pulses_are_the_public_schemes_bit_for_bit():
 
 
 def test_compile_builds_no_scheme_objects(monkeypatch):
-    # The compiler writes the cores' raw pairs into its rows; the Clifford
-    # table's Pulses are built once per process, before compiling.
+    # The compiler writes the cores' raw pairs into its rows, from a cold start.
     ir = parse_circuit((Path(__file__).parent / "data" / "golden_circuit_enc.txt").read_text())
-    _clifford_index()
 
     def built(*args, **kwargs):
         raise AssertionError("compile_circuit built a scheme object")
