@@ -10,6 +10,7 @@ compilation), moved (carried through two-qubit gates), and retired
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import re
 from collections.abc import Sequence
@@ -22,13 +23,11 @@ import numpy as np
 from .carrier import _frame_maps
 from .schemes import (
     Pulse,
-    _Pairs,
     _special_pairs,
     _three_pulse_pairs,
     _virtual_z_pairs,
 )
 from .su2 import (
-    _IDENTITY_ENTRIES,
     GateParams,
     _angle_entries,
     _check_shape,
@@ -218,9 +217,8 @@ class CircuitIR:
     ``kind[i]`` is GATE1, GATE2 or MEASURE.  ``qubits[i]`` holds the op's
     qubit, and for a GATE2 its second qubit in the order named (else 0).
     ``angles[i]`` is a 1q gate's ``(alpha, beta, gamma)`` as
-    :class:`GateParams` keeps them, and ``entries[i]`` the row-major entries
-    of its 2x2, bit for bit those of ``_params_entries`` (else zeros and
-    None).  ``gate2_row[i]`` is a GATE2's row of the table of distinct 2q
+    :class:`GateParams` keeps them (else zeros), which compile and verify
+    read.  ``gate2_row[i]`` is a GATE2's row of the table of distinct 2q
     gates (else -1): ``gate2_matrices[row]`` is the gate's read-only matrix
     in the fixed (qubit 0, qubit 1) basis and ``gate2_labels[row]`` its
     name.  ``lines[i]`` is the op's source line (0 if not parsed).
@@ -240,7 +238,6 @@ class CircuitIR:
     kind: np.ndarray
     qubits: np.ndarray
     angles: np.ndarray
-    entries: list[tuple[complex, ...] | None]
     gate2_row: np.ndarray
     gate2_matrices: np.ndarray
     gate2_labels: tuple[str, ...]
@@ -289,10 +286,6 @@ class CircuitIR:
         self.kind = np.array(kinds, dtype=np.int8)
         self.qubits = np.array((q0s, q1s), dtype=np.int8).T
         self.angles = np.concatenate((alpha_beta, [gamma])).T
-        self.entries = [
-            _angle_entries(a, b, g) if k == GATE1 else None
-            for k, a, b, g in zip(kinds, *alpha_beta.tolist(), gamma)
-        ]
         self.gate2_row = np.array(rows[6::8], dtype=np.intp)
         self.gate2_matrices = np.array(
             [_in_fixed_basis(m, qubits) for _, m, qubits in gates], dtype=complex
@@ -889,12 +882,16 @@ def _frame_diagonal(f0: float, f1: float) -> np.ndarray:
 
 _POWERS_OF_TWO = 1 << np.arange(62)
 
+# Read-only identities: padding for _tree_product's runs and for the chains.
+_IDENTITY_2 = np.broadcast_to(np.eye(2, dtype=complex), (1, 2, 2))
+_IDENTITY_4 = np.broadcast_to(np.eye(4, dtype=complex), (4, 4))
+
 
 def _tree_product(factors: np.ndarray, keys: np.ndarray, n_keys: int) -> np.ndarray:
-    """Time-ordered product of each key's factors, shape ``(n_keys, d, d)``.
+    """Time-ordered product of each key's factors, shape ``(n_keys, 2, 2)``.
 
-    ``factors[i]`` is a ``d x d`` factor of key ``keys[i]``, and factors of
-    one key act in index order, so a key's product is ``last @ ... @ first``;
+    ``factors[i]`` is a 2x2 factor of key ``keys[i]``, and factors of one
+    key act in index order, so a key's product is ``last @ ... @ first``;
     a key with no factor gets the identity.  One stable sort and one gather
     lay each key's factors out as a run for :func:`_pairwise_rounds`, padded
     with identities to the run's own power of two: at most double the run,
@@ -911,8 +908,7 @@ def _tree_product(factors: np.ndarray, keys: np.ndarray, n_keys: int) -> np.ndar
     shift = run_start - (np.cumsum(counts) - counts)
     source = np.full(ends[-1], len(keys))
     source[np.arange(len(keys)) + shift[keys[order]]] = order
-    identity = np.eye(factors.shape[-1], dtype=complex)
-    runs = _pairwise_rounds(np.concatenate((factors, identity[None]))[source], sorted_widths)
+    runs = _pairwise_rounds(np.concatenate((factors, _IDENTITY_2))[source], sorted_widths)
     out = np.empty_like(runs)
     out[by_width] = runs
     return out
@@ -956,17 +952,28 @@ def _chain_unitaries(factors: np.ndarray, keys: np.ndarray, gates: np.ndarray,
     chain = np.empty((n_chains, width, 4, 4), dtype=complex)
     chain[:, 0:2 * n_seg:2] = segments.reshape(n_chains, n_seg, 4, 4)
     chain[:, 1:2 * n_seg - 1:2] = gates
-    chain[:, 2 * n_seg - 1:] = np.eye(4)
+    chain[:, 2 * n_seg - 1:] = _IDENTITY_4
     return _pairwise_rounds(chain.reshape(-1, 4, 4), np.full(n_chains, width))
 
 
+# GateParams' matrix, row-major, is exp(i*x[:4]) * cos(x[4:]) for x = (alpha,
+# beta, gamma) @ _ENTRY_ANGLES + _ENTRY_SHIFTS: the phases alpha, pi - beta,
+# beta, -alpha, and the cosines of gamma, gamma - pi/2, gamma - pi/2, gamma.
+_ENTRY_ANGLES = np.array(
+    [[1, 0, 0, -1, 0, 0, 0, 0], [0, -1, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1]], float
+)
+_ENTRY_SHIFTS = np.array([0.0, PI, 0.0, 0.0, 0.0, -PI / 2, -PI / 2, 0.0])
+
+
 def _gate_factors(ir: CircuitIR, first_key: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keys (see :func:`_chain_unitaries`) and 2x2 matrices of the circuit's 1q gates."""
+    """Keys (see :func:`_chain_unitaries`) and 2x2 matrices of the circuit's 1q
+    gates, built from their angles within 6.5e-16 of ``_params_entries``."""
     kind = ir.kind
+    gate1 = kind == GATE1
     # a gate's segment is the number of 2q gates before it
-    keys = (first_key + 2 * np.cumsum(kind == GATE2) + ir.qubits[:, 0])[kind == GATE1]
-    entries = [m for m in ir.entries if m is not None]
-    return keys, np.array(entries, dtype=complex).reshape(-1, 2, 2)
+    keys = (first_key + 2 * np.cumsum(kind == GATE2) + ir.qubits[:, 0])[gate1]
+    x = ir.angles[gate1] @ _ENTRY_ANGLES + _ENTRY_SHIFTS
+    return keys, (np.exp(1j * x[:, :4]) * np.cos(x[:, 4:])).reshape(-1, 2, 2)
 
 
 def ideal_unitary(ir: CircuitIR) -> np.ndarray:
@@ -975,16 +982,52 @@ def ideal_unitary(ir: CircuitIR) -> np.ndarray:
     return _chain_unitaries(factors, keys, ir._gate2_sequence(), 1)[0]
 
 
+# How a flush compiles a qubit's buffer: with virtual-Z, or exactly onto frame
+# 0 or onto q0's frame (the ENC rule; q0 is every 2q gate's lower qubit).
+_VZ, _EXACT, _PARTNER = 0, 1, 2
+_GATE1_FLUSH = {PolicyMode.THREE_ALWAYS: _EXACT, PolicyMode.VZ_CARRY: _VZ}
+_RULE_FLUSHES = {"carry": ((0, _VZ), (1, _VZ)), "enc": ((0, _VZ), (1, _PARTNER)),
+                 "zero": ((0, _EXACT), (1, _EXACT))}
+
+
+def _flush_angles(
+    buffered: list[float] | tuple[complex, ...] | None, f: float, t: float
+) -> tuple[float, float, float]:
+    """``(alpha, beta, gamma)`` of ``z_rot(t) @ buffered @ z_rot(-f)`` as
+    :func:`_gate_angles` gives them: ``f`` is the qubit's frame, ``t`` the
+    frame it ends on, and ``buffered`` no gate (None), one gate's angles or
+    a product's 2x2 entries.  No gate or one takes ``z_rot(t) @ U(alpha,
+    beta, gamma) @ z_rot(-f) = U(alpha + (f - t)/2, beta + (t + f)/2,
+    gamma)``, normalized, then the gauge: ``alpha = 0`` where ``cos(gamma)
+    <= 1e-13``, ``beta = 0`` where ``sin(gamma) <= 1e-13``.
+    """
+    if buffered is None or len(buffered) == 3:
+        alpha, beta, gamma = buffered or (0.0, 0.0, 0.0)  # None is the identity
+        if f != 0.0 or t != 0.0:
+            alpha = normalize_angle(alpha + 0.5 * (f - t))
+            beta = normalize_angle(beta + 0.5 * (t + f))
+        if math.cos(gamma) <= 1e-13:
+            alpha = 0.0
+        if math.sin(gamma) <= 1e-13:
+            beta = 0.0
+        return alpha, beta, gamma
+    if t != 0.0:
+        buffered = _mul_entries(_z_rot_entries(t), buffered)
+    if f != 0.0:
+        buffered = _mul_entries(buffered, _z_rot_entries(-f))
+    return _gate_angles(buffered)[:3]
+
+
 def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> PulseSchedule:
     """Lower a circuit to a pulse schedule under the given policy.
 
-    Every 1q gate is multiplied into its qubit's buffer.  ``three-always``
-    flushes the buffer at once with exact pulses (special cases first when
-    enabled, else three pulses), so its frames stay zero; ``vz-carry``
-    flushes it at once with virtual-Z against the pending frame;
-    ``enc-mixed`` and ``auto`` keep it until the qubit's next two-qubit gate
-    or measurement.  Each two-qubit gate applies the first rule of the
-    policy's table that suits it:
+    Every 1q gate goes into its qubit's buffer.  ``three-always`` flushes
+    the buffer at once with exact pulses (special cases first when enabled,
+    else three pulses), so its frames stay zero; ``vz-carry`` flushes it at
+    once with virtual-Z against the pending frame; ``enc-mixed`` and
+    ``auto`` keep it until the qubit's next two-qubit gate or measurement.
+    Each two-qubit gate applies the first rule of the policy's table that
+    suits it:
 
     * ``carry`` (``vz-carry``, then ``auto``): flush both qubits with
       virtual-Z; the frames pass the phase carrier, relabelled.
@@ -996,90 +1039,71 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
       exactly, leaving zero frames.
 
     A measurement, or the end of the circuit, flushes the qubit with
-    virtual-Z and reports its frame.  The loop only notes each compiled 1q
-    gate's scheme; the :class:`ScheduleStats` are read off the rows at the end.
+    virtual-Z and reports its frame.  A flush compiles the angles of
+    :func:`_flush_angles`.  The loop only notes each compiled 1q gate's
+    scheme; the :class:`ScheduleStats` are read off the rows at the end.
     """
     policy = policy or CompilePolicy()
     rules = _gate2_rules(ir, policy.mode)
-
+    special = policy.special_cases
+    n = ir.n_qubits
+    gate1 = _GATE1_FLUSH.get(policy.mode)  # None: the buffer waits for a 2q gate
+    gate1_flushes = [() if gate1 is None else ((q, gate1),) for q in range(n)]
     rows: _Rows = []
     schemes: list[str] = []  # the scheme of each compiled 1q gate
-    frames = [0.0] * ir.n_qubits
-    buffers: list[tuple[complex, ...] | None] = [None] * ir.n_qubits
-    measured = [False] * ir.n_qubits
-
-    def emit(qubit: int, pairs: _Pairs, scheme: str):
-        """Write a compiled gate's raw (sigma, phase) pairs as PULSE rows."""
-        for sigma, phase in pairs:
-            rows.extend((PULSE, qubit, 0, sigma, phase))
-        schemes.append(scheme)
-
-    def unframed(qubit: int, gate: tuple[complex, ...]) -> tuple[complex, ...]:
-        """``gate @ z_rot(-frame)``: what the qubit's pulses must realize."""
-        frame = frames[qubit]
-        return gate if frame == 0.0 else _mul_entries(gate, _z_rot_entries(-frame))
-
-    def flush_vz(qubit: int):
-        """Compile the buffered gate with virtual-Z, leaving its residual frame."""
-        buffered, buffers[qubit] = buffers[qubit], None
-        if buffered is not None:
-            alpha, beta, gamma, _ = _gate_angles(unframed(qubit, buffered))
-            pairs, frames[qubit] = _virtual_z_pairs(alpha, beta, gamma)
-            emit(qubit, pairs, "vz")
-
-    def flush_exact(qubit: int, frame: float = 0.0):
-        """Compile the buffered gate, or the identity, exactly onto the frame ``frame``."""
-        gate, buffers[qubit] = buffers[qubit] or _IDENTITY_ENTRIES, None
-        if frame != 0.0:
-            gate = _mul_entries(_z_rot_entries(frame), gate)
-        alpha, beta, gamma, _ = _gate_angles(unframed(qubit, gate))
-        pairs = _special_pairs(alpha, beta, gamma) if policy.special_cases else None
-        if pairs is not None:
-            emit(qubit, pairs, "special")
-        else:
-            emit(qubit, _three_pulse_pairs(alpha, beta, gamma), "three")
-        frames[qubit] = frame
-
-    def measure(qubit: int):
-        flush_vz(qubit)
-        rows.extend((FRAME, qubit, 0, normalize_angle(frames[qubit]), 0.0))
-        measured[qubit] = True
-
-    for i, (k, q, q2, m) in enumerate(zip(ir.kind.tolist(), *ir.qubits.T.tolist(), ir.entries)):
+    frames = [0.0] * n
+    buffers: list = [None] * n  # None, one gate's angles, or a product's entries
+    measured = [False] * n
+    ops = zip(ir.kind.tolist(), *ir.qubits.T.tolist(), ir.angles.tolist())
+    # after the ops, a measurement of each qubit still unmeasured (read lazily)
+    end = ((MEASURE, q, 0, None) for q in range(n) if not measured[q])
+    for i, (k, q, q2, gate) in enumerate(itertools.chain(ops, end)):
         if k == GATE1:
             prev = buffers[q]
-            buffers[q] = m if prev is None else _mul_entries(m, prev)
-            if policy.mode is PolicyMode.THREE_ALWAYS:
-                flush_exact(q)
-            elif policy.mode is PolicyMode.VZ_CARRY:
-                flush_vz(q)
+            if prev is not None:
+                prev = prev if len(prev) == 4 else _angle_entries(*prev)
+                gate = _mul_entries(_angle_entries(*gate), prev)
+            buffers[q] = gate
+            flushes = gate1_flushes[q]
         elif k == GATE2:
-            rule, ((a, b), (c, d)) = rules[i]
-            qa, qb = (q, q2) if q < q2 else (q2, q)
-            if rule == "carry":
-                flush_vz(qa)
-                flush_vz(qb)
-            elif rule == "enc":
-                flush_vz(qa)
-                if buffers[qb] is not None or frames[qb] != frames[qa]:
-                    flush_exact(qb, frames[qa])
-            else:
-                for qz in (qa, qb):
-                    if buffers[qz] is not None or frames[qz] != 0.0:
-                        flush_exact(qz)
-            f0, f1 = frames
-            frames[0] = normalize_angle(a * f0 + b * f1)
-            frames[1] = normalize_angle(c * f0 + d * f1)
-            rows.extend((GATE2, q, q2, 0.0, 0.0))
+            rule, frame_map = rules[i]
+            flushes = _RULE_FLUSHES[rule]
         else:
-            measure(q)
+            flushes = ((q, _VZ),)
 
-    for q in range(ir.n_qubits):
-        if not measured[q]:
-            measure(q)
+        for qf, how in flushes:
+            buffered, f = buffers[qf], frames[qf]
+            t = frames[0] if how == _PARTNER else 0.0
+            if buffered is None and (how == _VZ or f == t):
+                continue
+            buffers[qf] = None
+            alpha, beta, gamma = _flush_angles(buffered, f, t)
+            if how == _VZ:
+                pairs, frames[qf] = _virtual_z_pairs(alpha, beta, gamma)
+                schemes.append("vz")
+            else:
+                pairs = _special_pairs(alpha, beta, gamma) if special else None
+                schemes.append("three" if pairs is None else "special")
+                if pairs is None:
+                    pairs = _three_pulse_pairs(alpha, beta, gamma)
+                frames[qf] = t
+            for sigma, phase in pairs:
+                rows += PULSE, qf, 0, sigma, phase
+
+        if k == GATE2:
+            f0, f1 = frames
+            if f0 != 0.0 or f1 != 0.0:  # zero frames map to zero frames
+                (a, b), (c, d) = frame_map
+                frames[0] = normalize_angle(a * f0 + b * f1)
+                frames[1] = normalize_angle(c * f0 + d * f1)
+            rows += GATE2, q, q2, 0.0, 0.0
+        elif k == MEASURE:
+            rows += FRAME, q, 0, normalize_angle(frames[q]), 0.0
+            measured[q] = True
+
     names = [ir.gate2_labels[row] for row in ir.gate2_row[ir.kind == GATE2].tolist()]
-    schedule = PulseSchedule._from_rows(ir.n_qubits, rows, names)
-    n = ir.n_qubits  # the rows counted by kind (PULSE, GATE2, FRAME) and qubit
+    schedule = PulseSchedule._from_rows(n, rows, names)
+    # the rows counted by kind (PULSE, GATE2, FRAME) and qubit
     pulses, _, frame_rows = np.bincount(
         schedule.kind * n + schedule.qubits[:, 0], minlength=3 * n
     ).reshape(3, n).tolist()

@@ -174,9 +174,6 @@ def _unitary_entries(u, tol: float = UNITARY_TOL) -> tuple[complex, ...]:
     return tuple(as_unitary(u, 2, tol).ravel().tolist())
 
 
-_IDENTITY_ENTRIES = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-
-
 def _mul_entries(x: tuple[complex, ...], y: tuple[complex, ...]) -> tuple[complex, ...]:
     """Row-major entries of the 2x2 product ``x @ y``."""
     a, b, c, d = x

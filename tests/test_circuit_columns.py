@@ -1,4 +1,4 @@
-"""The columns of ``CircuitIR``: bit-identical 1q entries, and one IR whichever way it is built."""
+"""The columns of ``CircuitIR``: bit-identical 1q angles, and one IR whichever way it is built."""
 
 import math
 import sys
@@ -16,6 +16,7 @@ from phasepulse.circuit import (
     Gate2,
     IllegalPolicyError,
     PolicyMode,
+    _gate_factors,
     compile_circuit,
     merge_adjacent_1q,
     parse_circuit,
@@ -35,8 +36,8 @@ GAMMA_SEAMS = (0.0, -0.0, PI / 2, -1e-9, -5e-10, PI / 2 + 1e-9, math.nextafter(P
 ANGLE_SEAMS = (PI, -PI, math.nextafter(PI, 0.0), math.nextafter(-PI, 0.0), 0.0, -0.0, 3 * PI, -1e-300)
 
 
-def _bits(entries) -> list[str]:
-    return [f"{z.real.hex()} {z.imag.hex()}" for z in entries]
+def _bits(angles) -> list[str]:
+    return [float(x).hex() for x in angles]
 
 
 angles = st.one_of(
@@ -52,12 +53,29 @@ gammas = st.one_of(st.sampled_from(GAMMA_SEAMS), st.floats(-1e-9, PI / 2 + 1e-9)
 @example(a=0.1, b=0.2, g=-1e-9)
 @example(a=0.1, b=0.2, g=PI / 2 + 1e-9)
 @example(a=PI, b=PI, g=PI / 2)
-def test_entries_column_is_bit_identical_to_params_entries(a, b, g):
-    want = _bits(_params_entries(GateParams(a, b, g)))
+def test_angles_column_is_bit_identical_to_gate_params(a, b, g):
+    # the compiler reads a 1q gate off its row of angles
+    p = GateParams(a, b, g)
+    want = _bits((p.alpha, p.beta, p.gamma))
     ir = parse_circuit(f"qubits 2\nU q0 {a!r} {b!r} {g!r}\nU q1 {a!r} {b!r} {g!r}  # token path\n")
-    assert _bits(ir.entries[0]) == want
-    assert _bits(ir.entries[1]) == want
-    assert _bits(CircuitIR(2, ir.ops).entries[0]) == want
+    assert _bits(ir.angles[0].tolist()) == want
+    assert _bits(ir.angles[1].tolist()) == want
+    assert _bits(CircuitIR(2, ir.ops).angles[0].tolist()) == want
+    # the verifier builds the gate's 2x2 from the same row
+    _, factors = _gate_factors(ir, 0)
+    assert np.abs(factors - np.array(_params_entries(p)).reshape(2, 2)).max() <= 1e-15
+
+
+def test_verifier_stack_is_within_1e_15_of_params_entries():
+    rng = np.random.default_rng(15)
+    alpha, beta = rng.uniform(-PI, PI, (2, 500))
+    gamma = np.concatenate((rng.uniform(0.0, PI / 2, 490), [0.0, PI / 4, PI / 2] * 3, [1e-13]))
+    rows = enumerate(zip(alpha.tolist(), beta.tolist(), gamma.tolist()))
+    lines = [f"U q{i % 2} {a!r} {b!r} {g!r}" for i, (a, b, g) in rows]
+    ir = parse_circuit("\n".join(["qubits 2"] + lines))
+    _, factors = _gate_factors(ir, 0)
+    want = [_params_entries(op.params) for op in ir.ops]
+    assert np.abs(factors - np.array(want).reshape(-1, 2, 2)).max() <= 1e-15
 
 
 def _workload_circuits() -> list[tuple[str, str]]:
@@ -72,9 +90,6 @@ def assert_same_columns(a: CircuitIR, b: CircuitIR) -> None:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
     assert a.gate2_labels == b.gate2_labels
-    assert [None if e is None else _bits(e) for e in a.entries] == [
-        None if e is None else _bits(e) for e in b.entries
-    ]
 
 
 @pytest.mark.parametrize("name, text", _workload_circuits(), ids=lambda x: x[:24])

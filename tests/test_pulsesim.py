@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,3 +107,32 @@ def test_random_envelopes_match_closed_form():
         )
         sigma = integrate_sigma(env)
         assert phase_distance(drive_unitary(env), conjugated_x(sigma, phase)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        constant_envelope(1e308, n_samples=2001),
+        constant_envelope(-1e308, n_samples=2001),
+        Envelope(np.full(2, 1.5e308), 0.5, 0.0),  # the two samples add up to 3e308
+    ],
+    ids=["1e308", "-1e308", "pair"],
+)
+def test_huge_area_integrates_without_overflow(env):
+    # the envelope check bounds the area, and the steps halve each sample
+    # before adding two, so nothing overflows on the way to the step check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma = integrate_sigma(env)
+        with pytest.raises(ValueError, match="per-step rotation"):
+            drive_unitary(env)
+    assert math.isfinite(sigma) and abs(sigma) >= 7.5e307
+
+
+def test_integrate_sigma_is_numpy_trapezoid():
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 has only trapz
+    rng = np.random.default_rng(52)
+    for _ in range(200):
+        samples = rng.normal(size=rng.integers(1, 40)) * 10.0 ** rng.uniform(-5, 5)
+        dt = 10.0 ** rng.uniform(-4, 1)
+        assert integrate_sigma(Envelope(samples, dt, 0.1)) == float(trapezoid(samples, dx=dt))

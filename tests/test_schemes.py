@@ -25,6 +25,7 @@ from phasepulse.schemes import (
     Pulse,
     PulseSequence,
     Scheme,
+    _special_pairs,
     absorb_z,
     clifford_table,
     four_pulse,
@@ -424,9 +425,10 @@ def _pairs(compiled):
 
 
 def test_compiled_pulses_are_the_public_schemes_bit_for_bit():
-    # compile_circuit writes the scheme cores' raw pairs and normalizes them
-    # when the schedule is built; the public schemes normalize the same
-    # pairs in Pulse.  Both must give the same bits.
+    # compile_circuit reads a lone gate off its angles, writes the scheme
+    # cores' raw pairs and normalizes them when the schedule is built; the
+    # public schemes normalize the same pairs in Pulse.  Both must give the
+    # same bits.
     rng = np.random.default_rng(24)
     targets = [haar_unitary(2, rng) for _ in range(200)]
     targets += [np.eye(2), np.diag([1j, -1j]), np.array([[0, 1], [1, 0]])]
@@ -434,8 +436,15 @@ def test_compiled_pulses_are_the_public_schemes_bit_for_bit():
         targets += [np.exp(1j * rng.uniform(-PI, PI)) * entry.matrix for _ in range(3)]
     for u in targets:
         gate = Gate1.from_matrix(0, u)
-        params = params_from_unitary(gate.matrix())[0]
-        exact = special_case(gate.matrix()) or three_pulse(params)
+        params = gate.params  # what the compiler reads
+        special = _special_pairs(params.alpha, params.beta, params.gamma)
+        public = special_case(gate.matrix())  # the same case, from the matrix
+        assert (special is None) == (public is None)
+        if special is None:
+            exact = three_pulse(params)
+        else:
+            assert len(special) == len(public.sequence)
+            exact = CompiledGate(PulseSequence.of(*special), 0.0, Scheme.SPECIAL)
         vz = virtual_z(params)
         ir = CircuitIR(2, (gate, Measure(0), Measure(1)))
         for policy, compiled in [
