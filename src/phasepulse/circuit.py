@@ -10,6 +10,7 @@ compilation), moved (carried through two-qubit gates), and retired
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import re
@@ -29,16 +30,11 @@ from .schemes import (
 )
 from .su2 import (
     GateParams,
-    _angle_entries,
     _check_shape,
     _conjugated_x_array,
-    _gate_angles,
-    _mul_entries,
     _normalize_angle_array,
-    _params_entries,
-    _params_from_unitary,
+    _product_angles,
     _unitarity_defect,
-    _z_rot_entries,
     as_unitary,
     normalize_angle,
     params_from_unitary,
@@ -74,23 +70,6 @@ class ScheduleMismatchError(CircuitError):
     pass
 
 
-class _computed_once:
-    """``functools.cached_property`` minus the lock Python 3.11 takes on every
-    first read.  The value is stored on the instance under the function's
-    name, so later reads do not reach this descriptor.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.func.__name__] = self.func(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class Gate1:
     qubit: int
@@ -123,7 +102,7 @@ class Gate2:
     name: str
     matrix: np.ndarray
 
-    @_computed_once
+    @functools.cached_property
     def effective_matrix(self) -> np.ndarray:
         """The matrix in the fixed (qubit 0, qubit 1) basis; read-only, built once.
 
@@ -226,12 +205,13 @@ class CircuitIR:
     ``CircuitIR(2, ops)`` builds the columns from :class:`Gate1`,
     :class:`Gate2` and :class:`Measure` objects, with one table row per
     distinct gate (qubits, name and matrix), and :attr:`ops` shows the rows
-    as such objects, built on first read.  It and :func:`parse_circuit`
-    collect the same rows for one builder, :meth:`_fill`.  Ops are checked
-    in order: one that is not such an object, or has a field of the wrong
-    type, raises :class:`CircuitError` with its ``op_index``, and each
-    distinct gate is checked as named by :func:`as_unitary` (4x4, within
-    ``UNITARY_TOL``), whose ``ValueError`` the first failing op raises.
+    as such objects, built on first read.  It, :func:`parse_circuit` and
+    :func:`merge_adjacent_1q` collect the same rows for one builder,
+    :meth:`_fill`.  Ops are checked in order: one that is not such an
+    object, or has a field of the wrong type, raises :class:`CircuitError`
+    with its ``op_index``, and each distinct gate is checked as named by
+    :func:`as_unitary` (4x4, within ``UNITARY_TOL``), whose ``ValueError``
+    the first failing op raises.
     """
 
     n_qubits: int
@@ -294,7 +274,7 @@ class CircuitIR:
         self.gate2_labels = tuple(label for label, _, _ in gates)
         self.lines = rows[7::8]
 
-    @_computed_once
+    @functools.cached_property
     def ops(self) -> tuple[Op, ...]:
         """The rows as :class:`Gate1`, :class:`Gate2` and :class:`Measure` objects."""
         gates: dict[int, Gate2] = {}
@@ -584,26 +564,33 @@ def merge_adjacent_1q(ir: CircuitIR) -> CircuitIR:
 
     Gates separated only by ops on the *other* qubit commute with them and
     are fused too; a two-qubit gate or measurement on the qubit ends a run.
+    A run is folded gate by gate with :func:`_product_angles`, as
+    :func:`compile_circuit` folds a buffer, into the row and source line of
+    its first gate.  The result keeps ``ir``'s table of 2q gates.
     """
-    out: list[Op] = []
-    open_idx: dict[int, int | None] = {q: None for q in range(ir.n_qubits)}
-    for op in ir.ops:
-        if isinstance(op, Gate1):
-            idx = open_idx[op.qubit]
-            if idx is not None:
-                combined = _mul_entries(_params_entries(op.params), _params_entries(out[idx].params))
-                out[idx] = Gate1(op.qubit, _params_from_unitary(combined)[0])
-            else:
-                open_idx[op.qubit] = len(out)
-                out.append(op)
-        elif isinstance(op, Gate2):
-            for q in op.qubits:
-                open_idx[q] = None
-            out.append(op)
+    rows: list = []  # as CircuitIR._fill takes them
+    runs: list[int | None] = [None] * ir.n_qubits  # where each qubit's run keeps its angles
+    pairs: dict[int, tuple[int, int]] = {}  # the qubits of each table row
+    for k, (q, q2), gate, row, line in zip(
+        ir.kind.tolist(), ir.qubits.tolist(), ir.angles.tolist(), ir.gate2_row.tolist(), ir.lines
+    ):
+        if k == GATE1:
+            run = runs[q]
+            if run is not None:
+                rows[run:run + 3] = _product_angles(gate, rows[run:run + 3])
+                continue
+            runs[q] = len(rows) + 3
+        elif k == GATE2:
+            runs[q] = runs[q2] = None
+            pairs.setdefault(row, (q, q2))
         else:
-            open_idx[op.qubit] = None
-            out.append(op)
-    return CircuitIR(ir.n_qubits, tuple(out))
+            runs[q] = None
+        rows += k, q, q2, *gate, row, line
+    gates = [(label, _in_fixed_basis(m, pairs[row]), pairs[row])
+             for row, (label, m) in enumerate(zip(ir.gate2_labels, ir.gate2_matrices))]
+    merged = CircuitIR.__new__(CircuitIR)
+    merged._fill(ir.n_qubits, rows, gates)
+    return merged
 
 
 class PolicyMode(Enum):
@@ -967,7 +954,7 @@ _ENTRY_SHIFTS = np.array([0.0, PI, 0.0, 0.0, 0.0, -PI / 2, -PI / 2, 0.0])
 
 def _gate_factors(ir: CircuitIR, first_key: int) -> tuple[np.ndarray, np.ndarray]:
     """Keys (see :func:`_chain_unitaries`) and 2x2 matrices of the circuit's 1q
-    gates, built from their angles within 6.5e-16 of ``_params_entries``."""
+    gates, built from their angles within 6.5e-16 of ``_angle_entries``."""
     kind = ir.kind
     gate1 = kind == GATE1
     # a gate's segment is the number of 2q gates before it
@@ -991,41 +978,36 @@ _RULE_FLUSHES = {"carry": ((0, _VZ), (1, _VZ)), "enc": ((0, _VZ), (1, _PARTNER))
 
 
 def _flush_angles(
-    buffered: list[float] | tuple[complex, ...] | None, f: float, t: float
+    buffered: Sequence[float] | None, f: float, t: float
 ) -> tuple[float, float, float]:
-    """``(alpha, beta, gamma)`` of ``z_rot(t) @ buffered @ z_rot(-f)`` as
-    :func:`_gate_angles` gives them: ``f`` is the qubit's frame, ``t`` the
-    frame it ends on, and ``buffered`` no gate (None), one gate's angles or
-    a product's 2x2 entries.  No gate or one takes ``z_rot(t) @ U(alpha,
-    beta, gamma) @ z_rot(-f) = U(alpha + (f - t)/2, beta + (t + f)/2,
-    gamma)``, normalized, then the gauge: ``alpha = 0`` where ``cos(gamma)
-    <= 1e-13``, ``beta = 0`` where ``sin(gamma) <= 1e-13``.
+    """``(alpha, beta, gamma)`` of ``z_rot(t) @ buffered @ z_rot(-f)``: ``f``
+    is the qubit's frame, ``t`` the frame it ends on, and ``buffered`` no
+    gate (None) or a gate's angles.  It is ``U(alpha + (f - t)/2, beta +
+    (t + f)/2, gamma)``, normalized, then the gauge: ``alpha = 0`` where
+    ``cos(gamma) <= 1e-13``, ``beta = 0`` where ``sin(gamma) <= 1e-13``.
     """
-    if buffered is None or len(buffered) == 3:
-        alpha, beta, gamma = buffered or (0.0, 0.0, 0.0)  # None is the identity
-        if f != 0.0 or t != 0.0:
-            alpha = normalize_angle(alpha + 0.5 * (f - t))
-            beta = normalize_angle(beta + 0.5 * (t + f))
-        if math.cos(gamma) <= 1e-13:
-            alpha = 0.0
-        if math.sin(gamma) <= 1e-13:
-            beta = 0.0
-        return alpha, beta, gamma
-    if t != 0.0:
-        buffered = _mul_entries(_z_rot_entries(t), buffered)
-    if f != 0.0:
-        buffered = _mul_entries(buffered, _z_rot_entries(-f))
-    return _gate_angles(buffered)[:3]
+    alpha, beta, gamma = buffered or (0.0, 0.0, 0.0)  # None is the identity
+    if f != 0.0 or t != 0.0:
+        alpha = normalize_angle(alpha + 0.5 * (f - t))
+        beta = normalize_angle(beta + 0.5 * (t + f))
+    if math.cos(gamma) <= 1e-13:
+        alpha = 0.0
+    if math.sin(gamma) <= 1e-13:
+        beta = 0.0
+    return alpha, beta, gamma
 
 
 def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> PulseSchedule:
     """Lower a circuit to a pulse schedule under the given policy.
 
-    Every 1q gate goes into its qubit's buffer.  ``three-always`` flushes
-    the buffer at once with exact pulses (special cases first when enabled,
-    else three pulses), so its frames stay zero; ``vz-carry`` flushes it at
-    once with virtual-Z against the pending frame; ``enc-mixed`` and
-    ``auto`` keep it until the qubit's next two-qubit gate or measurement.
+    Every 1q gate goes into its qubit's buffer, which holds one gate's
+    angles: a gate that finds it full is folded in at once
+    (:func:`_product_angles`), as :func:`merge_adjacent_1q` folds a run.
+    ``three-always`` flushes the buffer at once with exact pulses (special
+    cases first when enabled, else three pulses), so its frames stay zero;
+    ``vz-carry`` flushes it at once with virtual-Z against the pending
+    frame; ``enc-mixed`` and ``auto`` keep it until the qubit's next
+    two-qubit gate or measurement.
     Each two-qubit gate applies the first rule of the policy's table that
     suits it:
 
@@ -1052,7 +1034,7 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
     rows: _Rows = []
     schemes: list[str] = []  # the scheme of each compiled 1q gate
     frames = [0.0] * n
-    buffers: list = [None] * n  # None, one gate's angles, or a product's entries
+    buffers: list = [None] * n  # None or one gate's angles
     measured = [False] * n
     ops = zip(ir.kind.tolist(), *ir.qubits.T.tolist(), ir.angles.tolist())
     # after the ops, a measurement of each qubit still unmeasured (read lazily)
@@ -1060,10 +1042,7 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
     for i, (k, q, q2, gate) in enumerate(itertools.chain(ops, end)):
         if k == GATE1:
             prev = buffers[q]
-            if prev is not None:
-                prev = prev if len(prev) == 4 else _angle_entries(*prev)
-                gate = _mul_entries(_angle_entries(*gate), prev)
-            buffers[q] = gate
+            buffers[q] = gate if prev is None else _product_angles(gate, prev)
             flushes = gate1_flushes[q]
         elif k == GATE2:
             rule, frame_map = rules[i]

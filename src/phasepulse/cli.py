@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from . import circuit as circ
@@ -189,8 +190,24 @@ def cmd_pulsesim(args) -> int:
     return EXIT_OK
 
 
+# A token that float() reads as a negative number: argparse's own pattern
+# takes -0.5 but not -1.5e-3 or -inf, which it would read as an option.
+_NEGATIVE_NUMBER = re.compile(
+    r"-(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?$|-(?:inf|infinity|nan)$", re.IGNORECASE
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser``, and so each of its subparsers, that reads a
+    negative number in any form ``float`` takes as an option's value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phasepulse",
         description="Compile two-qubit circuits to phase-shifted pulse schedules. "
         + _UNITS_NOTE,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -186,13 +187,8 @@ def z_rot(theta: float) -> np.ndarray:
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
-    return np.array(_z_rot_entries(theta)).reshape(2, 2)
-
-
-def _z_rot_entries(theta: float) -> tuple[complex, ...]:
-    """Row-major entries of :func:`z_rot` for a finite angle."""
     e = cmath.exp(-0.5j * theta)
-    return (e, 0j, 0j, e.conjugate())
+    return np.array((e, 0j, 0j, e.conjugate())).reshape(2, 2)
 
 
 def x_rot(omega: float) -> np.ndarray:
@@ -308,16 +304,12 @@ class GateParams:
 
 def unitary_from_params(p: GateParams) -> np.ndarray:
     """Matrix of ``p`` (see :class:`GateParams`)."""
-    return np.array(_params_entries(p)).reshape(2, 2)
-
-
-def _params_entries(p: GateParams) -> tuple[complex, ...]:
-    """Row-major entries of :func:`unitary_from_params`."""
-    return _angle_entries(p.alpha, p.beta, p.gamma)
+    return np.array(_angle_entries(p.alpha, p.beta, p.gamma)).reshape(2, 2)
 
 
 def _angle_entries(alpha: float, beta: float, gamma: float) -> tuple[complex, ...]:
-    """:func:`_params_entries` of the angles a :class:`GateParams` keeps.
+    """Row-major entries of :func:`unitary_from_params` of the angles a
+    :class:`GateParams` keeps.
 
     Python scalar arithmetic on purpose: numpy's complex division differs
     from Python's by an ulp in about a third of the divided entries.
@@ -336,19 +328,14 @@ def params_from_unitary(u, tol: float = UNITARY_TOL) -> tuple[GateParams, float]
     rounding below 1.  When ``gamma`` hits 0 or pi/2 the unconstrained
     angle is set to 0.  Validates ``u`` first.
     """
-    return _params_from_unitary(_unitary_entries(u, tol))
-
-
-def _params_from_unitary(m: tuple[complex, ...]) -> tuple[GateParams, float]:
-    """:func:`params_from_unitary` on the row-major entries of a 2x2 unitary
-    the caller has validated."""
-    alpha, beta, gamma, gphase = _gate_angles(m)
+    alpha, beta, gamma, gphase = _gate_angles(_unitary_entries(u, tol))
     return GateParams(alpha, beta, gamma), gphase
 
 
 def _gate_angles(m: tuple[complex, ...]) -> tuple[float, float, float, float]:
-    """``(alpha, beta, gamma, phase)`` of :func:`_params_from_unitary` as
-    floats, the angles normalized as :class:`GateParams` keeps them."""
+    """``(alpha, beta, gamma, phase)`` of :func:`params_from_unitary` on the
+    row-major entries of a 2x2 unitary the caller has validated, as floats,
+    the angles normalized as :class:`GateParams` keeps them."""
     a, b, c, d = m
     gphase = 0.5 * cmath.phase(a * d - b * c)
     k = cmath.exp(-1j * gphase)
@@ -357,6 +344,13 @@ def _gate_angles(m: tuple[complex, ...]) -> tuple[float, float, float, float]:
     beta = normalize_angle(cmath.phase(m10)) if abs(m10) > 1e-13 else 0.0
     # atan2 of two magnitudes lies in [0, pi/2], as GateParams keeps gamma.
     return alpha, beta, math.atan2(abs(m10), abs(m00)), gphase
+
+
+def _product_angles(later: Sequence[float], earlier: Sequence[float]) -> tuple[float, float, float]:
+    """``(alpha, beta, gamma)`` of ``U(later) @ U(earlier)``, two gates given
+    by the angles a :class:`GateParams` keeps, read off the product's 2x2
+    entries by :func:`_gate_angles`."""
+    return _gate_angles(_mul_entries(_angle_entries(*later), _angle_entries(*earlier)))[:3]
 
 
 @dataclass(frozen=True)

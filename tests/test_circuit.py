@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import compile_verifying_prefixes, haar_unitary, random_gate_params
 from phasepulse import su2
@@ -205,6 +207,7 @@ def test_merge_blocked_by_gate2():
     ir = parse_circuit("qubits 2\nX90 q0\nG2 CZ q0 q1\nX90 q0\n")
     merged = merge_adjacent_1q(ir)
     assert len(merged.ops) == 3
+    assert merged.lines == [2, 3, 4]
 
 
 def test_merge_across_other_qubit():
@@ -212,6 +215,7 @@ def test_merge_across_other_qubit():
     ir = parse_circuit("qubits 2\nX90 q0\nX180 q1\nX90 q0\n")
     merged = merge_adjacent_1q(ir)
     assert len(merged.ops) == 2
+    assert merged.lines == [2, 3]  # a fused gate keeps its run's first line
     assert phase_distance(ideal_unitary(merged), ideal_unitary(ir)) < 1e-10
 
 
@@ -226,6 +230,57 @@ def test_merge_chain_matches_product():
     for p in params:
         product = unitary_from_params(p) @ product
     assert phase_distance(merged.ops[0].matrix(), product) < 1e-10
+
+
+_RUN_GATE2 = ENC_POOL + ["G2 CZ q0 q1", "G2 CZ q1 q0"]  # legal under auto and enc-mixed
+_ANGLE = st.floats(-PI, PI)
+
+
+@st.composite
+def _run(draw, q: int) -> list[str]:
+    """0-3 of U, RZ and X90 on qubit ``q``."""
+    run = []
+    for kind in draw(st.lists(st.sampled_from(("U", "RZ", "X90")), max_size=3)):
+        if kind == "U":
+            a, b, g = draw(_ANGLE), draw(_ANGLE), draw(st.floats(0.0, PI / 2))
+            run.append(f"U q{q} {a!r} {b!r} {g!r}")
+        elif kind == "RZ":
+            run.append(f"RZ q{q} {draw(_ANGLE)!r}")
+        else:
+            run.append(f"X90 q{q}")
+    return run
+
+
+@st.composite
+def runs_circuits(draw) -> str:
+    """Layers of 1q runs on both qubits, interleaved, between 2q gates; then
+    maybe a measurement and a last run on the other qubit."""
+    lines = ["qubits 2"]
+    for layer in range(draw(st.integers(0, 12))):
+        if layer:
+            lines.append(draw(st.sampled_from(_RUN_GATE2)))
+        lines += draw(st.permutations(draw(_run(0)) + draw(_run(1))))
+    if draw(st.booleans()):
+        q = draw(st.integers(0, 1))
+        lines += [f"M q{q}"] + draw(_run(1 - q))
+    return "\n".join(lines) + "\n"
+
+
+@given(text=runs_circuits())
+@settings(max_examples=200, deadline=None)
+def test_compile_folds_a_buffer_as_merge_folds_a_run(text):
+    # Under auto and enc-mixed a qubit's buffer holds exactly the run that
+    # merge_adjacent_1q fuses, and both fold it with _product_angles, so the
+    # schedules agree bit for bit; only the stats count the gates apart.
+    ir = parse_circuit(text)
+    merged = merge_adjacent_1q(ir)
+    lines = merged.lines
+    assert lines == sorted(set(lines)) and set(lines) <= set(ir.lines)
+    for mode in (PolicyMode.AUTO, PolicyMode.ENC_MIXED):
+        want = compile_circuit(ir, CompilePolicy(mode))
+        got = compile_circuit(merged, CompilePolicy(mode))
+        assert got.to_text().splitlines()[:-1] == want.to_text().splitlines()[:-1]
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 # ---------------------------------------------------------------- compile
@@ -561,10 +616,10 @@ def test_schedule_mismatch_errors():
 
 
 def test_compile_validates_each_distinct_gate2_once(monkeypatch):
-    # A CircuitIR is valid once built: CircuitIR(2, ops), and so
-    # merge_adjacent_1q, checks each distinct Gate2 once, and compile and
-    # verify trust the table.  as_unitary goes through the same defect
-    # routine, so any other validation would be counted too.
+    # A CircuitIR is valid once built: CircuitIR(2, ops) checks each
+    # distinct Gate2 once, and merge_adjacent_1q, compile and verify trust
+    # the table.  as_unitary goes through the same defect routine, so any
+    # other validation would be counted too.
     calls = []
     original = su2._unitarity_defect
 
@@ -589,9 +644,11 @@ def test_compile_validates_each_distinct_gate2_once(monkeypatch):
         ir = parse_circuit(text)
         distinct = {(op.qubits, op.name, op.matrix.tobytes()) for op in ir.gate2_ops()}
         calls.clear()
-        merged = merge_adjacent_1q(ir)
+        CircuitIR(2, ir.ops)
         assert calls == [(4, 4)] * len(distinct)
         calls.clear()
+        merged = merge_adjacent_1q(ir)
+        assert calls == []
         for circuit in (ir, merged):
             schedule = compile_circuit(circuit, CompilePolicy(mode))
             simulate_schedule(schedule, circuit)

@@ -23,7 +23,7 @@ from phasepulse.circuit import (
     parse_schedule,
     simulate_schedule,
 )
-from phasepulse.su2 import GateParams, _params_entries
+from phasepulse.su2 import GateParams, _angle_entries
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -34,6 +34,11 @@ import gen  # noqa: E402  (the benchmark's seeded circuit generators)
 
 GAMMA_SEAMS = (0.0, -0.0, PI / 2, -1e-9, -5e-10, PI / 2 + 1e-9, math.nextafter(PI / 2, 4.0))
 ANGLE_SEAMS = (PI, -PI, math.nextafter(PI, 0.0), math.nextafter(-PI, 0.0), 0.0, -0.0, 3 * PI, -1e-300)
+
+
+def _params_entries(p: GateParams) -> tuple[complex, ...]:
+    """Row-major entries of ``unitary_from_params(p)``, the scalar reference."""
+    return _angle_entries(p.alpha, p.beta, p.gamma)
 
 
 def _bits(angles) -> list[str]:

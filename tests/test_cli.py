@@ -334,6 +334,48 @@ def test_pulsesim_subcommand(capsys):
     assert deviation < 1e-6
 
 
+# Each float option, with the other arguments its subcommand needs.
+FLOAT_OPTIONS = {
+    ("pulsesim", "--area"): ["pulsesim", "--steps", "3"],
+    ("pulsesim", "--phase"): ["pulsesim", "--area", "0.01", "--steps", "3"],
+    ("uniqueness", "--omega1"): ["uniqueness", "--omega2", "1", "--omega3", "1", "--samples", "0"],
+    ("uniqueness", "--omega2"): ["uniqueness", "--omega1", "1", "--omega3", "1", "--samples", "0"],
+    ("uniqueness", "--omega3"): ["uniqueness", "--omega1", "1", "--omega2", "1", "--samples", "0"],
+    ("classify", "--tolerance"): ["classify", "CZ"],
+    ("verify", "--tolerance"): ["verify", "CIRCUIT", "SCHEDULE"],
+}
+
+
+def test_float_options_are_the_listed_ones():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    found = {
+        (command, action.option_strings[-1])
+        for command, sub in subparsers.items()
+        for action in sub._actions
+        if action.type is float
+    }
+    assert found == set(FLOAT_OPTIONS)
+
+
+@pytest.mark.parametrize("value", ["-1.5e-3", "-1E+1", "-.5e0", "-inf"])
+@pytest.mark.parametrize("option", sorted(FLOAT_OPTIONS), ids="-".join)
+def test_float_option_takes_a_negative_number_as_a_separate_token(
+    option, value, circuit_file, tmp_path, capsys
+):
+    # argparse's own test for a negative number has no exponent form; the
+    # value must still be read as in "--area=-1.5e-3", never as an option
+    argv = FLOAT_OPTIONS[option]
+    if "SCHEDULE" in argv:
+        schedule = str(tmp_path / "schedule.txt")
+        assert main(["compile", circuit_file, "-o", schedule]) == 0
+        argv = [{"CIRCUIT": circuit_file, "SCHEDULE": schedule}.get(a, a) for a in argv]
+    capsys.readouterr()
+    code = main(argv + [option[1], value])
+    spaced = capsys.readouterr()
+    assert code == main(argv + [f"{option[1]}={value}"]) in (0, 1)
+    assert spaced == capsys.readouterr()
+
+
 HUGE_ENTRIES = " ".join(["1e308,0"] * 16)  # their products overflow
 BAD_NUMBERS_STDIN = {
     "compile": f"qubits 2\nG2 CUSTOM q0 q1 {HUGE_ENTRIES}\n",

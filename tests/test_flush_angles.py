@@ -1,21 +1,30 @@
 """The compiler's angle flush against the 2x2 flush it replaced.
 
 A flush compiles ``z_rot(t) @ U @ z_rot(-f)``: ``f`` is the qubit's frame,
-``t`` the frame it must end on.  :func:`_flush_angles` reads a buffer of one
-gate off its angles.  The reference here builds the 2x2 from the entries
-helpers and reads its angles with ``_gate_angles``, as the compiler did
-before.  Both must give the same scheme and pulse count, the same pulse
-product up to phase, and the same virtual-Z residual frame, and every flush
-must keep the per-flush pulse bound.
+``t`` the frame it must end on.  A buffer always holds one gate's angles
+(two gates are folded into one by ``_product_angles``), and
+:func:`_flush_angles` reads the flush off them in closed form.  The
+reference here builds the 2x2 from the entries helpers and reads its angles
+with ``_gate_angles``, as the compiler did before.  Both must give the same
+scheme and pulse count, the same pulse product up to phase, and the same
+virtual-Z residual frame, and every flush must keep the per-flush pulse
+bound.
 """
 
+import cmath
 import math
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phasepulse.circuit import _flush_angles
+from phasepulse.circuit import (
+    CompilePolicy,
+    PolicyMode,
+    _flush_angles,
+    compile_circuit,
+    parse_circuit,
+)
 from phasepulse.schemes import (
     STRUCTURE_TOL,
     _special_pairs,
@@ -27,7 +36,7 @@ from phasepulse.su2 import (
     _angle_entries,
     _gate_angles,
     _mul_entries,
-    _z_rot_entries,
+    _product_angles,
     conjugated_x,
     normalize_angle,
     phase_distance,
@@ -36,6 +45,12 @@ from phasepulse.su2 import (
 
 PI = math.pi
 SPECIAL_GAMMAS = (0.0, PI / 4, PI / 2)
+
+
+def _z_rot_entries(theta: float) -> tuple[complex, ...]:
+    """Row-major entries of ``z_rot(theta)``."""
+    e = cmath.exp(-0.5j * theta)
+    return (e, 0j, 0j, e.conjugate())
 
 
 def reference_angles(gate, f: float, t: float) -> tuple[float, float, float]:
@@ -144,12 +159,25 @@ def test_angle_flush_matches_the_matrix_flush(gate, f, t):
 
 
 def test_a_product_buffer_takes_the_matrix_path_bit_for_bit():
-    # two or more gates are multiplied as 2x2 entries, and the frames too
+    # A gate that finds its buffer full is folded in at once: the two gates'
+    # 2x2 product, read back as angles.  So two gates in a buffer compile
+    # bit for bit as the one gate _product_angles makes of them, on the
+    # nonzero frames the first layer leaves.
     rng = np.random.default_rng(15)
     for _ in range(200):
-        a, b = (GateParams(*rng.uniform(-PI, PI, 2), rng.uniform(0, PI / 2)) for _ in range(2))
-        entries = _mul_entries(_angle_entries(b.alpha, b.beta, b.gamma),
-                               _angle_entries(a.alpha, a.beta, a.gamma))
-        f, t = rng.uniform(-PI, PI, 2).tolist()
-        framed = _mul_entries(_mul_entries(_z_rot_entries(t), entries), _z_rot_entries(-f))
-        assert _flush_angles(entries, f, t) == _gate_angles(framed)[:3]
+        first, a, b = (
+            (p.alpha, p.beta, p.gamma)
+            for p in (GateParams(*rng.uniform(-PI, PI, 2), rng.uniform(0, PI / 2)) for _ in range(3))
+        )
+        product = _product_angles(b, a)
+        assert product == _gate_angles(_mul_entries(_angle_entries(*b), _angle_entries(*a)))[:3]
+        head = ["qubits 2", "U q0 %r %r %r" % first, "U q1 %r %r %r" % first, "G2 ISWAP q0 q1"]
+        two = parse_circuit("\n".join(
+            head + ["U q0 %r %r %r" % a, "U q1 %r %r %r" % a, "U q0 %r %r %r" % b,
+                    "U q1 %r %r %r" % b, "G2 ISWAP q0 q1"]))
+        one = parse_circuit("\n".join(
+            head + ["U q0 %r %r %r" % product, "U q1 %r %r %r" % product, "G2 ISWAP q0 q1"]))
+        for mode in (PolicyMode.AUTO, PolicyMode.ENC_MIXED):
+            want = compile_circuit(one, CompilePolicy(mode))
+            got = compile_circuit(two, CompilePolicy(mode))
+            assert got.values.tobytes() == want.values.tobytes()
