@@ -829,22 +829,26 @@ _POLICY_RULES = {
 _RULE_NEEDS = {"carry": "phase carriers", "enc": "excitation-number-conserving gates"}
 
 _FrameMatrix = tuple[tuple[int, int], tuple[int, int]]
+_ZERO_RULE = ("zero", ((0, 0), (0, 0)))
 
 
 def _gate2_rules(ir: CircuitIR, mode: PolicyMode) -> dict[int, tuple[str, _FrameMatrix]]:
     """The rule and frame matrix of every 2q op, keyed by op index.
 
     The circuit's table of distinct 2q gates, valid since the circuit was
-    built, is classified in one batched call.  The earliest op to which no
+    built, is classified in one batched call, unless the policy's one rule
+    is ``zero``, which applies to every gate.  The earliest op to which no
     rule of the policy applies raises :class:`IllegalPolicyError`.
     """
-    maps = _frame_maps(ir.gate2_matrices)
     ops = np.flatnonzero(ir.kind == GATE2)
-    op_rows = ir.gate2_row[ops]
     table = _POLICY_RULES[mode]
+    if table == ("zero",):  # a rule that applies to every gate: nothing to classify
+        return dict.fromkeys(ops.tolist(), _ZERO_RULE)
+    maps = _frame_maps(ir.gate2_matrices)
+    op_rows = ir.gate2_row[ops]
     rules = []
     for row, (_, carry, enc_map) in enumerate(maps):
-        applicable = {"zero": ((0, 0), (0, 0))}
+        applicable = {"zero": _ZERO_RULE[1]}
         if carry is not None:
             applicable["carry"] = carry.matrix
         if enc_map is not None:
@@ -1006,8 +1010,9 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
     ``three-always`` flushes the buffer at once with exact pulses (special
     cases first when enabled, else three pulses), so its frames stay zero;
     ``vz-carry`` flushes it at once with virtual-Z against the pending
-    frame; ``enc-mixed`` and ``auto`` keep it until the qubit's next
-    two-qubit gate or measurement.
+    frame (two X90s, or when enabled no pulse, one X90 or one X180 where
+    :func:`_virtual_z_pairs` finds a special case); ``enc-mixed`` and
+    ``auto`` keep it until the qubit's next two-qubit gate or measurement.
     Each two-qubit gate applies the first rule of the policy's table that
     suits it:
 
@@ -1058,7 +1063,7 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
             buffers[qf] = None
             alpha, beta, gamma = _flush_angles(buffered, f, t)
             if how == _VZ:
-                pairs, frames[qf] = _virtual_z_pairs(alpha, beta, gamma)
+                pairs, frames[qf] = _virtual_z_pairs(alpha, beta, gamma, special)
                 schemes.append("vz")
             else:
                 pairs = _special_pairs(alpha, beta, gamma) if special else None

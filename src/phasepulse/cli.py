@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-special-cases",
         dest="special_cases",
         action="store_false",
-        help="disable the short-sequence dispatcher for special gates",
+        help="compile every exact flush in three pulses and every virtual-Z flush in two",
     )
     p.add_argument("-o", "--output", help="write the schedule here instead of stdout")
     p.set_defaults(func=cmd_compile)
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuit", help="circuit file, or '-' for stdin")
     p.add_argument(
         "--no-special-cases", dest="special_cases", action="store_false",
-        help="disable the short-sequence dispatcher",
+        help="compile every exact flush in three pulses and every virtual-Z flush in two",
     )
     p.set_defaults(func=cmd_stats)
 

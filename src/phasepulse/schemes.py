@@ -9,7 +9,8 @@ The schemes the compiler uses each have a private core that takes a
 gate's angles ``(alpha, beta, gamma)``, as :class:`GateParams` keeps them,
 and returns the pulses as raw ``(sigma, phase)`` pairs, before
 normalization: :func:`_three_pulse_pairs`, :func:`_virtual_z_pairs` (with
-the residual) and :func:`_special_pairs`.
+the residual, and on request its 0- and 1-pulse cases) and
+:func:`_special_pairs`.
 :func:`phasepulse.circuit.compile_circuit` writes the pairs straight into
 its schedule rows, whose PULSE angles are normalized once when the
 schedule is built; :func:`three_pulse`,
@@ -139,14 +140,35 @@ def virtual_z(p: GateParams) -> CompiledGate:
     Euler bridge: ``theta = -alpha + beta``, ``phi = pi - 2*gamma``,
     ``omega = -alpha - beta - pi``; the pulse phases are ``omega`` then
     ``omega + phi`` and the leftover ``z_rot(residual_z)`` is the left
-    factor of the physical product.
+    factor of the physical product.  The compiler's fewer-pulse cases are
+    those of :func:`_virtual_z_pairs`.
     """
     pairs, residual = _virtual_z_pairs(p.alpha, p.beta, p.gamma)
     return CompiledGate(PulseSequence.of(*pairs), residual, Scheme.VZ)
 
 
-def _virtual_z_pairs(alpha: float, beta: float, gamma: float) -> tuple[_Pairs, float]:
-    """The pulses and the normalized residual of :func:`virtual_z`."""
+# The gammas that keep the two-X90 bridge lie in (tol, pi/4 - tol) or
+# (pi/4 + tol, pi/2 - tol); any other is 0, pi/4 or pi/2 within tol.  As
+# four precomputed bounds, the test costs a flush two chained comparisons.
+_BRIDGE_LO, _X90_LO = STRUCTURE_TOL, PI / 4 - STRUCTURE_TOL
+_X90_HI, _BRIDGE_HI = PI / 4 + STRUCTURE_TOL, PI / 2 - STRUCTURE_TOL
+
+
+def _virtual_z_pairs(
+    alpha: float, beta: float, gamma: float, special: bool = False
+) -> tuple[_Pairs, float]:
+    """The pulses and the normalized residual of :func:`virtual_z`, or with
+    ``special`` of its special cases where the angles allow them.
+
+    Every gate has ``z_rot(2*alpha) @ U(alpha, beta, gamma) ==
+    conjugated_x(2*gamma, -alpha - beta - pi/2)``.  So when ``gamma`` is 0,
+    pi/4 or pi/2, each within ``STRUCTURE_TOL``, the gate takes no pulse, one
+    X90 or one X180 of that phase and leaves the residual ``2*alpha``.
+    """
+    if special and not (_BRIDGE_LO < gamma < _X90_LO or _X90_HI < gamma < _BRIDGE_HI):
+        sigma = round(4.0 * gamma / PI) * (PI / 2)  # 0, pi/2 or pi
+        pairs = ((sigma, -alpha - beta - PI / 2),) if sigma else ()
+        return pairs, normalize_angle(2.0 * alpha)
     theta = -alpha + beta
     phi = PI - 2.0 * gamma
     omega = -alpha - beta - PI

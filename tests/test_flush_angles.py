@@ -8,7 +8,8 @@ reference here builds the 2x2 from the entries helpers and reads its angles
 with ``_gate_angles``, as the compiler did before.  Both must give the same
 scheme and pulse count, the same pulse product up to phase, and the same
 virtual-Z residual frame, and every flush must keep the per-flush pulse
-bound.
+bound.  With special cases on, a virtual-Z flush whose ``gamma`` is 0,
+pi/4 or pi/2 takes no pulse, one X90 or one X180 instead of two X90s.
 """
 
 import cmath
@@ -30,6 +31,7 @@ from phasepulse.schemes import (
     _special_pairs,
     _three_pulse_pairs,
     _virtual_z_pairs,
+    clifford_table,
 )
 from phasepulse.su2 import (
     GateParams,
@@ -37,6 +39,7 @@ from phasepulse.su2 import (
     _gate_angles,
     _mul_entries,
     _product_angles,
+    _unitary_entries,
     conjugated_x,
     normalize_angle,
     phase_distance,
@@ -63,6 +66,16 @@ def reference_angles(gate, f: float, t: float) -> tuple[float, float, float]:
 def target(gate, f: float, t: float) -> np.ndarray:
     u = np.eye(2) if gate is None else np.array(_angle_entries(*gate)).reshape(2, 2)
     return z_rot(t) @ u @ z_rot(-f)
+
+
+def two_x90_pairs(alpha, beta, gamma):
+    """The virtual-Z bridge's two X90s and residual, as the compiler wrote
+    them for every flush before the special cases."""
+    theta = -alpha + beta
+    phi = PI - 2.0 * gamma
+    omega = -alpha - beta - PI
+    residual = normalize_angle(-(theta + phi + omega))
+    return ((PI / 2, omega), (PI / 2, omega + phi)), residual
 
 
 def exact_pairs(alpha, beta, gamma):
@@ -181,3 +194,66 @@ def test_a_product_buffer_takes_the_matrix_path_bit_for_bit():
             want = compile_circuit(one, CompilePolicy(mode))
             got = compile_circuit(two, CompilePolicy(mode))
             assert got.values.tobytes() == want.values.tobytes()
+
+
+# gamma within 1e-13 of 0, pi/4 and pi/2 (index 0-2), or any other (3)
+VZ_CASE_PULSES = (0, 1, 1, 2)
+
+
+def not_a_case(gamma: float) -> bool:
+    return all(abs(gamma - g) > 2 * STRUCTURE_TOL for g in SPECIAL_GAMMAS)
+
+
+vz_case_gammas = st.one_of(
+    st.tuples(st.sampled_from((0, 1, 2)), st.floats(-1e-13, 1e-13)).map(
+        lambda c: (c[0], min(max(SPECIAL_GAMMAS[c[0]] + c[1], 0.0), PI / 2))
+    ),
+    st.floats(0.0, PI / 2).filter(not_a_case).map(lambda g: (3, g)),
+)
+
+
+@given(case_gamma=vz_case_gammas, alpha=alphas, beta=betas, f=frames)
+@settings(max_examples=1000, deadline=None)
+@example(case_gamma=(0, 0.0), alpha=0.0, beta=0.0, f=0.0)  # the identity on frame 0
+@example(case_gamma=(0, 1e-13), alpha=-PI, beta=0.3, f=PI)
+@example(case_gamma=(1, PI / 4 - 1e-13), alpha=0.2, beta=-0.5, f=-PI / 2)
+@example(case_gamma=(2, PI / 2), alpha=0.2, beta=-0.5, f=PI / 2)
+@example(case_gamma=(2, PI / 2 - 1e-13), alpha=1.0, beta=2.0, f=-PI)
+def test_virtual_z_special_cases_take_at_most_one_pulse(case_gamma, alpha, beta, f):
+    case, gamma = case_gamma
+    p = GateParams(alpha, beta, gamma)
+    gate = (p.alpha, p.beta, p.gamma)
+    angles = _flush_angles(list(gate), f, 0.0)
+    pairs, residual = _virtual_z_pairs(*angles, True)
+    assert len(pairs) == VZ_CASE_PULSES[case]
+    assert all(sigma in (PI / 2, PI) for sigma, _ in pairs)
+    assert phase_distance(product(pairs), z_rot(residual) @ target(gate, f, 0.0)) <= 1e-12
+    assert -PI <= residual < PI
+    # with special cases off, and for any other gamma, the two-X90 bridge
+    assert _virtual_z_pairs(*angles, False) == _virtual_z_pairs(*angles) == two_x90_pairs(*angles)
+    if case == 3:
+        assert (pairs, residual) == two_x90_pairs(*angles)
+
+
+def test_every_clifford_takes_at_most_one_pulse_per_virtual_z_flush():
+    rng = np.random.default_rng(17)
+    clifford_frames = [0.0, PI / 2, -PI / 2, -PI] + rng.uniform(-PI, PI, 16).tolist()
+    lines = ["qubits 2"]
+    for entry in clifford_table():
+        gate = _gate_angles(_unitary_entries(np.exp(1j * rng.uniform(-PI, PI)) * entry.matrix))[:3]
+        for f in clifford_frames:
+            angles = _flush_angles(list(gate), f, 0.0)
+            pairs, residual = _virtual_z_pairs(*angles, True)
+            assert len(pairs) <= 1, entry.name
+            assert phase_distance(product(pairs), z_rot(residual) @ target(gate, f, 0.0)) <= 1e-12
+            assert _virtual_z_pairs(*angles, False) == two_x90_pairs(*angles)
+        lines += ["U q0 %r %r %r" % gate, "U q1 %r %r %r" % gate, "G2 CZ q0 q1"]
+    # CZ carries the frames, so vz-carry and auto flush every gate with
+    # virtual-Z: at most one pulse per Clifford, two without the cases
+    ir = parse_circuit("\n".join(lines))
+    for mode in (PolicyMode.VZ_CARRY, PolicyMode.AUTO):
+        stats = compile_circuit(ir, CompilePolicy(mode)).stats
+        assert stats.schemes["vz"] == stats.gates_1q == 48
+        assert stats.pulses <= 48
+        off = compile_circuit(ir, CompilePolicy(mode, special_cases=False)).stats
+        assert off.pulses == 2 * 48

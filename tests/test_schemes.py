@@ -26,6 +26,7 @@ from phasepulse.schemes import (
     PulseSequence,
     Scheme,
     _special_pairs,
+    _virtual_z_pairs,
     absorb_z,
     clifford_table,
     four_pulse,
@@ -446,16 +447,24 @@ def test_compiled_pulses_are_the_public_schemes_bit_for_bit():
             assert len(special) == len(public.sequence)
             exact = CompiledGate(PulseSequence.of(*special), 0.0, Scheme.SPECIAL)
         vz = virtual_z(params)
+        # the virtual-Z special case: no pulse, one X90 or one X180
+        pairs, residual = _virtual_z_pairs(params.alpha, params.beta, params.gamma, True)
+        vz_special = CompiledGate(PulseSequence.of(*pairs), residual, Scheme.VZ)
+        if len(pairs) == 2:
+            assert pairs == _virtual_z_pairs(params.alpha, params.beta, params.gamma)[0]
         ir = CircuitIR(2, (gate, Measure(0), Measure(1)))
         for policy, compiled in [
             (CompilePolicy(PolicyMode.THREE_ALWAYS), exact),
             (CompilePolicy(PolicyMode.THREE_ALWAYS, special_cases=False), three_pulse(params)),
-            (CompilePolicy(PolicyMode.VZ_CARRY), vz),
+            (CompilePolicy(PolicyMode.VZ_CARRY, special_cases=False), vz),
+            (CompilePolicy(PolicyMode.VZ_CARRY), vz_special),
         ]:
             schedule = compile_circuit(ir, policy)
             got = schedule.values[schedule.kind == PULSE]
             assert got.tobytes() == _pairs(compiled).tobytes()
-        assert schedule.events[-2].angle == vz.residual_z
+            assert schedule.events[-2].angle == compiled.residual_z
+        if special is not None:  # an exact special case, as every Clifford: at most one pulse
+            assert len(vz_special.sequence) <= 1
 
 
 def test_compile_builds_no_scheme_objects(monkeypatch):
