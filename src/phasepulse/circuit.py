@@ -9,7 +9,6 @@ compilation), moved (carried through two-qubit gates), and retired
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -31,7 +30,6 @@ from .schemes import (
 from .su2 import (
     GateParams,
     _check_shape,
-    _conjugated_x_array,
     _normalize_angle_array,
     _product_angles,
     _unitarity_defect,
@@ -295,10 +293,6 @@ class CircuitIR:
 
     def gate2_ops(self) -> list[Gate2]:
         return [op for op in self.ops if isinstance(op, Gate2)]
-
-    def _gate2_sequence(self) -> np.ndarray:
-        """The ``(m, 4, 4)`` matrices of the 2q gates in op order, in the fixed basis."""
-        return self.gate2_matrices[self.gate2_row[self.kind == GATE2]]
 
 
 _QUBIT_RE = re.compile(r"^q(\d+)$")
@@ -865,112 +859,86 @@ def _gate2_rules(ir: CircuitIR, mode: PolicyMode) -> dict[int, tuple[str, _Frame
     return {i: rules[row] for i, row in zip(ops.tolist(), op_rows.tolist())}
 
 
-def _frame_diagonal(f0: float, f1: float) -> np.ndarray:
-    """Diagonal of ``kron(z_rot(f0), z_rot(f1))``."""
-    e0, e1 = cmath.exp(-0.5j * f0), cmath.exp(-0.5j * f1)
-    return np.array([e0 * e1, e0 / e1, e1 / e0, 1.0 / (e0 * e1)])
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """``[[Re m, -Im m], [Im m, Re m]]`` of each matrix of a complex stack.
 
-
-_POWERS_OF_TWO = 1 << np.arange(62)
-
-# Read-only identities: padding for _tree_product's runs and for the chains.
-_IDENTITY_2 = np.broadcast_to(np.eye(2, dtype=complex), (1, 2, 2))
-_IDENTITY_4 = np.broadcast_to(np.eye(4, dtype=complex), (4, 4))
-
-
-def _tree_product(factors: np.ndarray, keys: np.ndarray, n_keys: int) -> np.ndarray:
-    """Time-ordered product of each key's factors, shape ``(n_keys, 2, 2)``.
-
-    ``factors[i]`` is a 2x2 factor of key ``keys[i]``, and factors of one
-    key act in index order, so a key's product is ``last @ ... @ first``;
-    a key with no factor gets the identity.  One stable sort and one gather
-    lay each key's factors out as a run for :func:`_pairwise_rounds`, padded
-    with identities to the run's own power of two: at most double the run,
-    never the longest run, so memory stays O(len(factors) + n_keys).
+    It acts on ``(Re v, Im v)`` as ``m`` acts on ``v``, so the real form of a
+    product is the product of the real forms.
     """
-    counts = np.bincount(keys, minlength=n_keys)
-    widths = _POWERS_OF_TWO[np.searchsorted(_POWERS_OF_TWO, counts)]
-    by_width = np.argsort(-widths, kind="stable")
-    sorted_widths = widths[by_width]
-    ends = np.cumsum(sorted_widths)
-    run_start = np.empty_like(ends)
-    run_start[by_width] = ends - sorted_widths
-    order = np.argsort(keys, kind="stable")
-    shift = run_start - (np.cumsum(counts) - counts)
-    source = np.full(ends[-1], len(keys))
-    source[np.arange(len(keys)) + shift[keys[order]]] = order
-    runs = _pairwise_rounds(np.concatenate((factors, _IDENTITY_2))[source], sorted_widths)
-    out = np.empty_like(runs)
-    out[by_width] = runs
-    return out
+    re, im = m.real, m.imag
+    return np.concatenate((np.concatenate((re, -im), -1), np.concatenate((im, re), -1)), -2)
 
 
-def _pairwise_rounds(runs: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Product of each run of ``runs``, one per entry of ``widths``.
+def _quaternions(angles: np.ndarray) -> np.ndarray:
+    """Unit quaternions ``q = (ca*cg, sa*cg, cb*sg, sb*sg)``, shape ``(4, ...)``,
+    of ``U(alpha, beta, gamma)`` for angles of shape ``(3, ...)``, with ``ca, sa
+    = cos, sin(alpha)`` and so on from one cos and one sin pass.
 
-    The runs lie back to back, each of a power-of-two width, in
-    non-increasing order of width, so every run starts at a multiple of its
-    width.  Each round is then one batched ``@`` over the even-odd pairs of
-    the runs still wider than one, and halves them; it takes log2(widest)
-    rounds.  Within a run, later factors multiply from the left.
+    The gate's 2x2 is ``[[q0 + i*q1, -q2 + i*q3], [q2 + i*q3, q0 - i*q1]]``,
+    the sum of ``q[j]`` times ``_BASIS[j]``.
     """
-    step = 1
-    while len(runs) > len(widths):
-        wide = len(runs) - len(widths) + np.count_nonzero(widths > step)
-        pairs = runs[1:wide:2] @ runs[0:wide:2]
-        runs = np.concatenate((pairs, runs[wide:])) if wide < len(runs) else pairs
-        step *= 2
-    return runs
+    # (ca, sa), (cb, sb), (cg, sg)
+    trig = np.array((np.cos(angles), np.sin(angles))).swapaxes(0, 1)
+    return (trig[:2] * trig[2, :, None]).reshape(4, *angles.shape[1:])
 
 
-def _chain_unitaries(factors: np.ndarray, keys: np.ndarray, gates: np.ndarray,
-                     n_chains: int) -> np.ndarray:
-    """Two-qubit unitaries of ``n_chains`` chains that share the 2q gates ``gates``.
+_BASIS = np.array([[1, 0, 0, 1], [1j, 0, 0, -1j], [0, -1, 1, 0], [0, 1j, 1j, 0]]).reshape(4, 2, 2)
+_EYE = np.eye(2)
+# Row 4*qubit + j is the real 8x8 form of _BASIS[j] on qubit, kron(b, I) on q0
+# and kron(I, b) on q1, flattened.  An 8-vector holding a factor's quaternion in
+# entries 4*qubit to 4*qubit + 3 and zeros elsewhere, times _EMBEDDING, is the
+# real form of its gate on that qubit.
+_EMBEDDING = _real_form(np.concatenate((
+    np.einsum("nij,kl->nikjl", _BASIS, _EYE), np.einsum("ij,nkl->nikjl", _EYE, _BASIS)
+)).reshape(8, 4, 4)).reshape(8, 64)
 
-    The ``n`` gates, a ``(n, 4, 4)`` stack, split each chain into ``n + 1``
-    segments.  ``factors`` are the chains' 1q 2x2s, and ``keys[i] = (chain *
-    (n + 1) + segment) * 2 + qubit``.  1q factors on different qubits
-    commute, so each segment is the broadcast outer product of its two
-    per-qubit products (:func:`_tree_product`).  Each chain alternates its
-    ``2n + 1`` segments and gates, padded with identities to a power of two,
-    and is reduced by the same :func:`_pairwise_rounds`.
+# The most factors of a side that one pass of rounds reduces at once.  A longer
+# chain is reduced chunk by chunk onto a running product, so the working set
+# stays a few hundred 8x8s a side however deep the circuit.
+_CHUNK = 256
+
+
+def _chain_products(gates: np.ndarray, *sides: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The 4x4 unitary of each side, a chain of factors in time order.
+
+    A side is ``(angles, qubits, rows)``, with ``angles`` of shape ``(3, n)``
+    and the others of length ``n``, one entry a factor: where ``rows[i]`` is
+    -1 the factor is ``U(*angles[:, i])`` on qubit ``qubits[i]``, else the 2q
+    gate ``gates[rows[i]]``, a 4x4 in the fixed basis.  Every factor is taken
+    to its real 8x8 form: a 1q factor by :func:`_quaternions` and one matmul
+    with :data:`_EMBEDDING`, a 2q one by its gate's :func:`_real_form`.  The
+    sides go through together in chunks of one width, the longest side's
+    length rounded up to a power of two but at most :data:`_CHUNK`, each side
+    padded with identities.  A chunk is reduced by log2(width) rounds of
+    batched matmuls of later factors onto earlier ones, then multiplies the
+    running product from the left.
     """
-    n_seg = len(gates) + 1
-    local = _tree_product(factors, keys, n_chains * n_seg * 2)
-    local = local.reshape(n_chains, n_seg, 2, 2, 2)
-    segments = local[:, :, 0, :, None, :, None] * local[:, :, 1, None, :, None, :]
-    width = 1 << (2 * n_seg - 2).bit_length()
-    chain = np.empty((n_chains, width, 4, 4), dtype=complex)
-    chain[:, 0:2 * n_seg:2] = segments.reshape(n_chains, n_seg, 4, 4)
-    chain[:, 1:2 * n_seg - 1:2] = gates
-    chain[:, 2 * n_seg - 1:] = _IDENTITY_4
-    return _pairwise_rounds(chain.reshape(-1, 4, 4), np.full(n_chains, width))
-
-
-# GateParams' matrix, row-major, is exp(i*x[:4]) * cos(x[4:]) for x = (alpha,
-# beta, gamma) @ _ENTRY_ANGLES + _ENTRY_SHIFTS: the phases alpha, pi - beta,
-# beta, -alpha, and the cosines of gamma, gamma - pi/2, gamma - pi/2, gamma.
-_ENTRY_ANGLES = np.array(
-    [[1, 0, 0, -1, 0, 0, 0, 0], [0, -1, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1]], float
-)
-_ENTRY_SHIFTS = np.array([0.0, PI, 0.0, 0.0, 0.0, -PI / 2, -PI / 2, 0.0])
-
-
-def _gate_factors(ir: CircuitIR, first_key: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keys (see :func:`_chain_unitaries`) and 2x2 matrices of the circuit's 1q
-    gates, built from their angles within 6.5e-16 of ``_angle_entries``."""
-    kind = ir.kind
-    gate1 = kind == GATE1
-    # a gate's segment is the number of 2q gates before it
-    keys = (first_key + 2 * np.cumsum(kind == GATE2) + ir.qubits[:, 0])[gate1]
-    x = ir.angles[gate1] @ _ENTRY_ANGLES + _ENTRY_SHIFTS
-    return keys, (np.exp(1j * x[:, :4]) * np.cos(x[:, 4:])).reshape(-1, 2, 2)
+    n = max(1, *(len(rows) for _, _, rows in sides))
+    width = min(_CHUNK, 1 << (n - 1).bit_length())
+    gates = _real_form(gates)
+    product = np.eye(8)
+    for start in range(0, n, width):
+        angles = np.zeros((3, len(sides), width))  # U(0, 0, 0) pads
+        qubits = np.zeros((len(sides), width), dtype=np.int8)
+        rows = np.full((len(sides), width), -1)
+        for i, side in enumerate(sides):
+            a, q, r = (column[..., start:start + width] for column in side)
+            angles[:, i, :len(r)] = a
+            qubits[i, :len(r)] = q
+            rows[i, :len(r)] = r
+        slots = _quaternions(angles) * _EYE.take(qubits, 1)[:, None]
+        factors = (slots.reshape(8, -1).T @ _EMBEDDING).reshape(len(sides), width, 8, 8)
+        gate = rows >= 0
+        factors[gate] = gates[rows[gate]]
+        while factors.shape[1] > 1:
+            factors = factors[:, 1::2] @ factors[:, 0::2]
+        product = factors[:, 0] @ product
+    return product[:, :4, :4] + 1j * product[:, 4:, :4]
 
 
 def ideal_unitary(ir: CircuitIR) -> np.ndarray:
     """Unitary of the circuit's gates (measurements contribute nothing)."""
-    keys, factors = _gate_factors(ir, 0)
-    return _chain_unitaries(factors, keys, ir._gate2_sequence(), 1)[0]
+    return _chain_products(ir.gate2_matrices, (ir.angles.T, ir.qubits[:, 0], ir.gate2_row))[0]
 
 
 # How a flush compiles a qubit's buffer: with virtual-Z, or exactly onto frame
@@ -1154,6 +1122,20 @@ def _check_schedule(schedule: PulseSchedule, ir: CircuitIR) -> list[int]:
     return first_frame
 
 
+def _schedule_angles(schedule: PulseSchedule, frame_rows: Sequence[int]) -> np.ndarray:
+    """``(alpha, beta, gamma)``, shape ``(3, n)``, of each schedule row as a 1q
+    factor: a PULSE ``(sigma, phase)`` is ``U(0, -phase - pi/2, sigma/2) =
+    conjugated_x(sigma, phase)``, the FRAME ``z`` at each of ``frame_rows`` is
+    ``U(z/2, 0, 0) = z_rot(-z)``; a GATE2 row's angles are not read."""
+    values = schedule.values
+    angles = np.zeros((3, len(values)))
+    angles[1] = -PI / 2 - values[:, 1]
+    angles[2] = 0.5 * values[:, 0]
+    for row in frame_rows:
+        angles[:, row] = 0.5 * values[row, 0], 0.0, 0.0
+    return angles
+
+
 def simulate_schedule(schedule: PulseSchedule | Sequence[Event], ir: CircuitIR) -> float:
     """Re-simulate a schedule against its circuit; returns the max deviation.
 
@@ -1164,23 +1146,20 @@ def simulate_schedule(schedule: PulseSchedule | Sequence[Event], ir: CircuitIR) 
     needs exactly one FRAME, as :func:`compile_circuit` emits, and it ends
     the qubit: a second or missing FRAME, a later PULSE on that qubit, or
     any later GATE2 raises :class:`ScheduleMismatchError`
-    (:func:`_check_schedule`).  An event sequence is read through
+    (:func:`_check_schedule`).  So a FRAME ``z`` is corrected for at its own
+    row, as the factor ``z_rot(-z)``.  An event sequence is read through
     :meth:`PulseSchedule.from_events`.  The schedule and the circuit are
-    reduced as two chains of one :func:`_chain_unitaries` call.
+    reduced as two sides of one :func:`_chain_products` call.
     """
     if not isinstance(schedule, PulseSchedule):
         schedule = PulseSchedule.from_events(schedule)
     first_frame = _check_schedule(schedule, ir)
-    gates = ir._gate2_sequence()
     kind = schedule.kind
-    pulse = kind == PULSE
-    # a pulse's segment is the number of GATE2 events before it
-    keys = (2 * np.cumsum(kind == GATE2) + schedule.qubits[:, 0])[pulse]
-    gate_keys, gate_factors = _gate_factors(ir, 2 * (len(gates) + 1))  # chain 1
-    angles = schedule.values[pulse]
-    factors = np.concatenate((_conjugated_x_array(angles[:, 0], angles[:, 1]), gate_factors))
-    keys = np.concatenate((keys, gate_keys))
-    physical, ideal = _chain_unitaries(factors, keys, gates, 2)
-    f0, f1 = schedule.values[first_frame, 0].tolist()
-    corrected = _frame_diagonal(-f0, -f1)[:, None] * physical
-    return phase_distance(corrected, ideal)
+    rows = np.full(len(kind), -1)
+    rows[kind == GATE2] = ir.gate2_row[ir.kind == GATE2]
+    physical, ideal = _chain_products(
+        ir.gate2_matrices,
+        (_schedule_angles(schedule, first_frame), schedule.qubits[:, 0], rows),
+        (ir.angles.T, ir.qubits[:, 0], ir.gate2_row),
+    )
+    return phase_distance(physical, ideal)

@@ -25,6 +25,7 @@ from phasepulse.circuit import (
     Measure,
     PolicyMode,
     PulseEvent,
+    PulseSchedule,
     ScheduleMismatchError,
     compile_circuit,
     ideal_unitary,
@@ -33,7 +34,7 @@ from phasepulse.circuit import (
     parse_schedule,
     simulate_schedule,
 )
-from phasepulse.circuit import _gate2_rules
+from phasepulse.circuit import _CHUNK, _gate2_rules
 from phasepulse.cli import main
 from phasepulse.schemes import Pulse
 from phasepulse.su2 import (
@@ -801,6 +802,130 @@ def test_kernel_skewed_segments_match_per_op_kron_without_padding():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def random_chain_case(rng, n_schedule, n_circuit):
+    """A circuit of ``n_circuit`` ops and a schedule of ``n_schedule`` events,
+    random pulses on its 2q gates that end in the two FRAMEs: sides of
+    exactly those numbers of factors."""
+    n_gates = min(n_circuit, n_schedule - 2) // 3
+    gate_lines = [ANY_POOL[i] for i in rng.integers(0, len(ANY_POOL), n_gates)]
+    is_gate = np.zeros(n_circuit, bool)
+    is_gate[rng.choice(n_circuit, n_gates, replace=False)] = True
+    lines, gates = ["qubits 2"], iter(gate_lines)
+    for gate in is_gate.tolist():
+        lines.append(next(gates) if gate else u_line(int(rng.integers(0, 2)), random_gate_params(rng)))
+    ir = parse_circuit("\n".join(lines))
+    is_gate = np.zeros(n_schedule - 2, bool)
+    is_gate[rng.choice(n_schedule - 2, n_gates, replace=False)] = True
+    events, gates = [], iter(gate_lines)
+    for gate in is_gate.tolist():
+        if gate:
+            _, name, qa, qb = next(gates).split()
+            events.append(Gate2Event((int(qa[1]), int(qb[1])), name))
+        else:
+            events += random_pulses(rng, int(rng.integers(0, 2)), 1)
+    events += [FrameEvent(0, rng.uniform(-PI, PI)), FrameEvent(1, rng.uniform(-PI, PI))]
+    return events, ir
+
+
+def assert_both_inputs_match_kron(events, ir):
+    """:func:`assert_kernel_matches_kron` on the event list and on its ``PulseSchedule``."""
+    assert_kernel_matches_kron(events, ir)
+    schedule = PulseSchedule.from_events(events)
+    assert abs(simulate_schedule(schedule, ir) - kron_simulate(schedule.events, ir)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_schedule, n_circuit",
+    [(n, n) for n in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1)]
+    + [(3 * _CHUNK + 1, 5), (5, 3 * _CHUNK + 1), (_CHUNK + 1, 3)],
+)
+def test_kernel_chunks_match_per_op_kron(n_schedule, n_circuit):
+    # one side or both cross a chunk boundary, or the sides differ by chunks
+    rng = np.random.default_rng(n_schedule * 10_000 + n_circuit)
+    events, ir = random_chain_case(rng, n_schedule, n_circuit)
+    assert len(events) == n_schedule and len(ir.kind) == n_circuit
+    assert_both_inputs_match_kron(events, ir)
+    # the circuit's own schedules: longer than the circuit, and realizing it
+    for mode in (PolicyMode.THREE_ALWAYS, PolicyMode.AUTO):
+        events = list(compile_circuit(ir, CompilePolicy(mode)).events)
+        assert_both_inputs_match_kron(events, ir)
+        assert simulate_schedule(events, ir) < 1e-10
+
+
+def test_kernel_frame_before_the_other_qubits_last_pulses():
+    rng = np.random.default_rng(83)
+    events, ir = random_chain_case(rng, 60, 40)
+    frame0, frame1 = events[-2:]
+    moved = events[:-2] + [frame0] + random_pulses(rng, 1, 7) + [frame1]
+    assert_both_inputs_match_kron(moved, ir)
+    # a FRAME commutes with the other qubit's pulses: moving it keeps the deviation
+    text = random_circuit_text(rng, 40, ANY_POOL, measures=False) + u_line(1, random_gate_params(rng))
+    ir = parse_circuit(text)
+    events = list(compile_circuit(ir).events)
+    frame0 = next(ev for ev in events if isinstance(ev, FrameEvent) and ev.qubit == 0)
+    rest = [ev for ev in events if ev is not frame0]
+    last = max(
+        i for i, ev in enumerate(rest)
+        if isinstance(ev, Gate2Event) or (isinstance(ev, PulseEvent) and ev.qubit == 0)
+    )
+    moved = rest[:last + 1] + [frame0] + rest[last + 1:]
+    assert any(isinstance(ev, PulseEvent) for ev in moved[last + 2:])  # q1's last pulses follow
+    assert_both_inputs_match_kron(moved, ir)
+    assert abs(simulate_schedule(moved, ir) - simulate_schedule(events, ir)) <= 1e-12
+    assert simulate_schedule(moved, ir) < 1e-10
+
+
+@pytest.mark.parametrize("gates", ["1q-only", "2q-only"])
+def test_kernel_one_kind_of_gate_matches_per_op_kron(gates):
+    # 300 ops, so both sides cross a chunk boundary
+    rng = np.random.default_rng(84)
+    if gates == "1q-only":
+        lines = [u_line(int(rng.integers(0, 2)), random_gate_params(rng)) for _ in range(300)]
+    else:
+        lines = [ANY_POOL[i] for i in rng.integers(0, len(ANY_POOL), 300)]
+    ir = parse_circuit("\n".join(["qubits 2"] + lines))
+    for mode in PolicyMode:
+        try:
+            events = list(compile_circuit(ir, CompilePolicy(mode)).events)
+        except IllegalPolicyError:
+            continue
+        assert_both_inputs_match_kron(events, ir)
+        assert simulate_schedule(events, ir) < 1e-10
+        shifted = [
+            PulseEvent(ev.qubit, Pulse(ev.pulse.sigma, ev.pulse.phase + 0.1))
+            if isinstance(ev, PulseEvent)
+            else FrameEvent(ev.qubit, ev.angle + 0.2) if isinstance(ev, FrameEvent) else ev
+            for ev in events
+        ]
+        assert_both_inputs_match_kron(shifted, ir)
+
+
+def haar_cz_text(rng, layers):
+    """A Haar-random U on each qubit, then CZ, ``layers`` times."""
+    alpha, beta = rng.uniform(-PI, PI, (2, layers, 2)).tolist()
+    gamma = np.arccos(np.sqrt(rng.uniform(size=(layers, 2)))).tolist()  # Haar: cos^2 uniform
+    lines = ["qubits 2"]
+    for a, b, g in zip(alpha, beta, gamma):
+        lines += [f"U q{q} {a[q]!r} {b[q]!r} {g[q]!r}" for q in (0, 1)] + ["G2 CZ q0 q1"]
+    return "\n".join(lines) + "\n"
+
+
+def test_deep_verify_memory_is_bounded():
+    # 10^4 Haar/CZ layers under three-always, through the 12-digit text: 70,002
+    # events against 30,000 ops, reduced in chunks onto a running product
+    ir = parse_circuit(haar_cz_text(np.random.default_rng(10_004), 10_000))
+    schedule = parse_schedule(compile_circuit(ir).to_text())
+    tracemalloc.start()
+    try:
+        deviation = simulate_schedule(schedule, ir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+    # as the earlier kernel, of complex 2x2 and 4x4 products, computed it
+    assert abs(deviation - 6.673749474881148e-10) <= 1e-12
 
 
 def test_gate2_classification_memo_keeps_qubit_order():

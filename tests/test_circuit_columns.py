@@ -10,20 +10,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasepulse.circuit import (
+    FRAME,
     CircuitIR,
     CompilePolicy,
+    FrameEvent,
     Gate1,
     Gate2,
     IllegalPolicyError,
     PolicyMode,
-    _gate_factors,
+    PulseEvent,
+    PulseSchedule,
+    _quaternions,
+    _schedule_angles,
     compile_circuit,
     merge_adjacent_1q,
     parse_circuit,
     parse_schedule,
     simulate_schedule,
 )
-from phasepulse.su2 import GateParams, _angle_entries
+from phasepulse.schemes import Pulse
+from phasepulse.su2 import GateParams, _angle_entries, conjugated_x, z_rot
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -39,6 +45,26 @@ ANGLE_SEAMS = (PI, -PI, math.nextafter(PI, 0.0), math.nextafter(-PI, 0.0), 0.0, 
 def _params_entries(p: GateParams) -> tuple[complex, ...]:
     """Row-major entries of ``unitary_from_params(p)``, the scalar reference."""
     return _angle_entries(p.alpha, p.beta, p.gamma)
+
+
+def _quaternion_matrices(q: np.ndarray) -> np.ndarray:
+    """The 2x2s of unit quaternions, ``[[q0 + i*q1, -q2 + i*q3], [q2 + i*q3, q0 - i*q1]]``."""
+    q0, q1, q2, q3 = q
+    return np.stack((q0 + 1j * q1, -q2 + 1j * q3, q2 + 1j * q3, q0 - 1j * q1), -1).reshape(-1, 2, 2)
+
+
+def _schedule_matrices(schedule: PulseSchedule) -> np.ndarray:
+    """The 2x2 the verifier builds for each PULSE and FRAME row of ``schedule``."""
+    frames = np.flatnonzero(schedule.kind == FRAME)
+    return _quaternion_matrices(_quaternions(_schedule_angles(schedule, frames)))
+
+
+def _event_matrices(schedule: PulseSchedule) -> np.ndarray:
+    """The same 2x2s from the public builders: ``conjugated_x`` and ``z_rot(-z)``."""
+    return np.array([
+        conjugated_x(ev.pulse.sigma, ev.pulse.phase) if isinstance(ev, PulseEvent) else z_rot(-ev.angle)
+        for ev in schedule.events
+    ])
 
 
 def _bits(angles) -> list[str]:
@@ -66,9 +92,12 @@ def test_angles_column_is_bit_identical_to_gate_params(a, b, g):
     assert _bits(ir.angles[0].tolist()) == want
     assert _bits(ir.angles[1].tolist()) == want
     assert _bits(CircuitIR(2, ir.ops).angles[0].tolist()) == want
-    # the verifier builds the gate's 2x2 from the same row
-    _, factors = _gate_factors(ir, 0)
+    # the verifier builds the gate's quaternion from the same row
+    factors = _quaternion_matrices(_quaternions(ir.angles.T))
     assert np.abs(factors - np.array(_params_entries(p)).reshape(2, 2)).max() <= 1e-15
+    # and a pulse's and a FRAME's from their schedule rows
+    schedule = PulseSchedule.from_events([PulseEvent(0, Pulse(a, b)), FrameEvent(1, a)])
+    assert np.abs(_schedule_matrices(schedule) - _event_matrices(schedule)).max() <= 1e-15
 
 
 def test_verifier_stack_is_within_1e_15_of_params_entries():
@@ -78,9 +107,15 @@ def test_verifier_stack_is_within_1e_15_of_params_entries():
     rows = enumerate(zip(alpha.tolist(), beta.tolist(), gamma.tolist()))
     lines = [f"U q{i % 2} {a!r} {b!r} {g!r}" for i, (a, b, g) in rows]
     ir = parse_circuit("\n".join(["qubits 2"] + lines))
-    _, factors = _gate_factors(ir, 0)
+    factors = _quaternion_matrices(_quaternions(ir.angles.T))
     want = [_params_entries(op.params) for op in ir.ops]
     assert np.abs(factors - np.array(want).reshape(-1, 2, 2)).max() <= 1e-15
+    # the same draws as pulses (sigma=alpha, phase=beta) and FRAMEs (z=beta)
+    pairs = enumerate(zip(alpha.tolist(), beta.tolist()))
+    events = [PulseEvent(i % 2, Pulse(a, b)) for i, (a, b) in pairs]
+    events += [FrameEvent(i % 2, b) for i, b in enumerate(beta.tolist())]
+    schedule = PulseSchedule.from_events(events)
+    assert np.abs(_schedule_matrices(schedule) - _event_matrices(schedule)).max() <= 1e-15
 
 
 def _workload_circuits() -> list[tuple[str, str]]:
