@@ -296,10 +296,11 @@ class CircuitIR:
 
 
 _QUBIT_RE = re.compile(r"^q(\d+)$")
+_QUBITS = {"q0": 0, "q1": 1}
 _PARAM_GATE_RE = re.compile(r"^([A-Z]+)\((.*)\)$")
 _FIXED_GATE2 = ("CZ", "CNOT", "SWAP", "ISWAP", "SQISW")
 
-_X_GAMMA = {"90": PI / 4, "180": PI / 2}  # X90 and X180 are U(0, -pi/2, gamma)
+_X_GAMMA = {"X90": PI / 4, "X180": PI / 2}  # X90 and X180 are U(0, -pi/2, gamma)
 
 
 def _parse_float(tok: str) -> float:
@@ -312,13 +313,30 @@ def _parse_float(tok: str) -> float:
     return value
 
 
-def _parse_qubit(tok: str, n_qubits: int) -> int:
+def _parse_floats(tokens: list[str]) -> list[float]:
+    """The tokens as finite numbers: ``float`` of each and one finiteness test
+    of their sum, else :func:`_parse_float` of each in order, which words the
+    first bad token's error (or passes finite numbers whose sum overflows)."""
+    try:
+        values = list(map(float, tokens))
+    except ValueError:
+        pass
+    else:
+        if isfinite(sum(values)):
+            return values
+    return [_parse_float(t) for t in tokens]
+
+
+def _parse_qubit(tok: str) -> int:
+    q = _QUBITS.get(tok)
+    if q is not None:
+        return q
     m = _QUBIT_RE.match(tok)
     if not m:
         raise CircuitError(f"expected a qubit like 'q0', got {tok!r}")
     q = int(m.group(1))
-    if q >= n_qubits:
-        raise CircuitError(f"qubit {tok} out of range for {n_qubits} qubits")
+    if q >= 2:
+        raise CircuitError(f"qubit {tok} out of range for 2 qubits")
     return q
 
 
@@ -340,13 +358,13 @@ def parse_gate_spec(spec: str, entries: Sequence[str] = ()) -> tuple[str, np.nda
     if spec == "CUSTOM":
         if len(entries) != 16:
             raise CircuitError(f"CUSTOM takes 16 're,im' pairs, got {len(entries)}")
-        values = []
-        for tok in entries:
-            pieces = tok.split(",")
-            if len(pieces) != 2:
-                raise CircuitError(f"expected 're,im', got {tok!r}")
-            values.append(complex(_parse_float(pieces[0]), _parse_float(pieces[1])))
-        return "CUSTOM", np.array(values, dtype=complex).reshape(4, 4)
+        if not all(tok.count(",") == 1 for tok in entries):
+            for tok in entries:  # the first bad entry words the error
+                if tok.count(",") != 1:
+                    raise CircuitError(f"expected 're,im', got {tok!r}")
+                _parse_floats(tok.split(","))
+        values = _parse_floats(",".join(entries).split(","))
+        return "CUSTOM", np.array(values).view(complex).reshape(4, 4)
     if entries:
         raise CircuitError(f"unexpected tokens after {spec}: {' '.join(entries)}")
     if spec in _FIXED_GATE2:
@@ -361,49 +379,55 @@ def parse_gate_spec(spec: str, entries: Sequence[str] = ()) -> tuple[str, np.nda
     return f"{name}({','.join(map(_format_angle, args))})", standard_gate(name, *args)
 
 
-# An op as parse_circuit collects it: kind, qubit, second qubit, the raw 1q
-# angles, and for a 2q gate its table key (the spec text and qubits), label
-# and matrix in the order named.
-_OpRow = tuple[int, int, int, float, float, float, tuple[str, str, np.ndarray] | None]
-
-
-def _parse_op(tokens: list[str], n_qubits: int) -> _OpRow:
-    """Check an op line token by token; the first failing check words the error."""
+def _parse_op(tokens: list[str]) -> tuple[int, int, float, float, float]:
+    """Kind, qubit and raw angles of a 1q gate or ``M`` line, checked in token
+    order; the first failing check words the error."""
     head = tokens[0]
     if head == "U":
         if len(tokens) != 5:
             raise CircuitError("usage: U q<i> <alpha> <beta> <gamma>")
-        q = _parse_qubit(tokens[1], n_qubits)
-        a, b, g = (_parse_float(t) for t in tokens[2:5])
-        GateParams(a, b, g)  # checks the range of gamma
-        return GATE1, q, 0, a, b, g, None
+        q = _parse_qubit(tokens[1])
+        a, b, g = _parse_floats(tokens[2:])
+        if not -1e-9 <= g <= PI / 2 + 1e-9:
+            GateParams(a, b, g)  # words the range error of gamma
+        return GATE1, q, a, b, g
     if head == "RZ":
         if len(tokens) != 3:
             raise CircuitError("usage: RZ q<i> <theta>")
-        q = _parse_qubit(tokens[1], n_qubits)
-        return GATE1, q, 0, -0.5 * _parse_float(tokens[2]), 0.0, 0.0, None
-    if head in ("X90", "X180"):
+        q = _parse_qubit(tokens[1])
+        return GATE1, q, -0.5 * _parse_float(tokens[2]), 0.0, 0.0
+    if head in _X_GAMMA:
         if len(tokens) != 2:
             raise CircuitError(f"usage: {head} q<i>")
-        return GATE1, _parse_qubit(tokens[1], n_qubits), 0, 0.0, -PI / 2, _X_GAMMA[head[1:]], None
-    if head == "G2":
-        if len(tokens) < 4:
-            raise CircuitError("usage: G2 <gate> q<i> q<j> [16 're,im' pairs for CUSTOM]")
-        label, matrix = parse_gate_spec(tokens[1], tokens[4:])
-        if label == "CUSTOM":
-            matrix = as_unitary(matrix, 4, tol=1e-8)
-        qa, qb = _parse_qubit(tokens[2], n_qubits), _parse_qubit(tokens[3], n_qubits)
-        return GATE2, qa, qb, 0.0, 0.0, 0.0, (" ".join(tokens[1:]), label, matrix)
+        return GATE1, _parse_qubit(tokens[1]), 0.0, -PI / 2, _X_GAMMA[head]
     if head == "M":
         if len(tokens) != 2:
             raise CircuitError("usage: M q<i>")
-        return MEASURE, _parse_qubit(tokens[1], n_qubits), 0, 0.0, 0.0, 0.0, None
+        return MEASURE, _parse_qubit(tokens[1]), 0.0, 0.0, 0.0
+    if head == "qubits":
+        raise CircuitError("duplicate 'qubits' header")
     raise CircuitError(f"unknown op {head!r}")
 
 
-def _parse_header(tokens: list[str], n_qubits: int | None) -> int:
-    if n_qubits is not None:
-        raise CircuitError("duplicate 'qubits' header")
+def _parse_gate2(tokens: list[str]) -> _Gate2Row:
+    """Label, matrix as named and qubits of a ``G2`` line, checked in the order
+    of :func:`parse_gate_spec`, then the qubits.  A CUSTOM gate's unitarity
+    is checked here only before a qubit that needs :func:`_parse_qubit`'s
+    regex; :func:`parse_circuit` checks the rest after its loop."""
+    if len(tokens) < 4:
+        raise CircuitError("usage: G2 <gate> q<i> q<j> [16 're,im' pairs for CUSTOM]")
+    label, matrix = parse_gate_spec(tokens[1], tokens[4:])
+    qa, qb = _QUBITS.get(tokens[2]), _QUBITS.get(tokens[3])
+    if qa is None or qb is None:
+        if label == "CUSTOM":
+            as_unitary(matrix, 4, tol=1e-8)
+        qa, qb = _parse_qubit(tokens[2]), _parse_qubit(tokens[3])
+    return label, matrix, (qa, qb)
+
+
+def _parse_header(tokens: list[str]) -> None:
+    if tokens[0] != "qubits":
+        raise CircuitError("first statement must be 'qubits 2'")
     if len(tokens) != 2:
         raise CircuitError("usage: qubits 2")
     try:
@@ -412,23 +436,6 @@ def _parse_header(tokens: list[str], n_qubits: int | None) -> int:
         raise CircuitError(f"expected an integer, got {tokens[1]!r}") from None
     if n_qubits != 2:
         raise CircuitError("this compiler handles exactly 2 qubits")
-    return n_qubits
-
-
-# An op line as written in the format: U in groups 1-4, RZ 5-6, X90 or X180
-# 7-8, M 17, and a G2's table key, spec and qubits in 9-12, or a CUSTOM's key,
-# qubits and entries in 13-16.  Which one matched is the match's lastindex.
-_NUMBER = r"([-+.0-9e]+)"
-_OP_LINE_RE = re.compile(
-    rf"U q([01]) {_NUMBER} {_NUMBER} {_NUMBER}"
-    rf"|RZ q([01]) {_NUMBER}"
-    r"|X(90|180) q([01])"
-    r"|G2 ((CZ|CNOT|SWAP|ISWAP|SQISW|CPHASE\([-+.0-9e]+\)|FSIM\([-+.0-9e]+,[-+.0-9e]+\))"
-    r" q([01]) q([01]))"
-    r"|G2 (CUSTOM q([01]) q([01]) ((?:[-+.0-9e]+,[-+.0-9e]+ ){15}[-+.0-9e]+,[-+.0-9e]+))"
-    r"|M q([01])"
-)
-_U, _RZ, _X, _G2, _M = 4, 6, 8, 9, 17
 
 
 def parse_circuit(text: str) -> CircuitIR:
@@ -439,118 +446,66 @@ def parse_circuit(text: str) -> CircuitIR:
     error, including an illegal circuit found by :func:`_check_ops`, is a
     :class:`CircuitSyntaxError` at the offending line.
 
-    A line as the format writes it takes one regex match; any other line is
-    checked token by token (:func:`_parse_op`).  The matched lines' numbers
-    are checked after the loop, over the whole circuit at once: finite
-    angles, ``gamma`` in range, and CUSTOM gates unitary within 1e-8 in one
-    stacked defect call.  The first bad line, found either way, is read by
-    :func:`_parse_op` again, which words its error.  The 2q gates go into a
-    table keyed by their spec text and qubits.
+    Every line is read one way: the comment split off, the rest split into
+    tokens and checked in token order by :func:`_parse_op` or, for a ``G2``
+    line, :func:`_parse_gate2`.  A 2q gate goes into a table keyed by its
+    tokens after ``G2``, so a repeated gate is read once.  The CUSTOM gates
+    of the table are checked for unitarity within 1e-8 after the loop, in
+    one stacked defect call; :func:`as_unitary` words the first bad one's
+    error at its first line, unless an earlier line failed.
     """
-    lines = text.splitlines()
     rows: list = []  # kind, qubit, second qubit, alpha, beta, gamma, table row, line: per op
     table: dict[str, int] = {}
-    gates: list[tuple[str, np.ndarray, tuple[int, int]]] = []  # label, matrix as named, qubits
-    n_qubits: int | None = None
+    gates: list[_Gate2Row] = []
     error: CircuitSyntaxError | None = None
-    match = _OP_LINE_RE.fullmatch
-    for line_no, raw in enumerate(lines, start=1):
-        m = match(raw) if n_qubits else None
-        if m is not None:
-            last = m.lastindex
+    lines = enumerate(text.splitlines(), start=1)
+    for line_no, raw in lines:
+        tokens = raw.partition("#")[0].split()
+        if tokens:
             try:
-                if last == _U:
-                    q, a, b, g = m.group(1, 2, 3, 4)
-                    rows += GATE1, int(q), 0, float(a), float(b), float(g), -1, line_no
-                elif last == _RZ:
-                    q, theta = m.group(5, 6)
-                    rows += GATE1, int(q), 0, -0.5 * float(theta), 0.0, 0.0, -1, line_no
-                elif last == _X:
-                    x, q = m.group(7, 8)
-                    rows += GATE1, int(q), 0, 0.0, -PI / 2, _X_GAMMA[x], -1, line_no
-                elif last == _M:
-                    rows += MEASURE, int(m.group(17)), 0, 0.0, 0.0, 0.0, -1, line_no
-                else:
-                    key, qa, qb = m.group(9, 11, 12) if last == _G2 else m.group(13, 14, 15)
-                    qa, qb = int(qa), int(qb)
-                    row = table.get(key)
-                    if row is None:
-                        if last == _G2:
-                            label, matrix = parse_gate_spec(m.group(10))
-                        else:  # the entries' finiteness is checked with their unitarity
-                            values = np.array(list(map(float, m.group(16).replace(",", " ").split())))
-                            label, matrix = "CUSTOM", values.view(complex).reshape(4, 4)
-                        row = table[key] = len(gates)
-                        gates.append((label, matrix, (qa, qb)))
-                    rows += GATE2, qa, qb, 0.0, 0.0, 0.0, row, line_no
-                continue
-            except ValueError:
-                pass  # not a number or not a gate: the token checks word the error
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+                _parse_header(tokens)
+            except ValueError as exc:
+                raise CircuitSyntaxError(str(exc), line_no) from None
+            break
+    else:
+        raise CircuitSyntaxError("missing 'qubits 2' header", 1)
+    for line_no, raw in lines:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         try:
-            if tokens[0] == "qubits":
-                n_qubits = _parse_header(tokens, n_qubits)
-                continue
-            if n_qubits is None:
-                raise CircuitError("first statement must be 'qubits 2'")
-            kind, q, q2, a, b, g, gate2 = _parse_op(tokens, n_qubits)
+            if tokens[0] == "G2":
+                key = " ".join(tokens[1:])
+                row = table.get(key)
+                if row is None:
+                    gates.append(_parse_gate2(tokens))
+                    row = table[key] = len(gates) - 1
+                qa, qb = gates[row][2]
+                rows += GATE2, qa, qb, 0.0, 0.0, 0.0, row, line_no
+            else:
+                kind, q, a, b, g = _parse_op(tokens)
+                rows += kind, q, 0, a, b, g, -1, line_no
         except ValueError as exc:
             error = CircuitSyntaxError(str(exc), line_no)
             break
-        row = -1
-        if gate2 is not None:
-            key, label, matrix = gate2
-            row = table.get(key)
-            if row is None:
-                row = table[key] = len(gates)
-                gates.append((label, matrix, (q, q2)))
-        rows += kind, q, q2, a, b, g, row, line_no
 
-    bad = _first_unchecked_error(rows, gates)
-    if bad is not None:
-        line_no = rows[8 * bad + 7]
-        try:
-            _parse_op(lines[line_no - 1].split("#", 1)[0].split(), 2)
-        except ValueError as exc:
-            raise CircuitSyntaxError(str(exc), line_no) from None
-        raise AssertionError(f"line {line_no} fails a check that its tokens pass")
+    custom = [row for row, (label, _, _) in enumerate(gates) if label == "CUSTOM"]
+    if custom:
+        defects = _unitarity_defect(np.array([gates[row][1] for row in custom]))
+        for row in np.array(custom)[~(defects <= 1e-8)].tolist():
+            try:
+                as_unitary(gates[row][1], 4, tol=1e-8)
+            except ValueError as exc:
+                raise CircuitSyntaxError(str(exc), rows[8 * rows[6::8].index(row) + 7]) from None
     if error is not None:
         raise error
-    if n_qubits is None:
-        raise CircuitSyntaxError("missing 'qubits 2' header", 1)
 
     ir = CircuitIR.__new__(CircuitIR)
     try:
-        ir._fill(n_qubits, rows, gates)
+        ir._fill(2, rows, gates)
     except CircuitError as exc:
         raise CircuitSyntaxError(str(exc), rows[8 * exc.op_index + 7]) from None
     return ir
-
-
-def _first_unchecked_error(rows: list, gates: list) -> int | None:
-    """The first op of :func:`parse_circuit`'s rows that fails a check the
-    match path leaves to the whole circuit, or None.
-
-    The checks: finite angles, ``gamma`` within 1e-9 of ``[0, pi/2]``, and
-    CUSTOM gates within 1e-8 of unitary, in one stacked defect call.  A sum,
-    a min and a max over the angle columns clear most circuits at once.
-    """
-    alpha, beta, gamma = rows[3::8], rows[4::8], rows[5::8]
-    bad = []
-    if not (isfinite(sum(alpha) + sum(beta) + sum(gamma))
-            and min(gamma, default=0.0) >= -1e-9 and max(gamma, default=0.0) <= PI / 2 + 1e-9):
-        a = np.array((alpha, beta, gamma), dtype=float)
-        out = ~np.isfinite(a).all(axis=0) | (a[2] < -1e-9) | (a[2] > PI / 2 + 1e-9)
-        bad += np.flatnonzero(out)[:1].tolist()
-    custom = [row for row, (label, _, _) in enumerate(gates) if label == "CUSTOM"]
-    if custom:
-        unitary = _unitarity_defect(np.array([gates[row][1] for row in custom])) <= 1e-8
-        if not unitary.all():
-            bad.append(rows[6::8].index(custom[int(unitary.argmin())]))
-    return min(bad, default=None)
 
 
 def merge_adjacent_1q(ir: CircuitIR) -> CircuitIR:
@@ -695,17 +650,22 @@ class PulseSchedule:
 
     @classmethod
     def from_events(cls, events: Sequence[Event]) -> "PulseSchedule":
-        """The schedule of hand-built events."""
+        """The schedule of hand-built events; a qubit other than 0 or 1, or a
+        :class:`Gate2Event` without two qubits, raises :class:`CircuitError`
+        with the event's index."""
         rows: _Rows = []
         names: list[str] = []
-        for ev in events:
+        for i, ev in enumerate(events):
             if isinstance(ev, PulseEvent):
-                rows += PULSE, ev.qubit, 0, ev.pulse.sigma, ev.pulse.phase
+                row = PULSE, ev.qubit, 0, ev.pulse.sigma, ev.pulse.phase
             elif isinstance(ev, Gate2Event):
-                rows += GATE2, *ev.qubits, 0.0, 0.0
+                row = GATE2, *ev.qubits, 0.0, 0.0
                 names.append(ev.name)
             else:
-                rows += FRAME, ev.qubit, 0, ev.angle, 0.0
+                row = FRAME, ev.qubit, 0, ev.angle, 0.0
+            if len(row) != 5 or not {row[1], row[2]} <= {0, 1}:
+                raise CircuitError(f"event {i}: qubits must be 0 or 1, got {ev!r}", i)
+            rows += row
         return cls._from_rows(2, rows, names)
 
     def _columns(self, values: np.ndarray) -> zip:
@@ -739,6 +699,7 @@ class PulseSchedule:
         return "\n".join(lines) + "\n"
 
 
+_NUMBER = r"([-+.0-9e]+)"
 # A line as PulseSchedule.to_text writes it.  Groups 1-3 are a PULSE's qubit,
 # sigma and phase, 4-6 a GATE2's name and qubits, 7-8 a FRAME's qubit and z.
 _EVENT_LINE_RE = re.compile(
@@ -756,16 +717,16 @@ def _read_event(raw: str, rows: _Rows, names: list[str]) -> None:
     tokens = line.split()
     kind = tokens[0]
     if kind == "PULSE" and len(tokens) == 4:
-        q = _parse_qubit(tokens[1], 2)
+        q = _parse_qubit(tokens[1])
         if not (tokens[2].startswith("sigma=") and tokens[3].startswith("phase=")):
             raise CircuitError("malformed PULSE line")
         sigma = _parse_float(tokens[2][len("sigma="):])
         rows += PULSE, q, 0, sigma, _parse_float(tokens[3][len("phase="):])
     elif kind == "GATE2" and len(tokens) == 4:
-        rows += GATE2, _parse_qubit(tokens[2], 2), _parse_qubit(tokens[3], 2), 0.0, 0.0
+        rows += GATE2, _parse_qubit(tokens[2]), _parse_qubit(tokens[3]), 0.0, 0.0
         names.append(tokens[1])
     elif kind == "FRAME" and len(tokens) == 3:
-        q = _parse_qubit(tokens[1], 2)
+        q = _parse_qubit(tokens[1])
         if not tokens[2].startswith("z="):
             raise CircuitError("malformed FRAME line")
         rows += FRAME, q, 0, _parse_float(tokens[2][len("z="):]), 0.0

@@ -239,33 +239,16 @@ def _axis_label(axis: tuple[float, float, float]) -> str:
 def clifford_table() -> tuple[CliffordEntry, ...]:
     """All 24 single-qubit Cliffords (mod phase) with <=2-pulse sequences.
 
-    38 pulses in total across the table (average 19/12 per gate).
+    Every entry's pulses are :func:`_special_pairs` of its angles: 38 in
+    total across the table (average 19/12 per gate).
     """
-    entries: list[tuple[str, CliffordCategory, tuple | None, np.ndarray, PulseSequence]] = []
-
-    def seq(*pairs):
-        return PulseSequence.of(*pairs)
-
-    def computed(m: np.ndarray) -> PulseSequence:
-        return seq(*_special_pairs(*_gate_angles(_unitary_entries(m))[:3]))
-
-    x, y, z = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
-    entries.append(("I", CliffordCategory.PAULI_ROT, None, np.eye(2, dtype=complex), seq()))
-    entries.append(("X180", CliffordCategory.PAULI_ROT, x, x_rot(PI), seq((PI, 0.0))))
-    entries.append(("X90", CliffordCategory.PAULI_ROT, x, x_rot(PI / 2), seq((PI / 2, 0.0))))
-    entries.append(("X-90", CliffordCategory.PAULI_ROT, x, x_rot(-PI / 2), seq((PI / 2, PI))))
-    entries.append(("Y180", CliffordCategory.PAULI_ROT, y, y_rot(PI), seq((PI, -PI / 2))))
-    entries.append(("Y90", CliffordCategory.PAULI_ROT, y, y_rot(PI / 2), seq((PI / 2, -PI / 2))))
-    entries.append(("Y-90", CliffordCategory.PAULI_ROT, y, y_rot(-PI / 2), seq((PI / 2, PI / 2))))
-    entries.append(
-        ("Z180", CliffordCategory.PAULI_ROT, z, z_rot(PI), seq((PI, -PI / 4), (PI, PI / 4)))
-    )
-    entries.append(
-        ("Z90", CliffordCategory.PAULI_ROT, z, z_rot(PI / 2), seq((PI, -3 * PI / 8), (PI, 3 * PI / 8)))
-    )
-    entries.append(
-        ("Z-90", CliffordCategory.PAULI_ROT, z, z_rot(-PI / 2), seq((PI, -5 * PI / 8), (PI, 5 * PI / 8)))
-    )
+    entries: list[tuple[str, CliffordCategory, tuple | None, np.ndarray]] = [
+        ("I", CliffordCategory.PAULI_ROT, None, np.eye(2, dtype=complex))
+    ]
+    for name, axis, rot in (("X", (1.0, 0.0, 0.0), x_rot), ("Y", (0.0, 1.0, 0.0), y_rot),
+                            ("Z", (0.0, 0.0, 1.0), z_rot)):
+        for angle, label in ((PI, "180"), (PI / 2, "90"), (-PI / 2, "-90")):
+            entries.append((name + label, CliffordCategory.PAULI_ROT, axis, rot(angle)))
 
     cousin_axes = [
         (_INV_SQRT2, _INV_SQRT2, 0.0),
@@ -278,7 +261,7 @@ def clifford_table() -> tuple[CliffordEntry, ...]:
     for axis in cousin_axes:
         m = _axis_rotation(axis, PI)
         label = f"pi@({_axis_label(axis)})"
-        entries.append((label, CliffordCategory.HADAMARD_COUSIN, axis, m, computed(m)))
+        entries.append((label, CliffordCategory.HADAMARD_COUSIN, axis, m))
 
     for sense in (1.0, -1.0):
         for sx, sy, sz in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
@@ -286,11 +269,12 @@ def clifford_table() -> tuple[CliffordEntry, ...]:
             angle = sense * 2.0 * PI / 3.0
             m = _axis_rotation(axis, angle)
             label = ("2pi/3@" if sense > 0 else "-2pi/3@") + f"({_axis_label(axis)})"
-            entries.append((label, CliffordCategory.Y_ANALOG, axis, m, computed(m)))
+            entries.append((label, CliffordCategory.Y_ANALOG, axis, m))
 
     return tuple(
-        CliffordEntry(i, name, cat, axis, matrix, sequence)
-        for i, (name, cat, axis, matrix, sequence) in enumerate(entries)
+        CliffordEntry(i, name, cat, axis, matrix,
+                      PulseSequence.of(*_special_pairs(*_gate_angles(_unitary_entries(matrix))[:3])))
+        for i, (name, cat, axis, matrix) in enumerate(entries)
     )
 
 

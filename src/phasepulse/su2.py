@@ -218,23 +218,11 @@ def conjugated_x(sigma: float, phase: float) -> np.ndarray:
     sigma, phase = float(sigma), float(phase)
     if not (math.isfinite(sigma) and math.isfinite(phase)):
         raise ValueError("angles must be finite")
-    return _conjugated_x_array(sigma, phase)
-
-
-def _conjugated_x_array(sigma, phase) -> np.ndarray:
-    """:func:`conjugated_x` of finite angles, broadcast over arrays of them.
-
-    Returns shape ``(..., 2, 2)``: ``[[c, -i s e], [-i s e*, c]]`` with
-    ``c, s = cos, sin(sigma / 2)`` and ``e = exp(i*phase)``; the lower-left
-    entry is minus the conjugate of the upper-right one.
-    """
-    half = 0.5 * np.asarray(sigma, dtype=float)
-    se = -1j * np.sin(half) * np.exp(1j * np.asarray(phase, dtype=float))
-    out = np.empty(se.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = out[..., 1, 1] = np.cos(half)
-    out[..., 0, 1] = se
-    out[..., 1, 0] = -se.conj()
-    return out
+    # [[c, -i s e], [-i s e*, c]] with c, s = cos, sin(sigma / 2) and e = exp(i*phase)
+    half = 0.5 * sigma
+    se = -1j * np.sin(half) * np.exp(1j * phase)
+    c = np.cos(half)
+    return np.array([[c, se], [-se.conjugate(), c]])
 
 
 def phase_canonical(m) -> np.ndarray:

@@ -143,6 +143,13 @@ def test_parse_comments_and_blanks():
     assert len(ir.ops) == 2
 
 
+def test_gate2_spacing_gives_one_table_row():
+    # the 2q table is keyed by the tokens after G2, not by the line's text
+    ir = parse_circuit("qubits 2\nG2 CZ q0 q1\nG2  CZ  q0  q1\n\tG2 CZ\tq0 q1 # again\n")
+    assert ir.gate2_row.tolist() == [0, 0, 0]
+    assert ir.gate2_labels == ("CZ",)
+
+
 def test_ir_validation_direct():
     with pytest.raises(Exception):
         CircuitIR(3, ())
@@ -613,6 +620,23 @@ def test_schedule_mismatch_errors():
         Gate2Event(ev.qubits, "CZ") if isinstance(ev, Gate2Event) else ev for ev in sched.events
     ]
     with pytest.raises(ScheduleMismatchError, match="is CZ, circuit says ISWAP"):
+        simulate_schedule(events, ir)
+
+
+@pytest.mark.parametrize("events, index", [
+    ([PulseEvent(2, Pulse(0.1, 0.2)), FrameEvent(0, 0.0), FrameEvent(1, 0.0)], 0),
+    ([PulseEvent(0, Pulse(0.1, 0.2)), FrameEvent(0, 0.0), FrameEvent(2, 0.0)], 2),
+    ([FrameEvent(0, 0.0), FrameEvent(-1, 0.0)], 1),
+    ([PulseEvent(0, Pulse(0.1, 0.2)), Gate2Event((0, 2), "CZ"), FrameEvent(0, 0.0)], 1),
+    ([PulseEvent(0, Pulse(0.1, 0.2)), Gate2Event((0, 1, 1), "CZ"), FrameEvent(0, 0.0)], 1),
+])
+def test_events_on_other_qubits_are_rejected(events, index):
+    # not a bare IndexError from the kernel or from _check_schedule
+    ir = parse_circuit("qubits 2\nX90 q0\n")
+    with pytest.raises(CircuitError, match=f"^event {index}: qubits must be 0 or 1") as info:
+        PulseSchedule.from_events(events)
+    assert info.value.op_index == index
+    with pytest.raises(CircuitError, match=f"^event {index}: "):
         simulate_schedule(events, ir)
 
 

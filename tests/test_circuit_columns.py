@@ -88,7 +88,7 @@ def test_angles_column_is_bit_identical_to_gate_params(a, b, g):
     # the compiler reads a 1q gate off its row of angles
     p = GateParams(a, b, g)
     want = _bits((p.alpha, p.beta, p.gamma))
-    ir = parse_circuit(f"qubits 2\nU q0 {a!r} {b!r} {g!r}\nU q1 {a!r} {b!r} {g!r}  # token path\n")
+    ir = parse_circuit(f"qubits 2\nU q0 {a!r} {b!r} {g!r}\nU q1 {a!r} {b!r} {g!r}  # a comment\n")
     assert _bits(ir.angles[0].tolist()) == want
     assert _bits(ir.angles[1].tolist()) == want
     assert _bits(CircuitIR(2, ir.ops).angles[0].tolist()) == want

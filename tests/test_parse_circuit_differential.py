@@ -293,6 +293,17 @@ EXTRA_LINES = (
     ]
 )
 POOL = tuple(LINES[1:]) + tuple(EXTRA_LINES)
+
+
+def _custom_with(**entries: str) -> str:
+    """The identity as a CUSTOM line, with the entries at the given positions
+    (``e0`` to ``e15``) replaced."""
+    tokens = _custom(np.eye(4)).split()
+    for name, tok in entries.items():
+        tokens[int(name[1:])] = tok
+    return "G2 CUSTOM q0 q1 " + " ".join(tokens)
+
+
 BREAKS = ("\n", "\n", "\n", "\r\n", "\x1c", " ", "\x85", "\n\n")
 
 
@@ -338,6 +349,16 @@ def circuit_texts(draw) -> str:
 @example(text="qubits 2\nX90 q0\nqubits 2\n")
 @example(text="U q0 0 0 0\nqubits 2\n")
 @example(text="")
+# where a cheap check fails and the token checks word the error, in token order
+@example(text="qubits 2\nU q0 inf x 0.5\n")  # the non-finite token comes first
+@example(text="qubits 2\nU q0 1e308 1e308 0.5\n")  # finite angles whose sum overflows
+@example(text="qubits 2\nRZ q0 nan\n")
+@example(text="qubits 2\nG2 FSIM(inf,0) q0 q1\n")
+@example(text=f"qubits 2\n{_custom_with(e1='1,2,3')}\n")  # after a good entry
+@example(text=f"qubits 2\n{_custom_with(e3='nan,0')}\n")
+@example(text=f"qubits 2\n{_custom_with(e2='nan,0', e5='1,2,3')}\n")
+@example(text=f"qubits 2\n{_custom_with(e2='1,2,3', e5='nan,0')}\n")
+@example(text=f"qubits 2\n{_custom_with(e0='1e308,1e308')}\n")  # finite, sum overflows, not unitary
 def test_parse_circuit_matches_line_by_line_reference(text):
     assert_same_verdict(text)
 

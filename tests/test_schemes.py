@@ -308,6 +308,85 @@ def test_clifford_table_shape():
     assert counts[CliffordCategory.Y_ANALOG] == 8
 
 
+# Every entry's pulses as float.hex() of (sigma, phase), pinned bit for bit.
+CLIFFORD_PULSE_BITS = {
+    "I": (),
+    "X180": (("0x1.921fb54442d18p+1", "0x0.0p+0"),),
+    "X90": (("0x1.921fb54442d18p+0", "0x0.0p+0"),),
+    "X-90": (("0x1.921fb54442d18p+0", "-0x1.921fb54442d18p+1"),),
+    "Y180": (("0x1.921fb54442d18p+1", "-0x1.921fb54442d18p+0"),),
+    "Y90": (("0x1.921fb54442d18p+0", "-0x1.921fb54442d18p+0"),),
+    "Y-90": (("0x1.921fb54442d18p+0", "0x1.921fb54442d18p+0"),),
+    "Z180": (
+        ("0x1.921fb54442d18p+1", "-0x1.921fb54442d18p-1"),
+        ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p-1"),
+    ),
+    "Z90": (
+        ("0x1.921fb54442d18p+1", "-0x1.2d97c7f3321d2p+0"),
+        ("0x1.921fb54442d18p+1", "0x1.2d97c7f3321d0p+0"),
+    ),
+    "Z-90": (
+        ("0x1.921fb54442d18p+1", "-0x1.f6a7a2955385ep+0"),
+        ("0x1.921fb54442d18p+1", "0x1.f6a7a29553860p+0"),
+    ),
+    "pi@(+x+y)": (("0x1.921fb54442d18p+1", "-0x1.921fb54442d20p-1"),),
+    "pi@(+x-y)": (("0x1.921fb54442d18p+1", "0x1.921fb54442d20p-1"),),
+    "pi@(+x+z)": (
+        ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ("0x1.921fb54442d18p+0", "0x1.921fb54442d18p+0"),
+    ),
+    "pi@(+x-z)": (
+        ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ("0x1.921fb54442d18p+0", "-0x1.921fb54442d18p+0"),
+    ),
+    "pi@(+y+z)": (
+        ("0x1.921fb54442d18p+1", "-0x1.921fb54442d18p+0"),
+        ("0x1.921fb54442d18p+0", "0x0.0p+0"),
+    ),
+    "pi@(+y-z)": (
+        ("0x1.921fb54442d18p+1", "-0x1.921fb54442d18p+0"),
+        ("0x1.921fb54442d18p+0", "-0x1.921fb54442d18p+1"),
+    ),
+    "2pi/3@(+x+y+z)": (
+        ("0x1.921fb54442d18p+1", "-0x1.921fb54442d18p-1"),
+        ("0x1.921fb54442d18p+0", "0x1.921fb54442d18p+0"),
+    ),
+    "2pi/3@(+x+y-z)": (
+        ("0x1.921fb54442d18p+1", "-0x1.921fb54442d18p-1"),
+        ("0x1.921fb54442d18p+0", "-0x1.921fb54442d18p+1"),
+    ),
+    "2pi/3@(+x-y+z)": (
+        ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p-1"),
+        ("0x1.921fb54442d18p+0", "-0x1.921fb54442d18p+1"),
+    ),
+    "2pi/3@(+x-y-z)": (
+        ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p-1"),
+        ("0x1.921fb54442d18p+0", "-0x1.921fb54442d18p+0"),
+    ),
+    "-2pi/3@(+x+y+z)": (
+        ("0x1.921fb54442d18p+1", "0x1.2d97c7f3321d2p+1"),
+        ("0x1.921fb54442d18p+0", "0x0.0p+0"),
+    ),
+    "-2pi/3@(+x+y-z)": (
+        ("0x1.921fb54442d18p+1", "0x1.2d97c7f3321d2p+1"),
+        ("0x1.921fb54442d18p+0", "-0x1.921fb54442d18p+0"),
+    ),
+    "-2pi/3@(+x-y+z)": (
+        ("0x1.921fb54442d18p+1", "-0x1.2d97c7f3321d2p+1"),
+        ("0x1.921fb54442d18p+0", "0x1.921fb54442d18p+0"),
+    ),
+    "-2pi/3@(+x-y-z)": (
+        ("0x1.921fb54442d18p+1", "-0x1.2d97c7f3321d2p+1"),
+        ("0x1.921fb54442d18p+0", "0x0.0p+0"),
+    ),
+}
+
+
+def test_clifford_table_pulse_bits():
+    got = {e.name: tuple((p.sigma.hex(), p.phase.hex()) for p in e.sequence) for e in clifford_table()}
+    assert got == CLIFFORD_PULSE_BITS
+
+
 def test_clifford_antidiagonal_cousins_single_pulse():
     s = 1 / math.sqrt(2)
     for e in clifford_table():
