@@ -4,7 +4,9 @@ A gate "carries" phases when ``U (Z_t0 x Z_t1) == (Z_p0 x Z_p1) U`` has a
 solution for every ``(t0, t1)``; this holds exactly when the element-wise
 absolute value of ``U`` is a permutation matrix whose permutation commutes
 with the joint bit flip.  Excitation-number-conserving (ENC) gates satisfy
-the weaker equal-angle version.
+the weaker equal-angle version, and a gate such as a controlled-U the
+one-qubit version (a partial carry): ``t`` on one qubit passes, the other
+angle being 0.
 """
 
 from __future__ import annotations
@@ -147,45 +149,65 @@ _CARRIERS = tuple(
 # when u[i, j] vanishes wherever the row eigenvalue p*s0 + q*s1 differs from
 # the column eigenvalue s0 + s1, with s = (-1)**bit.
 _ENC_CANDIDATES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+# Candidate (q, (p0, p1)) for ``u (Z_t on qubit q) == (Z_{p0*t} x Z_{p1*t}) u``:
+# only an image along one axis matches the spectrum of one qubit's generator,
+# and the zero-pattern test is the ENC one with the column eigenvalue s_q.
+_PARTIAL_CANDIDATES = (
+    (0, (1, 0)), (0, (-1, 0)), (0, (0, 1)), (0, (0, -1)),
+    (1, (0, 1)), (1, (0, -1)), (1, (1, 0)), (1, (-1, 0)),
+)
 _SIGNS = np.array([_bit_signs(i) for i in range(4)])
 
 # Over the 16 row-major entries of a 4x4: column j of _PIVOT marks the
 # nonzero entries of permutation j (_OFF_PIVOT the others), and column c of
-# _ENC_VANISH the entries that must vanish for ENC candidate c.
+# _VANISH the entries that must vanish for ENC candidate c, then for partial
+# candidate c - 4.
 _PIVOT = np.array([[perm.mapping[i // 4] == i % 4 for perm, _ in _CARRIERS] for i in range(16)])
 _OFF_PIVOT = ~_PIVOT
-_ENC_VANISH = np.transpose([
-    ((p * _SIGNS[:, 0] + q * _SIGNS[:, 1])[:, None] != _SIGNS.sum(axis=1)).ravel()
-    for p, q in _ENC_CANDIDATES
-])
+_VANISH = np.transpose(
+    [((p * _SIGNS[:, 0] + q * _SIGNS[:, 1])[:, None] != _SIGNS.sum(axis=1)).ravel()
+     for p, q in _ENC_CANDIDATES]
+    + [((p0 * _SIGNS[:, 0] + p1 * _SIGNS[:, 1])[:, None] != _SIGNS[:, q]).ravel()
+       for q, (p0, p1) in _PARTIAL_CANDIDATES]
+)
 
 
 def _frame_maps(
     u: np.ndarray, perm_tol: float = PERMUTATION_TOL, enc_tol: float = ENTRY_ZERO_TOL
-) -> list[tuple[CarrierPermutation | None, CarryMap | None, tuple[int, int] | None]]:
+) -> list[tuple[
+    CarrierPermutation | None, CarryMap | None, tuple[int, int] | None,
+    tuple[int, tuple[int, int]] | None,
+]]:
     """How per-qubit Z frames move through each gate of a validated ``(k, 4, 4)`` stack.
 
     Returns, per gate, the carrier permutation and its carry map (both None
-    for a non-carrier) and the generalized-ENC map ``(p, q)`` (None for
-    none).  ``np.abs`` is taken once, and each test is a boolean matrix
-    product of the entries that break a bound with the masks above.  A gate
-    is a carrier when one of the eight equivariant permutations has no
-    pivot of ``|u|`` below ``1 - perm_tol`` and no other entry above
+    for a non-carrier), the generalized-ENC map ``(p, q)`` (None for none)
+    and the partial carry ``(qubit, (p0, p1))``: a qubit whose frame ``t``
+    alone passes the gate as ``(p0*t, p1*t)`` (None for neither qubit).
+    ``np.abs`` is taken once, and each test is a boolean matrix product of
+    the entries that break a bound with the masks above.  A gate is a
+    carrier when one of the eight equivariant permutations has no pivot of
+    ``|u|`` below ``1 - perm_tol`` and no other entry above
     ``ENTRY_ZERO_TOL``; for ``perm_tol < 1 - ENTRY_ZERO_TOL`` each pivot is
     then the strict maximum of its row, so at most one permutation passes,
     and it is the row-wise argmax of ``|u|``.  ``(p, q)`` is the first ENC
-    candidate with no entry that must vanish above ``enc_tol``.
-    :func:`classify` and the circuit compiler both decide by this call.
+    candidate, and the partial carry the first partial candidate, with no
+    entry that must vanish above ``enc_tol``.  :func:`classify` and the
+    circuit compiler both decide by this call.
     """
     mag = np.abs(u).reshape(-1, 16)
     # [k, j]: gate k has a small pivot or a large off-pivot entry for permutation j
     broken = ((mag < 1.0 - perm_tol) @ _PIVOT) | (~(mag <= ENTRY_ZERO_TOL) @ _OFF_PIVOT)
-    # [k, c]: gate k has an entry above enc_tol where ENC candidate c needs a zero
-    stray = ~(mag <= enc_tol) @ _ENC_VANISH
+    # [k, c]: gate k has an entry above enc_tol where candidate c needs a zero
+    stray = ~(mag <= enc_tol) @ _VANISH
     out = []
-    for b, e in zip(broken.tolist(), stray.tolist()):
+    for b, e, p in zip(broken.tolist(), stray[:, :4].tolist(), stray[:, 4:].tolist()):
         perm, cmap = _CARRIERS[b.index(False)] if False in b else (None, None)
-        out.append((perm, cmap, _ENC_CANDIDATES[e.index(False)] if False in e else None))
+        out.append((
+            perm, cmap,
+            _ENC_CANDIDATES[e.index(False)] if False in e else None,
+            _PARTIAL_CANDIDATES[p.index(False)] if False in p else None,
+        ))
     return out
 
 
@@ -206,6 +228,7 @@ class ClassifierResult:
     is_enc: bool
     is_generalized_enc: bool
     enc_map: tuple[int, int] | None
+    partial_carry: tuple[int, tuple[int, int]] | None
     weyl: WeylCoords
     segment: Segment
 
@@ -216,7 +239,7 @@ def classify(u, tol: float = UNITARY_TOL) -> ClassifierResult:
     ``u`` is validated once, with unitarity tolerance ``tol``.
     """
     u = as_unitary(u, 4, tol)
-    perm, cmap, enc_map = _frame_maps(u[None])[0]
+    perm, cmap, enc_map, partial = _frame_maps(u[None])[0]
     coords = _weyl_coordinates(u)
     return ClassifierResult(
         is_carrier=perm is not None,
@@ -225,6 +248,7 @@ def classify(u, tol: float = UNITARY_TOL) -> ClassifierResult:
         is_enc=enc_map == (1, 1),
         is_generalized_enc=enc_map is not None,
         enc_map=enc_map,
+        partial_carry=partial,
         weyl=coords,
         segment=segment_of(coords),
     )

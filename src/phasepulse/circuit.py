@@ -448,14 +448,17 @@ def parse_circuit(text: str) -> CircuitIR:
 
     Every line is read one way: the comment split off, the rest split into
     tokens and checked in token order by :func:`_parse_op` or, for a ``G2``
-    line, :func:`_parse_gate2`.  A 2q gate goes into a table keyed by its
-    tokens after ``G2``, so a repeated gate is read once.  The CUSTOM gates
-    of the table are checked for unitarity within 1e-8 after the loop, in
-    one stacked defect call; :func:`as_unitary` words the first bad one's
-    error at its first line, unless an earlier line failed.
+    line, :func:`_parse_gate2`.  A ``G2`` line's text before its comment is
+    read once, on first sight, and its gate keyed to a table row by its
+    qubits, label and matrix bytes, as :class:`CircuitIR` keys it, so any
+    two spellings of one gate share a row.  The CUSTOM gates of the table
+    are checked for unitarity within 1e-8 after the loop, in one stacked
+    defect call; :func:`as_unitary` words the first bad one's error at its
+    first line, unless an earlier line failed.
     """
     rows: list = []  # kind, qubit, second qubit, alpha, beta, gamma, table row, line: per op
-    table: dict[str, int] = {}
+    table: dict[str, int] = {}  # G2 line without its comment -> table row
+    distinct: dict[tuple, int] = {}  # (qubits, label, matrix bytes) -> table row
     gates: list[_Gate2Row] = []
     error: CircuitSyntaxError | None = None
     lines = enumerate(text.splitlines(), start=1)
@@ -470,16 +473,20 @@ def parse_circuit(text: str) -> CircuitIR:
     else:
         raise CircuitSyntaxError("missing 'qubits 2' header", 1)
     for line_no, raw in lines:
-        tokens = raw.partition("#")[0].split()
+        line = raw.partition("#")[0]
+        tokens = line.split()
         if not tokens:
             continue
         try:
             if tokens[0] == "G2":
-                key = " ".join(tokens[1:])
-                row = table.get(key)
+                row = table.get(line)
                 if row is None:
-                    gates.append(_parse_gate2(tokens))
-                    row = table[key] = len(gates) - 1
+                    label, matrix, qubits = gate = _parse_gate2(tokens)
+                    row = table[line] = distinct.setdefault(
+                        (qubits, label, matrix.tobytes()), len(gates)
+                    )
+                    if row == len(gates):
+                        gates.append(gate)
                 qa, qb = gates[row][2]
                 rows += GATE2, qa, qb, 0.0, 0.0, 0.0, row, line_no
             else:
@@ -492,7 +499,9 @@ def parse_circuit(text: str) -> CircuitIR:
     custom = [row for row, (label, _, _) in enumerate(gates) if label == "CUSTOM"]
     if custom:
         defects = _unitarity_defect(np.array([gates[row][1] for row in custom]))
-        for row in np.array(custom)[~(defects <= 1e-8)].tolist():
+        for row, defect in zip(custom, defects.tolist()):
+            if defect <= 1e-8:
+                continue
             try:
                 as_unitary(gates[row][1], 4, tol=1e-8)
             except ValueError as exc:
@@ -779,12 +788,18 @@ _POLICY_RULES = {
     PolicyMode.THREE_ALWAYS: ("zero",),
     PolicyMode.VZ_CARRY: ("carry",),
     PolicyMode.ENC_MIXED: ("enc",),
-    PolicyMode.AUTO: ("carry", "enc", "zero"),
+    PolicyMode.AUTO: ("carry", "enc", "partial", "zero"),
 }
 _RULE_NEEDS = {"carry": "phase carriers", "enc": "excitation-number-conserving gates"}
 
 _FrameMatrix = tuple[tuple[int, int], tuple[int, int]]
 _ZERO_RULE = ("zero", ((0, 0), (0, 0)))
+# The partial rule of each partial carry (q, (a, b)) that _frame_maps reports:
+# f_q goes to (a*f_q, b*f_q), and the other qubit's frame is 0.
+_PARTIAL_RULES = {
+    (q, (a, b)): (f"partial q{q}", ((a, 0), (b, 0)) if q == 0 else ((0, a), (0, b)))
+    for q in (0, 1) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1))
+}
 
 
 def _gate2_rules(ir: CircuitIR, mode: PolicyMode) -> dict[int, tuple[str, _FrameMatrix]]:
@@ -802,13 +817,15 @@ def _gate2_rules(ir: CircuitIR, mode: PolicyMode) -> dict[int, tuple[str, _Frame
     maps = _frame_maps(ir.gate2_matrices)
     op_rows = ir.gate2_row[ops]
     rules = []
-    for row, (_, carry, enc_map) in enumerate(maps):
-        applicable = {"zero": _ZERO_RULE[1]}
+    for row, (_, carry, enc_map, partial) in enumerate(maps):
+        applicable = {"zero": _ZERO_RULE}
         if carry is not None:
-            applicable["carry"] = carry.matrix
+            applicable["carry"] = ("carry", carry.matrix)
         if enc_map is not None:
-            applicable["enc"] = ((enc_map[0], 0), (0, enc_map[1]))
-        rule = next(((r, applicable[r]) for r in table if r in applicable), None)
+            applicable["enc"] = ("enc", ((enc_map[0], 0), (0, enc_map[1])))
+        if partial is not None:
+            applicable["partial"] = _PARTIAL_RULES[partial]
+        rule = next((applicable[r] for r in table if r in applicable), None)
         if rule is None:
             i = int(ops[op_rows == row][0])
             needs = " or ".join(_RULE_NEEDS[r] for r in table)
@@ -867,33 +884,49 @@ def _chain_products(gates: np.ndarray, *sides: tuple[np.ndarray, ...]) -> np.nda
     -1 the factor is ``U(*angles[:, i])`` on qubit ``qubits[i]``, else the 2q
     gate ``gates[rows[i]]``, a 4x4 in the fixed basis.  Every factor is taken
     to its real 8x8 form: a 1q factor by :func:`_quaternions` and one matmul
-    with :data:`_EMBEDDING`, a 2q one by its gate's :func:`_real_form`.  The
-    sides go through together in chunks of one width, the longest side's
-    length rounded up to a power of two but at most :data:`_CHUNK`, each side
-    padded with identities.  A chunk is reduced by log2(width) rounds of
-    batched matmuls of later factors onto earlier ones, then multiplies the
-    running product from the left.
+    with :data:`_EMBEDDING`, a 2q one by its gate's :func:`_real_form`.  A
+    side goes through in chunks of at most :data:`_CHUNK` factors.  Each
+    chunk's part of a side is padded with identities to its own power of two,
+    and the parts of the sides that reach the chunk lie in one stack, widest
+    first, so no pair of neighbours crosses two parts.  The stack is reduced
+    by rounds of batched matmuls of later factors onto earlier ones; a part
+    leaves the stack when it is one factor, its side's running product, which
+    it multiplies from the left.
     """
-    n = max(1, *(len(rows) for _, _, rows in sides))
-    width = min(_CHUNK, 1 << (n - 1).bit_length())
     gates = _real_form(gates)
-    product = np.eye(8)
-    for start in range(0, n, width):
-        angles = np.zeros((3, len(sides), width))  # U(0, 0, 0) pads
-        qubits = np.zeros((len(sides), width), dtype=np.int8)
-        rows = np.full((len(sides), width), -1)
-        for i, side in enumerate(sides):
-            a, q, r = (column[..., start:start + width] for column in side)
-            angles[:, i, :len(r)] = a
-            qubits[i, :len(r)] = q
-            rows[i, :len(r)] = r
+    product = np.empty((len(sides), 8, 8))
+    for start in range(0, max(1, *(len(rows) for _, _, rows in sides)), _CHUNK):
+        # (width, side, factors) of each side that reaches the chunk, widest first;
+        # every side has a part in the first chunk, an empty side one identity
+        parts = sorted(
+            ((1 << (max(m, 1) - 1).bit_length(), i, m)
+             for i, m in enumerate(min(_CHUNK, len(rows) - start) for _, _, rows in sides)
+             if m > 0 or start == 0),
+            reverse=True,
+        )
+        total = sum(width for width, _, _ in parts)
+        angles = np.zeros((3, total))  # U(0, 0, 0) pads
+        qubits = np.zeros(total, dtype=np.int8)
+        rows = np.full(total, -1)
+        offset = 0
+        for width, i, m in parts:
+            a, q, r = sides[i]
+            angles[:, offset:offset + m] = a[:, start:start + m]
+            qubits[offset:offset + m] = q[start:start + m]
+            rows[offset:offset + m] = r[start:start + m]
+            offset += width
         slots = _quaternions(angles) * _EYE.take(qubits, 1)[:, None]
-        factors = (slots.reshape(8, -1).T @ _EMBEDDING).reshape(len(sides), width, 8, 8)
+        factors = (slots.reshape(8, -1).T @ _EMBEDDING).reshape(total, 8, 8)
         gate = rows >= 0
         factors[gate] = gates[rows[gate]]
-        while factors.shape[1] > 1:
-            factors = factors[:, 1::2] @ factors[:, 0::2]
-        product = factors[:, 0] @ product
+        while parts:
+            if parts[-1][0] == 1:  # the last part is one factor
+                i = parts.pop()[1]
+                product[i] = factors[-1] if start == 0 else factors[-1] @ product[i]
+                factors = factors[:-1]
+            else:
+                factors = factors[1::2] @ factors[0::2]
+                parts = [(width // 2, i, m) for width, i, m in parts]
     return product[:, :4, :4] + 1j * product[:, 4:, :4]
 
 
@@ -907,6 +940,7 @@ def ideal_unitary(ir: CircuitIR) -> np.ndarray:
 _VZ, _EXACT, _PARTNER = 0, 1, 2
 _GATE1_FLUSH = {PolicyMode.THREE_ALWAYS: _EXACT, PolicyMode.VZ_CARRY: _VZ}
 _RULE_FLUSHES = {"carry": ((0, _VZ), (1, _VZ)), "enc": ((0, _VZ), (1, _PARTNER)),
+                 "partial q0": ((0, _VZ), (1, _EXACT)), "partial q1": ((0, _EXACT), (1, _VZ)),
                  "zero": ((0, _EXACT), (1, _EXACT))}
 
 
@@ -951,6 +985,10 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
       with virtual-Z and compile the other exactly onto the same frame,
       unless it has no pending gate and is already there; the equal frames
       pass the ENC gate.
+    * ``partial`` (``auto``, after ``enc``): flush the qubit whose frame
+      alone passes the gate (a controlled gate's control) with virtual-Z
+      and compile the other exactly onto frame 0; the one frame passes,
+      mapped onto one qubit's axis.
     * ``zero`` (``three-always``, last in ``auto``): compile both qubits
       exactly, leaving zero frames.
 

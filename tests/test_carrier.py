@@ -9,6 +9,7 @@ from conftest import haar_unitary
 from phasepulse import su2
 from phasepulse.carrier import (
     NotCarrierError,
+    _frame_maps,
     Segment,
     abs_permutation,
     carry_defect,
@@ -232,6 +233,53 @@ def test_classify_cz_vs_cnot():
     assert r.is_carrier and r.segment is Segment.I_CNOT
     r = classify(standard_gate("CNOT"))
     assert not r.is_carrier and not r.is_enc and not r.is_generalized_enc
+
+
+_SWAPPED = [0, 2, 1, 3]
+
+
+def _controlled(u2, control):
+    """``u2`` on the other qubit when ``control`` is |1>, in the (q0, q1) basis."""
+    ones = [2, 3] if control == 0 else [1, 3]
+    u = np.eye(4, dtype=complex)
+    u[np.ix_(ones, ones)] = u2
+    return u
+
+
+def test_frame_maps_partial_carry_goldens():
+    rng = np.random.default_rng(40)
+    cnot = standard_gate("CNOT")
+    gates = {
+        "CNOT (q0, q1)": (cnot, (0, (1, 0))),
+        "CNOT (q1, q0)": (cnot[_SWAPPED][:, _SWAPPED], (1, (0, 1))),
+        "controlled Haar U, control q0": (_controlled(haar_unitary(2, rng), 0), (0, (1, 0))),
+        "controlled Haar U, control q1": (_controlled(haar_unitary(2, rng), 1), (1, (0, 1))),
+        "SWAP after a controlled Haar U": (
+            standard_gate("SWAP") @ _controlled(haar_unitary(2, rng), 0), (0, (0, 1))),
+    }
+    maps = _frame_maps(np.array([u for u, _ in gates.values()]))
+    for (name, (u, want)), (perm, cmap, enc_map, partial) in zip(gates.items(), maps):
+        assert (perm, cmap, enc_map, partial) == (None, None, None, want), name
+        q, (p0, p1) = partial
+        for t in (0.3, -2.1):
+            z = [np.eye(2), np.eye(2)]
+            z[q] = z_rot(t)
+            assert np.allclose(u @ np.kron(*z), np.kron(z_rot(p0 * t), z_rot(p1 * t)) @ u,
+                               atol=1e-12), name
+    assert classify(cnot).partial_carry == (0, (1, 0))
+
+    # carriers and ENC gates keep their maps; a Haar gate passes no frame
+    others = [standard_gate("CZ"), standard_gate("ISWAP"), standard_gate("SQISW"),
+              standard_gate("FSIM", 0.4, 0.2), haar_unitary(4, rng)]
+    kinds = [(perm is not None, enc_map, partial) for perm, _, enc_map, partial in _frame_maps(
+        np.array(others))]
+    assert kinds == [
+        (True, (1, 1), (0, (1, 0))),
+        (True, (1, 1), (0, (0, 1))),
+        (False, (1, 1), None),
+        (False, (1, 1), None),
+        (False, None, None),
+    ]
 
 
 def test_classify_validates_its_matrix_once(monkeypatch):

@@ -144,7 +144,7 @@ def test_parse_comments_and_blanks():
 
 
 def test_gate2_spacing_gives_one_table_row():
-    # the 2q table is keyed by the tokens after G2, not by the line's text
+    # the 2q table is keyed by the gate (qubits, name, matrix), not by the line's text
     ir = parse_circuit("qubits 2\nG2 CZ q0 q1\nG2  CZ  q0  q1\n\tG2 CZ\tq0 q1 # again\n")
     assert ir.gate2_row.tolist() == [0, 0, 0]
     assert ir.gate2_labels == ("CZ",)

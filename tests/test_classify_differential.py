@@ -3,7 +3,8 @@
 The reference below is the scalar path that validated and classified one
 distinct gate at a time before the compiler batched them: ``as_unitary``
 with its own defect, the argmax test of ``_abs_permutation``, the carry map
-from the permutation's signs and the four ``_enc_map`` mask tests.  The
+from the permutation's signs and the four ``_enc_map`` mask tests; the
+partial carry is checked entry by entry against each qubit's eigenvalues.  The
 only change is that a matrix that is not 4x4 gets the shape error in both
 qubit orders (the scalar path raised ``IndexError`` for ``(1, 0)``).
 
@@ -13,8 +14,10 @@ or one ulp either side, an entry that must vanish at ``ENTRY_ZERO_TOL`` or
 one ulp either side, a scale that puts the defect near the unitarity
 tolerance, entries at the ``2**500`` overflow guard, ``1e308``, NaN and
 infinities, and wrong shapes; gates repeat and come in both qubit orders.
-For every gate the batched calls must give the same carry matrix, the same
-ENC ``(p, q)`` and the same exception type and message.  Under every
+Controlled gates, a Haar U on either qubit, come plain, with a phase on the
+control or after a SWAP.  For every gate the batched calls must give the
+same carry matrix, the same ENC ``(p, q)``, the same partial carry
+``(qubit, image)`` and the same exception type and message.  Under every
 policy, building the circuit and calling ``_gate2_rules`` must give the
 first ``reference_as_unitary`` failure over the ops in order, as the
 ``CircuitIR`` constructor checks them, and else the reference rules.
@@ -101,11 +104,31 @@ def reference_enc(u, tol=ENTRY_ZERO_TOL):
     return None
 
 
+_PARTIAL_IMAGES = {0: ((1, 0), (-1, 0), (0, 1), (0, -1)), 1: ((0, 1), (0, -1), (1, 0), (-1, 0))}
+
+
+def reference_partial(u, tol=ENTRY_ZERO_TOL):
+    """The first ``(qubit, (p0, p1))`` with ``u (Z_t on qubit) == (Z_p0t x Z_p1t) u``."""
+    for qubit, images in _PARTIAL_IMAGES.items():
+        for p0, p1 in images:
+            if all(
+                abs(u[i, j]) <= tol
+                for i in range(4) for j in range(4)
+                if p0 * _signs(i)[0] + p1 * _signs(i)[1] != _signs(j)[qubit]
+            ):
+                return qubit, (p0, p1)
+    return None
+
+
+def reference_maps(u):
+    return reference_carry(u), reference_enc(u), reference_partial(u)
+
+
 _RULES = {
     PolicyMode.THREE_ALWAYS: ("zero",),
     PolicyMode.VZ_CARRY: ("carry",),
     PolicyMode.ENC_MIXED: ("enc",),
-    PolicyMode.AUTO: ("carry", "enc", "zero"),
+    PolicyMode.AUTO: ("carry", "enc", "partial", "zero"),
 }
 _NEEDS = {"carry": "phase carriers", "enc": "excitation-number-conserving gates"}
 _SWAPPED = [0, 2, 1, 3]
@@ -127,13 +150,18 @@ def reference_gate2_rules(ir, mode):
         key = (op.qubits, op.matrix.shape, op.matrix.dtype, op.matrix.tobytes())
         if key not in seen:
             u = reference_as_unitary(reference_effective(op), 4)
-            carry, enc = reference_carry(u), reference_enc(u)
-            applicable = {"zero": ((0, 0), (0, 0))}
+            carry, enc, partial = reference_maps(u)
+            applicable = {"zero": ("zero", ((0, 0), (0, 0)))}
             if carry is not None:
-                applicable["carry"] = carry
+                applicable["carry"] = ("carry", carry)
             if enc is not None:
-                applicable["enc"] = ((enc[0], 0), (0, enc[1]))
-            rule = next(((r, applicable[r]) for r in table if r in applicable), None)
+                applicable["enc"] = ("enc", ((enc[0], 0), (0, enc[1])))
+            if partial is not None:
+                q, (a, b) = partial
+                frames = [[0, 0], [0, 0]]
+                frames[0][q], frames[1][q] = a, b
+                applicable["partial"] = (f"partial q{q}", tuple(map(tuple, frames)))
+            rule = next((applicable[r] for r in table if r in applicable), None)
             if rule is None:
                 needs = " or ".join(_NEEDS[r] for r in table)
                 raise IllegalPolicyError(
@@ -156,8 +184,24 @@ def _around(x):
     return (math.nextafter(x, 0.0), x, math.nextafter(x, 2.0))
 
 
-KINDS = ("haar", "perm", "gate", "entry", "pivot", "scaled")
-VALID_KINDS = KINDS[:4]  # the first four pass validation
+KINDS = ("haar", "perm", "gate", "controlled", "entry", "pivot", "scaled")
+VALID_KINDS = KINDS[:5]  # the first five pass validation
+
+
+def controlled(rng, draw):
+    """A controlled Haar U, control on either qubit, maybe with a phase on
+    the control or followed by a SWAP."""
+    control = draw(st.integers(0, 1))
+    u = np.eye(4, dtype=complex)
+    # the control's |1> half: basis states 2, 3 for control q0, and 1, 3 for q1
+    ones = [2, 3] if control == 0 else [1, 3]
+    u[np.ix_(ones, ones)] = haar_unitary(2, rng)
+    if draw(st.booleans()):  # a Z rotation on the control
+        bit = [0, 0, 1, 1] if control == 0 else [0, 1, 0, 1]
+        u = np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, 2))[bit]) @ u
+    if draw(st.booleans()):
+        u = standard_gate("SWAP") @ u
+    return u
 
 
 @st.composite
@@ -167,6 +211,8 @@ def unitaries(draw, kinds=KINDS):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "haar":
         return haar_unitary(4, rng)
+    if kind == "controlled":
+        return controlled(rng, draw)
     if kind == "gate":
         name = draw(st.sampled_from(("CZ", "CNOT", "SWAP", "ISWAP", "SQISW", "CPHASE", "FSIM")))
         angle = st.sampled_from((0.0, math.pi / 2, math.pi, float(rng.uniform(-4, 4))))
@@ -182,8 +228,11 @@ def unitaries(draw, kinds=KINDS):
         row = draw(st.integers(0, 3))
         u[row, perm[row]] = draw(st.sampled_from(_around(PIVOT))) * draw(st.sampled_from(PHASES))
     elif kind == "entry":
-        if draw(st.booleans()):  # an ENC gate rather than a permutation
+        base = draw(st.sampled_from(("perm", "FSIM", "controlled")))
+        if base == "FSIM":  # an ENC gate rather than a permutation
             u = standard_gate("FSIM", *rng.uniform(-4, 4, 2))
+        elif base == "controlled":
+            u = controlled(rng, draw)
         zeros = np.argwhere(u == 0)
         row, col = zeros[draw(st.integers(0, len(zeros) - 1))]
         u[row, col] = draw(st.sampled_from(_around(ENTRY_ZERO_TOL))) * draw(st.sampled_from(PHASES))
@@ -244,15 +293,15 @@ def _outcome(call, *args):
 
 
 def _frame_map_matrices(stack):
-    return [(None if carry is None else carry.matrix, enc)
-            for _, carry, enc in _frame_maps(stack)]
+    return [(None if carry is None else carry.matrix, enc, partial)
+            for _, carry, enc, partial in _frame_maps(stack)]
 
 
 @given(st.lists(unitaries(), min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_frame_maps_match_the_scalar_classifiers(us):
     stack = np.array(us, dtype=complex)
-    assert _frame_map_matrices(stack) == [(reference_carry(u), reference_enc(u)) for u in stack]
+    assert _frame_map_matrices(stack) == [reference_maps(u) for u in stack]
 
 
 @given(st.lists(matrices(), min_size=1, max_size=8),
@@ -271,7 +320,7 @@ def test_batched_validation_matches_as_unitary(us, tol):
             assert error is not None and (type(error), str(error)) == (type(exc), str(exc))
         else:
             assert error is None
-            assert next(maps) == (reference_carry(a), reference_enc(a))
+            assert next(maps) == reference_maps(a)
 
 
 @given(circuits())

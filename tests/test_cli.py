@@ -306,7 +306,7 @@ def test_stats_auto_beats_three_always_on_the_golden_circuit(capsys):
     assert main(["stats", path]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "three-always: pulses=108 ratio=1.0000"
-    assert lines[-1] == "auto: pulses=82 ratio=0.7593"
+    assert lines[-1] == "auto: pulses=78 ratio=0.7222"
     assert float(lines[-1].split("ratio=")[1]) < 1
 
 

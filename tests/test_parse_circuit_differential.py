@@ -345,6 +345,8 @@ def circuit_texts(draw) -> str:
 @example(text=f"qubits 2\n{CUSTOM_LINES[4]}\nU q0 0 0 0 0\n")
 @example(text=f"qubits 2\n{CUSTOM_LINES[4].replace('q0 q1', 'q0 q7')}\n")  # not unitary, then a bad qubit
 @example(text="qubits 2\nG2 CPHASE(0.5000000000001) q0 q1\nG2 CPHASE(0.5) q0 q1\n")
+@example(text="qubits 2\nG2 CPHASE(0.5) q0 q1\nG2 CPHASE(0.50) q0 q1\n")  # one gate, two spellings
+@example(text="qubits 2\nG2 CZ q0 q1\nG2 CZ q0 q01\n")
 @example(text=f"qubits 2\nX90 q0\n{SEAM_CUSTOM}\n")
 @example(text="qubits 2\nX90 q0\nqubits 2\n")
 @example(text="U q0 0 0 0\nqubits 2\n")

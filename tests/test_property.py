@@ -6,6 +6,12 @@ measurements (some mid-circuit).  Under every legal policy, with special
 cases on and off, every prefix of the circuit must verify, which checks the
 frame invariant after every op, and the schedule must verify through its
 text form.
+
+A second property holds ``auto``'s flushes to their pulse budgets on
+circuits of Haar ``U`` gates and controlled gates (CNOT and controlled-U
+CUSTOM gates in both orientations, with carriers and Haar gates between):
+at a ``partial`` op the qubit whose frame passes takes a virtual-Z flush,
+never an exact one.
 """
 
 import math
@@ -16,9 +22,12 @@ from hypothesis import strategies as st
 
 from conftest import compile_verifying_prefixes, haar_unitary
 from phasepulse.circuit import (
+    GATE2,
+    PULSE,
     CompilePolicy,
     IllegalPolicyError,
     PolicyMode,
+    _gate2_rules,
     parse_circuit,
     parse_schedule,
     simulate_schedule,
@@ -48,6 +57,11 @@ def gate1_lines(draw, q: int) -> str:
     return f"{kind} q{q}"
 
 
+def _custom_line(m, a: int, b: int) -> str:
+    entries = " ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in np.asarray(m).ravel())
+    return f"G2 CUSTOM q{a} q{b} {entries}"
+
+
 @st.composite
 def gate2_lines(draw) -> str:
     family = draw(st.sampled_from(FAMILIES))
@@ -57,9 +71,7 @@ def gate2_lines(draw) -> str:
     elif family == "FSIM":
         family = f"FSIM({draw(angles)!r},{draw(angles)!r})"
     elif family == "CUSTOM":
-        m = haar_unitary(4, np.random.default_rng(draw(seeds)))
-        entries = " ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in m.ravel())
-        return f"G2 CUSTOM q{a} q{b} {entries}"
+        return _custom_line(haar_unitary(4, np.random.default_rng(draw(seeds))), a, b)
     return f"G2 {family} q{a} q{b}"
 
 
@@ -95,3 +107,63 @@ def test_every_legal_policy_verifies_through_text(text):
                 assert mode in (PolicyMode.VZ_CARRY, PolicyMode.ENC_MIXED)
                 continue
             assert simulate_schedule(parse_schedule(schedule.to_text()), ir) <= 1e-8
+
+
+@st.composite
+def controlled_circuits(draw) -> tuple[str, list[int | None]]:
+    """Haar ``U`` gates, CNOTs and controlled-U CUSTOM gates, some CZ, SQISW
+    and Haar CUSTOM gates between; with each 2q gate's control, if any."""
+    lines, controls = ["qubits 2"], []
+    for _ in range(draw(st.integers(1, 8))):
+        for q in (0, 1):
+            if draw(st.booleans()):
+                lines.append(_u_line(q, haar_unitary(2, np.random.default_rng(draw(seeds)))))
+        a, b = draw(st.sampled_from(((0, 1), (1, 0))))
+        kind = draw(st.sampled_from(
+            ("CNOT", "CNOT", "controlled", "controlled", "CZ", "SQISW", "haar")
+        ))
+        rng = np.random.default_rng(draw(seeds))
+        if kind == "controlled":  # the first named qubit controls
+            m = np.eye(4, dtype=complex)
+            m[2:, 2:] = haar_unitary(2, rng)
+            lines.append(_custom_line(m, a, b))
+        elif kind == "haar":
+            lines.append(_custom_line(haar_unitary(4, rng), a, b))
+        else:
+            lines.append(f"G2 {kind} q{a} q{b}")
+        controls.append(a if kind in ("CNOT", "controlled") else None)
+    return "\n".join(lines) + "\n", controls
+
+
+# How each auto rule flushes (q0, q1): virtual-Z ("vz", at most 2 pulses)
+# or exact ("exact", at most 3).
+_FLUSHES = {"carry": ("vz", "vz"), "enc": ("vz", "exact"), "partial q0": ("vz", "exact"),
+            "partial q1": ("exact", "vz"), "zero": ("exact", "exact")}
+_BUDGET = {"vz": 2, "exact": 3}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(controlled_circuits(), st.booleans())
+def test_auto_partial_carry_keeps_the_passing_qubit_virtual(circuit, special_cases):
+    text, controls = circuit
+    ir = parse_circuit(text)
+    schedule = compile_verifying_prefixes(ir, CompilePolicy(PolicyMode.AUTO, special_cases))
+    assert simulate_schedule(parse_schedule(schedule.to_text()), ir) <= 1e-9
+    rules = [rule for rule, _ in _gate2_rules(ir, PolicyMode.AUTO).values()]
+    assert [int(r[-1]) if r.startswith("partial") else None for r in rules] == controls
+    # the pulses on each qubit before each 2q gate, and before the FRAMEs
+    segments, pulses = [], ([], [])
+    for k, (q, _), (sigma, _) in zip(schedule.kind.tolist(), schedule.qubits.tolist(),
+                                     schedule.values.tolist()):
+        if k == PULSE:
+            pulses[q].append(sigma)
+        elif k == GATE2:
+            segments.append(pulses)
+            pulses = ([], [])
+    # the end flushes both qubits with virtual-Z, as carry does
+    for rule, segment in zip(rules + ["carry"], segments + [pulses], strict=True):
+        for how, sigmas in zip(_FLUSHES[rule], segment):
+            assert len(sigmas) <= _BUDGET[how], (rule, segment)
+        if rule.startswith("partial"):
+            # a Haar gate's exact flush, and an empty buffer's under a frame, has an X180
+            assert math.pi not in segment[int(rule[-1])], (rule, segment)
