@@ -158,18 +158,40 @@ _PARTIAL_CANDIDATES = (
 )
 _SIGNS = np.array([_bit_signs(i) for i in range(4)])
 
-# Over the 16 row-major entries of a 4x4: column j of _PIVOT marks the
-# nonzero entries of permutation j (_OFF_PIVOT the others), and column c of
-# _VANISH the entries that must vanish for ENC candidate c, then for partial
-# candidate c - 4.
-_PIVOT = np.array([[perm.mapping[i // 4] == i % 4 for perm, _ in _CARRIERS] for i in range(16)])
-_OFF_PIVOT = ~_PIVOT
-_VANISH = np.transpose(
-    [((p * _SIGNS[:, 0] + q * _SIGNS[:, 1])[:, None] != _SIGNS.sum(axis=1)).ravel()
-     for p, q in _ENC_CANDIDATES]
-    + [((p0 * _SIGNS[:, 0] + p1 * _SIGNS[:, 1])[:, None] != _SIGNS[:, q]).ravel()
-       for q, (p0, p1) in _PARTIAL_CANDIDATES]
-)
+# The tests of every candidate as one matrix.  Its 48 rows are the 16
+# row-major entries of a 4x4 three times: an entry below 1 - perm_tol, one
+# above ENTRY_ZERO_TOL, one above enc_tol.  Its columns are three blocks of
+# _BLOCK candidates: the eight permutations (each fails on a small pivot or a
+# large other entry), the ENC candidates and the partial candidates (each
+# fails on a large entry where it needs a zero).  Each block ends with columns
+# that test nothing, which every gate passes.
+_BLOCK = 9
+_NONE = np.zeros(16, dtype=bool)
+
+
+def _block(columns: list) -> list:
+    """The 48-row columns of candidates given as (small, large, stray) masks, padded."""
+    padding = [np.zeros(48, dtype=bool)] * (_BLOCK - len(columns))
+    return [np.concatenate(c) for c in columns] + padding
+
+
+def _vanishing(row_eigenvalues: np.ndarray, column_eigenvalues: np.ndarray) -> np.ndarray:
+    """The entries whose row and column eigenvalues differ, row-major."""
+    return (row_eigenvalues[:, None] != column_eigenvalues).ravel()
+
+
+_PIVOTS = [np.array([perm.mapping[i // 4] == i % 4 for i in range(16)]) for perm, _ in _CARRIERS]
+_MASKS = np.transpose(
+    _block([(pivot, ~pivot, _NONE) for pivot in _PIVOTS])
+    + _block([(_NONE, _NONE, _vanishing(p * _SIGNS[:, 0] + q * _SIGNS[:, 1], _SIGNS.sum(axis=1)))
+              for p, q in _ENC_CANDIDATES])
+    + _block([(_NONE, _NONE, _vanishing(p0 * _SIGNS[:, 0] + p1 * _SIGNS[:, 1], _SIGNS[:, q]))
+              for q, (p0, p1) in _PARTIAL_CANDIDATES])
+).astype(float)
+# What a gate gets from the first candidate of a block that it passes.
+_CARRIER_OR_NONE = (*_CARRIERS, *[(None, None)] * (_BLOCK - len(_CARRIERS)))
+_ENC_OR_NONE = (*_ENC_CANDIDATES, *[None] * (_BLOCK - len(_ENC_CANDIDATES)))
+_PARTIAL_OR_NONE = (*_PARTIAL_CANDIDATES, *[None] * (_BLOCK - len(_PARTIAL_CANDIDATES)))
 
 
 def _frame_maps(
@@ -184,8 +206,8 @@ def _frame_maps(
     for a non-carrier), the generalized-ENC map ``(p, q)`` (None for none)
     and the partial carry ``(qubit, (p0, p1))``: a qubit whose frame ``t``
     alone passes the gate as ``(p0*t, p1*t)`` (None for neither qubit).
-    ``np.abs`` is taken once, and each test is a boolean matrix product of
-    the entries that break a bound with the masks above.  A gate is a
+    ``np.abs`` is taken once, and all tests are one matrix product of the
+    entries that break a bound with the masks above.  A gate is a
     carrier when one of the eight equivariant permutations has no pivot of
     ``|u|`` below ``1 - perm_tol`` and no other entry above
     ``ENTRY_ZERO_TOL``; for ``perm_tol < 1 - ENTRY_ZERO_TOL`` each pivot is
@@ -196,19 +218,15 @@ def _frame_maps(
     circuit compiler both decide by this call.
     """
     mag = np.abs(u).reshape(-1, 16)
-    # [k, j]: gate k has a small pivot or a large off-pivot entry for permutation j
-    broken = ((mag < 1.0 - perm_tol) @ _PIVOT) | (~(mag <= ENTRY_ZERO_TOL) @ _OFF_PIVOT)
-    # [k, c]: gate k has an entry above enc_tol where candidate c needs a zero
-    stray = ~(mag <= enc_tol) @ _VANISH
-    out = []
-    for b, e, p in zip(broken.tolist(), stray[:, :4].tolist(), stray[:, 4:].tolist()):
-        perm, cmap = _CARRIERS[b.index(False)] if False in b else (None, None)
-        out.append((
-            perm, cmap,
-            _ENC_CANDIDATES[e.index(False)] if False in e else None,
-            _PARTIAL_CANDIDATES[p.index(False)] if False in p else None,
-        ))
-    return out
+    # [k, c]: how many entries of gate k fail the test of candidate c
+    fails = np.concatenate(
+        (mag < 1.0 - perm_tol, ~(mag <= ENTRY_ZERO_TOL), ~(mag <= enc_tol)), axis=1
+    ) @ _MASKS
+    # argmin takes each block's first candidate that the gate passes
+    return [
+        (*_CARRIER_OR_NONE[c], _ENC_OR_NONE[e], _PARTIAL_OR_NONE[p])
+        for c, e, p in fails.reshape(-1, 3, _BLOCK).argmin(axis=2).tolist()
+    ]
 
 
 def segment_of(w: WeylCoords, tol: float = 1e-8) -> Segment:

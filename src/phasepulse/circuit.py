@@ -23,6 +23,7 @@ import numpy as np
 from .carrier import _frame_maps
 from .schemes import (
     Pulse,
+    _Pairs,
     _special_pairs,
     _three_pulse_pairs,
     _virtual_z_pairs,
@@ -817,15 +818,12 @@ def _gate2_rules(ir: CircuitIR, mode: PolicyMode) -> dict[int, tuple[str, _Frame
     maps = _frame_maps(ir.gate2_matrices)
     op_rows = ir.gate2_row[ops]
     rules = []
+    applicable = {"zero": _ZERO_RULE}  # each rule of a row, or None where it does not apply
     for row, (_, carry, enc_map, partial) in enumerate(maps):
-        applicable = {"zero": _ZERO_RULE}
-        if carry is not None:
-            applicable["carry"] = ("carry", carry.matrix)
-        if enc_map is not None:
-            applicable["enc"] = ("enc", ((enc_map[0], 0), (0, enc_map[1])))
-        if partial is not None:
-            applicable["partial"] = _PARTIAL_RULES[partial]
-        rule = next((applicable[r] for r in table if r in applicable), None)
+        applicable["carry"] = carry and ("carry", carry.matrix)
+        applicable["enc"] = enc_map and ("enc", ((enc_map[0], 0), (0, enc_map[1])))
+        applicable["partial"] = partial and _PARTIAL_RULES[partial]
+        rule = next(filter(None, map(applicable.get, table)), None)
         if rule is None:
             i = int(ops[op_rows == row][0])
             needs = " or ".join(_RULE_NEEDS[r] for r in table)
@@ -935,11 +933,11 @@ def ideal_unitary(ir: CircuitIR) -> np.ndarray:
     return _chain_products(ir.gate2_matrices, (ir.angles.T, ir.qubits[:, 0], ir.gate2_row))[0]
 
 
-# How a flush compiles a qubit's buffer: with virtual-Z, or exactly onto frame
-# 0 or onto q0's frame (the ENC rule; q0 is every 2q gate's lower qubit).
-_VZ, _EXACT, _PARTNER = 0, 1, 2
+# How a flush compiles a qubit's buffer: with virtual-Z, or exactly onto
+# frame 0.  The ENC rule flushes both qubits at once (see _enc_end).
+_VZ, _EXACT = 0, 1
 _GATE1_FLUSH = {PolicyMode.THREE_ALWAYS: _EXACT, PolicyMode.VZ_CARRY: _VZ}
-_RULE_FLUSHES = {"carry": ((0, _VZ), (1, _VZ)), "enc": ((0, _VZ), (1, _PARTNER)),
+_RULE_FLUSHES = {"carry": ((0, _VZ), (1, _VZ)), "enc": None,
                  "partial q0": ((0, _VZ), (1, _EXACT)), "partial q1": ((0, _EXACT), (1, _VZ)),
                  "zero": ((0, _EXACT), (1, _EXACT))}
 
@@ -964,6 +962,39 @@ def _flush_angles(
     return alpha, beta, gamma
 
 
+def _exact_pairs(alpha: float, beta: float, gamma: float, special: bool) -> tuple[_Pairs, str]:
+    """The pulses and scheme of an exact flush: a special case when
+    ``special`` and the angles allow one, else three pulses."""
+    pairs = _special_pairs(alpha, beta, gamma) if special else None
+    if pairs is None:
+        return _three_pulse_pairs(alpha, beta, gamma), "three"
+    return pairs, "special"
+
+
+def _enc_end(
+    vz_gate: Sequence[float] | None, f: float, exact_gate: Sequence[float] | None, g: float,
+    special: bool,
+) -> tuple[list, float, int]:
+    """One way to flush an ENC gate's qubits: the qubit with ``vz_gate``
+    pending on frame ``f`` with virtual-Z, then the other, with
+    ``exact_gate`` pending on frame ``g``, exactly onto the first's new frame
+    ``t``, unless it has no pending gate and is already there.
+
+    Returns each qubit's ``(pulses, scheme)``, or None where it is not
+    flushed, in that order; ``t``, which both frames then hold; and the pulse
+    count.
+    """
+    vz = exact = None
+    t, count = f, 0
+    if vz_gate is not None:
+        pairs, t = _virtual_z_pairs(*_flush_angles(vz_gate, f, 0.0), special)
+        vz, count = (pairs, "vz"), len(pairs)
+    if exact_gate is not None or g != t:
+        exact = _exact_pairs(*_flush_angles(exact_gate, g, t), special)
+        count += len(exact[0])
+    return [vz, exact], t, count
+
+
 def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> PulseSchedule:
     """Lower a circuit to a pulse schedule under the given policy.
 
@@ -981,10 +1012,12 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
 
     * ``carry`` (``vz-carry``, then ``auto``): flush both qubits with
       virtual-Z; the frames pass the phase carrier, relabelled.
-    * ``enc`` (``enc-mixed``, then ``auto``): flush the lower-indexed qubit
-      with virtual-Z and compile the other exactly onto the same frame,
-      unless it has no pending gate and is already there; the equal frames
-      pass the ENC gate.
+    * ``enc`` (``enc-mixed``, then ``auto``): flush one qubit with
+      virtual-Z and compile the other exactly onto the same frame, unless it
+      has no pending gate and is already there; the equal frames pass the
+      ENC gate.  ``enc-mixed`` compiles q1 exactly; ``auto`` computes both
+      ends (:func:`_enc_end`) and emits the one with fewer pulses, q1 exact
+      on a tie.
     * ``partial`` (``auto``, after ``enc``): flush the qubit whose frame
       alone passes the gate (a controlled gate's control) with virtual-Z
       and compile the other exactly onto frame 0; the one frame passes,
@@ -1000,6 +1033,7 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
     policy = policy or CompilePolicy()
     rules = _gate2_rules(ir, policy.mode)
     special = policy.special_cases
+    both_ends = policy.mode == PolicyMode.AUTO  # enc-mixed keeps q0's virtual-Z
     n = ir.n_qubits
     gate1 = _GATE1_FLUSH.get(policy.mode)  # None: the buffer waits for a 2q gate
     gate1_flushes = [() if gate1 is None else ((q, gate1),) for q in range(n)]
@@ -1022,22 +1056,36 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
         else:
             flushes = ((q, _VZ),)
 
+        if flushes is None:  # enc: the end with fewer pulses, q0's virtual-Z on a tie
+            b0, b1 = buffers
+            f0, f1 = frames
+            ends, t, count = _enc_end(b0, f0, b1, f1, special)
+            if both_ends:
+                mirror, mirror_t, mirror_count = _enc_end(b1, f1, b0, f0, special)
+                if mirror_count < count:
+                    ends, t = mirror[::-1], mirror_t
+            buffers[0] = buffers[1] = None
+            frames[0] = frames[1] = t
+            for qf, flush in enumerate(ends):
+                if flush is not None:
+                    pairs, scheme = flush
+                    schemes.append(scheme)
+                    for sigma, phase in pairs:
+                        rows += PULSE, qf, 0, sigma, phase
+            flushes = ()
         for qf, how in flushes:
             buffered, f = buffers[qf], frames[qf]
-            t = frames[0] if how == _PARTNER else 0.0
-            if buffered is None and (how == _VZ or f == t):
+            if buffered is None and (how == _VZ or f == 0.0):
                 continue
             buffers[qf] = None
-            alpha, beta, gamma = _flush_angles(buffered, f, t)
+            alpha, beta, gamma = _flush_angles(buffered, f, 0.0)
             if how == _VZ:
                 pairs, frames[qf] = _virtual_z_pairs(alpha, beta, gamma, special)
-                schemes.append("vz")
+                scheme = "vz"
             else:
-                pairs = _special_pairs(alpha, beta, gamma) if special else None
-                schemes.append("three" if pairs is None else "special")
-                if pairs is None:
-                    pairs = _three_pulse_pairs(alpha, beta, gamma)
-                frames[qf] = t
+                pairs, scheme = _exact_pairs(alpha, beta, gamma, special)
+                frames[qf] = 0.0
+            schemes.append(scheme)
             for sigma, phase in pairs:
                 rows += PULSE, qf, 0, sigma, phase
 

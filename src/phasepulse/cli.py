@@ -26,6 +26,10 @@ EXIT_INPUT = 1
 EXIT_POLICY = 2
 EXIT_VERIFY = 3
 
+# The most envelope samples pulsesim integrates: one Python step each, so
+# about seven seconds at this bound.
+MAX_STEPS = 1_000_000
+
 _UNITS_NOTE = (
     "All angles are radians. Schedules are time-ordered: the first PULSE "
     "line acts first."
@@ -176,6 +180,8 @@ def cmd_uniqueness(args) -> int:
 
 def cmd_pulsesim(args) -> int:
     envelope = psim.constant_envelope if args.shape == "const" else psim.gaussian_envelope
+    if args.steps > MAX_STEPS:  # refused before the envelope is allocated
+        return _fail(f"--steps must be at most {MAX_STEPS:,}, got {args.steps:,}", EXIT_INPUT)
     try:
         env = envelope(args.area, args.phase, n_samples=args.steps)
         sigma = psim.integrate_sigma(env)
@@ -294,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", choices=["const", "gauss"], default="const")
     p.add_argument("--area", type=float, required=True, help="pulse area (radians)")
     p.add_argument("--phase", type=float, default=0.0, help="drive phase shift (radians)")
-    p.add_argument("--steps", type=int, default=2001, help="number of envelope samples")
+    p.add_argument("--steps", type=int, default=2001,
+                   help=f"number of envelope samples, at most {MAX_STEPS:,}")
     p.set_defaults(func=cmd_pulsesim)
 
     return parser

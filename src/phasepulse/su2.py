@@ -508,19 +508,17 @@ def standard_gate(name: str, *params: float) -> np.ndarray:
     if key == "CPHASE":
         if len(params) != 1:
             raise ValueError("CPHASE takes one angle")
-        return np.diag([1.0, 1.0, 1.0, cmath.exp(1j * float(params[0]))])
+        m = np.eye(4, dtype=complex)
+        m[3, 3] = cmath.exp(1j * float(params[0]))
+        return m
     if key == "FSIM":
         if len(params) != 2:
             raise ValueError("FSIM takes two angles")
         theta, phi = float(params[0]), float(params[1])
         c, s = math.cos(theta), math.sin(theta)
-        return np.array(
-            [
-                [1, 0, 0, 0],
-                [0, c, -1j * s, 0],
-                [0, -1j * s, c, 0],
-                [0, 0, 0, cmath.exp(-1j * phi)],
-            ],
-            dtype=complex,
-        )
+        m = np.eye(4, dtype=complex)
+        m[1, 1] = m[2, 2] = c
+        m[1, 2] = m[2, 1] = -1j * s
+        m[3, 3] = cmath.exp(-1j * phi)
+        return m
     raise ValueError(f"unknown gate {name!r}")

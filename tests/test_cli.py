@@ -306,7 +306,7 @@ def test_stats_auto_beats_three_always_on_the_golden_circuit(capsys):
     assert main(["stats", path]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "three-always: pulses=108 ratio=1.0000"
-    assert lines[-1] == "auto: pulses=78 ratio=0.7222"
+    assert lines[-1] == "auto: pulses=74 ratio=0.6852"
     assert float(lines[-1].split("ratio=")[1]) < 1
 
 
@@ -409,6 +409,7 @@ BAD_NUMBERS_STDIN = {
         ["uniqueness", "--omega1", "nan", "--omega2", "1.57", "--omega3", "3.14"],
         ["uniqueness", "--omega1", "1.57", "--omega2", "inf", "--omega3", "3.14"],
         ["pulsesim", "--area", "1e308", "--steps", "2"],
+        ["pulsesim", "--area", "1", "--steps", "100000000000"],  # refused before allocating
         ["compile", "-"],  # a CUSTOM gate of huge entries, from BAD_NUMBERS_STDIN
         ["classify", "CUSTOM"],
         # a tolerance that is NaN, infinite or negative passes or fails everything

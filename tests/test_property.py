@@ -12,15 +12,23 @@ circuits of Haar ``U`` gates and controlled gates (CNOT and controlled-U
 CUSTOM gates in both orientations, with carriers and Haar gates between):
 at a ``partial`` op the qubit whose frame passes takes a virtual-Z flush,
 never an exact one.
+
+A third property checks ``auto``'s ENC rule on circuits with a Clifford or
+Haar run on each qubit before every 2q gate: each ENC gate emits the cheaper
+of its two ends, never more pulses than q0's virtual-Z end that
+``enc-mixed`` keeps, and without special cases, where both ends cost the
+same, it keeps that end.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import compile_verifying_prefixes, haar_unitary
+from phasepulse import circuit
 from phasepulse.circuit import (
     GATE2,
     PULSE,
@@ -28,6 +36,7 @@ from phasepulse.circuit import (
     IllegalPolicyError,
     PolicyMode,
     _gate2_rules,
+    compile_circuit,
     parse_circuit,
     parse_schedule,
     simulate_schedule,
@@ -135,10 +144,29 @@ def controlled_circuits(draw) -> tuple[str, list[int | None]]:
     return "\n".join(lines) + "\n", controls
 
 
-# How each auto rule flushes (q0, q1): virtual-Z ("vz", at most 2 pulses)
-# or exact ("exact", at most 3).
-_FLUSHES = {"carry": ("vz", "vz"), "enc": ("vz", "exact"), "partial q0": ("vz", "exact"),
-            "partial q1": ("exact", "vz"), "zero": ("exact", "exact")}
+def _segments(schedule) -> list[tuple[list[float], list[float]]]:
+    """The pulse areas on (q0, q1) before each 2q gate, then before the FRAMEs."""
+    segments, pulses = [], ([], [])
+    for k, (q, _), (sigma, _) in zip(schedule.kind.tolist(), schedule.qubits.tolist(),
+                                     schedule.values.tolist()):
+        if k == PULSE:
+            pulses[q].append(sigma)
+        elif k == GATE2:
+            segments.append(pulses)
+            pulses = ([], [])
+    return segments + [pulses]
+
+
+def _pulse_counts(schedule) -> list[tuple[int, int]]:
+    """The number of pulses on (q0, q1) before each 2q gate."""
+    return [(len(s0), len(s1)) for s0, s1 in _segments(schedule)[:-1]]
+
+
+# How each auto rule may flush (q0, q1): virtual-Z ("vz", at most 2 pulses)
+# or exact ("exact", at most 3).  An ENC gate compiles either qubit exactly.
+_FLUSHES = {"carry": [("vz", "vz")], "enc": [("vz", "exact"), ("exact", "vz")],
+            "partial q0": [("vz", "exact")], "partial q1": [("exact", "vz")],
+            "zero": [("exact", "exact")]}
 _BUDGET = {"vz": 2, "exact": 3}
 
 
@@ -151,19 +179,86 @@ def test_auto_partial_carry_keeps_the_passing_qubit_virtual(circuit, special_cas
     assert simulate_schedule(parse_schedule(schedule.to_text()), ir) <= 1e-9
     rules = [rule for rule, _ in _gate2_rules(ir, PolicyMode.AUTO).values()]
     assert [int(r[-1]) if r.startswith("partial") else None for r in rules] == controls
-    # the pulses on each qubit before each 2q gate, and before the FRAMEs
-    segments, pulses = [], ([], [])
-    for k, (q, _), (sigma, _) in zip(schedule.kind.tolist(), schedule.qubits.tolist(),
-                                     schedule.values.tolist()):
-        if k == PULSE:
-            pulses[q].append(sigma)
-        elif k == GATE2:
-            segments.append(pulses)
-            pulses = ([], [])
     # the end flushes both qubits with virtual-Z, as carry does
-    for rule, segment in zip(rules + ["carry"], segments + [pulses], strict=True):
-        for how, sigmas in zip(_FLUSHES[rule], segment):
-            assert len(sigmas) <= _BUDGET[how], (rule, segment)
+    for rule, segment in zip(rules + ["carry"], _segments(schedule), strict=True):
+        assert any(
+            all(len(sigmas) <= _BUDGET[how] for how, sigmas in zip(ends, segment))
+            for ends in _FLUSHES[rule]
+        ), (rule, segment)
         if rule.startswith("partial"):
             # a Haar gate's exact flush, and an empty buffer's under a frame, has an X180
             assert math.pi not in segment[int(rule[-1])], (rule, segment)
+
+
+@st.composite
+def enc_circuits(draw) -> str:
+    """A run of one to three Clifford or Haar ``U`` gates on each qubit
+    before every 2q gate: ISWAP, SQISW or FSIM in either qubit order, or
+    CNOT, CZ or a Haar CUSTOM gate."""
+    lines = ["qubits 2"]
+    for _ in range(draw(st.integers(1, 6))):
+        for q in (0, 1):
+            for _ in range(draw(st.integers(1, 3))):
+                if draw(st.booleans()):
+                    m = haar_unitary(2, np.random.default_rng(draw(seeds)))
+                else:
+                    m = draw(st.sampled_from(clifford_table())).matrix
+                lines.append(_u_line(q, m))
+        a, b = draw(st.sampled_from(((0, 1), (1, 0))))
+        family = draw(st.sampled_from(("ISWAP", "SQISW", "FSIM", "FSIM", "CNOT", "CZ", "CUSTOM")))
+        if family == "FSIM":
+            family = f"FSIM({draw(angles)!r},{draw(angles)!r})"
+        elif family == "CUSTOM":
+            lines.append(_custom_line(haar_unitary(4, np.random.default_rng(draw(seeds))), a, b))
+            continue
+        lines.append(f"G2 {family} q{a} q{b}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(enc_circuits(), st.booleans())
+def test_auto_compiles_the_cheaper_end_of_each_enc_gate(text, special_cases):
+    ir = parse_circuit(text)
+    policy = CompilePolicy(PolicyMode.AUTO, special_cases)
+    schedule = compile_verifying_prefixes(ir, policy)
+    assert simulate_schedule(parse_schedule(schedule.to_text()), ir) <= 1e-9
+    # each ENC gate computes q0's virtual-Z end (as enc-mixed compiles it),
+    # then q1's: record each end's pulse count
+    counts = []
+    real_enc_end = circuit._enc_end
+
+    def recording_enc_end(*args):
+        ends = real_enc_end(*args)
+        counts.append(ends[2])
+        return ends
+
+    with mock.patch.object(circuit, "_enc_end", recording_enc_end):
+        assert compile_circuit(ir, policy).to_text() == schedule.to_text()
+    rules = [rule for rule, _ in _gate2_rules(ir, PolicyMode.AUTO).values()]
+    enc_segments = [seg for rule, seg in zip(rules, _pulse_counts(schedule), strict=True)
+                    if rule == "enc"]
+    assert len(counts) == 2 * len(enc_segments)
+    for (q0_end, q1_end), segment in zip(zip(counts[0::2], counts[1::2]), enc_segments):
+        assert sum(segment) == min(q0_end, q1_end) <= q0_end, (segment, q0_end, q1_end)
+        if not special_cases:
+            # both ends cost 2 + 3 pulses, so the tie keeps q0's virtual-Z
+            # end: the text is the one enc-mixed's fixed end gives
+            assert segment == (2, 3)
+
+
+def test_auto_compiles_q0_exactly_where_that_saves_a_pulse():
+    # q0's X180 costs one pulse either way; q1's Haar gate costs three exact
+    # pulses but two virtual-Z ones
+    ir = parse_circuit("qubits 2\nX180 q0\nU q1 0.3 0.7 0.5\nG2 SQISW q0 q1\n")
+    fixed_end = compile_circuit(ir, CompilePolicy(PolicyMode.ENC_MIXED))
+    cheaper_end = compile_circuit(ir, CompilePolicy(PolicyMode.AUTO))
+    assert _pulse_counts(fixed_end) == [(1, 3)]
+    assert _pulse_counts(cheaper_end) == [(1, 2)]
+    assert cheaper_end.stats.schemes == {"vz": 1, "three": 0, "special": 1}
+    assert simulate_schedule(parse_schedule(cheaper_end.to_text()), ir) <= 1e-9
+    # without special cases both ends cost 2 + 3 pulses, and the tie keeps q0's
+    no_special = [
+        compile_circuit(ir, CompilePolicy(mode, special_cases=False)).to_text()
+        for mode in (PolicyMode.ENC_MIXED, PolicyMode.AUTO)
+    ]
+    assert no_special[0] == no_special[1]

@@ -1,9 +1,10 @@
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, makhlin_from_weyl, makhlin_invariants, random_gate_params
@@ -424,6 +425,27 @@ def test_standard_gates():
         standard_gate("XYZZY")
     with pytest.raises(ValueError):
         standard_gate("CPHASE")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_finite, _finite)
+@example(0.0, -0.0)
+@example(-0.0, 0.0)
+@example(PI, -PI)
+@example(-PI, PI)
+@example(1e300, -1e300)
+def test_parameterized_standard_gates_are_their_nested_list_forms_bit_for_bit(theta, phi):
+    c, s = math.cos(theta), math.sin(theta)
+    fsim = np.array(
+        [[1, 0, 0, 0], [0, c, -1j * s, 0], [0, -1j * s, c, 0], [0, 0, 0, cmath.exp(-1j * phi)]],
+        dtype=complex,
+    )
+    assert standard_gate("FSIM", theta, phi).tobytes() == fsim.tobytes()
+    cphase = np.diag([1.0, 1.0, 1.0, cmath.exp(1j * phi)])
+    assert standard_gate("CPHASE", phi).tobytes() == cphase.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
