@@ -20,14 +20,6 @@ from math import isfinite
 
 import numpy as np
 
-from .carrier import _frame_maps
-from .schemes import (
-    Pulse,
-    _Pairs,
-    _special_pairs,
-    _three_pulse_pairs,
-    _virtual_z_pairs,
-)
 from .su2 import (
     GateParams,
     _check_shape,
@@ -43,6 +35,12 @@ from .su2 import (
 )
 
 PI = math.pi
+
+# Bound by the first compile_circuit (schemes) and the first policy that
+# classifies its 2q gates (carrier), so verify imports neither module.  They
+# are imported once, not per call: an import statement run on every call
+# made compile 1-4% slower.
+_special_pairs = _three_pulse_pairs = _virtual_z_pairs = _frame_maps = None
 
 
 class CircuitError(ValueError):
@@ -684,6 +682,8 @@ class PulseSchedule:
 
     @property
     def events(self) -> tuple[Event, ...]:
+        from .schemes import Pulse
+
         names = iter(self.gate2_names)
         return tuple(
             PulseEvent(q, Pulse(a, b)) if k == PULSE
@@ -815,6 +815,10 @@ def _gate2_rules(ir: CircuitIR, mode: PolicyMode) -> dict[int, tuple[str, _Frame
     table = _POLICY_RULES[mode]
     if table == ("zero",):  # a rule that applies to every gate: nothing to classify
         return dict.fromkeys(ops.tolist(), _ZERO_RULE)
+    global _frame_maps
+    if _frame_maps is None:
+        from .carrier import _frame_maps
+
     maps = _frame_maps(ir.gate2_matrices)
     op_rows = ir.gate2_row[ops]
     rules = []
@@ -962,7 +966,7 @@ def _flush_angles(
     return alpha, beta, gamma
 
 
-def _exact_pairs(alpha: float, beta: float, gamma: float, special: bool) -> tuple[_Pairs, str]:
+def _exact_pairs(alpha: float, beta: float, gamma: float, special: bool) -> tuple[tuple, str]:
     """The pulses and scheme of an exact flush: a special case when
     ``special`` and the angles allow one, else three pulses."""
     pairs = _special_pairs(alpha, beta, gamma) if special else None
@@ -1030,6 +1034,10 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
     :func:`_flush_angles`.  The loop only notes each compiled 1q gate's
     scheme; the :class:`ScheduleStats` are read off the rows at the end.
     """
+    global _special_pairs, _three_pulse_pairs, _virtual_z_pairs
+    if _virtual_z_pairs is None:
+        from .schemes import _special_pairs, _three_pulse_pairs, _virtual_z_pairs
+
     policy = policy or CompilePolicy()
     rules = _gate2_rules(ir, policy.mode)
     special = policy.special_cases

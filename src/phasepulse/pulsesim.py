@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import conjugated_x
-
 
 @dataclass(frozen=True, eq=False)
 class Envelope:
@@ -87,12 +85,27 @@ def integrate_sigma(envelope: Envelope) -> float:
     return float(_step_areas(envelope).sum())
 
 
+def _time_ordered(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product, each later factor on the left, of the 2x2s ``[[a[i],
+    b[i]], [-b[i]*, a[i]*]]``.  A product of two such is one, so the factors
+    are multiplied pairwise, the arrays halving each round."""
+    while a.size > 1:
+        m = a.size // 2  # pairs; an odd last factor waits for the next round
+        a1, b1, a2, b2 = a[: 2 * m : 2], b[: 2 * m : 2], a[1::2], b[1::2]
+        a, b = (
+            np.concatenate((a2 * a1 - b2 * b1.conj(), a[2 * m :])),
+            np.concatenate((a2 * b1 + b2 * a1.conj(), b[2 * m :])),
+        )
+    return np.array([[a[0], b[0]], [-b[0].conjugate(), a[0].conjugate()]])
+
+
 def drive_unitary(envelope: Envelope, max_step: float = 0.1) -> np.ndarray:
     """Time-ordered product of per-step propagators.
 
     Each step uses the exact 2x2 rotation for its trapezoidal sub-area, so
     time ordering is the only thing being exercised.  Steps are required to
-    stay below ``max_step`` radians.
+    stay below ``max_step`` radians.  The steps, ``conjugated_x(d, phase)``,
+    are multiplied in batches by :func:`_time_ordered`.
     """
     if envelope.samples.size == 1:
         return np.eye(2, dtype=complex)
@@ -103,7 +116,5 @@ def drive_unitary(envelope: Envelope, max_step: float = 0.1) -> np.ndarray:
             f"per-step rotation {largest:.3g} rad exceeds {max_step:.3g}; "
             "use more samples"
         )
-    u = np.eye(2, dtype=complex)
-    for d in step_areas:
-        u = conjugated_x(float(d), envelope.phase) @ u
-    return u
+    half = 0.5 * step_areas
+    return _time_ordered(np.cos(half) + 0j, -1j * np.sin(half) * np.exp(1j * envelope.phase))

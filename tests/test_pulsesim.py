@@ -6,6 +6,7 @@ import pytest
 
 from phasepulse.pulsesim import (
     Envelope,
+    _time_ordered,
     constant_envelope,
     drive_unitary,
     gaussian_envelope,
@@ -56,6 +57,36 @@ def test_gaussian_drive_matches_conjugated_x():
     assert phase_distance(drive_unitary(env), conjugated_x(sigma, PI / 3)) < 1e-6
     # the error is pure float accumulation, far below the contract
     assert phase_distance(drive_unitary(env), conjugated_x(sigma, PI / 3)) < 1e-10
+
+
+@pytest.mark.parametrize("n_samples", [2, 3, 4, 5, 6, 1000, 1001, 4097])
+@pytest.mark.parametrize("make", [constant_envelope, gaussian_envelope])
+def test_batched_product_is_the_step_by_step_product(make, n_samples):
+    # odd and even step counts: the pairwise product carries an odd last step
+    env = make(0.05 if n_samples < 100 else 1.3, phase=0.7, n_samples=n_samples)
+    steps = (0.5 * env.samples[1:] + 0.5 * env.samples[:-1]) * env.dt
+    u = np.eye(2, dtype=complex)
+    for d in steps:  # the later step multiplies from the left
+        u = conjugated_x(float(d), env.phase) @ u
+    assert np.max(np.abs(drive_unitary(env) - u)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1001])
+def test_time_ordered_product_of_non_commuting_factors(n):
+    # an envelope's steps share one axis and commute; random SU(2) factors
+    # do not, so these catch a reversed or mis-conjugated pair product
+    rng = np.random.default_rng(53 + n)
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    a, b = q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3]
+    u = np.eye(2, dtype=complex)
+    for x, y in zip(a, b):  # the later factor multiplies from the left
+        u = np.array([[x, y], [-y.conjugate(), x.conjugate()]]) @ u
+    assert np.max(np.abs(_time_ordered(a, b) - u)) < 1e-12
+
+
+def test_single_sample_is_identity():
+    assert np.array_equal(drive_unitary(Envelope(np.array([5.0]), 1.0, 0.3)), np.eye(2))
 
 
 def test_step_size_violation():
