@@ -22,9 +22,11 @@ import numpy as np
 
 from .su2 import (
     GateParams,
+    _BASIS,
     _check_shape,
     _normalize_angle_array,
     _product_angles,
+    _quaternion,
     _unitarity_defect,
     as_unitary,
     normalize_angle,
@@ -849,20 +851,6 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     return np.concatenate((np.concatenate((re, -im), -1), np.concatenate((im, re), -1)), -2)
 
 
-def _quaternions(angles: np.ndarray) -> np.ndarray:
-    """Unit quaternions ``q = (ca*cg, sa*cg, cb*sg, sb*sg)``, shape ``(4, ...)``,
-    of ``U(alpha, beta, gamma)`` for angles of shape ``(3, ...)``, with ``ca, sa
-    = cos, sin(alpha)`` and so on from one cos and one sin pass.
-
-    The gate's 2x2 is ``[[q0 + i*q1, -q2 + i*q3], [q2 + i*q3, q0 - i*q1]]``,
-    the sum of ``q[j]`` times ``_BASIS[j]``.
-    """
-    # (ca, sa), (cb, sb), (cg, sg)
-    trig = np.array((np.cos(angles), np.sin(angles))).swapaxes(0, 1)
-    return (trig[:2] * trig[2, :, None]).reshape(4, *angles.shape[1:])
-
-
-_BASIS = np.array([[1, 0, 0, 1], [1j, 0, 0, -1j], [0, -1, 1, 0], [0, 1j, 1j, 0]]).reshape(4, 2, 2)
 _EYE = np.eye(2)
 # Row 4*qubit + j is the real 8x8 form of _BASIS[j] on qubit, kron(b, I) on q0
 # and kron(I, b) on q1, flattened.  An 8-vector holding a factor's quaternion in
@@ -885,7 +873,7 @@ def _chain_products(gates: np.ndarray, *sides: tuple[np.ndarray, ...]) -> np.nda
     and the others of length ``n``, one entry a factor: where ``rows[i]`` is
     -1 the factor is ``U(*angles[:, i])`` on qubit ``qubits[i]``, else the 2q
     gate ``gates[rows[i]]``, a 4x4 in the fixed basis.  Every factor is taken
-    to its real 8x8 form: a 1q factor by :func:`_quaternions` and one matmul
+    to its real 8x8 form: a 1q factor by its quaternion and one matmul
     with :data:`_EMBEDDING`, a 2q one by its gate's :func:`_real_form`.  A
     side goes through in chunks of at most :data:`_CHUNK` factors.  Each
     chunk's part of a side is padded with identities to its own power of two,
@@ -917,7 +905,10 @@ def _chain_products(gates: np.ndarray, *sides: tuple[np.ndarray, ...]) -> np.nda
             qubits[offset:offset + m] = q[start:start + m]
             rows[offset:offset + m] = r[start:start + m]
             offset += width
-        slots = _quaternions(angles) * _EYE.take(qubits, 1)[:, None]
+        # _quaternion of rows 0-2 of one cos and one sin pass over all the angles
+        cos, sin = np.cos(angles), np.sin(angles)
+        quaternions = np.array(_quaternion(0, 1, 2, cos.__getitem__, sin.__getitem__))
+        slots = quaternions * _EYE.take(qubits, 1)[:, None]
         factors = (slots.reshape(8, -1).T @ _EMBEDDING).reshape(total, 8, 8)
         gate = rows >= 0
         factors[gate] = gates[rows[gate]]

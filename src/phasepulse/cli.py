@@ -111,6 +111,11 @@ def cmd_classify(args) -> int:
         print(f"generalized_enc: yes (phi0 = {p}*theta, phi1 = {q}*theta)")
     else:
         print("generalized_enc: no")
+    if result.partial_carry is not None:
+        qubit, (p0, p1) = result.partial_carry
+        print(f"partial_carry: q{qubit} (phi0 = {p0}*theta, phi1 = {p1}*theta)")
+    else:
+        print("partial_carry: no")
     print(f"weyl: ({result.weyl.c1:.9f}, {result.weyl.c2:.9f}, {result.weyl.c3:.9f})")
     print(f"segment: {result.segment.value}")
     return EXIT_OK

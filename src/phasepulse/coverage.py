@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import (
-    Quaternion,
-    as_unitary,
-    conjugated_x,
-    from_quaternion,
-    normalize_angle,
-    normalize_rotation,
-    to_quaternion,
-)
+from .su2 import as_unitary, conjugated_x, normalize_angle, normalize_rotation
 
 PI = math.pi
 
@@ -103,9 +95,10 @@ def covers_su2(t: AngleTriple, tol: float = COEFF_TOL) -> bool:
 
 
 def target_uv(target) -> tuple[complex, complex]:
-    """Quaternion components ``(u, v)`` of a det-1 target, as ``u + v*j``."""
-    q = to_quaternion(as_unitary(target, 2))
-    return complex(q.a0, q.a1), complex(q.a2, q.a3)
+    """The quaternion components ``(u, v)`` of a det-1 target, as ``u + v*j``:
+    ``u = conj(m00)`` and ``v = i*m10``."""
+    m = as_unitary(target, 2)
+    return complex(m[0, 0]).conjugate(), 1j * complex(m[1, 0])
 
 
 def _sgn(x: float) -> float:
@@ -246,7 +239,8 @@ def haar_su2(rng: np.random.Generator) -> np.ndarray:
     """Haar-random element of SU(2) (uniform on the unit quaternions)."""
     x = rng.normal(size=4)
     x /= np.linalg.norm(x)
-    return from_quaternion(Quaternion(*x))
+    a0, a1, a2, a3 = x.tolist()
+    return np.array([[complex(a0, -a1), complex(-a3, -a2)], [complex(a3, -a2), complex(a0, a1)]])
 
 
 def coverage_fraction(t: AngleTriple, n_samples: int, seed: int = 0) -> float:

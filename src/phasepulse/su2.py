@@ -6,6 +6,9 @@ Conventions used across the package (all angles in radians):
 * ``x_rot(omega) == exp(-i*omega*X/2)``
 * two-qubit basis order is ``|00>, |01>, |10>, |11>`` with qubit 0 as the
   most significant bit.
+* the one SU(2) form: ``U(alpha, beta, gamma)`` (see :class:`GateParams`)
+  is the unit quaternion ``q = (cos a cos g, sin a cos g, cos b sin g,
+  sin b sin g)``, and its 2x2 is ``sum_j q[j] * _BASIS[j]``.
 
 Matrices are plain complex128 numpy arrays; validation helpers are provided
 instead of wrapper classes.  Phase-like angles are normalized to
@@ -34,12 +37,10 @@ __all__ = [
     "DEFAULT_TOL",
     "UNITARY_TOL",
     "GateParams",
-    "Quaternion",
     "WeylCoords",
     "as_unitary",
     "conjugated_x",
     "equal_up_to_global_phase",
-    "from_quaternion",
     "is_unitary",
     "normalize_angle",
     "normalize_rotation",
@@ -47,7 +48,6 @@ __all__ = [
     "phase_canonical",
     "phase_distance",
     "standard_gate",
-    "to_quaternion",
     "unitarity_defect",
     "unitary_from_params",
     "weyl_coordinates",
@@ -175,13 +175,6 @@ def _unitary_entries(u, tol: float = UNITARY_TOL) -> tuple[complex, ...]:
     return tuple(as_unitary(u, 2, tol).ravel().tolist())
 
 
-def _mul_entries(x: tuple[complex, ...], y: tuple[complex, ...]) -> tuple[complex, ...]:
-    """Row-major entries of the 2x2 product ``x @ y``."""
-    a, b, c, d = x
-    p, q, r, s = y
-    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
-
-
 def z_rot(theta: float) -> np.ndarray:
     """Z rotation ``diag(exp(-i*theta/2), exp(+i*theta/2))``."""
     theta = float(theta)
@@ -257,7 +250,7 @@ def phase_distance(a, b) -> float:
 
 def equal_up_to_global_phase(a, b, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``a == c*b`` for some unit phase ``c``, within ``tol``."""
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     return phase_distance(a, b) <= tol
 
@@ -290,122 +283,77 @@ class GateParams:
         object.__setattr__(self, "gamma", g)
 
 
+# The 2x2 of a quaternion q, the sum of q[j] times _BASIS[j], is
+# [[q0 + i*q1, -q2 + i*q3], [q2 + i*q3, q0 - i*q1]]: m00 = q0 + i*q1 and
+# m10 = q2 + i*q3.
+_BASIS = np.array([[1, 0, 0, 1], [1j, 0, 0, -1j], [0, -1, 1, 0], [0, 1j, 1j, 0]]).reshape(4, 2, 2)
+
+
 def unitary_from_params(p: GateParams) -> np.ndarray:
     """Matrix of ``p`` (see :class:`GateParams`)."""
-    return np.array(_angle_entries(p.alpha, p.beta, p.gamma)).reshape(2, 2)
+    return np.tensordot(_quaternion(p.alpha, p.beta, p.gamma), _BASIS, 1)
 
 
-def _angle_entries(alpha: float, beta: float, gamma: float) -> tuple[complex, ...]:
-    """Row-major entries of :func:`unitary_from_params` of the angles a
-    :class:`GateParams` keeps.
+def _quaternion(alpha, beta, gamma, cos=math.cos, sin=math.sin):
+    """The unit quaternion of ``U(alpha, beta, gamma)`` (see :data:`_BASIS`),
+    of floats, or of arrays when handed ``np.cos`` and ``np.sin``."""
+    cg, sg = cos(gamma), sin(gamma)
+    return (cos(alpha) * cg, sin(alpha) * cg, cos(beta) * sg, sin(beta) * sg)
 
-    Python scalar arithmetic on purpose: numpy's complex division differs
-    from Python's by an ulp in about a third of the divided entries.
-    """
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    ea, eb = cmath.exp(1j * alpha), cmath.exp(1j * beta)
-    return (ea * cg, -sg / eb, eb * sg, cg / ea)
+
+def _quaternion_product(a, b):
+    """The quaternion of the 2x2 product ``A @ B`` of quaternions ``a`` and
+    ``b`` in the form of :data:`_BASIS`, whose units square to -1 and
+    multiply as ``e1 e2 = -e3`` (cyclic).  Plain arithmetic, so the
+    components may be floats or arrays."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 - a2 * b3 + a3 * b2,
+        a0 * b2 + a2 * b0 - a3 * b1 + a1 * b3,
+        a0 * b3 + a3 * b0 - a1 * b2 + a2 * b1,
+    )
+
+
+def _quaternion_angles(q) -> tuple[float, float, float]:
+    """``(alpha, beta, gamma)`` of a unit quaternion, normalized as
+    :class:`GateParams` keeps them.  ``gamma = atan2(|m10|, |m00|)``, which
+    stays exact at 0 where ``acos(|m00|)`` would give 1.5e-8 for ``|m00|``
+    one rounding below 1.  The angle of an entry under 1e-13 is set to 0."""
+    q0, q1, q2, q3 = q
+    # abs of a complex is libm's hypot, as the magnitude of an entry always was
+    c, s = abs(complex(q0, q1)), abs(complex(q2, q3))
+    alpha = normalize_angle(math.atan2(q1, q0)) if c > 1e-13 else 0.0
+    beta = normalize_angle(math.atan2(q3, q2)) if s > 1e-13 else 0.0
+    # atan2 of two magnitudes lies in [0, pi/2], as GateParams keeps gamma.
+    return alpha, beta, math.atan2(s, c)
 
 
 def params_from_unitary(u, tol: float = UNITARY_TOL) -> tuple[GateParams, float]:
     """Invert :func:`unitary_from_params` up to a global phase.
 
-    Returns ``(params, phase)`` with ``u == exp(i*phase) * matrix(params)``.
-    ``gamma = atan2(|m10|, |m00|)`` of the det-1 form ``m``, which stays
-    exact at 0 where ``acos(|m00|)`` would give 1.5e-8 for ``|m00|`` one
-    rounding below 1.  When ``gamma`` hits 0 or pi/2 the unconstrained
-    angle is set to 0.  Validates ``u`` first.
+    Returns ``(params, phase)`` with ``u == exp(i*phase) * matrix(params)``,
+    read by :func:`_quaternion_angles`.  Validates ``u`` first.
     """
-    alpha, beta, gamma, gphase = _gate_angles(_unitary_entries(u, tol))
-    return GateParams(alpha, beta, gamma), gphase
+    *angles, gphase = _gate_angles(_unitary_entries(u, tol))
+    return GateParams(*angles), gphase
 
 
 def _gate_angles(m: tuple[complex, ...]) -> tuple[float, float, float, float]:
     """``(alpha, beta, gamma, phase)`` of :func:`params_from_unitary` on the
-    row-major entries of a 2x2 unitary the caller has validated, as floats,
-    the angles normalized as :class:`GateParams` keeps them."""
+    row-major entries of a 2x2 unitary the caller has validated, as floats."""
     a, b, c, d = m
     gphase = 0.5 * cmath.phase(a * d - b * c)
     k = cmath.exp(-1j * gphase)
     m00, m10 = a * k, c * k
-    alpha = normalize_angle(cmath.phase(m00)) if abs(m00) > 1e-13 else 0.0
-    beta = normalize_angle(cmath.phase(m10)) if abs(m10) > 1e-13 else 0.0
-    # atan2 of two magnitudes lies in [0, pi/2], as GateParams keeps gamma.
-    return alpha, beta, math.atan2(abs(m10), abs(m00)), gphase
+    return (*_quaternion_angles((m00.real, m00.imag, m10.real, m10.imag)), gphase)
 
 
 def _product_angles(later: Sequence[float], earlier: Sequence[float]) -> tuple[float, float, float]:
     """``(alpha, beta, gamma)`` of ``U(later) @ U(earlier)``, two gates given
-    by the angles a :class:`GateParams` keeps, read off the product's 2x2
-    entries by :func:`_gate_angles`."""
-    return _gate_angles(_mul_entries(_angle_entries(*later), _angle_entries(*earlier)))[:3]
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """Quaternion ``a0 + a1*i + a2*j + a3*k``.
-
-    The isomorphism with det-1 2x2 unitaries maps
-    ``1 -> I, i -> -iZ, j -> -iX, k -> -iY``.
-    """
-
-    a0: float
-    a1: float
-    a2: float
-    a3: float
-
-    def __post_init__(self):
-        for v in (self.a0, self.a1, self.a2, self.a3):
-            if not math.isfinite(v):
-                raise ValueError("quaternion components must be finite")
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        a0, a1, a2, a3 = self.a0, self.a1, self.a2, self.a3
-        b0, b1, b2, b3 = other.a0, other.a1, other.a2, other.a3
-        return Quaternion(
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        )
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.a0, -self.a1, -self.a2, -self.a3)
-
-    def norm(self) -> float:
-        return math.sqrt(self.a0**2 + self.a1**2 + self.a2**2 + self.a3**2)
-
-    def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize the zero quaternion")
-        return Quaternion(self.a0 / n, self.a1 / n, self.a2 / n, self.a3 / n)
-
-
-def to_quaternion(u, tol: float = 1e-9) -> Quaternion:
-    """Quaternion of a det-1 2x2 unitary (``u = a0*I - a1*iZ - a2*iX - a3*iY``)."""
-    u = as_unitary(u, 2)
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    if abs(det - 1.0) > tol:
-        raise ValueError(f"determinant must be 1 (got {det:.6g}); normalize first")
-    m00, m01 = complex(u[0, 0]), complex(u[0, 1])
-    m10, m11 = complex(u[1, 0]), complex(u[1, 1])
-    return Quaternion(
-        0.5 * (m00.real + m11.real),
-        0.5 * (m11.imag - m00.imag),
-        -0.5 * (m10.imag + m01.imag),
-        0.5 * (m10.real - m01.real),
-    )
-
-
-def from_quaternion(q: Quaternion) -> np.ndarray:
-    """Inverse of :func:`to_quaternion`."""
-    return np.array(
-        [
-            [q.a0 - 1j * q.a1, -q.a3 - 1j * q.a2],
-            [q.a3 - 1j * q.a2, q.a0 + 1j * q.a1],
-        ]
-    )
+    by the angles a :class:`GateParams` keeps."""
+    return _quaternion_angles(_quaternion_product(_quaternion(*later), _quaternion(*earlier)))
 
 
 class WeylCoords(NamedTuple):

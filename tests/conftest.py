@@ -1,5 +1,6 @@
 """Shared test helpers: random unitaries and independent oracles."""
 
+import cmath
 import math
 
 import numpy as np
@@ -25,6 +26,14 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def angles_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """The 2x2 of ``U(alpha, beta, gamma)`` from the formula :class:`GateParams`
+    documents, in complex exponentials rather than ``su2``'s quaternions."""
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    ea, eb = cmath.exp(1j * alpha), cmath.exp(1j * beta)
+    return np.array([[ea * cg, -sg / eb], [eb * sg, cg / ea]])
 
 
 def random_gate_params(rng: np.random.Generator) -> GateParams:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import angles_matrix
 from phasepulse.circuit import (
     FRAME,
     CircuitIR,
@@ -20,7 +21,6 @@ from phasepulse.circuit import (
     PolicyMode,
     PulseEvent,
     PulseSchedule,
-    _quaternions,
     _schedule_angles,
     compile_circuit,
     merge_adjacent_1q,
@@ -29,7 +29,7 @@ from phasepulse.circuit import (
     simulate_schedule,
 )
 from phasepulse.schemes import Pulse
-from phasepulse.su2 import GateParams, _angle_entries, conjugated_x, z_rot
+from phasepulse.su2 import GateParams, _quaternion, conjugated_x, z_rot
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -42,9 +42,9 @@ GAMMA_SEAMS = (0.0, -0.0, PI / 2, -1e-9, -5e-10, PI / 2 + 1e-9, math.nextafter(P
 ANGLE_SEAMS = (PI, -PI, math.nextafter(PI, 0.0), math.nextafter(-PI, 0.0), 0.0, -0.0, 3 * PI, -1e-300)
 
 
-def _params_entries(p: GateParams) -> tuple[complex, ...]:
-    """Row-major entries of ``unitary_from_params(p)``, the scalar reference."""
-    return _angle_entries(p.alpha, p.beta, p.gamma)
+def _quaternions(angles: np.ndarray) -> np.ndarray:
+    """The verifier's unit quaternions, shape ``(4, n)``, of angles of shape ``(3, n)``."""
+    return np.array(_quaternion(*angles, np.cos, np.sin))
 
 
 def _quaternion_matrices(q: np.ndarray) -> np.ndarray:
@@ -94,7 +94,7 @@ def test_angles_column_is_bit_identical_to_gate_params(a, b, g):
     assert _bits(CircuitIR(2, ir.ops).angles[0].tolist()) == want
     # the verifier builds the gate's quaternion from the same row
     factors = _quaternion_matrices(_quaternions(ir.angles.T))
-    assert np.abs(factors - np.array(_params_entries(p)).reshape(2, 2)).max() <= 1e-15
+    assert np.abs(factors - angles_matrix(p.alpha, p.beta, p.gamma)).max() <= 1e-15
     # and a pulse's and a FRAME's from their schedule rows
     schedule = PulseSchedule.from_events([PulseEvent(0, Pulse(a, b)), FrameEvent(1, a)])
     assert np.abs(_schedule_matrices(schedule) - _event_matrices(schedule)).max() <= 1e-15
@@ -108,8 +108,8 @@ def test_verifier_stack_is_within_1e_15_of_params_entries():
     lines = [f"U q{i % 2} {a!r} {b!r} {g!r}" for i, (a, b, g) in rows]
     ir = parse_circuit("\n".join(["qubits 2"] + lines))
     factors = _quaternion_matrices(_quaternions(ir.angles.T))
-    want = [_params_entries(op.params) for op in ir.ops]
-    assert np.abs(factors - np.array(want).reshape(-1, 2, 2)).max() <= 1e-15
+    want = [angles_matrix(op.params.alpha, op.params.beta, op.params.gamma) for op in ir.ops]
+    assert np.abs(factors - np.array(want)).max() <= 1e-15
     # the same draws as pulses (sigma=alpha, phase=beta) and FRAMEs (z=beta)
     pairs = enumerate(zip(alpha.tolist(), beta.tolist()))
     events = [PulseEvent(i % 2, Pulse(a, b)) for i, (a, b) in pairs]

@@ -200,19 +200,23 @@ _CARRY_SWAP = (
     "carry_map: phi0 = 0*theta0 + 1*theta1, phi1 = 1*theta0 + 0*theta1\n"
 )
 _ENC = "enc: yes\ngeneralized_enc: yes (phi0 = 1*theta, phi1 = 1*theta)\n"
+_PARTIAL_Q0 = "partial_carry: q0 (phi0 = 1*theta, phi1 = 0*theta)\n"
+_PARTIAL_SWAP = "partial_carry: q0 (phi0 = 0*theta, phi1 = 1*theta)\n"
+_NO_PARTIAL = "partial_carry: no\n"
 CLASSIFY_GOLDENS = {
-    "CZ": _CARRY_CZ + _ENC + "weyl: (1.570796327, 0.000000000, 0.000000000)\nsegment: I-CNOT\n",
-    "CNOT": "phase_carrier: no\nenc: no\ngeneralized_enc: no\n"
-    "weyl: (1.570796327, 0.000000000, 0.000000000)\nsegment: I-CNOT\n",
-    "SWAP": _CARRY_SWAP + _ENC
+    "CZ": _CARRY_CZ + _ENC + _PARTIAL_Q0
+    + "weyl: (1.570796327, 0.000000000, 0.000000000)\nsegment: I-CNOT\n",
+    "CNOT": "phase_carrier: no\nenc: no\ngeneralized_enc: no\n" + _PARTIAL_Q0
+    + "weyl: (1.570796327, 0.000000000, 0.000000000)\nsegment: I-CNOT\n",
+    "SWAP": _CARRY_SWAP + _ENC + _PARTIAL_SWAP
     + "weyl: (1.570796327, 1.570796327, 1.570796327)\nsegment: iSWAP-SWAP\n",
-    "ISWAP": _CARRY_SWAP + _ENC
+    "ISWAP": _CARRY_SWAP + _ENC + _PARTIAL_SWAP
     + "weyl: (1.570796327, 1.570796327, 0.000000000)\nsegment: iSWAP-SWAP\n",
-    "SQISW": "phase_carrier: no\n" + _ENC
+    "SQISW": "phase_carrier: no\n" + _ENC + _NO_PARTIAL
     + "weyl: (0.785398163, 0.785398163, 0.000000000)\nsegment: off-segment\n",
-    "CPHASE(0.5)": _CARRY_CZ + _ENC
+    "CPHASE(0.5)": _CARRY_CZ + _ENC + _PARTIAL_Q0
     + "weyl: (0.250000000, 0.000000000, 0.000000000)\nsegment: I-CNOT\n",
-    "FSIM(0.4,0.2)": "phase_carrier: no\n" + _ENC
+    "FSIM(0.4,0.2)": "phase_carrier: no\n" + _ENC + _NO_PARTIAL
     + "weyl: (0.400000000, 0.400000000, 0.100000000)\nsegment: off-segment\n",
 }
 
@@ -251,6 +255,16 @@ def test_classify_cnot(capsys):
     out = capsys.readouterr().out
     assert "phase_carrier: no" in out
     assert "enc: no" in out
+
+
+def test_classify_prints_the_partial_carry_of_either_qubit(monkeypatch, capsys):
+    # a CNOT passes its control's frame (the goldens hold q0's, and "no" for
+    # SQISW and FSIM); with the qubits swapped, the control is q1
+    m = standard_gate("CNOT")[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]
+    text = " ".join(f"{z.real!r},{z.imag!r}" for z in m.ravel().tolist())
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["classify", "CUSTOM"]) == 0
+    assert "\npartial_carry: q1 (phi0 = 0*theta, phi1 = 1*theta)\n" in capsys.readouterr().out
 
 
 def test_classify_sqisw(capsys):

@@ -16,7 +16,6 @@ from phasepulse.coverage import (
 )
 from phasepulse.schemes import three_pulse
 from phasepulse.su2 import (
-    from_quaternion,
     normalize_rotation,
     params_from_unitary,
     phase_distance,

@@ -4,21 +4,22 @@ A flush compiles ``z_rot(t) @ U @ z_rot(-f)``: ``f`` is the qubit's frame,
 ``t`` the frame it must end on.  A buffer always holds one gate's angles
 (two gates are folded into one by ``_product_angles``), and
 :func:`_flush_angles` reads the flush off them in closed form.  The
-reference here builds the 2x2 from the entries helpers and reads its angles
-with ``_gate_angles``, as the compiler did before.  Both must give the same
-scheme and pulse count, the same pulse product up to phase, and the same
-virtual-Z residual frame, and every flush must keep the per-flush pulse
-bound.  With special cases on, a virtual-Z flush whose ``gamma`` is 0,
-pi/4 or pi/2 takes no pulse, one X90 or one X180 instead of two X90s.
+reference here builds the 2x2 from the matrix :class:`GateParams`
+documents and reads its angles with ``_gate_angles``, as the compiler did
+before.  Both must give the same scheme and pulse count, the same pulse
+product up to phase, and the same virtual-Z residual frame, and every flush
+must keep the per-flush pulse bound.  With special cases on, a virtual-Z
+flush whose ``gamma`` is 0, pi/4 or pi/2 takes no pulse, one X90 or one
+X180 instead of two X90s.
 """
 
-import cmath
 import math
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import angles_matrix
 from phasepulse.circuit import (
     CompilePolicy,
     PolicyMode,
@@ -35,14 +36,13 @@ from phasepulse.schemes import (
 )
 from phasepulse.su2 import (
     GateParams,
-    _angle_entries,
     _gate_angles,
-    _mul_entries,
     _product_angles,
     _unitary_entries,
     conjugated_x,
     normalize_angle,
     phase_distance,
+    unitary_from_params,
     z_rot,
 )
 
@@ -50,21 +50,13 @@ PI = math.pi
 SPECIAL_GAMMAS = (0.0, PI / 4, PI / 2)
 
 
-def _z_rot_entries(theta: float) -> tuple[complex, ...]:
-    """Row-major entries of ``z_rot(theta)``."""
-    e = cmath.exp(-0.5j * theta)
-    return (e, 0j, 0j, e.conjugate())
-
-
 def reference_angles(gate, f: float, t: float) -> tuple[float, float, float]:
-    """``_gate_angles(z_rot(t) @ U @ z_rot(-f))`` from the entries helpers."""
-    entries = _angle_entries(*gate) if gate is not None else (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-    framed = _mul_entries(_mul_entries(_z_rot_entries(t), entries), _z_rot_entries(-f))
-    return _gate_angles(framed)[:3]
+    """``_gate_angles(z_rot(t) @ U @ z_rot(-f))`` of the 2x2s."""
+    return _gate_angles(tuple(target(gate, f, t).ravel().tolist()))[:3]
 
 
 def target(gate, f: float, t: float) -> np.ndarray:
-    u = np.eye(2) if gate is None else np.array(_angle_entries(*gate)).reshape(2, 2)
+    u = np.eye(2) if gate is None else angles_matrix(*gate)
     return z_rot(t) @ u @ z_rot(-f)
 
 
@@ -171,11 +163,47 @@ def test_angle_flush_matches_the_matrix_flush(gate, f, t):
     assert min(residual_gap, 2 * PI - residual_gap) <= 1e-12
 
 
+def gate_rows(text: str) -> list[tuple[float, ...]]:
+    """The angle rows the parser gives the 1q gates of ``text``, one per line."""
+    return [tuple(row) for row in parse_circuit("qubits 2\n" + text).angles.tolist()]
+
+
 def test_a_product_buffer_takes_the_matrix_path_bit_for_bit():
-    # A gate that finds its buffer full is folded in at once: the two gates'
-    # 2x2 product, read back as angles.  So two gates in a buffer compile
-    # bit for bit as the one gate _product_angles makes of them, on the
-    # nonzero frames the first layer leaves.
+    # _product_angles multiplies two gates' quaternions and reads the angles
+    # back: the 2x2 of its angles is the 2x2 product up to phase, on Haar
+    # pairs and on seam products, where the entry of size cos(gamma) or
+    # sin(gamma) cancels to rounding and the gauge sets its angle to 0.
+    rng = np.random.default_rng(16)
+    products = []  # (later, earlier, index of the gauged angle or None)
+    for _ in range(500):
+        a, b = (
+            GateParams(*rng.uniform(-PI, PI, 2), math.acos(math.sqrt(rng.uniform())))  # Haar
+            for _ in range(2)
+        )
+        products.append(((b.alpha, b.beta, b.gamma), (a.alpha, a.beta, a.gamma), None))
+    x90, x180 = gate_rows("X90 q0\nX180 q0")
+    products += [(x90, x90, 0), (x180, x180, 1)]  # X90.X90 = X180, X180.X180 = -I
+    for _ in range(20):
+        # gammas that sum to pi/2 and phases that match: m00 cancels to a
+        # complex rounding residue, whose phase is noise
+        a, a2, b, g = rng.uniform(-1.5, 1.5, 4).tolist()
+        later, earlier = (
+            GateParams(*angles) for angles in ((a, b, abs(g)), (a2, a + a2 + b, PI / 2 - abs(g)))
+        )
+        products.append(((later.alpha, later.beta, later.gamma),
+                         (earlier.alpha, earlier.beta, earlier.gamma), 0))
+    for t in [PI / 2, PI, -PI, 0.7, 1e-9] + rng.uniform(-PI, PI, 20).tolist():
+        earlier, later = gate_rows(f"RZ q0 {t!r}\nRZ q0 {-t!r}")
+        products.append((later, earlier, 1))  # the identity
+    for later, earlier, gauged in products:
+        product = _product_angles(later, earlier)
+        want = unitary_from_params(GateParams(*later)) @ unitary_from_params(GateParams(*earlier))
+        assert phase_distance(unitary_from_params(GateParams(*product)), want) <= 1e-14
+        assert gauged is None or product[gauged] == 0.0
+
+    # A gate that finds its buffer full is folded in at once.  So two gates
+    # in a buffer compile bit for bit as the one gate _product_angles makes
+    # of them, on the nonzero frames the first layer leaves.
     rng = np.random.default_rng(15)
     for _ in range(200):
         first, a, b = (
@@ -183,7 +211,6 @@ def test_a_product_buffer_takes_the_matrix_path_bit_for_bit():
             for p in (GateParams(*rng.uniform(-PI, PI, 2), rng.uniform(0, PI / 2)) for _ in range(3))
         )
         product = _product_angles(b, a)
-        assert product == _gate_angles(_mul_entries(_angle_entries(*b), _angle_entries(*a)))[:3]
         head = ["qubits 2", "U q0 %r %r %r" % first, "U q1 %r %r %r" % first, "G2 ISWAP q0 q1"]
         two = parse_circuit("\n".join(
             head + ["U q0 %r %r %r" % a, "U q1 %r %r %r" % a, "U q0 %r %r %r" % b,

@@ -14,10 +14,8 @@ from phasepulse.su2 import (
     GateParams,
     _normalize_angle_array,
     _unitarity_defect,
-    Quaternion,
     as_unitary,
     equal_up_to_global_phase,
-    from_quaternion,
     conjugated_x,
     is_unitary,
     normalize_angle,
@@ -26,7 +24,6 @@ from phasepulse.su2 import (
     phase_canonical,
     phase_distance,
     standard_gate,
-    to_quaternion,
     unitarity_defect,
     unitary_from_params,
     weyl_coordinates,
@@ -212,8 +209,9 @@ def test_equal_up_to_global_phase():
     assert equal_up_to_global_phase(X, 1j * X, 1e-9)
     assert not equal_up_to_global_phase(X, Z, 1e-9)
     assert equal_up_to_global_phase(H, -1j * H, 1e-9)
-    with pytest.raises(ValueError):
-        equal_up_to_global_phase(X, X, 0.0)
+    for tol in (0.0, -1e-9, float("nan")):
+        with pytest.raises(ValueError):
+            equal_up_to_global_phase(X, X, tol)
     with pytest.raises(ValueError):
         phase_distance(X, np.eye(4))
 
@@ -293,41 +291,6 @@ def test_params_rejects_non_unitary():
         params_from_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(ValueError):
         GateParams(0.0, 0.0, 2.0)
-
-
-def test_quaternion_values():
-    assert to_quaternion(np.eye(2)) == Quaternion(1, 0, 0, 0)
-    q = to_quaternion(-1j * X)
-    assert np.allclose([q.a0, q.a1, q.a2, q.a3], [0, 0, 1, 0], atol=1e-12)
-    # z_rot(t) = cos(t/2) I + sin(t/2) (-iZ): the i-component is +sin(t/2)
-    q = to_quaternion(z_rot(0.9))
-    assert np.allclose(
-        [q.a0, q.a1, q.a2, q.a3], [math.cos(0.45), math.sin(0.45), 0, 0], atol=1e-12
-    )
-    assert np.allclose(from_quaternion(Quaternion(0, 0, 0, 1)), [[0, -1], [1, 0]])
-
-
-def test_quaternion_round_trip_and_det_check():
-    rng = np.random.default_rng(4)
-    for _ in range(300):
-        u = haar_unitary(2, rng)
-        u /= np.sqrt(complex(np.linalg.det(u)))
-        q = to_quaternion(u)
-        assert np.max(np.abs(from_quaternion(q) - u)) < 1e-12
-        assert abs(q.norm() - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        to_quaternion(np.exp(0.2j) * np.eye(2))
-
-
-def test_quaternion_product_matches_matrix_product():
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        a = haar_unitary(2, rng)
-        a /= np.sqrt(complex(np.linalg.det(a)))
-        b = haar_unitary(2, rng)
-        b /= np.sqrt(complex(np.linalg.det(b)))
-        lhs = from_quaternion(to_quaternion(a) * to_quaternion(b))
-        assert np.max(np.abs(lhs - a @ b)) < 1e-12
 
 
 def test_weyl_known_points():
