@@ -1,12 +1,14 @@
 """Classify two-qubit gates by how per-qubit Z rotations move through them.
 
-A gate "carries" phases when ``U (Z_t0 x Z_t1) == (Z_p0 x Z_p1) U`` has a
-solution for every ``(t0, t1)``; this holds exactly when the element-wise
-absolute value of ``U`` is a permutation matrix whose permutation commutes
-with the joint bit flip.  Excitation-number-conserving (ENC) gates satisfy
-the weaker equal-angle version, and a gate such as a controlled-U the
-one-qubit version (a partial carry): ``t`` on one qubit passes, the other
-angle being 0.
+Each question here is whether a gate maps the frames ``D t`` to ``A t``:
+``U Z(D t) == Z(A t) U`` for every ``t``, with ``Z(p) = Z_p0 x Z_p1`` and
+integer matrices ``A`` and ``D`` of two rows.  A gate "carries" phases when
+it maps every ``(t0, t1)`` (``D = I``); then ``|u|`` is a permutation matrix
+whose permutation commutes with the joint bit flip, and ``A`` is its carry
+matrix.  Excitation-number-conserving (ENC) gates satisfy the weaker
+equal-angle version (``D = (1, 1)``), and a gate such as a controlled-U the
+one-qubit version (a partial carry, ``D`` one qubit's axis): ``t`` on one
+qubit passes, the other angle being 0.
 """
 
 from __future__ import annotations
@@ -20,11 +22,8 @@ import numpy as np
 
 from .su2 import UNITARY_TOL, WeylCoords, _weyl_coordinates, as_unitary, z_rot
 
-# Entries below ENTRY_ZERO_TOL count as structural zeros; permutation pivots
-# must exceed 1 - PERMUTATION_TOL in magnitude, and every other entry of
-# ``|u|`` must be a structural zero.
+# Entries of magnitude at most ENTRY_ZERO_TOL count as structural zeros.
 ENTRY_ZERO_TOL = 1e-10
-PERMUTATION_TOL = 1e-8
 
 
 class NotCarrierError(ValueError):
@@ -69,26 +68,22 @@ class Segment(Enum):
     OFF_SEGMENT = "off-segment"
 
 
-def _is_equivariant(mapping) -> bool:
-    # Joint bit flip is index -> 3 - index.
-    return all(mapping[3 - j] == 3 - mapping[j] for j in range(4))
-
-
 def equivariant_permutations() -> tuple[tuple[int, int, int, int], ...]:
-    """The eight bit-flip-equivariant permutations of the two-qubit basis."""
-    return tuple(
-        p for p in permutations(range(4)) if _is_equivariant(p)
-    )
+    """The eight bit-flip-equivariant permutations of the two-qubit basis
+    (the joint bit flip is index -> 3 - index)."""
+    return tuple(p for p in permutations(range(4)) if all(p[3 - j] == 3 - p[j] for j in range(4)))
 
 
-def abs_permutation(u, tol: float = PERMUTATION_TOL) -> CarrierPermutation | None:
+def abs_permutation(u) -> CarrierPermutation | None:
     """Permutation structure of ``|u|`` if it is one (and equivariant).
 
-    Pivots must exceed ``1 - tol`` in magnitude and every other entry must
-    be at most ``ENTRY_ZERO_TOL``, so a gate that is only near a
-    permutation (say ``FSIM(pi/2 + 1e-4, phi)``) is not a carrier.
+    Every entry off the permutation must be at most ``ENTRY_ZERO_TOL``, so a
+    gate that is only near a permutation (say ``FSIM(pi/2 + 1e-4, phi)``) is
+    not a carrier.  The pivots need no test of their own: ``u`` is validated
+    at ``UNITARY_TOL`` (1e-8), so with those zeros every column norm² is
+    within 1e-8 of 1, and every pivot within 5e-9 of magnitude 1.
     """
-    return _frame_maps(as_unitary(u, 4)[None], perm_tol=tol)[0][0]
+    return _frame_maps(as_unitary(u, 4)[None])[0][0]
 
 
 def is_phase_carrier(u) -> bool:
@@ -110,18 +105,9 @@ def carry_map(u) -> CarryMap:
     return cmap
 
 
-def _carry_of(perm: CarrierPermutation) -> CarryMap:
-    e0, e1 = perm.signs[0], perm.signs[1]
-    matrix = (
-        ((e0[0] + e1[0]) // 2, (e0[1] + e1[1]) // 2),
-        ((e0[0] - e1[0]) // 2, (e0[1] - e1[1]) // 2),
-    )
-    return CarryMap(matrix)
-
-
 def is_enc(u, tol: float = ENTRY_ZERO_TOL) -> bool:
     """True iff ``u`` preserves the 1+2+1 excitation-number block structure."""
-    return _frame_maps(as_unitary(u, 4)[None], enc_tol=tol)[0][2] == (1, 1)
+    return _frame_maps(as_unitary(u, 4)[None], tol)[0][2] == (1, 1)
 
 
 def is_generalized_enc(u, tol: float = ENTRY_ZERO_TOL) -> tuple[bool, tuple[int, int] | None]:
@@ -133,95 +119,80 @@ def is_generalized_enc(u, tol: float = ENTRY_ZERO_TOL) -> tuple[bool, tuple[int,
     eigenvalues differ must be at most ``tol`` in magnitude.  ``(1, 1)`` is
     :func:`is_enc`.
     """
-    enc_map = _frame_maps(as_unitary(u, 4)[None], enc_tol=tol)[0][2]
+    enc_map = _frame_maps(as_unitary(u, 4)[None], tol)[0][2]
     return enc_map is not None, enc_map
 
 
-# The eight equivariant permutations with their carry maps.
-_CARRIERS = tuple(
-    (perm, _carry_of(perm))
-    for perm in map(CarrierPermutation.from_mapping, equivariant_permutations())
-)
+_SIGNS = np.array([_bit_signs(i) for i in range(4)])
 
+
+def _carrier(mapping) -> tuple[CarrierPermutation, CarryMap]:
+    """An equivariant permutation and its carry matrix ``A``, which solves
+    ``s_i A = s_mapping(i)`` on rows 00 and 01, and so on all four."""
+    a = _SIGNS[:2] @ _SIGNS[list(mapping[:2])] // 2  # _SIGNS[:2] squared is 2I
+    return CarrierPermutation.from_mapping(mapping), CarryMap(tuple(map(tuple, a.tolist())))
+
+
+_CARRIERS = tuple(map(_carrier, equivariant_permutations()))
 # Candidate (p, q) for ``u (Z_t x Z_t) == (Z_pt x Z_qt) u``: comparing the
 # spectra of the two generators leaves only these four, tried in this order.
-# Both generators are diagonal, so the identity holds for every t exactly
-# when u[i, j] vanishes wherever the row eigenvalue p*s0 + q*s1 differs from
-# the column eigenvalue s0 + s1, with s = (-1)**bit.
 _ENC_CANDIDATES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 # Candidate (q, (p0, p1)) for ``u (Z_t on qubit q) == (Z_{p0*t} x Z_{p1*t}) u``:
-# only an image along one axis matches the spectrum of one qubit's generator,
-# and the zero-pattern test is the ENC one with the column eigenvalue s_q.
+# only an image along one axis matches the spectrum of one qubit's generator.
 _PARTIAL_CANDIDATES = (
     (0, (1, 0)), (0, (-1, 0)), (0, (0, 1)), (0, (0, -1)),
     (1, (0, 1)), (1, (0, -1)), (1, (1, 0)), (1, (-1, 0)),
 )
-_SIGNS = np.array([_bit_signs(i) for i in range(4)])
 
-# The tests of every candidate as one matrix.  Its 48 rows are the 16
-# row-major entries of a 4x4 three times: an entry below 1 - perm_tol, one
-# above ENTRY_ZERO_TOL, one above enc_tol.  Its columns are three blocks of
-# _BLOCK candidates: the eight permutations (each fails on a small pivot or a
-# large other entry), the ENC candidates and the partial candidates (each
-# fails on a large entry where it needs a zero).  Each block ends with columns
-# that test nothing, which every gate passes.
+
+def _vanishing(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The entries, row-major, that must vanish for a gate to map the frames
+    ``d t`` to ``a t``.  Both generators are diagonal, so the identity holds for
+    every ``t`` exactly when ``u[i, j]`` vanishes wherever the row eigenvalues
+    ``s_i a`` differ from the column eigenvalues ``s_j d``, with ``s = (-1)**bit``."""
+    return ((_SIGNS @ a)[:, None] != _SIGNS @ d).any(axis=2).ravel()
+
+
+# Every candidate as its pair (A, D), in three blocks of _BLOCK: the carriers
+# (D = I), the ENC candidates (D = (1, 1)) and the partial candidates (D the
+# qubit's axis).  Each block ends with (0, 0), which maps the frame 0 to 0, so
+# every gate passes it.  _MASKS holds a column per candidate, a row per entry.
 _BLOCK = 9
-_NONE = np.zeros(16, dtype=bool)
-
-
-def _block(columns: list) -> list:
-    """The 48-row columns of candidates given as (small, large, stray) masks, padded."""
-    padding = [np.zeros(48, dtype=bool)] * (_BLOCK - len(columns))
-    return [np.concatenate(c) for c in columns] + padding
-
-
-def _vanishing(row_eigenvalues: np.ndarray, column_eigenvalues: np.ndarray) -> np.ndarray:
-    """The entries whose row and column eigenvalues differ, row-major."""
-    return (row_eigenvalues[:, None] != column_eigenvalues).ravel()
-
-
-_PIVOTS = [np.array([perm.mapping[i // 4] == i % 4 for i in range(16)]) for perm, _ in _CARRIERS]
-_MASKS = np.transpose(
-    _block([(pivot, ~pivot, _NONE) for pivot in _PIVOTS])
-    + _block([(_NONE, _NONE, _vanishing(p * _SIGNS[:, 0] + q * _SIGNS[:, 1], _SIGNS.sum(axis=1)))
-              for p, q in _ENC_CANDIDATES])
-    + _block([(_NONE, _NONE, _vanishing(p0 * _SIGNS[:, 0] + p1 * _SIGNS[:, 1], _SIGNS[:, q]))
-              for q, (p0, p1) in _PARTIAL_CANDIDATES])
-).astype(float)
+_AXES = np.eye(2, dtype=int)
+_CANDIDATES = (
+    [(np.array(cmap.matrix), _AXES) for _, cmap in _CARRIERS],
+    [(np.array([pq]).T, np.array([[1, 1]]).T) for pq in _ENC_CANDIDATES],
+    [(np.array([image]).T, _AXES[:, [q]]) for q, image in _PARTIAL_CANDIDATES],
+)
+_ANY = (np.zeros((2, 1), dtype=int),) * 2
+_MASKS = np.transpose([
+    _vanishing(*pair) for block in _CANDIDATES for pair in block + [_ANY] * (_BLOCK - len(block))
+]).astype(float)
 # What a gate gets from the first candidate of a block that it passes.
 _CARRIER_OR_NONE = (*_CARRIERS, *[(None, None)] * (_BLOCK - len(_CARRIERS)))
 _ENC_OR_NONE = (*_ENC_CANDIDATES, *[None] * (_BLOCK - len(_ENC_CANDIDATES)))
 _PARTIAL_OR_NONE = (*_PARTIAL_CANDIDATES, *[None] * (_BLOCK - len(_PARTIAL_CANDIDATES)))
 
 
-def _frame_maps(
-    u: np.ndarray, perm_tol: float = PERMUTATION_TOL, enc_tol: float = ENTRY_ZERO_TOL
-) -> list[tuple[
+def _frame_maps(u: np.ndarray, tol: float = ENTRY_ZERO_TOL) -> list[tuple[
     CarrierPermutation | None, CarryMap | None, tuple[int, int] | None,
     tuple[int, tuple[int, int]] | None,
 ]]:
-    """How per-qubit Z frames move through each gate of a validated ``(k, 4, 4)`` stack.
+    """How per-qubit Z frames move through each gate of a ``(k, 4, 4)`` stack.
 
     Returns, per gate, the carrier permutation and its carry map (both None
     for a non-carrier), the generalized-ENC map ``(p, q)`` (None for none)
     and the partial carry ``(qubit, (p0, p1))``: a qubit whose frame ``t``
     alone passes the gate as ``(p0*t, p1*t)`` (None for neither qubit).
-    ``np.abs`` is taken once, and all tests are one matrix product of the
-    entries that break a bound with the masks above.  A gate is a
-    carrier when one of the eight equivariant permutations has no pivot of
-    ``|u|`` below ``1 - perm_tol`` and no other entry above
-    ``ENTRY_ZERO_TOL``; for ``perm_tol < 1 - ENTRY_ZERO_TOL`` each pivot is
-    then the strict maximum of its row, so at most one permutation passes,
-    and it is the row-wise argmax of ``|u|``.  ``(p, q)`` is the first ENC
-    candidate, and the partial carry the first partial candidate, with no
-    entry that must vanish above ``enc_tol``.  :func:`classify` and the
+    Each is the first candidate of its block with no entry that must vanish
+    above ``tol`` in magnitude (a NaN entry never vanishes), and all of them
+    are one matrix product of the entries above ``tol`` with the masks
+    above.  A row of a unitary cannot vanish, and two permutations differ on
+    some row, so at most one permutation passes.  :func:`classify` and the
     circuit compiler both decide by this call.
     """
-    mag = np.abs(u).reshape(-1, 16)
-    # [k, c]: how many entries of gate k fail the test of candidate c
-    fails = np.concatenate(
-        (mag < 1.0 - perm_tol, ~(mag <= ENTRY_ZERO_TOL), ~(mag <= enc_tol)), axis=1
-    ) @ _MASKS
+    # [k, c]: how many entries that candidate c needs to vanish are above tol in gate k
+    fails = ~(np.abs(u).reshape(-1, 16) <= tol) @ _MASKS
     # argmin takes each block's first candidate that the gate passes
     return [
         (*_CARRIER_OR_NONE[c], _ENC_OR_NONE[e], _PARTIAL_OR_NONE[p])

@@ -164,6 +164,11 @@ def _check_ops(n_qubits: int, kinds: list[int], q0s: list[int], q1s: list[int],
             measured.add(q0)
 
 
+def _is_word(name) -> bool:
+    """True for a name that comes back as one token from a schedule's GATE2 line."""
+    return isinstance(name, str) and name.split() == [name] and "#" not in name
+
+
 def _malformed(op) -> str | None:
     """Why ``op`` is not a well-formed :class:`Gate1`, :class:`Gate2` or
     :class:`Measure`, or None."""
@@ -176,8 +181,7 @@ def _malformed(op) -> str | None:
             return f"Gate2 qubits must be a tuple of two qubits, got {op.qubits!r}"
         if not isinstance(op.matrix, np.ndarray):
             return f"Gate2 matrix must be a numpy array, got {type(op.matrix).__name__}"
-        # the name must come back as one token from a schedule's GATE2 line
-        if not (isinstance(op.name, str) and op.name.split() == [op.name] and "#" not in op.name):
+        if not _is_word(op.name):
             return f"Gate2 name must be one word without '#', got {op.name!r}"
         qubits = op.qubits
     elif isinstance(op, Measure):
@@ -660,9 +664,10 @@ class PulseSchedule:
 
     @classmethod
     def from_events(cls, events: Sequence[Event]) -> "PulseSchedule":
-        """The schedule of hand-built events; a qubit other than 0 or 1, or a
-        :class:`Gate2Event` without two qubits, raises :class:`CircuitError`
-        with the event's index."""
+        """The schedule of hand-built events.  An event that its text cannot
+        carry raises :class:`CircuitError` with its index: a qubit other than 0
+        or 1, a GATE2 without two qubits or whose name is not one word without
+        ``#``, or a FRAME angle that is not finite."""
         rows: _Rows = []
         names: list[str] = []
         for i, ev in enumerate(events):
@@ -674,8 +679,15 @@ class PulseSchedule:
             else:
                 row = FRAME, ev.qubit, 0, ev.angle, 0.0
             if len(row) != 5 or not {row[1], row[2]} <= {0, 1}:
-                raise CircuitError(f"event {i}: qubits must be 0 or 1, got {ev!r}", i)
-            rows += row
+                problem = "qubits must be 0 or 1"
+            elif row[0] == GATE2 and not _is_word(ev.name):
+                problem = "GATE2 name must be one word without '#'"
+            elif not math.isfinite(row[3]):
+                problem = "FRAME angle must be finite"
+            else:
+                rows += row
+                continue
+            raise CircuitError(f"event {i}: {problem}, got {ev!r}", i)
         return cls._from_rows(2, rows, names)
 
     def _columns(self, values: np.ndarray) -> zip:

@@ -5,13 +5,15 @@ All angles everywhere are radians; emitted schedules are time-ordered
 (the first PULSE line acts first).
 
 Exit codes: 0 success, 1 input error, 2 policy/legality error,
-3 verification failure.
+3 verification failure, 141 the reader of stdout closed it before the output
+was written (the status of a process that SIGPIPE ends), without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_POLICY = 2
 EXIT_VERIFY = 3
+EXIT_BROKEN_PIPE = 141
 
 # The most envelope samples pulsesim integrates: the steps are multiplied in
 # batches, so a call at this bound takes about 0.4 s wall (0.09 s of it the
@@ -318,7 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here at the latest
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -629,11 +629,25 @@ def test_schedule_mismatch_errors():
     ([FrameEvent(0, 0.0), FrameEvent(-1, 0.0)], 1),
     ([PulseEvent(0, Pulse(0.1, 0.2)), Gate2Event((0, 2), "CZ"), FrameEvent(0, 0.0)], 1),
     ([PulseEvent(0, Pulse(0.1, 0.2)), Gate2Event((0, 1, 1), "CZ"), FrameEvent(0, 0.0)], 1),
+    # events that the schedule's text cannot carry
+    ([FrameEvent(0, 0.0), FrameEvent(0, math.inf)], 1),
+    ([FrameEvent(1, -math.inf)], 0),
+    ([FrameEvent(0, math.nan), FrameEvent(1, 0.0)], 0),
+    ([Gate2Event((0, 1), "MY CZ"), FrameEvent(0, 0.0)], 0),
+    ([PulseEvent(0, Pulse(0.1, 0.2)), Gate2Event((0, 1), "CZ#1")], 1),
+    ([Gate2Event((0, 1), "")], 0),
+    ([Gate2Event((1, 0), None)], 0),
 ])
 def test_events_on_other_qubits_are_rejected(events, index):
-    # not a bare IndexError from the kernel or from _check_schedule
+    # not a bare IndexError from the kernel or from _check_schedule, nor text
+    # that to_text writes but parse_schedule rejects or simulates to NaN
     ir = parse_circuit("qubits 2\nX90 q0\n")
-    with pytest.raises(CircuitError, match=f"^event {index}: qubits must be 0 or 1") as info:
+    ev = events[index]
+    qubits = ev.qubits if isinstance(ev, Gate2Event) else (ev.qubit,)
+    problem = ("qubits must be 0 or 1" if len(qubits) > 2 or not set(qubits) <= {0, 1}
+               else "FRAME angle must be finite" if isinstance(ev, FrameEvent)
+               else "GATE2 name must be one word without '#'")
+    with pytest.raises(CircuitError, match=f"^event {index}: {problem}, got ") as info:
         PulseSchedule.from_events(events)
     assert info.value.op_index == index
     with pytest.raises(CircuitError, match=f"^event {index}: "):

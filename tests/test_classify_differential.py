@@ -2,18 +2,20 @@
 
 The reference below is the scalar path that validated and classified one
 distinct gate at a time before the compiler batched them: ``as_unitary``
-with its own defect, the argmax test of ``_abs_permutation``, the carry map
-from the permutation's signs and the four ``_enc_map`` mask tests; the
-partial carry is checked entry by entry against each qubit's eigenvalues.  The
-only change is that a matrix that is not 4x4 gets the shape error in both
-qubit orders (the scalar path raised ``IndexError`` for ``(1, 0)``).
+with its own defect, the four ``_enc_map`` mask tests, and the carrier and
+partial-carry tests entry by entry.  A carrier is the first equivariant
+permutation with no entry off it above ``ENTRY_ZERO_TOL``, whatever its
+pivots; its carry map comes from the permutation's signs.  The only change
+is that a matrix that is not 4x4 gets the shape error in both qubit orders
+(the scalar path raised ``IndexError`` for ``(1, 0)``).
 
 Stacks mix Haar unitaries, phase-permutation matrices and standard gates
-with matrices at the classifier's bounds: a pivot at ``1 - PERMUTATION_TOL``
-or one ulp either side, an entry that must vanish at ``ENTRY_ZERO_TOL`` or
-one ulp either side, a scale that puts the defect near the unitarity
-tolerance, entries at the ``2**500`` overflow guard, ``1e308``, NaN and
-infinities, and wrong shapes; gates repeat and come in both qubit orders.
+with matrices at the classifier's bounds: a pivot at ``1 - 1e-8`` (the
+bound an older carrier test put on pivots) or one ulp either side, an entry
+that must vanish at ``ENTRY_ZERO_TOL`` or one ulp either side, a scale that
+puts the defect near the unitarity tolerance, entries at the ``2**500``
+overflow guard, ``1e308``, NaN and infinities, and wrong shapes; gates
+repeat and come in both qubit orders.
 Controlled gates, a Haar U on either qubit, come plain, with a phase on the
 control or after a SWAP.  For every gate the batched calls must give the
 same carry matrix, the same ENC ``(p, q)``, the same partial carry
@@ -24,6 +26,7 @@ first ``reference_as_unitary`` failure over the ops in order, as the
 """
 
 import math
+from itertools import permutations
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary
-from phasepulse.carrier import ENTRY_ZERO_TOL, PERMUTATION_TOL, _frame_maps
+from phasepulse.carrier import ENTRY_ZERO_TOL, _frame_maps
 from phasepulse.circuit import (
     CircuitIR,
     Gate1,
@@ -72,24 +75,19 @@ def _signs(index):
     return (1 if index < 2 else -1, 1 if index % 2 == 0 else -1)
 
 
-def reference_carry(u, tol=PERMUTATION_TOL):
-    """The carry matrix of ``u``, or None for a non-carrier."""
-    mag = np.abs(u)
-    mapping = tuple(int(col) for col in np.argmax(mag, axis=1))
-    if sorted(mapping) != [0, 1, 2, 3]:
-        return None
-    if not all(mapping[3 - j] == 3 - mapping[j] for j in range(4)):
-        return None
-    if np.min(mag[range(4), mapping]) < 1.0 - tol:
-        return None
-    mag[range(4), mapping] = 0.0
-    if np.max(mag) > ENTRY_ZERO_TOL:
-        return None
-    e0, e1 = _signs(mapping[0]), _signs(mapping[1])
-    return (
-        ((e0[0] + e1[0]) // 2, (e0[1] + e1[1]) // 2),
-        ((e0[0] - e1[0]) // 2, (e0[1] - e1[1]) // 2),
-    )
+def reference_carry(u, tol=ENTRY_ZERO_TOL):
+    """The carry matrix of the first equivariant permutation with no entry of
+    ``u`` off it above ``tol`` in magnitude, or None for a non-carrier."""
+    for mapping in permutations(range(4)):
+        if not all(mapping[3 - j] == 3 - mapping[j] for j in range(4)):
+            continue
+        if all(abs(u[i, j]) <= tol for i in range(4) for j in range(4) if j != mapping[i]):
+            e0, e1 = _signs(mapping[0]), _signs(mapping[1])
+            return (
+                ((e0[0] + e1[0]) // 2, (e0[1] + e1[1]) // 2),
+                ((e0[0] - e1[0]) // 2, (e0[1] - e1[1]) // 2),
+            )
+    return None
 
 
 _SIGNS = np.array([_signs(i) for i in range(4)])
@@ -177,7 +175,7 @@ def reference_gate2_rules(ir, mode):
 # --- the stacks ---------------------------------------------------------------
 
 PHASES = (1.0, -1.0, 1j, -1j)  # |z| of each times a float is that float, exactly
-PIVOT = 1.0 - PERMUTATION_TOL
+PIVOT = 1.0 - 1e-8
 
 
 def _around(x):

@@ -1,12 +1,17 @@
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phasepulse.cli import build_parser, main
+import phasepulse
+from phasepulse.carrier import carry_defect, classify
+from phasepulse.cli import EXIT_BROKEN_PIPE, build_parser, main
 from phasepulse.su2 import standard_gate
 
 PI = math.pi
@@ -300,6 +305,35 @@ def test_classify_custom_honours_tolerance(monkeypatch, capsys):
     assert main(["classify", "CUSTOM"]) == 1
     err = capsys.readouterr().err
     assert "not unitary" in err and "Traceback" not in err
+
+
+def test_classify_loose_tolerance_carrier_whatever_its_pivots(monkeypatch, capsys):
+    # diag(1, 1, 1, 0.995) is unitary to 1e-2 and has the zero pattern of the
+    # identity permutation, so it carries frames by the identity map, exactly
+    text = "1,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0 0,0 0,0 0.995,0"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["classify", "CUSTOM", "--tolerance", "0.01"]) == 0
+    assert capsys.readouterr().out.startswith("gate: CUSTOM\n" + _CARRY_CZ + _ENC + _PARTIAL_Q0)
+    u = np.diag([1.0, 1.0, 1.0, 0.995]).astype(complex)
+    cmap = classify(u, tol=0.01).carry
+    assert cmap.matrix == ((1, 0), (0, 1))
+    assert all(carry_defect(u, cmap, t0, t1) == 0.0 for t0, t1 in ((0.3, -1.2), (2.5, 0.7)))
+
+
+def test_a_closed_stdout_exits_without_traceback():
+    # as `phasepulse classify SQISW | (exec 0<&-; true)`: the reader is gone
+    # before the first byte is written
+    src = str(Path(phasepulse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "phasepulse", "classify", "SQISW"],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")
 
 
 def test_stats_subcommand(tmp_path, capsys):

@@ -18,6 +18,11 @@ Haar run on each qubit before every 2q gate: each ENC gate emits the cheaper
 of its two ends, never more pulses than q0's virtual-Z end that
 ``enc-mixed`` keeps, and without special cases, where both ends cost the
 same, it keeps that end.
+
+A fourth property checks the paper's premise on the first property's
+circuits: only X_pi and X_pi/2 are calibrated, so under every legal policy,
+with special cases on and off, every PULSE area is exactly ``pi / 2`` or
+``pi``.
 """
 
 import math
@@ -116,6 +121,21 @@ def test_every_legal_policy_verifies_through_text(text):
                 assert mode in (PolicyMode.VZ_CARRY, PolicyMode.ENC_MIXED)
                 continue
             assert simulate_schedule(parse_schedule(schedule.to_text()), ir) <= 1e-8
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(circuits())
+def test_every_pulse_area_is_a_calibrated_one(text):
+    ir = parse_circuit(text)
+    for mode in PolicyMode:
+        for special_cases in (True, False):
+            try:
+                schedule = compile_circuit(ir, CompilePolicy(mode, special_cases))
+            except IllegalPolicyError:
+                assert mode in (PolicyMode.VZ_CARRY, PolicyMode.ENC_MIXED)
+                continue
+            areas = schedule.values[schedule.kind == PULSE, 0].tolist()
+            assert set(areas) <= {math.pi / 2, math.pi}, (mode, special_cases)
 
 
 @st.composite
