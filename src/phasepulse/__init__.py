@@ -27,9 +27,9 @@ _MODULES = {
     "pulsesim": "Envelope constant_envelope drive_unitary gaussian_envelope integrate_sigma",
     "schemes": "CliffordCategory CliffordEntry CompiledGate Pulse PulseSequence Scheme absorb_z "
     "clifford_table four_pulse special_case three_pulse two_pulse virtual_z",
-    "su2": "GateParams WeylCoords as_unitary conjugated_x equal_up_to_global_phase normalize_angle "
-    "normalize_rotation params_from_unitary phase_canonical phase_distance standard_gate "
-    "unitary_from_params weyl_coordinates x_rot y_rot z_rot",
+    "su2": "GateParams WeylCoords as_unitary conjugated_x equal_up_to_global_phase is_unitary "
+    "normalize_angle normalize_rotation params_from_unitary phase_canonical phase_distance "
+    "standard_gate unitarity_defect unitary_from_params weyl_coordinates x_rot y_rot z_rot",
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names.split()}
 __all__ = list(_HOME)

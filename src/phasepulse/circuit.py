@@ -796,17 +796,19 @@ def parse_schedule(text: str) -> PulseSchedule:
     return PulseSchedule._from_rows(2, rows, names)
 
 
-# Each policy's 2q rules in order of preference (see compile_circuit): a gate
-# gets the first one that applies to it.  A rule comes with the integer matrix
-# that maps the frames (f0, f1) across the gate.
-_POLICY_RULES = {
-    PolicyMode.THREE_ALWAYS: ("zero",),
-    PolicyMode.VZ_CARRY: ("carry",),
-    PolicyMode.ENC_MIXED: ("enc",),
-    PolicyMode.AUTO: ("carry", "enc", "partial", "zero"),
+# Each policy's row (see compile_circuit): its 2q rules in order, a gate taking
+# the first that applies to it; how a 1q gate is flushed at once (True with
+# virtual-Z, False exactly, None not: it waits for a 2q gate or measurement);
+# and whether an ENC gate takes its cheaper end, else q0's virtual-Z.
+_POLICIES = {
+    PolicyMode.THREE_ALWAYS: (("zero",), False, False),
+    PolicyMode.VZ_CARRY: (("carry",), True, False),
+    PolicyMode.ENC_MIXED: (("enc",), None, False),
+    PolicyMode.AUTO: (("carry", "enc", "partial", "zero"), None, True),
 }
 _RULE_NEEDS = {"carry": "phase carriers", "enc": "excitation-number-conserving gates"}
 
+# A rule comes with the integer matrix that maps the frames (f0, f1) across the gate.
 _FrameMatrix = tuple[tuple[int, int], tuple[int, int]]
 _ZERO_RULE = ("zero", ((0, 0), (0, 0)))
 # The partial rule of each partial carry (q, (a, b)) that _frame_maps reports:
@@ -826,7 +828,7 @@ def _gate2_rules(ir: CircuitIR, mode: PolicyMode) -> dict[int, tuple[str, _Frame
     rule of the policy applies raises :class:`IllegalPolicyError`.
     """
     ops = np.flatnonzero(ir.kind == GATE2)
-    table = _POLICY_RULES[mode]
+    table = _POLICIES[mode][0]
     if table == ("zero",):  # a rule that applies to every gate: nothing to classify
         return dict.fromkeys(ops.tolist(), _ZERO_RULE)
     global _frame_maps
@@ -940,23 +942,24 @@ def ideal_unitary(ir: CircuitIR) -> np.ndarray:
     return _chain_products(ir.gate2_matrices, (ir.angles.T, ir.qubits[:, 0], ir.gate2_row))[0]
 
 
-# How a flush compiles a qubit's buffer: with virtual-Z, or exactly onto
-# frame 0.  The ENC rule flushes both qubits at once (see _enc_end).
-_VZ, _EXACT = 0, 1
-_GATE1_FLUSH = {PolicyMode.THREE_ALWAYS: _EXACT, PolicyMode.VZ_CARRY: _VZ}
-_RULE_FLUSHES = {"carry": ((0, _VZ), (1, _VZ)), "enc": None,
-                 "partial q0": ((0, _VZ), (1, _EXACT)), "partial q1": ((0, _EXACT), (1, _VZ)),
-                 "zero": ((0, _EXACT), (1, _EXACT))}
+# Which qubits a 2q rule flushes, each with virtual-Z (True) or exactly onto
+# frame 0 (False).  The ENC rule flushes both qubits at once (see _enc_end).
+_RULE_FLUSHES = {"carry": ((0, True), (1, True)), "enc": None,
+                 "partial q0": ((0, True), (1, False)), "partial q1": ((0, False), (1, True)),
+                 "zero": ((0, False), (1, False))}
 
 
-def _flush_angles(
-    buffered: Sequence[float] | None, f: float, t: float
-) -> tuple[float, float, float]:
-    """``(alpha, beta, gamma)`` of ``z_rot(t) @ buffered @ z_rot(-f)``: ``f``
-    is the qubit's frame, ``t`` the frame it ends on, and ``buffered`` no
-    gate (None) or a gate's angles.  It is ``U(alpha + (f - t)/2, beta +
+def _flush(
+    buffered: Sequence[float] | None, f: float, t: float, vz: bool, special: bool
+) -> tuple[tuple, str, float]:
+    """The pulses, scheme and new frame of ``z_rot(t) @ buffered @ z_rot(-f)``:
+    ``f`` is the qubit's frame, ``t`` the frame it ends on, and ``buffered``
+    no gate (None) or a gate's angles.  It is ``U(alpha + (f - t)/2, beta +
     (t + f)/2, gamma)``, normalized, then the gauge: ``alpha = 0`` where
     ``cos(gamma) <= 1e-13``, ``beta = 0`` where ``sin(gamma) <= 1e-13``.
+    With ``vz`` (``t`` is 0) it is compiled with virtual-Z, whose residual is
+    the new frame; else exactly onto ``t``: a special case when ``special``
+    and the angles allow one, else three pulses.
     """
     alpha, beta, gamma = buffered or (0.0, 0.0, 0.0)  # None is the identity
     if f != 0.0 or t != 0.0:
@@ -966,38 +969,35 @@ def _flush_angles(
         alpha = 0.0
     if math.sin(gamma) <= 1e-13:
         beta = 0.0
-    return alpha, beta, gamma
-
-
-def _exact_pairs(alpha: float, beta: float, gamma: float, special: bool) -> tuple[tuple, str]:
-    """The pulses and scheme of an exact flush: a special case when
-    ``special`` and the angles allow one, else three pulses."""
+    if vz:
+        pairs, residual = _virtual_z_pairs(alpha, beta, gamma, special)
+        return pairs, "vz", residual
     pairs = _special_pairs(alpha, beta, gamma) if special else None
     if pairs is None:
-        return _three_pulse_pairs(alpha, beta, gamma), "three"
-    return pairs, "special"
+        return _three_pulse_pairs(alpha, beta, gamma), "three", t
+    return pairs, "special", t
 
 
 def _enc_end(
     vz_gate: Sequence[float] | None, f: float, exact_gate: Sequence[float] | None, g: float,
     special: bool,
 ) -> tuple[list, float, int]:
-    """One way to flush an ENC gate's qubits: the qubit with ``vz_gate``
-    pending on frame ``f`` with virtual-Z, then the other, with
+    """One way to flush an ENC gate's qubits (:func:`_flush`): the qubit with
+    ``vz_gate`` pending on frame ``f`` with virtual-Z, then the other, with
     ``exact_gate`` pending on frame ``g``, exactly onto the first's new frame
     ``t``, unless it has no pending gate and is already there.
 
-    Returns each qubit's ``(pulses, scheme)``, or None where it is not
-    flushed, in that order; ``t``, which both frames then hold; and the pulse
+    Returns each qubit's flush, ``(pulses, scheme, frame)``, or None where
+    it is not flushed, in that order; ``t``, which both frames then hold; and the pulse
     count.
     """
     vz = exact = None
     t, count = f, 0
     if vz_gate is not None:
-        pairs, t = _virtual_z_pairs(*_flush_angles(vz_gate, f, 0.0), special)
-        vz, count = (pairs, "vz"), len(pairs)
+        vz = _flush(vz_gate, f, 0.0, True, special)
+        t, count = vz[2], len(vz[0])
     if exact_gate is not None or g != t:
-        exact = _exact_pairs(*_flush_angles(exact_gate, g, t), special)
+        exact = _flush(exact_gate, g, t, False, special)
         count += len(exact[0])
     return [vz, exact], t, count
 
@@ -1033,8 +1033,8 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
       exactly, leaving zero frames.
 
     A measurement, or the end of the circuit, flushes the qubit with
-    virtual-Z and reports its frame.  A flush compiles the angles of
-    :func:`_flush_angles`.  The loop only notes each compiled 1q gate's
+    virtual-Z and reports its frame.  Every flush, the ENC rule's too, is
+    one call of :func:`_flush`.  The loop only notes each compiled 1q gate's
     scheme; the :class:`ScheduleStats` are read off the rows at the end.
     """
     global _special_pairs, _three_pulse_pairs, _virtual_z_pairs
@@ -1044,9 +1044,8 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
     policy = policy or CompilePolicy()
     rules = _gate2_rules(ir, policy.mode)
     special = policy.special_cases
-    both_ends = policy.mode == PolicyMode.AUTO  # enc-mixed keeps q0's virtual-Z
+    _, gate1, cheaper_end = _POLICIES[policy.mode]
     n = ir.n_qubits
-    gate1 = _GATE1_FLUSH.get(policy.mode)  # None: the buffer waits for a 2q gate
     gate1_flushes = [() if gate1 is None else ((q, gate1),) for q in range(n)]
     rows: _Rows = []
     schemes: list[str] = []  # the scheme of each compiled 1q gate
@@ -1065,13 +1064,13 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
             rule, frame_map = rules[i]
             flushes = _RULE_FLUSHES[rule]
         else:
-            flushes = ((q, _VZ),)
+            flushes = ((q, True),)
 
         if flushes is None:  # enc: the end with fewer pulses, q0's virtual-Z on a tie
             b0, b1 = buffers
             f0, f1 = frames
             ends, t, count = _enc_end(b0, f0, b1, f1, special)
-            if both_ends:
+            if cheaper_end:
                 mirror, mirror_t, mirror_count = _enc_end(b1, f1, b0, f0, special)
                 if mirror_count < count:
                     ends, t = mirror[::-1], mirror_t
@@ -1079,23 +1078,17 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
             frames[0] = frames[1] = t
             for qf, flush in enumerate(ends):
                 if flush is not None:
-                    pairs, scheme = flush
+                    pairs, scheme, _ = flush
                     schemes.append(scheme)
                     for sigma, phase in pairs:
                         rows += PULSE, qf, 0, sigma, phase
             flushes = ()
-        for qf, how in flushes:
+        for qf, vz in flushes:
             buffered, f = buffers[qf], frames[qf]
-            if buffered is None and (how == _VZ or f == 0.0):
+            if buffered is None and (vz or f == 0.0):
                 continue
             buffers[qf] = None
-            alpha, beta, gamma = _flush_angles(buffered, f, 0.0)
-            if how == _VZ:
-                pairs, frames[qf] = _virtual_z_pairs(alpha, beta, gamma, special)
-                scheme = "vz"
-            else:
-                pairs, scheme = _exact_pairs(alpha, beta, gamma, special)
-                frames[qf] = 0.0
+            pairs, scheme, frames[qf] = _flush(buffered, f, 0.0, vz, special)
             schemes.append(scheme)
             for sigma, phase in pairs:
                 rows += PULSE, qf, 0, sigma, phase

@@ -33,29 +33,6 @@ TAU = 2.0 * math.pi
 DEFAULT_TOL = 1e-9
 UNITARY_TOL = 1e-8
 
-__all__ = [
-    "DEFAULT_TOL",
-    "UNITARY_TOL",
-    "GateParams",
-    "WeylCoords",
-    "as_unitary",
-    "conjugated_x",
-    "equal_up_to_global_phase",
-    "is_unitary",
-    "normalize_angle",
-    "normalize_rotation",
-    "params_from_unitary",
-    "phase_canonical",
-    "phase_distance",
-    "standard_gate",
-    "unitarity_defect",
-    "unitary_from_params",
-    "weyl_coordinates",
-    "x_rot",
-    "y_rot",
-    "z_rot",
-]
-
 
 def normalize_angle(x: float) -> float:
     """Reduce an angle to ``[-pi, pi)``."""

@@ -2,15 +2,17 @@
 
 A flush compiles ``z_rot(t) @ U @ z_rot(-f)``: ``f`` is the qubit's frame,
 ``t`` the frame it must end on.  A buffer always holds one gate's angles
-(two gates are folded into one by ``_product_angles``), and
-:func:`_flush_angles` reads the flush off them in closed form.  The
-reference here builds the 2x2 from the matrix :class:`GateParams`
-documents and reads its angles with ``_gate_angles``, as the compiler did
-before.  Both must give the same scheme and pulse count, the same pulse
-product up to phase, and the same virtual-Z residual frame, and every flush
-must keep the per-flush pulse bound.  With special cases on, a virtual-Z
-flush whose ``gamma`` is 0, pi/4 or pi/2 takes no pulse, one X90 or one
-X180 instead of two X90s.
+(two gates are folded into one by ``_product_angles``), and :func:`_flush`
+reads the flush off them in closed form and compiles it.  The reference
+here builds the 2x2 from the matrix :class:`GateParams` documents and reads
+its angles with ``_gate_angles``, as the compiler did before.  With special
+cases off, an exact flush is three pulses whose first and last phases are
+``-alpha - beta`` and ``alpha - beta`` of the flushed angles, so the angles
+are read off them.  Both must give the same angles, scheme and pulse count,
+the same pulse product up to phase, and the same virtual-Z residual frame,
+and every flush must keep the per-flush pulse bound.  With special cases
+on, a virtual-Z flush whose ``gamma`` is 0, pi/4 or pi/2 takes no pulse,
+one X90 or one X180 instead of two X90s.
 """
 
 import math
@@ -23,7 +25,7 @@ from conftest import angles_matrix
 from phasepulse.circuit import (
     CompilePolicy,
     PolicyMode,
-    _flush_angles,
+    _flush,
     compile_circuit,
     parse_circuit,
 )
@@ -49,6 +51,8 @@ from phasepulse.su2 import (
 PI = math.pi
 SPECIAL_GAMMAS = (0.0, PI / 4, PI / 2)
 
+compile_circuit(parse_circuit("qubits 2"))  # binds the scheme cores that _flush calls
+
 
 def reference_angles(gate, f: float, t: float) -> tuple[float, float, float]:
     """``_gate_angles(z_rot(t) @ U @ z_rot(-f))`` of the 2x2s."""
@@ -60,12 +64,23 @@ def target(gate, f: float, t: float) -> np.ndarray:
     return z_rot(t) @ u @ z_rot(-f)
 
 
-def two_x90_pairs(alpha, beta, gamma):
+def virtual_z_off(buffered, f: float):
+    """The pulses and residual of a virtual-Z flush with special cases off."""
+    pairs, scheme, residual = _flush(buffered, f, 0.0, True, False)
+    assert scheme == "vz"
+    return pairs, residual
+
+
+def two_x90_pairs(buffered, f: float):
     """The virtual-Z bridge's two X90s and residual, as the compiler wrote
-    them for every flush before the special cases."""
-    theta = -alpha + beta
-    phi = PI - 2.0 * gamma
-    omega = -alpha - beta - PI
+    them for every flush before the special cases, for the angles a flush
+    onto frame 0 compiles.  They are read off its three pulses, whose phases
+    ``-alpha - beta`` and ``alpha - beta`` give ``omega = -alpha - beta - pi``
+    and ``theta = -alpha + beta`` rounded as the bridge rounds them."""
+    (_, before), _, (_, after) = _flush(buffered, f, 0.0, False, False)[0]
+    theta = -after
+    phi = PI - 2.0 * (buffered[2] if buffered else 0.0)
+    omega = before - PI
     residual = normalize_angle(-(theta + phi + omega))
     return ((PI / 2, omega), (PI / 2, omega + phi)), residual
 
@@ -124,24 +139,32 @@ gates = st.one_of(
 def test_angle_flush_matches_the_matrix_flush(gate, f, t):
     buffered = None if gate is None else list(gate)  # a row of ir.angles, as compile reads it
     want = reference_angles(gate, f, t)
-    got = _flush_angles(buffered, f, t)
+    three, scheme, frame = _flush(buffered, f, t, False, False)
+    assert scheme == "three" and frame == t
+    (_, before), _, (_, after) = three
+    # the flushed angles; gamma passes a flush unchanged
+    got = 0.5 * (after - before), -0.5 * (before + after), gate[2] if gate else 0.0
     edge = at_tolerance_edge(got[2]) or at_tolerance_edge(want[2])
 
     # The angles agree mod 2pi.  alpha is the phase of an entry of size
     # cos(gamma), beta of one of size sin(gamma); the reference reads it off
-    # the rounded entry, and at a size under 1e-13 both take the gauge 0.
-    for got_angle, want_angle, size in (
-        (got[0], want[0], math.cos(got[2])), (got[1], want[1], math.sin(got[2]))
+    # the rounded entry, and at a size under 1e-13 both take the gauge 0,
+    # which shows as equal three-pulse phases (alpha = 0) or opposite ones
+    # (beta = 0).
+    for got_angle, want_angle, size, gauged in (
+        (got[0], want[0], math.cos(got[2]), before == after),
+        (got[1], want[1], math.sin(got[2]), before == -after),
     ):
         if size < 0.9e-13:
-            assert got_angle == want_angle == 0.0
+            assert gauged and want_angle == 0.0
         elif size > 1.1e-13:
             gap = abs(got_angle - want_angle) % (2 * PI)
             assert min(gap, 2 * PI - gap) <= 1e-12 + 1e-15 / size
 
     # exact flush onto frame t; a special case snaps gamma by up to
     # STRUCTURE_TOL, so at the edge the two schemes differ by that much
-    got_scheme, got_pairs = exact_pairs(*got)
+    got_pairs, got_scheme, frame = _flush(buffered, f, t, False, True)
+    assert frame == t
     want_scheme, want_pairs = exact_pairs(*want)
     if not edge:
         assert got_scheme == want_scheme
@@ -154,7 +177,7 @@ def test_angle_flush_matches_the_matrix_flush(gate, f, t):
 
     # virtual-Z flush (t = 0): two pulses and a residual frame
     vz_target = target(gate, f, 0.0)
-    got_pairs, got_residual = _virtual_z_pairs(*_flush_angles(buffered, f, 0.0))
+    got_pairs, got_residual = virtual_z_off(buffered, f)
     want_pairs, want_residual = _virtual_z_pairs(*reference_angles(gate, f, 0.0))
     assert len(got_pairs) == len(want_pairs) <= 2
     assert phase_distance(product(got_pairs), product(want_pairs)) <= 1e-12
@@ -250,16 +273,17 @@ def test_virtual_z_special_cases_take_at_most_one_pulse(case_gamma, alpha, beta,
     case, gamma = case_gamma
     p = GateParams(alpha, beta, gamma)
     gate = (p.alpha, p.beta, p.gamma)
-    angles = _flush_angles(list(gate), f, 0.0)
-    pairs, residual = _virtual_z_pairs(*angles, True)
+    pairs, scheme, residual = _flush(list(gate), f, 0.0, True, True)
+    assert scheme == "vz"
     assert len(pairs) == VZ_CASE_PULSES[case]
     assert all(sigma in (PI / 2, PI) for sigma, _ in pairs)
     assert phase_distance(product(pairs), z_rot(residual) @ target(gate, f, 0.0)) <= 1e-12
     assert -PI <= residual < PI
     # with special cases off, and for any other gamma, the two-X90 bridge
-    assert _virtual_z_pairs(*angles, False) == _virtual_z_pairs(*angles) == two_x90_pairs(*angles)
+    assert virtual_z_off(list(gate), f) == two_x90_pairs(list(gate), f)
+    assert _virtual_z_pairs(*gate, False) == _virtual_z_pairs(*gate)
     if case == 3:
-        assert (pairs, residual) == two_x90_pairs(*angles)
+        assert (pairs, residual) == two_x90_pairs(list(gate), f)
 
 
 def test_every_clifford_takes_at_most_one_pulse_per_virtual_z_flush():
@@ -269,11 +293,10 @@ def test_every_clifford_takes_at_most_one_pulse_per_virtual_z_flush():
     for entry in clifford_table():
         gate = _gate_angles(_unitary_entries(np.exp(1j * rng.uniform(-PI, PI)) * entry.matrix))[:3]
         for f in clifford_frames:
-            angles = _flush_angles(list(gate), f, 0.0)
-            pairs, residual = _virtual_z_pairs(*angles, True)
+            pairs, _, residual = _flush(list(gate), f, 0.0, True, True)
             assert len(pairs) <= 1, entry.name
             assert phase_distance(product(pairs), z_rot(residual) @ target(gate, f, 0.0)) <= 1e-12
-            assert _virtual_z_pairs(*angles, False) == two_x90_pairs(*angles)
+            assert virtual_z_off(list(gate), f) == two_x90_pairs(list(gate), f)
         lines += ["U q0 %r %r %r" % gate, "U q1 %r %r %r" % gate, "G2 CZ q0 q1"]
     # CZ carries the frames, so vz-carry and auto flush every gate with
     # virtual-Z: at most one pulse per Clifford, two without the cases

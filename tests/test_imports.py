@@ -74,7 +74,9 @@ def test_each_submodule_is_an_attribute():
 
 
 def test_every_public_name_is_its_submodules_object():
-    assert len(phasepulse.__all__) == len(set(phasepulse.__all__)) == 77
+    assert len(phasepulse.__all__) == len(set(phasepulse.__all__)) == 79
+    assert phasepulse.is_unitary is phasepulse.su2.is_unitary
+    assert phasepulse.unitarity_defect is phasepulse.su2.unitarity_defect
     for name in phasepulse.__all__:
         value = getattr(phasepulse, name)
         # each class and function names its module; FRAME, GATE2 and PULSE are circuit's ints

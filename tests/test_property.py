@@ -23,6 +23,12 @@ A fourth property checks the paper's premise on the first property's
 circuits: only X_pi and X_pi/2 are calibrated, so under every legal policy,
 with special cases on and off, every PULSE area is exactly ``pi / 2`` or
 ``pi``.
+
+A fifth property holds the two places a 1q gate is flushed with virtual-Z
+to each other: ``vz-carry`` flushes it at once, ``auto`` at the qubit's next
+2q gate.  On circuits whose 2q gates are all phase carriers, with at most
+one 1q gate on each qubit between them and q0's first, the two policies
+must give the same text, with special cases on and off.
 """
 
 import math
@@ -282,3 +288,36 @@ def test_auto_compiles_q0_exactly_where_that_saves_a_pulse():
         for mode in (PolicyMode.ENC_MIXED, PolicyMode.AUTO)
     ]
     assert no_special[0] == no_special[1]
+
+
+@st.composite
+def carrier_circuits(draw) -> str:
+    """At most one 1q gate on each qubit, q0's first, before each of CZ, SWAP,
+    ISWAP and CPHASE in either qubit order; then measurements of q0 and q1
+    in that order, or none.  (A q1 gate after the last 2q gate would be
+    flushed after q0's FRAME under ``auto`` but before it under ``vz-carry``.)"""
+    lines = ["qubits 2"]
+    for _ in range(draw(st.integers(1, 8))):
+        for q in (0, 1):
+            if draw(st.booleans()):
+                lines.append(draw(gate1_lines(q)))
+        family = draw(st.sampled_from(("CZ", "SWAP", "ISWAP", "CPHASE")))
+        if family == "CPHASE":
+            family = f"CPHASE({draw(angles)!r})"
+        a, b = draw(st.sampled_from(((0, 1), (1, 0))))
+        lines.append(f"G2 {family} q{a} q{b}")
+    if draw(st.booleans()):
+        lines += ["M q0", "M q1"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(carrier_circuits())
+def test_vz_carry_flushes_at_once_what_auto_flushes_at_the_next_gate(text):
+    ir = parse_circuit(text)
+    for special_cases in (True, False):
+        at_once, at_gate = (
+            compile_circuit(ir, CompilePolicy(mode, special_cases)).to_text()
+            for mode in (PolicyMode.VZ_CARRY, PolicyMode.AUTO)
+        )
+        assert at_once == at_gate, special_cases
