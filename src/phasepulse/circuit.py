@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -27,7 +28,10 @@ from .su2 import (
     _normalize_angle_array,
     _product_angles,
     _quaternion,
+    _special_pairs,
+    _three_pulse_pairs,
     _unitarity_defect,
+    _virtual_z_pairs,
     as_unitary,
     normalize_angle,
     params_from_unitary,
@@ -37,12 +41,6 @@ from .su2 import (
 )
 
 PI = math.pi
-
-# Bound by the first compile_circuit (schemes) and the first policy that
-# classifies its 2q gates (carrier), so verify imports neither module.  They
-# are imported once, not per call: an import statement run on every call
-# made compile 1-4% slower.
-_special_pairs = _three_pulse_pairs = _virtual_z_pairs = _frame_maps = None
 
 
 class CircuitError(ValueError):
@@ -169,6 +167,9 @@ def _is_word(name) -> bool:
     return isinstance(name, str) and name.split() == [name] and "#" not in name
 
 
+_QUBIT = (int, np.integer)  # the types a qubit may have, in an op or an event
+
+
 def _malformed(op) -> str | None:
     """Why ``op`` is not a well-formed :class:`Gate1`, :class:`Gate2` or
     :class:`Measure`, or None."""
@@ -188,7 +189,7 @@ def _malformed(op) -> str | None:
         qubits = (op.qubit,)
     else:
         return f"expected a Gate1, Gate2 or Measure, got {type(op).__name__}"
-    if not all(isinstance(q, (int, np.integer)) for q in qubits):
+    if not all(isinstance(q, _QUBIT) for q in qubits):
         return f"qubits must be integers, got {qubits!r}"
     return None
 
@@ -665,20 +666,31 @@ class PulseSchedule:
     @classmethod
     def from_events(cls, events: Sequence[Event]) -> "PulseSchedule":
         """The schedule of hand-built events.  An event that its text cannot
-        carry raises :class:`CircuitError` with its index: a qubit other than 0
-        or 1, a GATE2 without two qubits or whose name is not one word without
-        ``#``, or a FRAME angle that is not finite."""
+        carry raises :class:`CircuitError` with its index: an object other than
+        a PulseEvent of a ``Pulse``, a Gate2Event of a tuple or a FrameEvent of
+        a real angle, a qubit that is not an integer 0 or 1, a GATE2 without
+        two qubits or whose name is not one word without ``#``, or a FRAME
+        angle that is not finite."""
+        from .schemes import Pulse  # not at the top: verify of schedule text loads no schemes
+
         rows: _Rows = []
         names: list[str] = []
         for i, ev in enumerate(events):
-            if isinstance(ev, PulseEvent):
+            if isinstance(ev, PulseEvent) and isinstance(ev.pulse, Pulse):
                 row = PULSE, ev.qubit, 0, ev.pulse.sigma, ev.pulse.phase
-            elif isinstance(ev, Gate2Event):
+            elif isinstance(ev, Gate2Event) and isinstance(ev.qubits, tuple):
                 row = GATE2, *ev.qubits, 0.0, 0.0
                 names.append(ev.name)
-            else:
+            elif isinstance(ev, FrameEvent) and isinstance(ev.angle, numbers.Real):
                 row = FRAME, ev.qubit, 0, ev.angle, 0.0
-            if len(row) != 5 or not {row[1], row[2]} <= {0, 1}:
+            else:
+                row = None
+            if row is None:
+                problem = ("expected a PulseEvent of a Pulse, a Gate2Event of a tuple"
+                           " or a FrameEvent of a real angle")
+            elif not all(isinstance(q, _QUBIT) for q in row[1:-2]):
+                problem = "qubits must be integers"
+            elif len(row) != 5 or not {row[1], row[2]} <= {0, 1}:
                 problem = "qubits must be 0 or 1"
             elif row[0] == GATE2 and not _is_word(ev.name):
                 problem = "GATE2 name must be one word without '#'"
@@ -831,9 +843,7 @@ def _gate2_rules(ir: CircuitIR, mode: PolicyMode) -> dict[int, tuple[str, _Frame
     table = _POLICIES[mode][0]
     if table == ("zero",):  # a rule that applies to every gate: nothing to classify
         return dict.fromkeys(ops.tolist(), _ZERO_RULE)
-    global _frame_maps
-    if _frame_maps is None:
-        from .carrier import _frame_maps
+    from .carrier import _frame_maps  # only a policy that classifies loads carrier
 
     maps = _frame_maps(ir.gate2_matrices)
     op_rows = ir.gate2_row[ops]
@@ -1034,13 +1044,10 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
 
     A measurement, or the end of the circuit, flushes the qubit with
     virtual-Z and reports its frame.  Every flush, the ENC rule's too, is
-    one call of :func:`_flush`.  The loop only notes each compiled 1q gate's
-    scheme; the :class:`ScheduleStats` are read off the rows at the end.
+    one call of :func:`_flush`, which takes su2's phase-shift formulas.  The
+    loop only notes each compiled 1q gate's scheme; the
+    :class:`ScheduleStats` are read off the rows at the end.
     """
-    global _special_pairs, _three_pulse_pairs, _virtual_z_pairs
-    if _virtual_z_pairs is None:
-        from .schemes import _special_pairs, _three_pulse_pairs, _virtual_z_pairs
-
     policy = policy or CompilePolicy()
     rules = _gate2_rules(ir, policy.mode)
     special = policy.special_cases

@@ -5,16 +5,14 @@ first) whose product reproduces the target gate up to a global phase.  The
 virtual-Z scheme additionally leaves a pending Z rotation *after* the
 pulses: ``pulse product == z_rot(residual_z) @ target`` up to phase.
 
-The schemes the compiler uses each have a private core that takes a
-gate's angles ``(alpha, beta, gamma)``, as :class:`GateParams` keeps them,
-and returns the pulses as raw ``(sigma, phase)`` pairs, before
-normalization: :func:`_three_pulse_pairs`, :func:`_virtual_z_pairs` (with
-the residual, and on request its 0- and 1-pulse cases) and
-:func:`_special_pairs`.
+The phase-shift formulas of the schemes the compiler uses live in
+:mod:`phasepulse.su2`: :func:`_three_pulse_pairs`, :func:`_virtual_z_pairs`
+(with the residual, and on request its 0- and 1-pulse cases) and
+:func:`_special_pairs` take a gate's angles ``(alpha, beta, gamma)``, as
+:class:`GateParams` keeps them, to raw ``(sigma, phase)`` pairs.
 :func:`phasepulse.circuit.compile_circuit` writes the pairs straight into
 its schedule rows, whose PULSE angles are normalized once when the
-schedule is built; :func:`three_pulse`,
-:func:`virtual_z` and :func:`special_case` wrap the same cores in
+schedule is built; the schemes here wrap the same formulas in
 :class:`Pulse` objects, which normalize them the same way.
 """
 
@@ -28,9 +26,13 @@ from functools import lru_cache
 import numpy as np
 
 from .su2 import (
+    STRUCTURE_TOL,
     GateParams,
     _gate_angles,
+    _special_pairs,
+    _three_pulse_pairs,
     _unitary_entries,
+    _virtual_z_pairs,
     conjugated_x,
     normalize_angle,
     normalize_rotation,
@@ -42,10 +44,6 @@ from .su2 import (
 PI = math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
-
-# Detection threshold of the special cases: a gate this close to a case takes
-# its exact pulses, and the gaps add up, so it is the text format's 1e-12.
-STRUCTURE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,10 +112,6 @@ class CompiledGate:
         return self.sequence.unitary()
 
 
-# Time-ordered pulses as raw (sigma, phase) pairs.
-_Pairs = tuple[tuple[float, float], ...]
-
-
 def three_pulse(p: GateParams) -> CompiledGate:
     """Exact compilation as conjugated X90, X180, X90 pulses.
 
@@ -127,11 +121,6 @@ def three_pulse(p: GateParams) -> CompiledGate:
     """
     seq = PulseSequence.of(*_three_pulse_pairs(p.alpha, p.beta, p.gamma))
     return CompiledGate(seq, 0.0, Scheme.THREE)
-
-
-def _three_pulse_pairs(alpha: float, beta: float, gamma: float) -> _Pairs:
-    """The pulses of :func:`three_pulse` for the angles of a :class:`GateParams`."""
-    return ((PI / 2, -alpha - beta), (PI, -beta + gamma - PI), (PI / 2, alpha - beta))
 
 
 def virtual_z(p: GateParams) -> CompiledGate:
@@ -147,41 +136,10 @@ def virtual_z(p: GateParams) -> CompiledGate:
     return CompiledGate(PulseSequence.of(*pairs), residual, Scheme.VZ)
 
 
-# The gammas that keep the two-X90 bridge lie in (tol, pi/4 - tol) or
-# (pi/4 + tol, pi/2 - tol); any other is 0, pi/4 or pi/2 within tol.  As
-# four precomputed bounds, the test costs a flush two chained comparisons.
-_BRIDGE_LO, _X90_LO = STRUCTURE_TOL, PI / 4 - STRUCTURE_TOL
-_X90_HI, _BRIDGE_HI = PI / 4 + STRUCTURE_TOL, PI / 2 - STRUCTURE_TOL
-
-
-def _virtual_z_pairs(
-    alpha: float, beta: float, gamma: float, special: bool = False
-) -> tuple[_Pairs, float]:
-    """The pulses and the normalized residual of :func:`virtual_z`, or with
-    ``special`` of its special cases where the angles allow them.
-
-    Every gate has ``z_rot(2*alpha) @ U(alpha, beta, gamma) ==
-    conjugated_x(2*gamma, -alpha - beta - pi/2)``.  So when ``gamma`` is 0,
-    pi/4 or pi/2, each within ``STRUCTURE_TOL``, the gate takes no pulse, one
-    X90 or one X180 of that phase and leaves the residual ``2*alpha``.
-    """
-    if special and not (_BRIDGE_LO < gamma < _X90_LO or _X90_HI < gamma < _BRIDGE_HI):
-        sigma = round(4.0 * gamma / PI) * (PI / 2)  # 0, pi/2 or pi
-        pairs = ((sigma, -alpha - beta - PI / 2),) if sigma else ()
-        return pairs, normalize_angle(2.0 * alpha)
-    theta = -alpha + beta
-    phi = PI - 2.0 * gamma
-    omega = -alpha - beta - PI
-    residual = normalize_angle(-(theta + phi + omega))
-    return ((PI / 2, omega), (PI / 2, omega + phi)), residual
-
-
 def four_pulse(p: GateParams) -> CompiledGate:
     """Like :func:`three_pulse` with the X180 split into two equal X90s."""
-    theta = p.alpha - p.beta
-    omega = -p.alpha - p.beta
-    phi = -p.beta + p.gamma - PI
-    seq = PulseSequence.of((PI / 2, omega), (PI / 2, phi), (PI / 2, phi), (PI / 2, theta))
+    first, (_, phi), last = _three_pulse_pairs(p.alpha, p.beta, p.gamma)
+    seq = PulseSequence.of(first, (PI / 2, phi), (PI / 2, phi), last)
     return CompiledGate(seq, 0.0, Scheme.FOUR)
 
 
@@ -287,32 +245,6 @@ def special_case(u, tol: float = STRUCTURE_TOL) -> CompiledGate | None:
     alpha, beta, gamma, _ = _gate_angles(_unitary_entries(u))
     pairs = _special_pairs(alpha, beta, gamma, tol)
     return None if pairs is None else CompiledGate(PulseSequence.of(*pairs), 0.0, Scheme.SPECIAL)
-
-
-def _special_pairs(
-    alpha: float, beta: float, gamma: float, tol: float = STRUCTURE_TOL
-) -> _Pairs | None:
-    """The pulses of :func:`special_case` for the angles of a :class:`GateParams`, or None.
-
-    A gate takes fewer than three X pulses exactly when ``gamma`` is 0, pi/4
-    or pi/2, each within ``tol``: the identity (``sin(alpha)`` 0 too) none,
-    any other diagonal gate two X180s of opposite phase shifts, an
-    anti-diagonal gate one X180, and a gate with ``|m00| = 1/sqrt2`` (every
-    Clifford that is neither) an X180 then an X90, or one X90 when
-    ``sin(alpha)`` is 0.
-    """
-    if gamma <= tol:  # diag(exp(i a), exp(-i a))
-        if abs(math.sin(alpha)) <= tol:
-            return ()
-        theta = -0.5 * (alpha + PI)
-        return ((PI, theta), (PI, -theta))
-    if gamma >= PI / 2 - tol:  # [[0, -exp(-i b)], [exp(i b), 0]]
-        return ((PI, 1.5 * PI - beta),)
-    if abs(gamma - PI / 4) <= tol:
-        if abs(math.sin(alpha)) <= tol:
-            return ((PI / 2, -0.5 * PI - alpha - beta),)
-        return ((PI, -0.5 * PI - beta), (PI / 2, alpha - beta + 0.5 * PI))
-    return None
 
 
 def absorb_z(gate: CompiledGate, delta_l: float, delta_r: float) -> CompiledGate:

@@ -9,6 +9,9 @@ Conventions used across the package (all angles in radians):
 * the one SU(2) form: ``U(alpha, beta, gamma)`` (see :class:`GateParams`)
   is the unit quaternion ``q = (cos a cos g, sin a cos g, cos b sin g,
   sin b sin g)``, and its 2x2 is ``sum_j q[j] * _BASIS[j]``.
+* the phase-shift formulas (``_three_pulse_pairs``, ``_virtual_z_pairs``,
+  ``_special_pairs``) take those angles to time-ordered ``(sigma, phase)``
+  pulses, which the compiler emits and :mod:`phasepulse.schemes` wraps.
 
 Matrices are plain complex128 numpy arrays; validation helpers are provided
 instead of wrapper classes.  Phase-like angles are normalized to
@@ -331,6 +334,77 @@ def _product_angles(later: Sequence[float], earlier: Sequence[float]) -> tuple[f
     """``(alpha, beta, gamma)`` of ``U(later) @ U(earlier)``, two gates given
     by the angles a :class:`GateParams` keeps."""
     return _quaternion_angles(_quaternion_product(_quaternion(*later), _quaternion(*earlier)))
+
+
+# Detection threshold of the special cases: a gate this close to a case takes
+# its exact pulses, and the gaps add up, so it is the text format's 1e-12.
+STRUCTURE_TOL = 1e-12
+
+# Time-ordered pulses as raw (sigma, phase) pairs.
+_Pairs = tuple[tuple[float, float], ...]
+
+
+def _three_pulse_pairs(alpha: float, beta: float, gamma: float) -> _Pairs:
+    """The pulses of :func:`phasepulse.schemes.three_pulse` for the angles of a
+    :class:`GateParams`."""
+    return ((PI / 2, -alpha - beta), (PI, -beta + gamma - PI), (PI / 2, alpha - beta))
+
+
+# The gammas that keep the two-X90 bridge lie in (tol, pi/4 - tol) or
+# (pi/4 + tol, pi/2 - tol); any other is 0, pi/4 or pi/2 within tol.  As
+# four precomputed bounds, the test costs a flush two chained comparisons.
+_BRIDGE_LO, _X90_LO = STRUCTURE_TOL, PI / 4 - STRUCTURE_TOL
+_X90_HI, _BRIDGE_HI = PI / 4 + STRUCTURE_TOL, PI / 2 - STRUCTURE_TOL
+
+
+def _virtual_z_pairs(
+    alpha: float, beta: float, gamma: float, special: bool = False
+) -> tuple[_Pairs, float]:
+    """The pulses and the normalized residual of
+    :func:`phasepulse.schemes.virtual_z`, or with ``special`` of its special
+    cases where the angles allow them.
+
+    Every gate has ``z_rot(2*alpha) @ U(alpha, beta, gamma) ==
+    conjugated_x(2*gamma, -alpha - beta - pi/2)``.  So when ``gamma`` is 0,
+    pi/4 or pi/2, each within ``STRUCTURE_TOL``, the gate takes no pulse, one
+    X90 or one X180 of that phase and leaves the residual ``2*alpha``.
+    """
+    if special and not (_BRIDGE_LO < gamma < _X90_LO or _X90_HI < gamma < _BRIDGE_HI):
+        sigma = round(4.0 * gamma / PI) * (PI / 2)  # 0, pi/2 or pi
+        pairs = ((sigma, -alpha - beta - PI / 2),) if sigma else ()
+        return pairs, normalize_angle(2.0 * alpha)
+    theta = -alpha + beta
+    phi = PI - 2.0 * gamma
+    omega = -alpha - beta - PI
+    residual = normalize_angle(-(theta + phi + omega))
+    return ((PI / 2, omega), (PI / 2, omega + phi)), residual
+
+
+def _special_pairs(
+    alpha: float, beta: float, gamma: float, tol: float = STRUCTURE_TOL
+) -> _Pairs | None:
+    """The pulses of :func:`phasepulse.schemes.special_case` for the angles of
+    a :class:`GateParams`, or None.
+
+    A gate takes fewer than three X pulses exactly when ``gamma`` is 0, pi/4
+    or pi/2, each within ``tol``: the identity (``sin(alpha)`` 0 too) none,
+    any other diagonal gate two X180s of opposite phase shifts, an
+    anti-diagonal gate one X180, and a gate with ``|m00| = 1/sqrt2`` (every
+    Clifford that is neither) an X180 then an X90, or one X90 when
+    ``sin(alpha)`` is 0.
+    """
+    if gamma <= tol:  # diag(exp(i a), exp(-i a))
+        if abs(math.sin(alpha)) <= tol:
+            return ()
+        theta = -0.5 * (alpha + PI)
+        return ((PI, theta), (PI, -theta))
+    if gamma >= PI / 2 - tol:  # [[0, -exp(-i b)], [exp(i b), 0]]
+        return ((PI, 1.5 * PI - beta),)
+    if abs(gamma - PI / 4) <= tol:
+        if abs(math.sin(alpha)) <= tol:
+            return ((PI / 2, -0.5 * PI - alpha - beta),)
+        return ((PI, -0.5 * PI - beta), (PI / 2, alpha - beta + 0.5 * PI))
+    return None
 
 
 class WeylCoords(NamedTuple):

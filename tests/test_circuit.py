@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -161,6 +162,19 @@ def test_ir_validation_direct():
     with pytest.raises(CircuitError, match="distinct qubits") as err:
         CircuitIR(2, (Measure(0), Gate2((1, 1), "CZ", standard_gate("CZ"))))
     assert err.value.op_index == 1
+
+
+@pytest.mark.parametrize("ops, index, qubit", [
+    ([Measure(5)], 0, 5),
+    ([Measure(0), Gate1(2, GateParams(0.1, 0.2, 0.3))], 1, 2),
+    ([Gate1(0, GateParams(0.1, 0.2, 0.3)), Gate2((0, 2), "CZ", standard_gate("CZ"))], 1, 2),
+    ([Gate1(1, GateParams(0.1, 0.2, 0.3)), Measure(1), Gate2((-1, 0), "CZ", standard_gate("CZ"))],
+     2, -1),
+])
+def test_qubit_out_of_range_names_its_op(ops, index, qubit):
+    with pytest.raises(CircuitError, match=rf"^op {index}: qubit index {qubit} out of range$") as err:
+        CircuitIR(2, ops)
+    assert err.value.op_index == index
 
 
 @pytest.mark.parametrize(
@@ -652,6 +666,27 @@ def test_events_on_other_qubits_are_rejected(events, index):
     assert info.value.op_index == index
     with pytest.raises(CircuitError, match=f"^event {index}: "):
         simulate_schedule(events, ir)
+
+
+def test_malformed_events_raise_circuit_error():
+    # each object from_events cannot read as an event, at index 1 after a good one
+    ir = parse_circuit("qubits 2\nX90 q0\n")
+    good = FrameEvent(1, 0.0)
+    for bad in [
+        ("PULSE", 0),
+        PulseEvent(0, (1.57, 0.0)),  # a pulse that is not a Pulse
+        FrameEvent(0, "x"),
+        SimpleNamespace(qubit=0, angle=0.5),  # a FrameEvent's fields, but not one
+        FrameEvent(0.0, 0.1),  # qubits are integers, as CircuitIR has them
+    ]:
+        with pytest.raises(CircuitError, match=r"^event 1: .*, got ") as err:
+            PulseSchedule.from_events([good, bad])
+        assert err.value.op_index == 1
+        with pytest.raises(CircuitError, match=r"^event 1: ") as err:
+            simulate_schedule([good, bad], ir)
+        assert err.value.op_index == 1
+    with pytest.raises(CircuitError, match="^event 0: qubits must be integers"):
+        PulseSchedule.from_events([FrameEvent(0.0, 0.1)])
 
 
 def test_compile_validates_each_distinct_gate2_once(monkeypatch):

@@ -102,8 +102,15 @@ def test_covers_matches_closed_form_on_grid():
         assert not covers_su2(t)  # pi/2 is not a multiple of pi/7
 
 
-def test_solver_covering_triple():
-    t = AngleTriple(PI / 2, PI, PI / 2)
+@pytest.mark.parametrize(
+    "angles",
+    [(PI / 2, PI, PI / 2), (PI, PI / 2, PI / 2), (PI / 2, PI / 2, PI), (-PI / 2, PI / 2, PI)],
+    ids=["x180-middle", "x180-first", "x180-last", "x180-last-minus-x90"],
+)
+def test_solver_covering_triple(angles):
+    # the X180 in each place takes each branch of the closed-form preimage:
+    # b11 = 0 in the middle, b10 = 0 first, b01 = 0 last (of either X90 sign)
+    t = AngleTriple(*angles)
     rng = np.random.default_rng(41)
     for _ in range(1000):
         target = haar_su2(rng)

@@ -29,18 +29,16 @@ from phasepulse.circuit import (
     compile_circuit,
     parse_circuit,
 )
-from phasepulse.schemes import (
-    STRUCTURE_TOL,
-    _special_pairs,
-    _three_pulse_pairs,
-    _virtual_z_pairs,
-    clifford_table,
-)
+from phasepulse.schemes import clifford_table
 from phasepulse.su2 import (
+    STRUCTURE_TOL,
     GateParams,
     _gate_angles,
     _product_angles,
+    _special_pairs,
+    _three_pulse_pairs,
     _unitary_entries,
+    _virtual_z_pairs,
     conjugated_x,
     normalize_angle,
     phase_distance,
@@ -50,8 +48,6 @@ from phasepulse.su2 import (
 
 PI = math.pi
 SPECIAL_GAMMAS = (0.0, PI / 4, PI / 2)
-
-compile_circuit(parse_circuit("qubits 2"))  # binds the scheme cores that _flush calls
 
 
 def reference_angles(gate, f: float, t: float) -> tuple[float, float, float]:

@@ -1,10 +1,11 @@
 """The package's lazy names, and the modules each CLI command imports.
 
 ``import phasepulse`` loads no submodule, and each command imports only the
-modules it runs.  The in-process tests have imported every module long
+modules it runs; the compiler's flush works as soon as circuit is imported.  The in-process tests have imported every module long
 before these run, so the import sets are read in fresh interpreters.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -50,8 +51,8 @@ def test_import_loads_no_submodule():
     "argv, extra",
     [
         (["verify", "{circuit}", "{schedule}"], []),
-        (["compile", "{circuit}"], ["schemes"]),
-        (["compile", "{circuit}", "--policy", "auto"], ["carrier", "schemes"]),
+        (["compile", "{circuit}"], []),
+        (["compile", "{circuit}", "--policy", "auto"], ["carrier"]),
     ],
     ids=["verify", "compile", "compile-auto"],
 )
@@ -66,6 +67,22 @@ def test_cli_command_loads_only_what_it_runs(argv, extra, tmp_path):
     assert code == "0"
     expected = {"phasepulse", *(f"phasepulse.{m}" for m in ["circuit", "cli", "su2", *extra])}
     assert loaded == sorted(expected)
+
+
+def test_flush_works_before_any_compile():
+    # circuit binds su2's phase-shift formulas at import, so a flush needs no
+    # compile_circuit first, and importing circuit loads only su2 with it
+    code = (
+        "import sys\n"
+        "from phasepulse.circuit import _flush\n"
+        "print(repr(_flush((0.3, 0.7, 0.5), 0.0, 0.0, False, True)).replace(' ', ''),"
+        " *sorted(m for m in sys.modules if m.startswith('phasepulse')))"
+    )
+    flush, *loaded = _fresh(code)
+    pi = math.pi
+    want = ((pi / 2, -0.3 - 0.7), (pi, -0.7 + 0.5 - pi), (pi / 2, 0.3 - 0.7)), "three", 0.0
+    assert flush == repr(want).replace(" ", "")
+    assert loaded == ["phasepulse", "phasepulse.circuit", "phasepulse.su2"]
 
 
 def test_each_submodule_is_an_attribute():
