@@ -735,74 +735,56 @@ class PulseSchedule:
         return "\n".join(lines) + "\n"
 
 
-_NUMBER = r"([-+.0-9e]+)"
-# A line as PulseSchedule.to_text writes it.  Groups 1-3 are a PULSE's qubit,
-# sigma and phase, 4-6 a GATE2's name and qubits, 7-8 a FRAME's qubit and z.
-_EVENT_LINE_RE = re.compile(
-    rf"PULSE q([01]) sigma={_NUMBER} phase={_NUMBER}"
-    r"|GATE2 ([-+.,()0-9A-Za-z]+) q([01]) q([01])"
-    rf"|FRAME q([01]) z={_NUMBER}"
-)
-
-
-def _read_event(raw: str, rows: _Rows, names: list[str]) -> None:
-    """Append the event of a schedule line, checked token by token, if it has one."""
-    line = raw.split("#", 1)[0].strip()
-    if not line:
-        return
-    tokens = line.split()
-    kind = tokens[0]
-    if kind == "PULSE" and len(tokens) == 4:
-        q = _parse_qubit(tokens[1])
-        if not (tokens[2].startswith("sigma=") and tokens[3].startswith("phase=")):
-            raise CircuitError("malformed PULSE line")
-        sigma = _parse_float(tokens[2][len("sigma="):])
-        rows += PULSE, q, 0, sigma, _parse_float(tokens[3][len("phase="):])
-    elif kind == "GATE2" and len(tokens) == 4:
-        rows += GATE2, _parse_qubit(tokens[2]), _parse_qubit(tokens[3]), 0.0, 0.0
-        names.append(tokens[1])
-    elif kind == "FRAME" and len(tokens) == 3:
-        q = _parse_qubit(tokens[1])
-        if not tokens[2].startswith("z="):
-            raise CircuitError("malformed FRAME line")
-        rows += FRAME, q, 0, _parse_float(tokens[2][len("z="):]), 0.0
-    else:
-        raise CircuitError(f"unrecognized schedule line {raw!r}")
-
-
 def parse_schedule(text: str) -> PulseSchedule:
     """Parse schedule text into a :class:`PulseSchedule` with ``stats=None``.
 
-    Comment and blank lines are skipped.  A line as
-    :meth:`PulseSchedule.to_text` writes it takes one regex match; any other
-    line, and one whose numbers are not finite, is checked token by token
-    (:func:`_read_event`), which words the error.  FRAME angles are kept as
-    written.
+    Comment and blank lines are skipped.  Every line is read one way, as
+    :func:`parse_circuit` reads a circuit: the comment split off, the rest
+    split into tokens and checked in token order (kind and token count,
+    qubits, the ``sigma=``/``phase=``/``z=`` keys, then the numbers); the
+    first failing check words the error.  FRAME angles are kept as written.
     """
     rows: _Rows = []
     names: list[str] = []
-    match = _EVENT_LINE_RE.fullmatch
+    qubit = _QUBITS.get
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        m = match(raw)
-        if m is not None:
-            q, sigma, phase, name, q0, q1, fq, z = m.groups()
-            try:
-                if q is not None:
-                    row = PULSE, int(q), 0, float(sigma), float(phase)
-                elif name is not None:
-                    row = GATE2, int(q0), int(q1), 0.0, 0.0
-                else:
-                    row = FRAME, int(fq), 0, float(z), 0.0
-            except ValueError:
-                pass  # not a number: the token check below words the error
-            else:
-                if isfinite(row[3]) and isfinite(row[4]):
-                    rows += row
-                    if name is not None:
-                        names.append(name)
-                    continue
+        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not tokens:
+            continue
+        kind, n = tokens[0], len(tokens)
         try:
-            _read_event(raw, rows, names)
+            if kind == "PULSE" and n == 4:
+                _, token, sigma, phase = tokens
+                q = qubit(token)
+                if q is None:
+                    q = _parse_qubit(token)
+                if sigma[:6] != "sigma=" or phase[:6] != "phase=":
+                    raise CircuitError("malformed PULSE line")
+                sigma, phase = sigma[6:], phase[6:]
+                try:
+                    a, b = float(sigma), float(phase)
+                except ValueError:
+                    a = b = math.nan
+                if not isfinite(a + b):  # _parse_floats' rule: the first bad number words the error
+                    a, b = _parse_float(sigma), _parse_float(phase)
+                rows += PULSE, q, 0, a, b
+            elif kind == "GATE2" and n == 4:
+                _, name, token, token2 = tokens
+                qa, qb = qubit(token), qubit(token2)
+                if qa is None or qb is None:
+                    qa, qb = _parse_qubit(token), _parse_qubit(token2)
+                rows += GATE2, qa, qb, 0.0, 0.0
+                names.append(name)
+            elif kind == "FRAME" and n == 3:
+                _, token, z = tokens
+                q = qubit(token)
+                if q is None:
+                    q = _parse_qubit(token)
+                if z[:2] != "z=":
+                    raise CircuitError("malformed FRAME line")
+                rows += FRAME, q, 0, _parse_float(z[2:]), 0.0
+            else:
+                raise CircuitError(f"unrecognized schedule line {raw!r}")
         except ValueError as exc:
             raise CircuitSyntaxError(str(exc), line_no) from None
     return PulseSchedule._from_rows(2, rows, names)

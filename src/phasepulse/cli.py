@@ -39,11 +39,12 @@ _UNITS_NOTE = (
 
 def _read_input(path: str) -> str:
     """The text of a file, or of stdin for '-', read as UTF-8 whatever the
-    locale; bytes that are not UTF-8 raise :class:`~phasepulse.circuit.CircuitError`."""
+    locale, without a leading byte-order mark; bytes that are not UTF-8 raise
+    :class:`~phasepulse.circuit.CircuitError`."""
     try:
         if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
-        with open(path, "r", encoding="utf-8") as fh:
+            return sys.stdin.buffer.read().decode("utf-8-sig")
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         name = "stdin" if path == "-" else path

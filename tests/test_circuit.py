@@ -609,6 +609,30 @@ def test_schedule_determinism():
     assert a == b
 
 
+@pytest.mark.parametrize("line, error", [
+    ("PULSE q0 sigma=1 phase=x", "expected a number, got 'x'"),
+    ("PULSE q0 sigma=inf phase=x", "number must be finite, got 'inf'"),
+    ("PULSE q0 sigma=1 phase=nan", "number must be finite, got 'nan'"),
+    ("PULSE q2 sigma=x phase=1", "qubit q2 out of range for 2 qubits"),
+    ("PULSE q0 sigma=1 z=1", "malformed PULSE line"),
+    ("FRAME Q0 phase=1", "expected a qubit like 'q0', got 'Q0'"),
+    ("FRAME q0 phase=1", "malformed FRAME line"),
+    ("GATE2 CZ q0 q7", "qubit q7 out of range for 2 qubits"),
+    ("GATE2 CZ q0", "unrecognized schedule line 'GATE2 CZ q0  # note'"),
+])
+def test_schedule_line_is_checked_in_token_order(line, error):
+    # kind and token count, qubits, keys, then the numbers in order
+    with pytest.raises(CircuitError) as info:
+        parse_schedule(f"# stats\n\n{line}  # note\n")
+    assert (str(info.value), info.value.line) == (f"line 3: {error}", 3)
+
+
+def test_schedule_reads_long_qubit_names_and_finite_angles_whose_sum_overflows():
+    schedule = parse_schedule("PULSE q01 sigma=1e308 phase=1e308\nGATE2 CZ q01 q00\n")
+    assert schedule.qubits.tolist() == [[1, 0], [1, 0]]
+    assert np.isfinite(schedule.values).all()
+
+
 def test_corrupted_schedule_detected():
     ir = carrier_sandwich_circuit(np.random.default_rng(73))
     sched = compile_circuit(ir, CompilePolicy(PolicyMode.VZ_CARRY))

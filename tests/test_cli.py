@@ -62,6 +62,37 @@ def test_compile_from_stdin(monkeypatch, capsys):
     assert "GATE2 CZ q0 q1" in capsys.readouterr().out
 
 
+def test_input_with_a_byte_order_mark_reads_as_without(circuit_file, tmp_path, monkeypatch, capsys):
+    # a UTF-8 byte-order mark, as some editors save, leading a file or stdin
+    assert main(["compile", circuit_file, "-o", str(tmp_path / "schedule.txt")]) == 0
+    (tmp_path / "other.txt").write_text(CIRCUIT.replace("0.3 -0.4", "0.4 -0.4"))
+    texts = {name: (tmp_path / f"{name}.txt").read_bytes() for name in ("circuit", "schedule", "other")}
+    runs = [
+        (["compile", "circuit"], None),
+        (["verify", "circuit", "schedule"], None),
+        (["verify", "other", "schedule"], None),
+        (["compile", "-"], "circuit"),
+        (["verify", "-", "schedule"], "circuit"),
+        (["verify", "circuit", "-"], "schedule"),
+    ]
+
+    def run(bom: bytes) -> list:
+        for name, data in texts.items():
+            (tmp_path / f"{name}.txt").write_bytes(bom + data)
+        results = []
+        for argv, stdin in runs:
+            data = bom + texts[stdin] if stdin else b""
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            code = main([str(tmp_path / f"{a}.txt") if a in texts else a for a in argv])
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    capsys.readouterr()
+    plain = run(b"")
+    assert [code for code, _, _ in plain] == [0, 0, 3, 0, 0, 0]
+    assert run("\ufeff".encode()) == plain
+
+
 def test_compile_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("qubits 2\nU q0 1 2\n")
@@ -320,19 +351,28 @@ def test_classify_loose_tolerance_carrier_whatever_its_pivots(monkeypatch, capsy
     assert all(carry_defect(u, cmap, t0, t1) == 0.0 for t0, t1 in ((0.3, -1.2), (2.5, 0.7)))
 
 
-def test_a_closed_stdout_exits_without_traceback():
-    # as `phasepulse classify SQISW | (exec 0<&-; true)`: the reader is gone
-    # before the first byte is written
+def _run_with_closed_stdout(*args: str) -> subprocess.CompletedProcess:
+    """``python -m phasepulse ARGS`` whose stdout's reader is gone before the
+    child starts, as ``phasepulse ARGS | (exec 0<&-; true)``."""
     src = str(Path(phasepulse.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run([sys.executable, "-m", "phasepulse", "classify", "SQISW"],
+        return subprocess.run([sys.executable, "-m", "phasepulse", *args],
                               stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(write)
+
+
+def test_a_closed_stdout_exits_without_traceback():
+    proc = _run_with_closed_stdout("classify", "SQISW")
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")
+
+
+def test_compile_to_a_closed_stdout_exits_without_traceback(circuit_file):
+    proc = _run_with_closed_stdout("compile", circuit_file)
     assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")
 
 

@@ -178,6 +178,11 @@ def test_coverage_fraction_values():
     assert coverage_fraction(AngleTriple(0.0, 0.0, 0.0), 100) <= 0.01
 
 
+def test_coverage_fraction_needs_a_sample():
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        coverage_fraction(AngleTriple(PI / 2, PI, PI / 2), 0)
+
+
 def test_coverage_fraction_shard_independent():
     # per-sample seeding: the first 50 samples give the same verdicts
     # whether or not the remaining 150 are evaluated

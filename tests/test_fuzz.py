@@ -113,7 +113,8 @@ def test_mangled_schedules_fail_cleanly(files, text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            deviation = simulate_schedule(parse_schedule(text), IR)
+            # the CLI reads a file without its leading byte-order mark, which junk may insert
+            deviation = simulate_schedule(parse_schedule(text.removeprefix("\ufeff")), IR)
         except CircuitError:
             expected = 1
         else:

@@ -90,6 +90,11 @@ def test_each_submodule_is_an_attribute():
         assert getattr(phasepulse, module) is sys.modules[f"phasepulse.{module}"]
 
 
+def test_module_getattr_imports_a_submodule():
+    # a bound submodule is found without __getattr__, so call it directly
+    assert phasepulse.__getattr__("carrier") is sys.modules["phasepulse.carrier"]
+
+
 def test_every_public_name_is_its_submodules_object():
     assert len(phasepulse.__all__) == len(set(phasepulse.__all__)) == 79
     assert phasepulse.is_unitary is phasepulse.su2.is_unitary

@@ -186,7 +186,7 @@ def _simulated(schedule) -> str:
 @example(text="PULSE q0 sigma=\x1f1 phase=2\n")
 @example(text="PULSE q0 sigma=1 phase=2\x0bPULSE q1 sigma=1e309 phase=0\n")
 @example(text="PULSE q0 sigma=1 phase=2\nPULSE q1 sigma=1 phase=2 # note\n")
-@example(text="PULSE q0 sigma=1e phase=2\n")  # the line regex matches, float() does not
+@example(text="PULSE q0 sigma=1e phase=2\n")  # a number token that float() rejects
 def test_parse_schedule_matches_line_by_line_reference(text):
     try:
         expected = reference_parse_schedule(text)

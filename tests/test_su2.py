@@ -224,6 +224,24 @@ def test_phase_canonical_deterministic():
     assert np.max(np.abs(a - b)) < 1e-12
 
 
+def test_phase_canonical_of_zero_is_zero():
+    assert np.array_equal(phase_canonical(np.zeros((2, 2))), np.zeros((2, 2)))
+
+
+def test_unitarity_defect_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="non-finite entries"):
+        unitarity_defect(np.full((2, 2), math.nan))
+
+
+def test_non_square_array_is_not_unitary():
+    assert not is_unitary(np.ones((2, 3)))
+
+
+def test_gate_params_reject_non_finite_gamma():
+    with pytest.raises(ValueError, match="gamma must be finite, got nan"):
+        GateParams(0, 0, math.nan)
+
+
 def test_params_identity():
     p, phase = params_from_unitary(np.eye(2))
     assert (p.alpha, p.beta, p.gamma) == (0.0, 0.0, 0.0)
@@ -386,8 +404,12 @@ def test_standard_gates():
     assert abs(fs[1, 2] + 1j * math.sin(0.3)) < 1e-12
     with pytest.raises(ValueError):
         standard_gate("XYZZY")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="CPHASE takes one angle"):
         standard_gate("CPHASE")
+    with pytest.raises(ValueError, match="CZ takes no parameters"):
+        standard_gate("CZ", 1.0)
+    with pytest.raises(ValueError, match="FSIM takes two angles"):
+        standard_gate("FSIM", 0.3)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
