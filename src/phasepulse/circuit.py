@@ -301,7 +301,7 @@ class CircuitIR:
         return [op for op in self.ops if isinstance(op, Gate2)]
 
 
-_QUBIT_RE = re.compile(r"^q(\d+)$")
+_QUBIT_RE = re.compile(r"^q([0-9]+)$")  # ASCII digits only, as numbers are
 _QUBITS = {"q0": 0, "q1": 1}
 _PARAM_GATE_RE = re.compile(r"^([A-Z]+)\((.*)\)$")
 _FIXED_GATE2 = ("CZ", "CNOT", "SWAP", "ISWAP", "SQISW")
@@ -311,6 +311,8 @@ _X_GAMMA = {"X90": PI / 4, "X180": PI / 2}  # X90 and X180 are U(0, -pi/2, gamma
 
 def _parse_float(tok: str) -> float:
     try:
+        if not tok.isascii():  # float() also reads the digits of other scripts
+            raise ValueError
         value = float(tok)
     except ValueError:
         raise CircuitError(f"expected a number, got {tok!r}") from None
@@ -319,17 +321,20 @@ def _parse_float(tok: str) -> float:
     return value
 
 
-def _parse_floats(tokens: list[str]) -> list[float]:
+def _parse_floats(tokens: list[str], is_ascii: bool) -> list[float]:
     """The tokens as finite numbers: ``float`` of each and one finiteness test
     of their sum, else :func:`_parse_float` of each in order, which words the
-    first bad token's error (or passes finite numbers whose sum overflows)."""
-    try:
-        values = list(map(float, tokens))
-    except ValueError:
-        pass
-    else:
-        if isfinite(sum(values)):
-            return values
+    first bad token's error (or passes finite numbers whose sum overflows).
+    Tokens not known to be ASCII (``is_ascii`` False) go to :func:`_parse_float`
+    at once."""
+    if is_ascii:
+        try:
+            values = list(map(float, tokens))
+        except ValueError:
+            pass
+        else:
+            if isfinite(sum(values)):
+                return values
     return [_parse_float(t) for t in tokens]
 
 
@@ -364,12 +369,14 @@ def parse_gate_spec(spec: str, entries: Sequence[str] = ()) -> tuple[str, np.nda
     if spec == "CUSTOM":
         if len(entries) != 16:
             raise CircuitError(f"CUSTOM takes 16 're,im' pairs, got {len(entries)}")
+        joined = ",".join(entries)
+        is_ascii = joined.isascii()
         if not all(tok.count(",") == 1 for tok in entries):
             for tok in entries:  # the first bad entry words the error
                 if tok.count(",") != 1:
                     raise CircuitError(f"expected 're,im', got {tok!r}")
-                _parse_floats(tok.split(","))
-        values = _parse_floats(",".join(entries).split(","))
+                _parse_floats(tok.split(","), is_ascii)
+        values = _parse_floats(joined.split(","), is_ascii)
         return "CUSTOM", np.array(values).view(complex).reshape(4, 4)
     if entries:
         raise CircuitError(f"unexpected tokens after {spec}: {' '.join(entries)}")
@@ -385,15 +392,16 @@ def parse_gate_spec(spec: str, entries: Sequence[str] = ()) -> tuple[str, np.nda
     return f"{name}({','.join(map(_format_angle, args))})", standard_gate(name, *args)
 
 
-def _parse_op(tokens: list[str]) -> tuple[int, int, float, float, float]:
+def _parse_op(tokens: list[str], is_ascii: bool) -> tuple[int, int, float, float, float]:
     """Kind, qubit and raw angles of a 1q gate or ``M`` line, checked in token
-    order; the first failing check words the error."""
+    order; the first failing check words the error.  ``is_ascii`` is False when
+    the tokens may hold non-ASCII digits."""
     head = tokens[0]
     if head == "U":
         if len(tokens) != 5:
             raise CircuitError("usage: U q<i> <alpha> <beta> <gamma>")
         q = _parse_qubit(tokens[1])
-        a, b, g = _parse_floats(tokens[2:])
+        a, b, g = _parse_floats(tokens[2:], is_ascii)
         if not -1e-9 <= g <= PI / 2 + 1e-9:
             GateParams(a, b, g)  # words the range error of gamma
         return GATE1, q, a, b, g
@@ -437,6 +445,8 @@ def _parse_header(tokens: list[str]) -> None:
     if len(tokens) != 2:
         raise CircuitError("usage: qubits 2")
     try:
+        if not tokens[1].isascii():  # int() also reads the digits of other scripts
+            raise ValueError
         n_qubits = int(tokens[1])
     except ValueError:
         raise CircuitError(f"expected an integer, got {tokens[1]!r}") from None
@@ -460,13 +470,17 @@ def parse_circuit(text: str) -> CircuitIR:
     two spellings of one gate share a row.  The CUSTOM gates of the table
     are checked for unitarity within 1e-8 after the loop, in one stacked
     defect call; :func:`as_unitary` words the first bad one's error at its
-    first line, unless an earlier line failed.
+    first line, unless an earlier line failed.  Qubits, numbers and the
+    ``qubits`` count are ASCII: a token with a non-ASCII digit gets the
+    error of a bad token of its kind.  A text that is not ASCII skips the
+    batched ``float`` of a ``U`` line, so each of its numbers is checked.
     """
     rows: list = []  # kind, qubit, second qubit, alpha, beta, gamma, table row, line: per op
     table: dict[str, int] = {}  # G2 line without its comment -> table row
     distinct: dict[tuple, int] = {}  # (qubits, label, matrix bytes) -> table row
     gates: list[_Gate2Row] = []
     error: CircuitSyntaxError | None = None
+    check = not text.isascii()
     lines = enumerate(text.splitlines(), start=1)
     for line_no, raw in lines:
         tokens = raw.partition("#")[0].split()
@@ -496,7 +510,7 @@ def parse_circuit(text: str) -> CircuitIR:
                 qa, qb = gates[row][2]
                 rows += GATE2, qa, qb, 0.0, 0.0, 0.0, row, line_no
             else:
-                kind, q, a, b, g = _parse_op(tokens)
+                kind, q, a, b, g = _parse_op(tokens, not check or line.isascii())
                 rows += kind, q, 0, a, b, g, -1, line_no
         except ValueError as exc:
             error = CircuitSyntaxError(str(exc), line_no)
@@ -743,10 +757,13 @@ def parse_schedule(text: str) -> PulseSchedule:
     split into tokens and checked in token order (kind and token count,
     qubits, the ``sigma=``/``phase=``/``z=`` keys, then the numbers); the
     first failing check words the error.  FRAME angles are kept as written.
+    Qubits and numbers are ASCII, as in :func:`parse_circuit`; a ``GATE2``
+    name may be any one word.
     """
     rows: _Rows = []
     names: list[str] = []
     qubit = _QUBITS.get
+    check = not text.isascii()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not tokens:
@@ -765,7 +782,7 @@ def parse_schedule(text: str) -> PulseSchedule:
                     a, b = float(sigma), float(phase)
                 except ValueError:
                     a = b = math.nan
-                if not isfinite(a + b):  # _parse_floats' rule: the first bad number words the error
+                if check or not isfinite(a + b):  # _parse_floats' rule: the first bad number words the error
                     a, b = _parse_float(sigma), _parse_float(phase)
                 rows += PULSE, q, 0, a, b
             elif kind == "GATE2" and n == 4:

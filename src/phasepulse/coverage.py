@@ -9,6 +9,10 @@ sum is, in the quaternion picture, ``U(u1, u2) + V(u1, u2, u3) j`` where
 The scheme covers every target exactly when ``b00 = 0``, one of the other
 coefficients is 0 and the remaining two are +-1/2 — equivalently when one
 rotation angle is pi and the other two are +-pi/2.
+
+:func:`solve_fixed_angles` cross-checks that verdict for any triple: U is
+affine in ``u2``, so the preimage of a target's U part is one closed form,
+and a target is reached exactly when it has one (see :func:`_preimage_uv`).
 """
 
 from __future__ import annotations
@@ -101,71 +105,27 @@ def target_uv(target) -> tuple[complex, complex]:
     return complex(m[0, 0]).conjugate(), 1j * complex(m[1, 0])
 
 
-def _sgn(x: float) -> float:
-    return 1.0 if x >= 0 else -1.0
+def _preimage_uv(b: CoverageCoeffs, w: complex) -> tuple[complex, complex]:
+    """Unit ``(u1, u2)`` with ``U(u1, u2) = w``, wherever such a pair exists.
 
-
-def _covering_uv(b: CoverageCoeffs, w: complex) -> tuple[complex, complex]:
-    # Exact preimage of w under U for a covering coefficient pattern.
-    aw = min(abs(w), 1.0)
-    chi = cmath.phase(w) if abs(w) > 1e-300 else 0.0
-    if abs(b.b11) <= COEFF_TOL:
-        delta = math.acos(aw)
-        u1 = _sgn(b.b01) * cmath.exp(1j * (chi + delta))
-        u2 = _sgn(b.b10) * cmath.exp(1j * (chi - delta))
-    elif abs(b.b10) <= COEFF_TOL:
-        # U = u1 * (b01 + b11*u2)
-        chi2 = 2.0 * math.acos(aw)
-        u2 = _sgn(b.b01) * _sgn(b.b11) * cmath.exp(1j * chi2)
-        bracket = b.b01 + b.b11 * u2
-        u1 = w / bracket if abs(bracket) > 1e-12 else 1.0
-    else:
-        # U = u2 * (b10 + b11*u1)
-        chi2 = 2.0 * math.acos(aw)
-        u1 = _sgn(b.b10) * _sgn(b.b11) * cmath.exp(1j * chi2)
-        bracket = b.b10 + b.b11 * u1
-        u2 = w / bracket if abs(bracket) > 1e-12 else 1.0
-    return u1 / abs(u1), u2 / abs(u2)
-
-
-def _search_uv(b: CoverageCoeffs, w: complex) -> tuple[complex, complex, float, float]:
-    """Grid-plus-refinement minimizer of ``min(|U - w|, |U + w|)``.
-
-    The U part depends on two phases only, so a 64x64 coarse grid with
-    shrinking local refinements is an exhaustive search at these scales.
-    Returns ``(u1, u2, sign, distance)``.
+    ``U - b00 = b01*u1 + u2*(b10 + b11*u1)`` is affine in ``u2``, so with
+    ``z = w - b00`` and ``u1 = exp(i*t)`` a unit ``u2`` exists iff
+    ``|z - b01*u1| = |b10 + b11*u1|``, which is ``p*cos(t) + q*sin(t) = r``
+    below; then ``u2`` is the phase of ``(z - b01*u1) / (b10 + b11*u1)``.
+    ``r / hypot(p, q)`` is clamped to [-1, 1], so a boundary double root
+    just past it is kept, and where ``p``, ``q`` and ``r`` all vanish every
+    ``t`` is a root.  Where there is no root, the pair is the nearest miss.
     """
-    n = 64
-    ang = np.linspace(-PI, PI, n, endpoint=False)
-    a1 = ang[:, None]
-    a2 = ang[None, :]
-
-    def eval_grid(p1, p2):
-        u1 = np.exp(1j * p1)
-        u2 = np.exp(1j * p2)
-        f = b.b00 + b.b01 * u1 + b.b10 * u2 + b.b11 * u1 * u2
-        dplus = np.abs(f - w)
-        dminus = np.abs(f + w)
-        return np.minimum(dplus, dminus), dplus <= dminus
-
-    d, plus = eval_grid(a1, a2)
-    k = int(np.argmin(d))
-    i, j = divmod(k, n)
-    best1, best2 = float(ang[i]), float(ang[j])
-    half = PI / n
-    for _ in range(6):
-        loc = np.linspace(-half, half, 17)
-        p1 = best1 + loc[:, None]
-        p2 = best2 + loc[None, :]
-        d, plus = eval_grid(p1, p2)
-        k = int(np.argmin(d))
-        i, j = divmod(k, 17)
-        best1 += float(loc[i])
-        best2 += float(loc[j])
-        half /= 8.0
-    dmin, is_plus = eval_grid(np.array([[best1]]), np.array([[best2]]))
-    sign = 1.0 if bool(is_plus[0, 0]) else -1.0
-    return cmath.exp(1j * best1), cmath.exp(1j * best2), sign, float(dmin[0, 0])
+    z = w - b.b00
+    p = -2.0 * (b.b01 * z.real + b.b10 * b.b11)
+    q = -2.0 * b.b01 * z.imag
+    r = b.b10 * b.b10 + b.b11 * b.b11 - b.b01 * b.b01 - abs(z) ** 2
+    h = math.hypot(p, q)
+    t = math.atan2(q, p) - math.acos(max(-1.0, min(1.0, r / h))) if h else 0.0
+    u1 = cmath.exp(1j * t)
+    # where b10 + b11*u1 vanishes, U does not depend on u2 and any phase will do
+    u2 = cmath.exp(1j * (cmath.phase(z - b.b01 * u1) - cmath.phase(b.b10 + b.b11 * u1)))
+    return u1, u2
 
 
 def _solve_u3(v: tuple[float, float, float, float], u1: complex, u2: complex, rhs: complex) -> complex:
@@ -208,9 +168,11 @@ def solve_fixed_angles(
     """Phase shifts realizing ``target`` (up to sign) with the fixed angles of ``t``.
 
     Returns the phases in matrix order (the third acts first in time), or
-    ``None`` when the triple cannot reach the target within ``tol``.
-    Covering triples are solved in closed form; others fall back to a grid
-    search over the two phases the U part depends on.
+    ``None`` when the triple cannot reach the target within ``tol``.  Every
+    triple is solved one way: the exact preimage of ``+target``'s U part,
+    else of ``-target``'s, then the V part's ``u3``.  A covering triple
+    always has the first, so its phases are returned unchecked; any other
+    triple's are kept only if they rebuild the target within ``tol``.
     """
     tu = as_unitary(target, 2)
     det = tu[0, 0] * tu[1, 1] - tu[0, 1] * tu[1, 0]
@@ -218,21 +180,20 @@ def solve_fixed_angles(
         raise ValueError("target must have determinant 1")
     w, v = target_uv(tu)
     bu, bv = product_coeffs(t)
-    if covers_su2(t):
-        u1, u2 = _covering_uv(bu, w)
-        sign = 1.0
-    else:
-        u1, u2, sign, _ = _search_uv(bu, w)
-    u3 = _solve_u3(bv, u1, u2, sign * v)
-    phases = _phases_from_units(t, u1, u2, u3)
-    if covers_su2(t):
-        return phases
-    rebuilt = rebuild_product(t, phases)
-    dev = min(
-        float(np.max(np.abs(rebuilt - tu))),
-        float(np.max(np.abs(rebuilt + tu))),
-    )
-    return phases if dev <= tol else None
+    covers = covers_su2(t)
+    for sign in (1.0, -1.0):
+        u1, u2 = _preimage_uv(bu, sign * w)
+        phases = _phases_from_units(t, u1, u2, _solve_u3(bv, u1, u2, sign * v))
+        if covers:
+            return phases
+        rebuilt = rebuild_product(t, phases)
+        dev = min(
+            float(np.max(np.abs(rebuilt - tu))),
+            float(np.max(np.abs(rebuilt + tu))),
+        )
+        if dev <= tol:
+            return phases
+    return None
 
 
 def haar_su2(rng: np.random.Generator) -> np.ndarray:

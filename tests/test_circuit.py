@@ -32,6 +32,7 @@ from phasepulse.circuit import (
     ideal_unitary,
     merge_adjacent_1q,
     parse_circuit,
+    parse_gate_spec,
     parse_schedule,
     simulate_schedule,
 )
@@ -631,6 +632,57 @@ def test_schedule_reads_long_qubit_names_and_finite_angles_whose_sum_overflows()
     schedule = parse_schedule("PULSE q01 sigma=1e308 phase=1e308\nGATE2 CZ q01 q00\n")
     assert schedule.qubits.tolist() == [[1, 0], [1, 0]]
     assert np.isfinite(schedule.values).all()
+
+
+_CUSTOM_ENTRIES = " ".join(f"{z.real:g},{z.imag:g}" for z in np.eye(4).ravel())
+# float(), int() and the regex \d read the digits of every script, as 1 for
+# U+0661 (ARABIC-INDIC ONE) and U+FF11 (FULLWIDTH ONE); the formats are ASCII
+NON_ASCII_DIGITS = [
+    (parse_schedule, "PULSE q\u0661 sigma=1 phase=2\nFRAME q0 z=0\n", 1,
+     "expected a qubit like 'q0', got 'q\u0661'"),
+    (parse_schedule, "FRAME q0 z=0\nPULSE q0 sigma=\u0661 phase=2\n", 2,
+     "expected a number, got '\u0661'"),
+    (parse_schedule, "PULSE q0 sigma=1 phase=\u0662\n", 1, "expected a number, got '\u0662'"),
+    (parse_schedule, "GATE2 CZ q\uff10 q\uff11\n", 1, "expected a qubit like 'q0', got 'q\uff10'"),
+    (parse_schedule, "FRAME q0 z=\u0661\n", 1, "expected a number, got '\u0661'"),
+    (parse_circuit, "qubits \u0662\nX90 q\u0661\nRZ q0 \u0661.5\n", 1,
+     "expected an integer, got '\u0662'"),
+    (parse_circuit, "qubits 2\nX90 q\u0661\nRZ q0 \u0661.5\n", 2,
+     "expected a qubit like 'q0', got 'q\u0661'"),
+    (parse_circuit, "qubits 2\nRZ q0 \u0661.5\n", 2, "expected a number, got '\u0661.5'"),
+    # before gamma's range error, as every token is checked in order
+    (parse_circuit, "qubits 2\nU q0 0.5 \u0661 9\n", 2, "expected a number, got '\u0661'"),
+    (parse_circuit, "qubits 2\nG2 FSIM(\u0661,2) q0 q1\n", 2, "expected a number, got '\u0661'"),
+    (parse_circuit, "qubits 2\nG2 CUSTOM q0 q1 " + _CUSTOM_ENTRIES.replace("1,0", "\u0661,0", 1), 2,
+     "expected a number, got '\u0661'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, line, error", NON_ASCII_DIGITS)
+def test_non_ascii_digits_are_bad_tokens(parse, text, line, error):
+    with pytest.raises(CircuitSyntaxError) as info:
+        parse(text)
+    assert (str(info.value), info.value.line) == (f"line {line}: {error}", line)
+
+
+def test_gate_spec_takes_ascii_numbers_only():
+    with pytest.raises(CircuitError, match="expected a number, got '\u0661'"):
+        parse_gate_spec("FSIM(\u0661,2)")
+    entries = _CUSTOM_ENTRIES.replace("0,0", "0,\uff10", 1).split()
+    with pytest.raises(CircuitError, match="expected a number, got '\uff10'"):
+        parse_gate_spec("CUSTOM", entries)
+    assert parse_gate_spec("FSIM(1,2)")[0] == "FSIM(1,2)"
+
+
+def test_non_ascii_separators_comments_and_gate2_names_still_read():
+    schedule = parse_schedule(
+        "PULSE q0\u2003sigma=1\xa0phase=2  # \u0661\u2028GATE2 C\u00e9Z q0 q1\x85FRAME q1 z=0.5\n"
+    )
+    assert schedule.events == (
+        PulseEvent(0, Pulse(1.0, 2.0)), Gate2Event((0, 1), "C\u00e9Z"), FrameEvent(1, 0.5),
+    )
+    text = "qubits 2  # q\u0661\nU q0\u20030.5 1\xa00.25\nG2 CPHASE(0.5) q0 q1 # \uff11\n"
+    assert repr(parse_circuit(text).ops) == repr(parse_circuit("qubits 2\nU q0 0.5 1 0.25\nG2 CPHASE(0.5) q0 q1\n").ops)
 
 
 def test_corrupted_schedule_detected():

@@ -11,8 +11,10 @@ import pytest
 
 import phasepulse
 from phasepulse.carrier import carry_defect, classify
+from phasepulse.circuit import parse_circuit
 from phasepulse.cli import EXIT_BROKEN_PIPE, build_parser, main
 from phasepulse.su2 import standard_gate
+from test_circuit import NON_ASCII_DIGITS
 
 PI = math.pi
 
@@ -98,6 +100,16 @@ def test_compile_parse_error(tmp_path, capsys):
     path.write_text("qubits 2\nU q0 1 2\n")
     assert main(["compile", str(path)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parse, text, line, error", NON_ASCII_DIGITS)
+def test_non_ascii_digit_is_one_error_line(parse, text, line, error, circuit_file, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = ["compile", str(path)] if parse is parse_circuit else ["verify", circuit_file, str(path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: line {line}: {error}\n")
 
 
 def test_compile_policy_error(tmp_path, capsys):

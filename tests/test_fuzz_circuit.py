@@ -52,6 +52,7 @@ HUGE_CUSTOM = f"qubits 2\nG2 CUSTOM q0 q1 {' '.join(['1e308,0'] * 16)}\n"
 JUNK = (
     "nan", "inf", "-inf", "1e308", "-1e308", "1e309", "q7", "q-1", "Q0", "q", "", "#", "G2",
     "CUSTOM", "CPHASE(nan)", "FSIM(1e308,inf)", "CPHASE()", "M", "qubits", "3", "1_0", "0x1",
+    "\u0661", "q\u0661", "\uff10.5", "CPHASE(\u0661)",  # non-ASCII digits
 )
 ENTRIES = ("1e308,0", "0,1e308", "-1e308,1e308", "nan,0", "0,inf", "1", "1,2,3", ",", "1e309,0")
 SPACES = ("\t", " ", "\xa0", "\x1f", "\x0b", "\x1c", " ", "  ")

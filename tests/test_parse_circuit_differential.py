@@ -35,7 +35,7 @@ PI = math.pi
 
 # ------------------------------------------------------------ the reference
 
-_QUBIT_RE = re.compile(r"^q(\d+)$")
+_QUBIT_RE = re.compile(r"^q([0-9]+)$")  # ASCII digits only
 _PARAM_GATE_RE = re.compile(r"^([A-Z]+)\((.*)\)$")
 _FIXED_GATE2 = ("CZ", "CNOT", "SWAP", "ISWAP", "SQISW")
 
@@ -45,6 +45,8 @@ _X180_PARAMS = GateParams(0.0, -PI / 2, PI / 2)
 
 def _parse_float(tok: str) -> float:
     try:
+        if not tok.isascii():  # ASCII digits only
+            raise ValueError
         value = float(tok)
     except ValueError:
         raise CircuitError(f"expected a number, got {tok!r}") from None
@@ -165,6 +167,8 @@ def reference_parse_circuit(text):
             if len(tokens) != 2:
                 raise CircuitSyntaxError("usage: qubits 2", line_no)
             try:
+                if not tokens[1].isascii():  # ASCII digits only
+                    raise ValueError
                 n_qubits = int(tokens[1])
             except ValueError:
                 raise CircuitSyntaxError(f"expected an integer, got {tokens[1]!r}", line_no) from None
@@ -361,6 +365,12 @@ def circuit_texts(draw) -> str:
 @example(text=f"qubits 2\n{_custom_with(e2='nan,0', e5='1,2,3')}\n")
 @example(text=f"qubits 2\n{_custom_with(e2='1,2,3', e5='nan,0')}\n")
 @example(text=f"qubits 2\n{_custom_with(e0='1e308,1e308')}\n")  # finite, sum overflows, not unitary
+@example(text="qubits \u0662\n")  # non-ASCII digits: a bad token of each kind
+@example(text="qubits 2\nX90 q\u0661\n")
+@example(text="qubits 2\nU q0 0.5 \u0661 9\n")
+@example(text="qubits 2\nG2 FSIM(\u0661,2) q0 q1\n")
+@example(text="qubits 2\n" + _custom_with(e4="\u0661,0") + "\n")
+@example(text="qubits 2\n" + _custom_with(e2="0,\u0661", e5="1,2,3") + "\n")  # before a later bad entry
 def test_parse_circuit_matches_line_by_line_reference(text):
     assert_same_verdict(text)
 

@@ -30,11 +30,13 @@ from phasepulse.circuit import (
 from phasepulse.schemes import Pulse
 from test_fuzz import IR, SCHEDULES, mangled_schedules
 
-_QUBIT_RE = re.compile(r"^q(\d+)$")
+_QUBIT_RE = re.compile(r"^q([0-9]+)$")  # ASCII digits only
 
 
 def _reference_float(tok: str) -> float:
     try:
+        if not tok.isascii():  # ASCII digits only
+            raise ValueError
         value = float(tok)
     except ValueError:
         raise CircuitError(f"expected a number, got {tok!r}") from None
@@ -187,6 +189,7 @@ def _simulated(schedule) -> str:
 @example(text="PULSE q0 sigma=1 phase=2\x0bPULSE q1 sigma=1e309 phase=0\n")
 @example(text="PULSE q0 sigma=1 phase=2\nPULSE q1 sigma=1 phase=2 # note\n")
 @example(text="PULSE q0 sigma=1e phase=2\n")  # a number token that float() rejects
+@example(text="PULSE q0 sigma=1 phase=\u0661\nGATE2 CZ q\uff10 q1\n")  # float() and \d read these
 def test_parse_schedule_matches_line_by_line_reference(text):
     try:
         expected = reference_parse_schedule(text)
