@@ -32,8 +32,8 @@ from .su2 import (
     _three_pulse_pairs,
     _unitarity_defect,
     _virtual_z_pairs,
+    _wrap,
     as_unitary,
-    normalize_angle,
     params_from_unitary,
     phase_distance,
     standard_gate,
@@ -307,6 +307,8 @@ _PARAM_GATE_RE = re.compile(r"^([A-Z]+)\((.*)\)$")
 _FIXED_GATE2 = ("CZ", "CNOT", "SWAP", "ISWAP", "SQISW")
 
 _X_GAMMA = {"X90": PI / 4, "X180": PI / 2}  # X90 and X180 are U(0, -pi/2, gamma)
+# The PULSE line of each calibrated area (X90, X180), its sigma= formatted once.
+_PULSE_LINES = {area: "PULSE q%%d sigma=%.12g phase=%%.12g" % area for area in (PI / 2, PI)}
 
 
 def _parse_float(tok: str) -> float:
@@ -395,29 +397,37 @@ def parse_gate_spec(spec: str, entries: Sequence[str] = ()) -> tuple[str, np.nda
 def _parse_op(tokens: list[str], is_ascii: bool) -> tuple[int, int, float, float, float]:
     """Kind, qubit and raw angles of a 1q gate or ``M`` line, checked in token
     order; the first failing check words the error.  ``is_ascii`` is False when
-    the tokens may hold non-ASCII digits."""
-    head = tokens[0]
+    the tokens may hold non-ASCII digits.  The checked parsers run only where a
+    flat pass (count, ``_QUBITS``, ``float``, finiteness, range) fails."""
+    head, n = tokens[0], len(tokens)
+    q = _QUBITS.get(tokens[1]) if n > 1 else None
     if head == "U":
-        if len(tokens) != 5:
+        if n != 5:
             raise CircuitError("usage: U q<i> <alpha> <beta> <gamma>")
-        q = _parse_qubit(tokens[1])
-        a, b, g = _parse_floats(tokens[2:], is_ascii)
-        if not -1e-9 <= g <= PI / 2 + 1e-9:
-            GateParams(a, b, g)  # words the range error of gamma
+        try:
+            a, b, g = float(tokens[2]), float(tokens[3]), float(tokens[4])
+        except ValueError:
+            a = b = g = math.nan
+        if not (q is not None and is_ascii and isfinite(a + b + g)
+                and -1e-9 <= g <= PI / 2 + 1e-9):
+            q = _parse_qubit(tokens[1])
+            a, b, g = _parse_floats(tokens[2:], is_ascii)
+            if not -1e-9 <= g <= PI / 2 + 1e-9:
+                GateParams(a, b, g)  # words the range error of gamma
         return GATE1, q, a, b, g
     if head == "RZ":
-        if len(tokens) != 3:
+        if n != 3:
             raise CircuitError("usage: RZ q<i> <theta>")
-        q = _parse_qubit(tokens[1])
+        q = _parse_qubit(tokens[1]) if q is None else q
         return GATE1, q, -0.5 * _parse_float(tokens[2]), 0.0, 0.0
     if head in _X_GAMMA:
-        if len(tokens) != 2:
+        if n != 2:
             raise CircuitError(f"usage: {head} q<i>")
-        return GATE1, _parse_qubit(tokens[1]), 0.0, -PI / 2, _X_GAMMA[head]
+        return GATE1, _parse_qubit(tokens[1]) if q is None else q, 0.0, -PI / 2, _X_GAMMA[head]
     if head == "M":
-        if len(tokens) != 2:
+        if n != 2:
             raise CircuitError("usage: M q<i>")
-        return MEASURE, _parse_qubit(tokens[1]), 0.0, 0.0, 0.0
+        return MEASURE, _parse_qubit(tokens[1]) if q is None else q, 0.0, 0.0, 0.0
     if head == "qubits":
         raise CircuitError("duplicate 'qubits' header")
     raise CircuitError(f"unknown op {head!r}")
@@ -736,17 +746,28 @@ class PulseSchedule:
         return len(self.kind)
 
     def to_text(self) -> str:
+        """One line a row, then the stats line if any: each row's template and
+        numbers are collected, and the joined templates formatted with one
+        ``%``.  A PULSE of a calibrated area takes its :data:`_PULSE_LINES` one."""
         names = iter(self.gate2_names)
+        templates: list[str] = []
+        args: list = []
         # + 0.0 turns -0.0 into 0.0, so angles print as _format_angle prints them
-        lines = [
-            "PULSE q%d sigma=%.12g phase=%.12g" % (q, a, b) if k == PULSE
-            else f"GATE2 {next(names)} q{q} q{q2}" if k == GATE2
-            else "FRAME q%d z=%.12g" % (q, a)
-            for k, q, q2, a, b in self._columns(self.values + 0.0)
-        ]
+        for k, q, q2, a, b in self._columns(self.values + 0.0):
+            if k == PULSE:
+                template = _PULSE_LINES.get(a)
+                templates.append(template or "PULSE q%d sigma=%.12g phase=%.12g")
+                args += (q, b) if template else (q, a, b)
+            elif k == GATE2:
+                templates.append("GATE2 %s q%d q%d")
+                args += next(names), q, q2
+            else:
+                templates.append("FRAME q%d z=%.12g")
+                args += q, a
         if self.stats is not None:
-            lines.append(self.stats.stats_line())
-        return "\n".join(lines) + "\n"
+            templates.append("%s")
+            args.append(self.stats.stats_line())
+        return "\n".join(templates) % tuple(args) + "\n"
 
 
 def parse_schedule(text: str) -> PulseSchedule:
@@ -972,8 +993,8 @@ def _flush(
     """
     alpha, beta, gamma = buffered or (0.0, 0.0, 0.0)  # None is the identity
     if f != 0.0 or t != 0.0:
-        alpha = normalize_angle(alpha + 0.5 * (f - t))
-        beta = normalize_angle(beta + 0.5 * (t + f))
+        alpha = _wrap(alpha + 0.5 * (f - t))
+        beta = _wrap(beta + 0.5 * (t + f))
     if math.cos(gamma) <= 1e-13:
         alpha = 0.0
     if math.sin(gamma) <= 1e-13:
@@ -1103,11 +1124,11 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
             f0, f1 = frames
             if f0 != 0.0 or f1 != 0.0:  # zero frames map to zero frames
                 (a, b), (c, d) = frame_map
-                frames[0] = normalize_angle(a * f0 + b * f1)
-                frames[1] = normalize_angle(c * f0 + d * f1)
+                frames[0] = _wrap(a * f0 + b * f1)
+                frames[1] = _wrap(c * f0 + d * f1)
             rows += GATE2, q, q2, 0.0, 0.0
         elif k == MEASURE:
-            rows += FRAME, q, 0, normalize_angle(frames[q]), 0.0
+            rows += FRAME, q, 0, _wrap(frames[q]), 0.0
             measured[q] = True
 
     names = [ir.gate2_labels[row] for row in ir.gate2_row[ir.kind == GATE2].tolist()]

@@ -212,8 +212,22 @@ def cmd_pulsesim(args) -> int:
 # A token that float() reads as a negative number: argparse's own pattern
 # takes -0.5 but not -1.5e-3 or -inf, which it would read as an option.
 _NEGATIVE_NUMBER = re.compile(
-    r"-(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?$|-(?:inf|infinity|nan)$", re.IGNORECASE
+    r"-(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[-+]?[0-9]+)?$|-(?:inf|infinity|nan)$", re.IGNORECASE
 )
+
+
+def _ascii(convert):
+    """``convert`` (``float`` or ``int``, which read every script's digits) of
+    an ASCII token only, under its name, which argparse's error gives."""
+    def read(token: str):
+        if not token.isascii():
+            raise ValueError(token)
+        return convert(token)
+    read.__name__ = convert.__name__
+    return read
+
+
+_FLOAT, _INT = _ascii(float), _ascii(int)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         "CPHASE(0.5), or CUSTOM (16 're,im' pairs on stdin). " + _UNITS_NOTE,
     )
     p.add_argument("gate", help="gate name, CPHASE(phi), FSIM(theta,phi), or CUSTOM")
-    p.add_argument("--tolerance", type=float, default=1e-8, help="unitarity tolerance")
+    p.add_argument("--tolerance", type=_FLOAT, default=1e-8, help="unitarity tolerance")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser(
@@ -287,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("circuit", help="circuit file, or '-' for stdin")
     p.add_argument("schedule", help="schedule file, or '-' for stdin if the circuit is not")
-    p.add_argument("--tolerance", type=float, default=1e-8, help="pass/fail threshold")
+    p.add_argument("--tolerance", type=_FLOAT, default=1e-8, help="pass/fail threshold")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
@@ -297,11 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
         "reach every single-qubit gate, with the product coefficients and an "
         "empirical coverage fraction. " + _UNITS_NOTE,
     )
-    p.add_argument("--omega1", type=float, required=True, help="first rotation angle (radians)")
-    p.add_argument("--omega2", type=float, required=True, help="second rotation angle (radians)")
-    p.add_argument("--omega3", type=float, required=True, help="third rotation angle (radians)")
-    p.add_argument("--samples", type=int, default=200, help="coverage sample count (0 to skip)")
-    p.add_argument("--seed", type=int, default=0, help="seed for the coverage sampler")
+    p.add_argument("--omega1", type=_FLOAT, required=True, help="first rotation angle (radians)")
+    p.add_argument("--omega2", type=_FLOAT, required=True, help="second rotation angle (radians)")
+    p.add_argument("--omega3", type=_FLOAT, required=True, help="third rotation angle (radians)")
+    p.add_argument("--samples", type=_INT, default=200, help="coverage sample count (0 to skip)")
+    p.add_argument("--seed", type=_INT, default=0, help="seed for the coverage sampler")
     p.set_defaults(func=cmd_uniqueness)
 
     p = sub.add_parser(
@@ -311,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
         "compare against the closed-form conjugated X rotation. " + _UNITS_NOTE,
     )
     p.add_argument("--shape", choices=["const", "gauss"], default="const")
-    p.add_argument("--area", type=float, required=True, help="pulse area (radians)")
-    p.add_argument("--phase", type=float, default=0.0, help="drive phase shift (radians)")
-    p.add_argument("--steps", type=int, default=2001,
+    p.add_argument("--area", type=_FLOAT, required=True, help="pulse area (radians)")
+    p.add_argument("--phase", type=_FLOAT, default=0.0, help="drive phase shift (radians)")
+    p.add_argument("--steps", type=_INT, default=2001,
                    help=f"number of envelope samples, at most {MAX_STEPS:,}")
     p.set_defaults(func=cmd_pulsesim)
 

@@ -42,6 +42,11 @@ def normalize_angle(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"angle must be finite, got {x!r}")
+    return _wrap(x)
+
+
+def _wrap(x: float) -> float:
+    """:func:`normalize_angle` of a finite float, unconverted and unchecked."""
     y = math.fmod(x + PI, TAU)
     if y < 0.0:
         y += TAU
@@ -304,8 +309,8 @@ def _quaternion_angles(q) -> tuple[float, float, float]:
     q0, q1, q2, q3 = q
     # abs of a complex is libm's hypot, as the magnitude of an entry always was
     c, s = abs(complex(q0, q1)), abs(complex(q2, q3))
-    alpha = normalize_angle(math.atan2(q1, q0)) if c > 1e-13 else 0.0
-    beta = normalize_angle(math.atan2(q3, q2)) if s > 1e-13 else 0.0
+    alpha = _wrap(math.atan2(q1, q0)) if c > 1e-13 else 0.0
+    beta = _wrap(math.atan2(q3, q2)) if s > 1e-13 else 0.0
     # atan2 of two magnitudes lies in [0, pi/2], as GateParams keeps gamma.
     return alpha, beta, math.atan2(s, c)
 
@@ -372,11 +377,11 @@ def _virtual_z_pairs(
     if special and not (_BRIDGE_LO < gamma < _X90_LO or _X90_HI < gamma < _BRIDGE_HI):
         sigma = round(4.0 * gamma / PI) * (PI / 2)  # 0, pi/2 or pi
         pairs = ((sigma, -alpha - beta - PI / 2),) if sigma else ()
-        return pairs, normalize_angle(2.0 * alpha)
+        return pairs, _wrap(2.0 * alpha)
     theta = -alpha + beta
     phi = PI - 2.0 * gamma
     omega = -alpha - beta - PI
-    residual = normalize_angle(-(theta + phi + omega))
+    residual = _wrap(-(theta + phi + omega))
     return ((PI / 2, omega), (PI / 2, omega + phi)), residual
 
 

@@ -603,6 +603,77 @@ def test_schedule_text_round_trip():
     assert text.strip().splitlines()[-1].startswith("# stats: pulses=")
 
 
+def _reference_text(schedule: PulseSchedule) -> str:
+    """The schedule's text as each row's own ``%.12g`` formatting writes it."""
+    names = iter(schedule.gate2_names)
+    lines = [
+        "PULSE q%d sigma=%.12g phase=%.12g" % (q, a, b) if k == 0
+        else f"GATE2 {next(names)} q{q} q{q2}" if k == 1
+        else "FRAME q%d z=%.12g" % (q, a)
+        for k, (q, q2), (a, b) in zip(
+            schedule.kind.tolist(), schedule.qubits.tolist(), (schedule.values + 0.0).tolist()
+        )
+    ]
+    if schedule.stats is not None:
+        lines.append(schedule.stats.stats_line())
+    return "\n".join(lines) + "\n"
+
+
+# The calibrated areas and their neighbours one ulp either side, -pi, -pi/2 and 0.
+_AREAS = st.one_of(
+    st.sampled_from([x for area in (PI / 2, PI)
+                     for x in (math.nextafter(area, 0.0), area, math.nextafter(area, 4.0))]
+                    + [-PI, -PI / 2, 0.0]),
+    st.floats(-4.0, 4.0),
+)
+_PHASES = st.one_of(st.sampled_from([PI, -PI, -0.0]), st.floats(-4.0, 4.0))
+_QUBITS = st.integers(0, 1)
+# names with % and the like, which the text must carry as written
+_NAMES = st.sampled_from(["CZ", "CPHASE(0.5)", "FSIM(1,2)", "CUSTOM", "%s", "a%db", "100%"])
+_ROWS = st.lists(st.one_of(
+    st.tuples(st.just(0), _QUBITS, _AREAS, _PHASES),
+    st.tuples(st.just(1), _QUBITS, _NAMES),
+    st.tuples(st.just(2), _QUBITS, _PHASES),
+), max_size=30)
+
+
+@given(rows=_ROWS)
+@settings(max_examples=300, deadline=None)
+def test_to_text_writes_each_row_as_its_own_format(rows):
+    # Hand-built schedules, without stats: through from_events, which
+    # normalizes the pulses, and as raw columns, whose -0.0, -pi and areas
+    # one ulp off pi/2 or pi reach to_text as drawn.
+    events = [
+        PulseEvent(row[1], Pulse(row[2], row[3])) if row[0] == 0
+        else Gate2Event((row[1], 1 - row[1]), row[2]) if row[0] == 1
+        else FrameEvent(row[1], row[2])
+        for row in rows
+    ]
+    schedule = PulseSchedule.from_events(events)
+    assert schedule.to_text() == _reference_text(schedule)
+    raw = PulseSchedule(
+        2,
+        np.array([row[0] for row in rows], dtype=np.int8),
+        np.array([(row[1], 1 - row[1] if row[0] == 1 else 0) for row in rows],
+                 dtype=np.int8).reshape(-1, 2),
+        np.array([row[2:] if row[0] == 0 else (0.0, 0.0) if row[0] == 1 else (row[2], 0.0)
+                  for row in rows], dtype=float).reshape(-1, 2),
+        tuple(row[2] for row in rows if row[0] == 1),
+    )
+    assert raw.to_text() == _reference_text(raw)
+
+
+@given(text=runs_circuits(), mode=st.sampled_from(
+    [PolicyMode.THREE_ALWAYS, PolicyMode.ENC_MIXED, PolicyMode.AUTO]), special=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_to_text_of_compiled_schedules_as_each_row_formats(text, mode, special):
+    # compiled schedules carry their stats line; their pulses are X90s and
+    # X180s of any phase, and their FRAMEs any angle
+    schedule = compile_circuit(parse_circuit(text), CompilePolicy(mode, special))
+    assert schedule.stats is not None
+    assert schedule.to_text() == _reference_text(schedule)
+
+
 def test_schedule_determinism():
     ir = carrier_sandwich_circuit(np.random.default_rng(72))
     a = compile_circuit(ir, CompilePolicy(PolicyMode.VZ_CARRY)).to_text()

@@ -459,15 +459,52 @@ FLOAT_OPTIONS = {
 }
 
 
-def test_float_options_are_the_listed_ones():
+# Each int option, with the other arguments its subcommand needs.
+INT_OPTIONS = {
+    ("uniqueness", "--samples"): ["uniqueness", "--omega1", "1", "--omega2", "1", "--omega3", "1"],
+    ("uniqueness", "--seed"): ["uniqueness", "--omega1", "1", "--omega2", "1", "--omega3", "1",
+                               "--samples", "0"],
+    ("pulsesim", "--steps"): ["pulsesim", "--area", "1.5"],
+}
+
+
+def _options_of_type(name: str) -> set[tuple[str, str]]:
     subparsers = build_parser()._subparsers._group_actions[0].choices
-    found = {
+    return {
         (command, action.option_strings[-1])
         for command, sub in subparsers.items()
         for action in sub._actions
-        if action.type is float
+        if getattr(action.type, "__name__", None) == name
     }
-    assert found == set(FLOAT_OPTIONS)
+
+
+def test_float_options_are_the_listed_ones():
+    assert _options_of_type("float") == set(FLOAT_OPTIONS)
+
+
+def test_int_options_are_the_listed_ones():
+    assert _options_of_type("int") == set(INT_OPTIONS)
+
+
+# one in Arabic-Indic, fullwidth and Bengali digits
+@pytest.mark.parametrize("digit", ["\u0661", "\uff11", "\u09e7"])
+@pytest.mark.parametrize(
+    "option, kind",
+    [(o, "float") for o in sorted(FLOAT_OPTIONS)] + [(o, "int") for o in sorted(INT_OPTIONS)],
+    ids=lambda x: "-".join(x) if isinstance(x, tuple) else x,
+)
+def test_numeric_option_takes_ascii_digits_only(option, kind, digit, capsys):
+    # float() and int() read every script's digits; an option's value is
+    # ASCII, as the numbers of circuit and schedule files are
+    argv = {**FLOAT_OPTIONS, **INT_OPTIONS}[option]
+    argv = ["-" if a in ("CIRCUIT", "SCHEDULE") else a for a in argv]
+    value = f"{digit}5" if kind == "int" else f"{digit}.5"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option[1], value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option[1]}: invalid {kind} value: {value!r}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["-1.5e-3", "-1E+1", "-.5e0", "-inf"])

@@ -358,6 +358,12 @@ def circuit_texts(draw) -> str:
 # where a cheap check fails and the token checks word the error, in token order
 @example(text="qubits 2\nU q0 inf x 0.5\n")  # the non-finite token comes first
 @example(text="qubits 2\nU q0 1e308 1e308 0.5\n")  # finite angles whose sum overflows
+@example(text="qubits 2\nU q0 -1e308 0.5 -1e308\n")  # the same, with gamma out of range
+@example(text=f"qubits 2\nU q0 0 0 {math.nextafter(PI / 2 + 1e-9, 4.0)!r}\n")  # one ulp past
+@example(text=f"qubits 2\nU q0 0 0 {PI / 2 + 1e-9!r}\n")  # the top of gamma's range
+@example(text="qubits 2\nU q01 0 0 0\nU q1 0.5 0.5 0.5\n")  # a qubit read by the regex
+@example(text="qubits 2\nU q0 0.5 0.5 \u0661\n")  # a non-ASCII digit as gamma
+@example(text="qubits 2\nU q0 0.5 0.5 0.5 # \u0661\nU q2 0 0 0\n")  # non-ASCII text, ASCII line
 @example(text="qubits 2\nRZ q0 nan\n")
 @example(text="qubits 2\nG2 FSIM(inf,0) q0 q1\n")
 @example(text=f"qubits 2\n{_custom_with(e1='1,2,3')}\n")  # after a good entry

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from phasepulse.su2 import (
     GateParams,
     _normalize_angle_array,
     _unitarity_defect,
+    _wrap,
     as_unitary,
     equal_up_to_global_phase,
     conjugated_x,
@@ -54,6 +56,25 @@ def test_normalize_angle_array_is_bit_identical(xs):
     x = np.array(xs + seams)
     got = _normalize_angle_array(x)
     assert got.tobytes() == np.array([normalize_angle(v) for v in x.tolist()]).tobytes()
+
+
+# +-pi and +-2pi, each also one ulp either side; the smallest subnormals and
+# the largest magnitudes
+_WRAP_SEAMS = [
+    x for seam in (PI, -PI, 2 * PI, -2 * PI)
+    for x in (math.nextafter(seam, -math.inf), seam, math.nextafter(seam, math.inf))
+] + [5e-324, -5e-324, 1e308, -1e308, 0.0, -0.0]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=300, deadline=None)
+@example(x=0.0)  # so that the seams run however few examples are drawn
+def test_wrap_is_normalize_angle_bit_for_bit(x):
+    # the package's own finite angles skip normalize_angle's conversion and
+    # finiteness test; the arithmetic, and so every bit, -0.0 too, is the same
+    for v in [x] + _WRAP_SEAMS:
+        assert struct.pack("d", _wrap(v)) == struct.pack("d", normalize_angle(v))
+        assert -PI <= _wrap(v) < PI
 
 
 @pytest.mark.parametrize("big", [2.0, 1e308, 1.7e308 + 1.7e308j])
