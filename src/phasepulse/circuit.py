@@ -22,8 +22,11 @@ from math import isfinite
 import numpy as np
 
 from .su2 import (
+    UNITARY_TOL,
     GateParams,
     _BASIS,
+    _GAMMA_SLACK,
+    _GAUGE_TOL,
     _check_shape,
     _normalize_angle_array,
     _product_angles,
@@ -409,10 +412,10 @@ def _parse_op(tokens: list[str], is_ascii: bool) -> tuple[int, int, float, float
         except ValueError:
             a = b = g = math.nan
         if not (q is not None and is_ascii and isfinite(a + b + g)
-                and -1e-9 <= g <= PI / 2 + 1e-9):
+                and -_GAMMA_SLACK <= g <= PI / 2 + _GAMMA_SLACK):
             q = _parse_qubit(tokens[1])
             a, b, g = _parse_floats(tokens[2:], is_ascii)
-            if not -1e-9 <= g <= PI / 2 + 1e-9:
+            if not -_GAMMA_SLACK <= g <= PI / 2 + _GAMMA_SLACK:
                 GateParams(a, b, g)  # words the range error of gamma
         return GATE1, q, a, b, g
     if head == "RZ":
@@ -444,7 +447,7 @@ def _parse_gate2(tokens: list[str]) -> _Gate2Row:
     qa, qb = _QUBITS.get(tokens[2]), _QUBITS.get(tokens[3])
     if qa is None or qb is None:
         if label == "CUSTOM":
-            as_unitary(matrix, 4, tol=1e-8)
+            as_unitary(matrix, 4)
         qa, qb = _parse_qubit(tokens[2]), _parse_qubit(tokens[3])
     return label, matrix, (qa, qb)
 
@@ -478,7 +481,7 @@ def parse_circuit(text: str) -> CircuitIR:
     read once, on first sight, and its gate keyed to a table row by its
     qubits, label and matrix bytes, as :class:`CircuitIR` keys it, so any
     two spellings of one gate share a row.  The CUSTOM gates of the table
-    are checked for unitarity within 1e-8 after the loop, in one stacked
+    are checked for unitarity within UNITARY_TOL after the loop, in one stacked
     defect call; :func:`as_unitary` words the first bad one's error at its
     first line, unless an earlier line failed.  Qubits, numbers and the
     ``qubits`` count are ASCII: a token with a non-ASCII digit gets the
@@ -530,10 +533,10 @@ def parse_circuit(text: str) -> CircuitIR:
     if custom:
         defects = _unitarity_defect(np.array([gates[row][1] for row in custom]))
         for row, defect in zip(custom, defects.tolist()):
-            if defect <= 1e-8:
+            if defect <= UNITARY_TOL:
                 continue
             try:
-                as_unitary(gates[row][1], 4, tol=1e-8)
+                as_unitary(gates[row][1], 4)
             except ValueError as exc:
                 raise CircuitSyntaxError(str(exc), rows[8 * rows[6::8].index(row) + 7]) from None
     if error is not None:
@@ -592,6 +595,12 @@ class PolicyMode(Enum):
 class CompilePolicy:
     mode: PolicyMode = PolicyMode.THREE_ALWAYS
     special_cases: bool = True
+
+    def __post_init__(self):
+        for name, kind in (("mode", PolicyMode), ("special_cases", bool)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise TypeError(f"CompilePolicy.{name} must be a {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -831,12 +840,12 @@ def parse_schedule(text: str) -> PulseSchedule:
 # Each policy's row (see compile_circuit): its 2q rules in order, a gate taking
 # the first that applies to it; how a 1q gate is flushed at once (True with
 # virtual-Z, False exactly, None not: it waits for a 2q gate or measurement);
-# and whether an ENC gate takes its cheaper end, else q0's virtual-Z.
+# and the enc row's mirror, which an ENC gate takes where it emits fewer pulses.
 _POLICIES = {
-    PolicyMode.THREE_ALWAYS: (("zero",), False, False),
-    PolicyMode.VZ_CARRY: (("carry",), True, False),
-    PolicyMode.ENC_MIXED: (("enc",), None, False),
-    PolicyMode.AUTO: (("carry", "enc", "partial", "zero"), None, True),
+    PolicyMode.THREE_ALWAYS: (("zero",), False, None),
+    PolicyMode.VZ_CARRY: (("carry",), True, None),
+    PolicyMode.ENC_MIXED: (("enc",), None, None),
+    PolicyMode.AUTO: (("carry", "enc", "partial", "zero"), None, ((1, True), (0, None))),
 }
 _RULE_NEEDS = {"carry": "phase carriers", "enc": "excitation-number-conserving gates"}
 
@@ -972,32 +981,32 @@ def ideal_unitary(ir: CircuitIR) -> np.ndarray:
     return _chain_products(ir.gate2_matrices, (ir.angles.T, ir.qubits[:, 0], ir.gate2_row))[0]
 
 
-# Which qubits a 2q rule flushes, each with virtual-Z (True) or exactly onto
-# frame 0 (False).  The ENC rule flushes both qubits at once (see _enc_end).
-_RULE_FLUSHES = {"carry": ((0, True), (1, True)), "enc": None,
+# Which qubits a 2q rule flushes, in order: with virtual-Z (True), exactly onto
+# frame 0 (False), or exactly onto the other qubit's frame as it then stands (None).
+_RULE_FLUSHES = {"carry": ((0, True), (1, True)), "enc": ((0, True), (1, None)),
                  "partial q0": ((0, True), (1, False)), "partial q1": ((0, False), (1, True)),
                  "zero": ((0, False), (1, False))}
 
 
 def _flush(
-    buffered: Sequence[float] | None, f: float, t: float, vz: bool, special: bool
+    buffered: Sequence[float] | None, f: float, t: float, vz: bool | None, special: bool
 ) -> tuple[tuple, str, float]:
     """The pulses, scheme and new frame of ``z_rot(t) @ buffered @ z_rot(-f)``:
     ``f`` is the qubit's frame, ``t`` the frame it ends on, and ``buffered``
     no gate (None) or a gate's angles.  It is ``U(alpha + (f - t)/2, beta +
     (t + f)/2, gamma)``, normalized, then the gauge: ``alpha = 0`` where
-    ``cos(gamma) <= 1e-13``, ``beta = 0`` where ``sin(gamma) <= 1e-13``.
-    With ``vz`` (``t`` is 0) it is compiled with virtual-Z, whose residual is
-    the new frame; else exactly onto ``t``: a special case when ``special``
-    and the angles allow one, else three pulses.
+    ``cos(gamma) <= _GAUGE_TOL``, ``beta = 0`` where ``sin(gamma) <=
+    _GAUGE_TOL``.  With a true ``vz`` (``t`` is 0) it is compiled with
+    virtual-Z, whose residual is the new frame; else exactly onto ``t``: a
+    special case when ``special`` and the angles allow one, else three pulses.
     """
     alpha, beta, gamma = buffered or (0.0, 0.0, 0.0)  # None is the identity
     if f != 0.0 or t != 0.0:
         alpha = _wrap(alpha + 0.5 * (f - t))
         beta = _wrap(beta + 0.5 * (t + f))
-    if math.cos(gamma) <= 1e-13:
+    if math.cos(gamma) <= _GAUGE_TOL:
         alpha = 0.0
-    if math.sin(gamma) <= 1e-13:
+    if math.sin(gamma) <= _GAUGE_TOL:
         beta = 0.0
     if vz:
         pairs, residual = _virtual_z_pairs(alpha, beta, gamma, special)
@@ -1008,28 +1017,20 @@ def _flush(
     return pairs, "special", t
 
 
-def _enc_end(
-    vz_gate: Sequence[float] | None, f: float, exact_gate: Sequence[float] | None, g: float,
-    special: bool,
-) -> tuple[list, float, int]:
-    """One way to flush an ENC gate's qubits (:func:`_flush`): the qubit with
-    ``vz_gate`` pending on frame ``f`` with virtual-Z, then the other, with
-    ``exact_gate`` pending on frame ``g``, exactly onto the first's new frame
-    ``t``, unless it has no pending gate and is already there.
-
-    Returns each qubit's flush, ``(pulses, scheme, frame)``, or None where
-    it is not flushed, in that order; ``t``, which both frames then hold; and the pulse
-    count.
-    """
-    vz = exact = None
-    t, count = f, 0
-    if vz_gate is not None:
-        vz = _flush(vz_gate, f, 0.0, True, special)
-        t, count = vz[2], len(vz[0])
-    if exact_gate is not None or g != t:
-        exact = _flush(exact_gate, g, t, False, special)
-        count += len(exact[0])
-    return [vz, exact], t, count
+def _pulse_count(flushes: tuple, buffers: list, frames: list[float], special: bool) -> int:
+    """How many pulses the compile loop emits when it runs the flush row
+    ``flushes`` (see :data:`_RULE_FLUSHES`) on these buffers and frames;
+    both are left as they are."""
+    frames = frames[:]
+    count = 0
+    for qf, vz in flushes:
+        buffered, f = buffers[qf], frames[qf]
+        t = 0.0 if vz is not None else frames[1 - qf]
+        if buffered is None and (vz or f == t):
+            continue
+        pairs, _, frames[qf] = _flush(buffered, f, t, vz, special)
+        count += len(pairs)
+    return count
 
 
 def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> PulseSchedule:
@@ -1049,12 +1050,11 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
 
     * ``carry`` (``vz-carry``, then ``auto``): flush both qubits with
       virtual-Z; the frames pass the phase carrier, relabelled.
-    * ``enc`` (``enc-mixed``, then ``auto``): flush one qubit with
-      virtual-Z and compile the other exactly onto the same frame, unless it
-      has no pending gate and is already there; the equal frames pass the
-      ENC gate.  ``enc-mixed`` compiles q1 exactly; ``auto`` computes both
-      ends (:func:`_enc_end`) and emits the one with fewer pulses, q1 exact
-      on a tie.
+    * ``enc`` (``enc-mixed``, then ``auto``): flush q0 with virtual-Z and
+      compile q1 exactly onto q0's new frame, unless it has no pending gate
+      and is already there; the equal frames pass the ENC gate.  ``auto``
+      also has the mirror row, q1 with virtual-Z and q0 exactly, and takes
+      it only where :func:`_pulse_count` gives it fewer pulses.
     * ``partial`` (``auto``, after ``enc``): flush the qubit whose frame
       alone passes the gate (a controlled gate's control) with virtual-Z
       and compile the other exactly onto frame 0; the one frame passes,
@@ -1063,15 +1063,16 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
       exactly, leaving zero frames.
 
     A measurement, or the end of the circuit, flushes the qubit with
-    virtual-Z and reports its frame.  Every flush, the ENC rule's too, is
-    one call of :func:`_flush`, which takes su2's phase-shift formulas.  The
-    loop only notes each compiled 1q gate's scheme; the
-    :class:`ScheduleStats` are read off the rows at the end.
+    virtual-Z and reports its frame.  Every rule is a row of
+    :data:`_RULE_FLUSHES`, run by one loop; each flush is one call of
+    :func:`_flush`, which takes su2's phase-shift formulas.  Within an op,
+    q0's pulses come before q1's.  The loop only notes each compiled 1q
+    gate's scheme; the :class:`ScheduleStats` are read off the rows at the end.
     """
     policy = policy or CompilePolicy()
     rules = _gate2_rules(ir, policy.mode)
     special = policy.special_cases
-    _, gate1, cheaper_end = _POLICIES[policy.mode]
+    _, gate1, mirror = _POLICIES[policy.mode]
     n = ir.n_qubits
     gate1_flushes = [() if gate1 is None else ((q, gate1),) for q in range(n)]
     rows: _Rows = []
@@ -1090,35 +1091,28 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
         elif k == GATE2:
             rule, frame_map = rules[i]
             flushes = _RULE_FLUSHES[rule]
+            if rule == "enc" and mirror and (  # the mirror only where it saves a pulse
+                _pulse_count(flushes, buffers, frames, special)
+                > _pulse_count(mirror, buffers, frames, special)
+            ):
+                flushes = mirror
+            start = len(rows)  # where the mirror's q0 pulses go, before q1's
         else:
             flushes = ((q, True),)
 
-        if flushes is None:  # enc: the end with fewer pulses, q0's virtual-Z on a tie
-            b0, b1 = buffers
-            f0, f1 = frames
-            ends, t, count = _enc_end(b0, f0, b1, f1, special)
-            if cheaper_end:
-                mirror, mirror_t, mirror_count = _enc_end(b1, f1, b0, f0, special)
-                if mirror_count < count:
-                    ends, t = mirror[::-1], mirror_t
-            buffers[0] = buffers[1] = None
-            frames[0] = frames[1] = t
-            for qf, flush in enumerate(ends):
-                if flush is not None:
-                    pairs, scheme, _ = flush
-                    schemes.append(scheme)
-                    for sigma, phase in pairs:
-                        rows += PULSE, qf, 0, sigma, phase
-            flushes = ()
         for qf, vz in flushes:
             buffered, f = buffers[qf], frames[qf]
-            if buffered is None and (vz or f == 0.0):
+            t = 0.0 if vz is not None else frames[1 - qf]
+            if buffered is None and (vz or f == t):
                 continue
             buffers[qf] = None
-            pairs, scheme, frames[qf] = _flush(buffered, f, 0.0, vz, special)
+            pairs, scheme, frames[qf] = _flush(buffered, f, t, vz, special)
             schemes.append(scheme)
-            for sigma, phase in pairs:
-                rows += PULSE, qf, 0, sigma, phase
+            if qf or vz is not None:
+                for sigma, phase in pairs:
+                    rows += PULSE, qf, 0, sigma, phase
+            else:  # the mirror flushed q1 first: q0's pulses go before its
+                rows[start:start] = [x for pair in pairs for x in (PULSE, 0, 0, *pair)]
 
         if k == GATE2:
             f0, f1 = frames

@@ -18,13 +18,15 @@ import re
 import sys
 
 from . import circuit as circ
-from .su2 import conjugated_x, phase_distance
+from .su2 import UNITARY_TOL, conjugated_x, phase_distance
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_POLICY = 2
 EXIT_VERIFY = 3
 EXIT_BROKEN_PIPE = 141
+
+VERIFY_TOL = 1e-8  # verify's default threshold; not the unitarity bound
 
 # The most envelope samples pulsesim integrates: the steps are multiplied in
 # batches, so a call at this bound takes about 0.4 s wall (0.09 s of it the
@@ -277,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         "CPHASE(0.5), or CUSTOM (16 're,im' pairs on stdin). " + _UNITS_NOTE,
     )
     p.add_argument("gate", help="gate name, CPHASE(phi), FSIM(theta,phi), or CUSTOM")
-    p.add_argument("--tolerance", type=_FLOAT, default=1e-8, help="unitarity tolerance")
+    p.add_argument("--tolerance", type=_FLOAT, default=UNITARY_TOL, help="unitarity tolerance")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser(
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("circuit", help="circuit file, or '-' for stdin")
     p.add_argument("schedule", help="schedule file, or '-' for stdin if the circuit is not")
-    p.add_argument("--tolerance", type=_FLOAT, default=1e-8, help="pass/fail threshold")
+    p.add_argument("--tolerance", type=_FLOAT, default=VERIFY_TOL, help="pass/fail threshold")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(

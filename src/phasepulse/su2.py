@@ -35,6 +35,8 @@ TAU = 2.0 * math.pi
 
 DEFAULT_TOL = 1e-9
 UNITARY_TOL = 1e-8
+_GAUGE_TOL = 1e-13  # an angle whose factor (cos or sin of gamma) is at most this is 0
+_GAMMA_SLACK = 1e-9  # how far outside [0, pi/2] a gamma may lie; it is clipped
 
 
 def normalize_angle(x: float) -> float:
@@ -260,7 +262,7 @@ class GateParams:
         g = float(self.gamma)
         if not math.isfinite(g):
             raise ValueError(f"gamma must be finite, got {g!r}")
-        if g < -1e-9 or g > PI / 2 + 1e-9:
+        if g < -_GAMMA_SLACK or g > PI / 2 + _GAMMA_SLACK:
             raise ValueError(f"gamma must lie in [0, pi/2], got {g!r}")
         g = min(max(g, 0.0), PI / 2)
         object.__setattr__(self, "alpha", a)
@@ -305,12 +307,12 @@ def _quaternion_angles(q) -> tuple[float, float, float]:
     """``(alpha, beta, gamma)`` of a unit quaternion, normalized as
     :class:`GateParams` keeps them.  ``gamma = atan2(|m10|, |m00|)``, which
     stays exact at 0 where ``acos(|m00|)`` would give 1.5e-8 for ``|m00|``
-    one rounding below 1.  The angle of an entry under 1e-13 is set to 0."""
+    one rounding below 1.  An entry's angle is 0 where it is at most _GAUGE_TOL."""
     q0, q1, q2, q3 = q
     # abs of a complex is libm's hypot, as the magnitude of an entry always was
     c, s = abs(complex(q0, q1)), abs(complex(q2, q3))
-    alpha = _wrap(math.atan2(q1, q0)) if c > 1e-13 else 0.0
-    beta = _wrap(math.atan2(q3, q2)) if s > 1e-13 else 0.0
+    alpha = _wrap(math.atan2(q1, q0)) if c > _GAUGE_TOL else 0.0
+    beta = _wrap(math.atan2(q3, q2)) if s > _GAUGE_TOL else 0.0
     # atan2 of two magnitudes lies in [0, pi/2], as GateParams keeps gamma.
     return alpha, beta, math.atan2(s, c)
 

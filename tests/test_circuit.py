@@ -589,6 +589,19 @@ def test_special_cases_flag_off():
     assert simulate_schedule(off, ir) < 1e-10
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"mode": "auto"}, "mode"),
+    ({"mode": None}, "mode"),
+    ({"mode": PolicyMode.AUTO, "special_cases": "no"}, "special_cases"),
+    ({"special_cases": 0}, "special_cases"),
+    ({"special_cases": None}, "special_cases"),
+])
+def test_compile_policy_checks_its_fields_when_built(kwargs, field):
+    # checked by type when built, not at compile time and not by truthiness
+    with pytest.raises(TypeError, match=rf"^CompilePolicy\.{field} must be a "):
+        CompilePolicy(**kwargs)
+
+
 # ---------------------------------------------------------------- schedules
 
 

@@ -248,17 +248,16 @@ def test_auto_compiles_the_cheaper_end_of_each_enc_gate(text, special_cases):
     policy = CompilePolicy(PolicyMode.AUTO, special_cases)
     schedule = compile_verifying_prefixes(ir, policy)
     assert simulate_schedule(parse_schedule(schedule.to_text()), ir) <= 1e-9
-    # each ENC gate computes q0's virtual-Z end (as enc-mixed compiles it),
-    # then q1's: record each end's pulse count
+    # each ENC gate counts the pulses of q0's virtual-Z end (as enc-mixed
+    # compiles it), then of q1's: record each end's count
     counts = []
-    real_enc_end = circuit._enc_end
+    real_pulse_count = circuit._pulse_count
 
-    def recording_enc_end(*args):
-        ends = real_enc_end(*args)
-        counts.append(ends[2])
-        return ends
+    def recording_pulse_count(*args):
+        counts.append(real_pulse_count(*args))
+        return counts[-1]
 
-    with mock.patch.object(circuit, "_enc_end", recording_enc_end):
+    with mock.patch.object(circuit, "_pulse_count", recording_pulse_count):
         assert compile_circuit(ir, policy).to_text() == schedule.to_text()
     rules = [rule for rule, _ in _gate2_rules(ir, PolicyMode.AUTO).values()]
     enc_segments = [seg for rule, seg in zip(rules, _pulse_counts(schedule), strict=True)
@@ -270,6 +269,9 @@ def test_auto_compiles_the_cheaper_end_of_each_enc_gate(text, special_cases):
             # both ends cost 2 + 3 pulses, so the tie keeps q0's virtual-Z
             # end: the text is the one enc-mixed's fixed end gives
             assert segment == (2, 3)
+    if not special_cases and set(rules) == {"enc"}:
+        enc_mixed = compile_circuit(ir, CompilePolicy(PolicyMode.ENC_MIXED, False))
+        assert enc_mixed.to_text() == schedule.to_text()
 
 
 def test_auto_compiles_q0_exactly_where_that_saves_a_pulse():
