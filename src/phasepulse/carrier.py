@@ -24,6 +24,8 @@ from .su2 import UNITARY_TOL, WeylCoords, _weyl_coordinates, as_unitary, z_rot
 
 # Entries of magnitude at most ENTRY_ZERO_TOL count as structural zeros.
 ENTRY_ZERO_TOL = 1e-10
+# A Weyl coordinate this close to 0 or pi/2 lies on a carrier segment's face.
+_SEGMENT_TOL = 1e-8
 
 
 class NotCarrierError(ValueError):
@@ -200,7 +202,7 @@ def _frame_maps(u: np.ndarray, tol: float = ENTRY_ZERO_TOL) -> list[tuple[
     ]
 
 
-def segment_of(w: WeylCoords, tol: float = 1e-8) -> Segment:
+def segment_of(w: WeylCoords, tol: float = _SEGMENT_TOL) -> Segment:
     """Which carrier line segment (if any) the coordinates lie on."""
     if abs(w.c2) <= tol and abs(w.c3) <= tol:
         return Segment.I_CNOT

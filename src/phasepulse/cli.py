@@ -100,7 +100,7 @@ def cmd_classify(args) -> int:
     if problem is not None:
         return _fail(problem, EXIT_INPUT)
     try:
-        entries = sys.stdin.read().split() if spec == "CUSTOM" else ()
+        entries = _read_input("-").split() if spec == "CUSTOM" else ()
         _, matrix = circ.parse_gate_spec(spec, entries)
         result = classify(matrix, tol=args.tolerance)
     except ValueError as exc:

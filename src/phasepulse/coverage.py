@@ -13,6 +13,8 @@ rotation angle is pi and the other two are +-pi/2.
 :func:`solve_fixed_angles` cross-checks that verdict for any triple: U is
 affine in ``u2``, so the preimage of a target's U part is one closed form,
 and a target is reached exactly when it has one (see :func:`_preimage_uv`).
+Every triple's phases, a covering one's too, are rebuilt and checked, so
+:func:`coverage_fraction` can disagree with :func:`covers_su2`.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import as_unitary, conjugated_x, normalize_angle, normalize_rotation
+from .su2 import _NO_PHASE, _su2, as_unitary, conjugated_x, normalize_angle, normalize_rotation
 
 PI = math.pi
 
 COEFF_TOL = 1e-10
 SEARCH_TOL = 1e-6
+_DET_TOL = 1e-9  # how far from 1 a target's determinant may lie
+_BRACKET_TOL = 1e-9  # a V bracket this small leaves u3 free, as V is then ~0 too
+_PI_PULSE_TOL = 1e-12  # a middle angle this close to pi is a pi pulse
 
 
 @dataclass(frozen=True)
@@ -83,10 +88,6 @@ def u_value(b: CoverageCoeffs, u1: complex, u2: complex) -> complex:
     return b.b00 + b.b01 * u1 + b.b10 * u2 + b.b11 * u1 * u2
 
 
-def _v_bracket(v: tuple[float, float, float, float], u1: complex, u2: complex) -> complex:
-    return v[0] + v[1] * u2 + v[2] * u1 * u2 + v[3] * u1
-
-
 def covers_su2(t: AngleTriple, tol: float = COEFF_TOL) -> bool:
     """True iff the triple reaches every element of SU(2)/{+-1}."""
     b = product_coeffs(t)[0]
@@ -96,13 +97,6 @@ def covers_su2(t: AngleTriple, tol: float = COEFF_TOL) -> bool:
     zeros = sum(1 for x in rest if abs(x) <= tol)
     halves = sum(1 for x in rest if abs(abs(x) - 0.5) <= tol)
     return zeros == 1 and halves == 2
-
-
-def target_uv(target) -> tuple[complex, complex]:
-    """The quaternion components ``(u, v)`` of a det-1 target, as ``u + v*j``:
-    ``u = conj(m00)`` and ``v = i*m10``."""
-    m = as_unitary(target, 2)
-    return complex(m[0, 0]).conjugate(), 1j * complex(m[1, 0])
 
 
 def _preimage_uv(b: CoverageCoeffs, w: complex) -> tuple[complex, complex]:
@@ -129,12 +123,12 @@ def _preimage_uv(b: CoverageCoeffs, w: complex) -> tuple[complex, complex]:
 
 
 def _solve_u3(v: tuple[float, float, float, float], u1: complex, u2: complex, rhs: complex) -> complex:
-    bracket = _v_bracket(v, u1, u2)
-    if abs(bracket) < 1e-9:
+    bracket = v[0] + v[1] * u2 + v[2] * u1 * u2 + v[3] * u1  # V = bracket * u3
+    if abs(bracket) < _BRACKET_TOL:
         return 1.0  # |rhs| matches |bracket| by the norm identity, so it is ~0 too
     u3 = rhs / bracket
     mag = abs(u3)
-    return u3 / mag if mag > 1e-300 else 1.0
+    return u3 / mag if mag > _NO_PHASE else 1.0
 
 
 def _phases_from_units(t: AngleTriple, u1: complex, u2: complex, u3: complex) -> tuple[float, float, float]:
@@ -143,7 +137,7 @@ def _phases_from_units(t: AngleTriple, u1: complex, u2: complex, u3: complex) ->
     ph1 = normalize_angle(t1 + t2 + t3)
     ph2 = normalize_angle(t2 + t3)
     ph3 = normalize_angle(t3)
-    if abs(normalize_rotation(t.omega2) - PI) < 1e-12:
+    if abs(normalize_rotation(t.omega2) - PI) < _PI_PULSE_TOL:
         # pi-pulse phases are only defined mod pi; keep the middle one small.
         if ph2 >= PI / 2:
             ph2 -= PI
@@ -170,28 +164,22 @@ def solve_fixed_angles(
     Returns the phases in matrix order (the third acts first in time), or
     ``None`` when the triple cannot reach the target within ``tol``.  Every
     triple is solved one way: the exact preimage of ``+target``'s U part,
-    else of ``-target``'s, then the V part's ``u3``.  A covering triple
-    always has the first, so its phases are returned unchecked; any other
-    triple's are kept only if they rebuild the target within ``tol``.
+    else of ``-target``'s, then the V part's ``u3``; the phases are kept
+    only if they rebuild the target within ``tol``, a covering triple's too.
+    The target is validated once, here.
     """
     tu = as_unitary(target, 2)
     det = tu[0, 0] * tu[1, 1] - tu[0, 1] * tu[1, 0]
-    if abs(det - 1.0) > 1e-9:
+    if abs(det - 1.0) > _DET_TOL:
         raise ValueError("target must have determinant 1")
-    w, v = target_uv(tu)
+    # the target as a quaternion u + v*j: u = conj(m00), v = i*m10
+    w, v = complex(tu[0, 0]).conjugate(), 1j * complex(tu[1, 0])
     bu, bv = product_coeffs(t)
-    covers = covers_su2(t)
     for sign in (1.0, -1.0):
         u1, u2 = _preimage_uv(bu, sign * w)
         phases = _phases_from_units(t, u1, u2, _solve_u3(bv, u1, u2, sign * v))
-        if covers:
-            return phases
         rebuilt = rebuild_product(t, phases)
-        dev = min(
-            float(np.max(np.abs(rebuilt - tu))),
-            float(np.max(np.abs(rebuilt + tu))),
-        )
-        if dev <= tol:
+        if min(np.abs(rebuilt - tu).max(), np.abs(rebuilt + tu).max()) <= tol:
             return phases
     return None
 
@@ -201,7 +189,7 @@ def haar_su2(rng: np.random.Generator) -> np.ndarray:
     x = rng.normal(size=4)
     x /= np.linalg.norm(x)
     a0, a1, a2, a3 = x.tolist()
-    return np.array([[complex(a0, -a1), complex(-a3, -a2)], [complex(a3, -a2), complex(a0, a1)]])
+    return _su2(a0, -a1, a3, -a2)
 
 
 def coverage_fraction(t: AngleTriple, n_samples: int, seed: int = 0) -> float:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .su2 import _su2
+
 
 @dataclass(frozen=True, eq=False)
 class Envelope:
@@ -96,7 +98,7 @@ def _time_ordered(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.concatenate((a2 * a1 - b2 * b1.conj(), a[2 * m :])),
             np.concatenate((a2 * b1 + b2 * a1.conj(), b[2 * m :])),
         )
-    return np.array([[a[0], b[0]], [-b[0].conjugate(), a[0].conjugate()]])
+    return _su2(a[0].real, a[0].imag, -b[0].real, b[0].imag)  # m00 = q0 + i*q1, m01 = -q2 + i*q3
 
 
 def drive_unitary(envelope: Envelope, max_step: float = 0.1) -> np.ndarray:

@@ -13,7 +13,8 @@ The phase-shift formulas of the schemes the compiler uses live in
 :func:`phasepulse.circuit.compile_circuit` writes the pairs straight into
 its schedule rows, whose PULSE angles are normalized once when the
 schedule is built; the schemes here wrap the same formulas in
-:class:`Pulse` objects, which normalize them the same way.
+:class:`Pulse` objects, which normalize them the same way.  A Clifford's
+axis rotation is a quaternion, built by ``su2._su2`` as every 2x2 is.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ import numpy as np
 from .su2 import (
     STRUCTURE_TOL,
     GateParams,
+    _cos_sin,
     _gate_angles,
     _special_pairs,
+    _su2,
     _three_pulse_pairs,
     _unitary_entries,
     _virtual_z_pairs,
@@ -44,6 +47,8 @@ from .su2 import (
 PI = math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
+_ELIDE_TOL = 1e-12  # a two-pulse variable pulse of smaller area is left out
+_AXIS_ZERO_TOL = 1e-12  # an axis component no larger than this is left out of its label
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,7 @@ def two_pulse(p: GateParams) -> CompiledGate:
     sigma = normalize_rotation(2.0 * p.gamma - PI)
     theta = 1.5 * PI + p.alpha - p.beta
     omega = 1.5 * PI - p.beta
-    if abs(sigma) < 1e-12:
+    if abs(sigma) < _ELIDE_TOL:
         seq = PulseSequence.of((PI, omega))
         return CompiledGate(seq, 0.0, Scheme.TWO, elided=1)
     seq = PulseSequence.of((PI, omega), (sigma, theta))
@@ -174,21 +179,17 @@ class CliffordEntry:
     sequence: PulseSequence
 
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Y = np.array([[0.0, -1j], [1j, 0.0]])
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
 def _axis_rotation(axis: tuple[float, float, float], angle: float) -> np.ndarray:
+    """``exp(-i*angle*(nx X + ny Y + nz Z)/2)`` for the unit axis ``n``."""
     nx, ny, nz = axis
-    h = nx * _X + ny * _Y + nz * _Z
-    return math.cos(0.5 * angle) * np.eye(2) - 1j * math.sin(0.5 * angle) * h
+    c, s = _cos_sin(angle)
+    return _su2(c, -s * nz, s * ny, -s * nx)
 
 
 def _axis_label(axis: tuple[float, float, float]) -> str:
     parts = []
     for value, label in zip(axis, "xyz"):
-        if abs(value) > 1e-12:
+        if abs(value) > _AXIS_ZERO_TOL:
             parts.append(("+" if value > 0 else "-") + label)
     return "".join(parts)
 
@@ -250,29 +251,19 @@ def special_case(u, tol: float = STRUCTURE_TOL) -> CompiledGate | None:
 def absorb_z(gate: CompiledGate, delta_l: float, delta_r: float) -> CompiledGate:
     """Fold ``z_rot(delta_l) @ U @ z_rot(delta_r)`` into an existing compilation.
 
-    Valid for three-pulse output (phase updates ``theta -> theta - dL``,
-    ``phi -> phi + (dR-dL)/2``, ``omega -> omega + dR``) and for two-pulse
-    output, both exact thanks to the X180 phase-reflection identity
-    ``Z(-t) X180 Z(t) == Z(p-t) X180 Z(p+t)``.
+    One table gives each scheme's phase shifts, pulse by pulse in time
+    order: THREE ``(dR, (dR-dL)/2, -dL)`` (so ``omega -> omega + dR``,
+    ``phi -> phi + (dR-dL)/2``, ``theta -> theta - dL``) and TWO
+    ``((dR-dL)/2, -dL)``, whose second shift is unused when the variable
+    pulse is elided.  Both are exact thanks to the X180 phase-reflection
+    identity ``Z(-t) X180 Z(t) == Z(p-t) X180 Z(p+t)``.
     """
     delta_l, delta_r = float(delta_l), float(delta_r)
     if not (math.isfinite(delta_l) and math.isfinite(delta_r)):
         raise ValueError("deltas must be finite")
-    if gate.scheme is Scheme.THREE:
-        w, f, t = gate.sequence
-        seq = PulseSequence.of(
-            (w.sigma, w.phase + delta_r),
-            (f.sigma, f.phase + 0.5 * (delta_r - delta_l)),
-            (t.sigma, t.phase - delta_l),
-        )
-    elif gate.scheme is Scheme.TWO:
-        pulses = list(gate.sequence)
-        first = pulses[0]
-        updated = [Pulse(first.sigma, first.phase + 0.5 * (delta_r - delta_l))]
-        if len(pulses) == 2:
-            second = pulses[1]
-            updated.append(Pulse(second.sigma, second.phase - delta_l))
-        seq = PulseSequence(tuple(updated))
-    else:
+    mid = 0.5 * (delta_r - delta_l)
+    shifts = {Scheme.THREE: (delta_r, mid, -delta_l), Scheme.TWO: (mid, -delta_l)}.get(gate.scheme)
+    if shifts is None:
         raise ValueError(f"absorb_z needs a THREE or TWO scheme gate, got {gate.scheme}")
+    seq = PulseSequence.of(*((p.sigma, p.phase + d) for p, d in zip(gate.sequence, shifts)))
     return CompiledGate(seq, gate.residual_z, gate.scheme, gate.elided)

@@ -8,7 +8,9 @@ Conventions used across the package (all angles in radians):
   most significant bit.
 * the one SU(2) form: ``U(alpha, beta, gamma)`` (see :class:`GateParams`)
   is the unit quaternion ``q = (cos a cos g, sin a cos g, cos b sin g,
-  sin b sin g)``, and its 2x2 is ``sum_j q[j] * _BASIS[j]``.
+  sin b sin g)``, and its 2x2 is ``sum_j q[j] * _BASIS[j]``, which only
+  ``_su2`` writes from the four components; every 2x2 built here, and in
+  ``schemes``, ``coverage`` and ``pulsesim``, comes from it.
 * the phase-shift formulas (``_three_pulse_pairs``, ``_virtual_z_pairs``,
   ``_special_pairs``) take those angles to time-ordered ``(sigma, phase)``
   pulses, which the compiler emits and :mod:`phasepulse.schemes` wraps.
@@ -37,6 +39,8 @@ DEFAULT_TOL = 1e-9
 UNITARY_TOL = 1e-8
 _GAUGE_TOL = 1e-13  # an angle whose factor (cos or sin of gamma) is at most this is 0
 _GAMMA_SLACK = 1e-9  # how far outside [0, pi/2] a gamma may lie; it is clipped
+_NO_PHASE = 1e-300  # a complex number no larger than this has no phase to divide out
+_WEYL_SLACK = 1e-9  # how far past pi/2 a rounded c1 may lie and still be canonical
 
 
 def normalize_angle(x: float) -> float:
@@ -162,47 +166,42 @@ def _unitary_entries(u, tol: float = UNITARY_TOL) -> tuple[complex, ...]:
     return tuple(as_unitary(u, 2, tol).ravel().tolist())
 
 
+def _cos_sin(angle: float, scale: float = 0.5) -> tuple[float, float]:
+    """``(cos, sin)`` of ``scale * angle``: the builders' one check that an
+    angle is finite."""
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle!r}")
+    return math.cos(scale * angle), math.sin(scale * angle)
+
+
 def z_rot(theta: float) -> np.ndarray:
     """Z rotation ``diag(exp(-i*theta/2), exp(+i*theta/2))``."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"angle must be finite, got {theta!r}")
-    e = cmath.exp(-0.5j * theta)
-    return np.array((e, 0j, 0j, e.conjugate())).reshape(2, 2)
+    c, s = _cos_sin(theta)
+    return _su2(c, -s, 0.0, 0.0)
 
 
 def x_rot(omega: float) -> np.ndarray:
     """X rotation ``exp(-i*omega*X/2)``."""
-    omega = float(omega)
-    if not math.isfinite(omega):
-        raise ValueError(f"angle must be finite, got {omega!r}")
-    c, s = math.cos(0.5 * omega), math.sin(0.5 * omega)
-    return np.array([[c, -1j * s], [-1j * s, c]])
+    c, s = _cos_sin(omega)
+    return _su2(c, 0.0, 0.0, -s)
 
 
 def y_rot(theta: float) -> np.ndarray:
     """Y rotation ``exp(-i*theta*Y/2)``."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"angle must be finite, got {theta!r}")
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    c, s = _cos_sin(theta)
+    return _su2(c, 0.0, s, 0.0)
 
 
 def conjugated_x(sigma: float, phase: float) -> np.ndarray:
     """The unitary ``z_rot(-phase) @ x_rot(sigma) @ z_rot(phase)``.
 
     Physically: an X pulse of area ``sigma`` whose drive carries an extra
-    phase shift ``phase``.
+    phase shift ``phase``; it is ``U(0, -phase - pi/2, sigma/2)``.
     """
-    sigma, phase = float(sigma), float(phase)
-    if not (math.isfinite(sigma) and math.isfinite(phase)):
-        raise ValueError("angles must be finite")
-    # [[c, -i s e], [-i s e*, c]] with c, s = cos, sin(sigma / 2) and e = exp(i*phase)
-    half = 0.5 * sigma
-    se = -1j * np.sin(half) * np.exp(1j * phase)
-    c = np.cos(half)
-    return np.array([[c, se], [-se.conjugate(), c]])
+    c, s = _cos_sin(sigma)
+    cp, sp = _cos_sin(phase, 1.0)
+    return _su2(c, 0.0, -sp * s, -cp * s)
 
 
 def phase_canonical(m) -> np.ndarray:
@@ -231,7 +230,7 @@ def phase_distance(a, b) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     ip = complex(np.vdot(b, a))
-    c = ip / abs(ip) if abs(ip) > 1e-300 else 1.0
+    c = ip / abs(ip) if abs(ip) > _NO_PHASE else 1.0
     return float(np.max(np.abs(a - c * b)))
 
 
@@ -276,9 +275,14 @@ class GateParams:
 _BASIS = np.array([[1, 0, 0, 1], [1j, 0, 0, -1j], [0, -1, 1, 0], [0, 1j, 1j, 0]]).reshape(4, 2, 2)
 
 
+def _su2(q0: float, q1: float, q2: float, q3: float) -> np.ndarray:
+    """The 2x2 of the quaternion ``q`` (see :data:`_BASIS`), entry by entry."""
+    return np.array(((complex(q0, q1), complex(-q2, q3)), (complex(q2, q3), complex(q0, -q1))))
+
+
 def unitary_from_params(p: GateParams) -> np.ndarray:
     """Matrix of ``p`` (see :class:`GateParams`)."""
-    return np.tensordot(_quaternion(p.alpha, p.beta, p.gamma), _BASIS, 1)
+    return _su2(*_quaternion(p.alpha, p.beta, p.gamma))
 
 
 def _quaternion(alpha, beta, gamma, cos=math.cos, sin=math.sin):
@@ -434,7 +438,7 @@ def _canonical_weyl(raw: np.ndarray) -> WeylCoords:
     for signs in itertools.product((1.0, -1.0), repeat=3):
         v = np.mod(raw * np.array(signs), PI)
         v = np.sort(v)[::-1]
-        if v[0] <= PI / 2 + 1e-9:
+        if v[0] <= PI / 2 + _WEYL_SLACK:
             cand = (float(v[0]), float(v[1]), float(v[2]))
             if best is None or cand < best:
                 best = cand

@@ -27,12 +27,22 @@ M q0
 M q1
 """
 
+# classify CUSTOM's 16 re,im entries of the 4x4 identity
+IDENTITY_ENTRIES = " ".join("1,0" if i % 5 == 0 else "0,0" for i in range(16))
+
 SQISW_CIRCUIT = """qubits 2
 U q0 0.3 -0.4 0.7
 G2 SQISW q0 q1
 M q0
 M q1
 """
+
+
+def _stdin(data: str | bytes) -> io.TextIOWrapper:
+    """A stdin stand-in over bytes, as the CLI reads ``sys.stdin.buffer``."""
+    if isinstance(data, str):
+        data = data.encode()
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 @pytest.fixture
@@ -68,7 +78,9 @@ def test_input_with_a_byte_order_mark_reads_as_without(circuit_file, tmp_path, m
     # a UTF-8 byte-order mark, as some editors save, leading a file or stdin
     assert main(["compile", circuit_file, "-o", str(tmp_path / "schedule.txt")]) == 0
     (tmp_path / "other.txt").write_text(CIRCUIT.replace("0.3 -0.4", "0.4 -0.4"))
-    texts = {name: (tmp_path / f"{name}.txt").read_bytes() for name in ("circuit", "schedule", "other")}
+    (tmp_path / "custom.txt").write_text(IDENTITY_ENTRIES)
+    names = ("circuit", "schedule", "other", "custom")
+    texts = {name: (tmp_path / f"{name}.txt").read_bytes() for name in names}
     runs = [
         (["compile", "circuit"], None),
         (["verify", "circuit", "schedule"], None),
@@ -76,6 +88,7 @@ def test_input_with_a_byte_order_mark_reads_as_without(circuit_file, tmp_path, m
         (["compile", "-"], "circuit"),
         (["verify", "-", "schedule"], "circuit"),
         (["verify", "circuit", "-"], "schedule"),
+        (["classify", "CUSTOM"], "custom"),  # entries on stdin, read as a file is
     ]
 
     def run(bom: bytes) -> list:
@@ -91,7 +104,7 @@ def test_input_with_a_byte_order_mark_reads_as_without(circuit_file, tmp_path, m
 
     capsys.readouterr()
     plain = run(b"")
-    assert [code for code, _, _ in plain] == [0, 0, 3, 0, 0, 0]
+    assert [code for code, _, _ in plain] == [0, 0, 3, 0, 0, 0, 0]
     assert run("\ufeff".encode()) == plain
 
 
@@ -284,7 +297,7 @@ def test_classify_malformed_specs(monkeypatch, capsys):
     assert main(["classify", "FSIM(0.1)"]) == 1
     err = capsys.readouterr().err
     assert "FSIM(0.1)" in err and "Traceback" not in err
-    monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["1,2,3"] + ["1,0"] * 15)))
+    monkeypatch.setattr("sys.stdin", _stdin(" ".join(["1,2,3"] + ["1,0"] * 15)))
     assert main(["classify", "CUSTOM"]) == 1
     err = capsys.readouterr().err
     assert "'1,2,3'" in err and "Traceback" not in err
@@ -310,7 +323,7 @@ def test_classify_prints_the_partial_carry_of_either_qubit(monkeypatch, capsys):
     # SQISW and FSIM); with the qubits swapped, the control is q1
     m = standard_gate("CNOT")[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]
     text = " ".join(f"{z.real!r},{z.imag!r}" for z in m.ravel().tolist())
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", _stdin(text))
     assert main(["classify", "CUSTOM"]) == 0
     assert "\npartial_carry: q1 (phi0 = 0*theta, phi1 = 1*theta)\n" in capsys.readouterr().out
 
@@ -326,13 +339,22 @@ def test_classify_sqisw(capsys):
 def test_classify_custom_stdin(monkeypatch, capsys):
     m = standard_gate("ISWAP")
     text = " ".join(f"{z.real},{z.imag}" for z in m.ravel())
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", _stdin(text))
     assert main(["classify", "CUSTOM"]) == 0
     assert "phase_carrier: yes" in capsys.readouterr().out
 
 
+def test_classify_custom_stdin_must_be_utf8(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", _stdin(b"\xff" + IDENTITY_ENTRIES.encode()))
+    assert main(["classify", "CUSTOM"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: stdin is not UTF-8 text: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_classify_non_unitary(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["1,0"] * 16)))
+    monkeypatch.setattr("sys.stdin", _stdin(" ".join(["1,0"] * 16)))
     assert main(["classify", "CUSTOM"]) == 1
     assert "error" in capsys.readouterr().err
 
@@ -341,10 +363,10 @@ def test_classify_custom_honours_tolerance(monkeypatch, capsys):
     # unitarity defect about 6e-7: accepted at 1e-5, rejected at the default 1e-8
     m = standard_gate("ISWAP") * (1.0 + 3e-7)
     text = " ".join(f"{z.real!r},{z.imag!r}" for z in m.ravel().tolist())
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", _stdin(text))
     assert main(["classify", "CUSTOM", "--tolerance", "1e-5"]) == 0
     assert "phase_carrier: yes" in capsys.readouterr().out
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", _stdin(text))
     assert main(["classify", "CUSTOM"]) == 1
     err = capsys.readouterr().err
     assert "not unitary" in err and "Traceback" not in err
@@ -354,7 +376,7 @@ def test_classify_loose_tolerance_carrier_whatever_its_pivots(monkeypatch, capsy
     # diag(1, 1, 1, 0.995) is unitary to 1e-2 and has the zero pattern of the
     # identity permutation, so it carries frames by the identity map, exactly
     text = "1,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0 0,0 0,0 0.995,0"
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", _stdin(text))
     assert main(["classify", "CUSTOM", "--tolerance", "0.01"]) == 0
     assert capsys.readouterr().out.startswith("gate: CUSTOM\n" + _CARRY_CZ + _ENC + _PARTIAL_Q0)
     u = np.diag([1.0, 1.0, 1.0, 0.995]).astype(complex)

@@ -19,6 +19,7 @@ from phasepulse.coverage import (
 )
 from phasepulse.schemes import three_pulse
 from phasepulse.su2 import (
+    as_unitary,
     normalize_rotation,
     params_from_unitary,
     phase_distance,
@@ -202,6 +203,31 @@ def test_solver_every_t_a_root():
 def test_solver_rejects_bad_det():
     with pytest.raises(ValueError):
         solve_fixed_angles(np.exp(0.3j) * np.eye(2), AngleTriple(PI / 2, PI, PI / 2))
+
+
+def test_solver_checks_a_covering_triples_phases(monkeypatch):
+    # a covering triple's phases are rebuilt and checked like any other's:
+    # a wrong preimage gives None, not the wrong phases
+    t = AngleTriple(PI / 2, PI, PI / 2)
+    target = haar_su2(np.random.default_rng(46))
+    assert solve_fixed_angles(target, t) is not None
+    monkeypatch.setattr(coverage, "_preimage_uv", lambda b, w: (1.0 + 0j, 1.0 + 0j))
+    assert solve_fixed_angles(target, t) is None
+
+
+def test_solver_validates_its_target_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return as_unitary(*args, **kwargs)
+
+    monkeypatch.setattr(coverage, "as_unitary", counting)
+    target = haar_su2(np.random.default_rng(47))
+    for t in (AngleTriple(PI / 2, PI, PI / 2), AngleTriple(PI / 2, PI / 2, PI / 2)):
+        calls.clear()
+        solve_fixed_angles(target, t)
+        assert len(calls) == 1
 
 
 def test_coverage_fraction_values():

@@ -86,7 +86,8 @@ def custom_stdin(draw) -> str:
 @example(spec="CUSTOM", stdin=" ".join(_entries(np.ones((4, 4)))), tolerance="nan")
 def test_classify_fails_cleanly(spec, stdin, tolerance):
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), patch("sys.stdin", io.StringIO(stdin)):
+    stdin = io.TextIOWrapper(io.BytesIO(stdin.encode()), encoding="utf-8")
+    with warnings.catch_warnings(), patch("sys.stdin", stdin):
         warnings.simplefilter("error")
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["classify", spec, f"--tolerance={tolerance}"])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import haar_unitary, makhlin_from_weyl, makhlin_invariants, random_gate_params
 from phasepulse.carrier import classify
 from phasepulse.schemes import special_case
+from phasepulse import su2
 from phasepulse.su2 import (
     GateParams,
     _normalize_angle_array,
@@ -224,6 +225,17 @@ def test_rotation_unitarity_bulk():
     for theta in rng.uniform(-50, 50, 1000):
         for m in (z_rot(theta), x_rot(theta), y_rot(theta), conjugated_x(theta, theta / 3)):
             assert unitarity_defect(m) < 1e-12
+
+
+def test_builder_is_the_basis_sum():
+    # every 2x2 of a quaternion is _su2's; it must be sum_j q[j] * _BASIS[j]
+    rng = np.random.default_rng(9)
+    quaternions = [q / np.linalg.norm(q) for q in rng.normal(size=(500, 4))]
+    # the seams: each component +-0.0, the others +-1 or a unit's share
+    quaternions += [np.array(q) for q in itertools.product((0.0, -0.0, 1.0, -1.0), repeat=4)]
+    quaternions += [np.array(q) for q in itertools.product((0.0, -0.0, 0.5, -0.5), repeat=4)]
+    for q in quaternions:
+        assert np.array_equal(su2._su2(*q.tolist()), np.tensordot(q, su2._BASIS, 1)), q
 
 
 def test_equal_up_to_global_phase():
