@@ -14,7 +14,7 @@ import itertools
 import math
 import numbers
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
@@ -660,6 +660,22 @@ class ScheduleStats:
 # The rows of a schedule as they are written, five numbers an event (kind,
 # qubit, second qubit, value, second value) back to back; see PulseSchedule.
 _Rows = list[float]
+_COLUMNS = ("kind", "qubits", "values")
+
+
+def _schedule_columns(rows: _Rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``kind``, ``qubits`` and ``values`` columns of ``rows``, with PULSE
+    angles normalized as :class:`Pulse` normalizes them."""
+    kind = np.array(rows[0::5], dtype=np.int8)
+    # The column pairs are built as (2, n) arrays, so the transposes that
+    # _row_tuples lists are contiguous.  Normalizing is idempotent, so angles
+    # that already are normalized keep every bit.
+    values = np.array((rows[3::5], rows[4::5]), dtype=float)
+    angles = _normalize_angle_array(values)
+    np.copyto(angles[0], PI, where=angles[0] == -PI)  # sigma in (-pi, pi]
+    np.copyto(values, angles, where=kind == PULSE)
+    qubits = np.array((rows[1::5], rows[2::5]), dtype=np.int8).T
+    return kind, qubits, values.T
 
 
 @dataclass(eq=False)
@@ -673,6 +689,13 @@ class PulseSchedule:
     unless :func:`compile_circuit` built the schedule.  :attr:`events` shows
     the rows as event objects.  PULSE angles are normalized as
     :class:`Pulse` normalizes them; FRAME angles are kept as given.
+
+    A schedule built from columns (this constructor, :func:`parse_schedule`,
+    :meth:`from_events`) holds them from the start.  A compiled one keeps
+    the flat rows its compile loop wrote, already normalized, and
+    :meth:`to_text`, :attr:`events` and ``len`` read those; its columns are
+    built from the rows on first read of one, then kept read-only, so they
+    cannot drift from the rows.
     """
 
     n_qubits: int
@@ -681,20 +704,28 @@ class PulseSchedule:
     values: np.ndarray
     gate2_names: tuple[str, ...]
     stats: ScheduleStats | None = None
+    _rows = None  # a compiled schedule's rows, else None (a class attribute, not a field)
 
     @classmethod
-    def _from_rows(cls, n_qubits: int, rows: _Rows, names: list[str]) -> "PulseSchedule":
-        kind = np.array(rows[0::5], dtype=np.int8)
-        # The column pairs are built as (2, n) arrays, so the transposes that
-        # _columns lists are contiguous.  Every schedule's PULSE angles are
-        # normalized here; normalizing is idempotent, so angles that already
-        # are keep every bit.
-        values = np.array((rows[3::5], rows[4::5]), dtype=float)
-        angles = _normalize_angle_array(values)
-        np.copyto(angles[0], PI, where=angles[0] == -PI)  # sigma in (-pi, pi]
-        np.copyto(values, angles, where=kind == PULSE)
-        qubits = np.array((rows[1::5], rows[2::5]), dtype=np.int8).T
-        return cls(n_qubits, kind, qubits, values.T, tuple(names))
+    def _compiled(cls, n_qubits: int, rows: _Rows, names: list[str],
+                  stats: ScheduleStats) -> "PulseSchedule":
+        """The schedule of compiled ``rows``, whose PULSE angles are normalized
+        and whose numbers hold no -0.0; its columns are not built yet."""
+        schedule = cls.__new__(cls)
+        schedule.n_qubits, schedule.gate2_names, schedule.stats = n_qubits, tuple(names), stats
+        schedule._rows = rows
+        return schedule
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set: a compiled schedule's columns
+        # on first read are built from its rows, all three at once
+        if name not in _COLUMNS or self._rows is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        columns = _schedule_columns(self._rows)
+        for column in columns:
+            column.setflags(write=False)
+        vars(self).update(zip(_COLUMNS, columns))
+        return vars(self)[name]
 
     @classmethod
     def from_events(cls, events: Sequence[Event]) -> "PulseSchedule":
@@ -733,10 +764,15 @@ class PulseSchedule:
                 rows += row
                 continue
             raise CircuitError(f"event {i}: {problem}, got {ev!r}", i)
-        return cls._from_rows(2, rows, names)
+        return cls(2, *_schedule_columns(rows), tuple(names))
 
-    def _columns(self, values: np.ndarray) -> zip:
-        """Rows of ``(kind, qubit, second qubit, value, second value)`` as Python numbers."""
+    def _row_tuples(self, signed_zeros: bool = True) -> Iterator[tuple]:
+        """Rows of ``(kind, qubit, second qubit, value, second value)`` as Python
+        numbers: a compiled schedule's own rows, else the columns', with -0.0
+        read as 0.0 unless ``signed_zeros``."""
+        if self._rows is not None:
+            return zip(*[iter(self._rows)] * 5)
+        values = self.values if signed_zeros else self.values + 0.0
         return zip(self.kind.tolist(), *self.qubits.T.tolist(), *values.T.tolist())
 
     @property
@@ -748,11 +784,11 @@ class PulseSchedule:
             PulseEvent(q, Pulse(a, b)) if k == PULSE
             else Gate2Event((q, q2), next(names)) if k == GATE2
             else FrameEvent(q, a)
-            for k, q, q2, a, b in self._columns(self.values)
+            for k, q, q2, a, b in self._row_tuples()
         )
 
     def __len__(self) -> int:
-        return len(self.kind)
+        return len(self.kind) if self._rows is None else len(self._rows) // 5
 
     def to_text(self) -> str:
         """One line a row, then the stats line if any: each row's template and
@@ -761,8 +797,8 @@ class PulseSchedule:
         names = iter(self.gate2_names)
         templates: list[str] = []
         args: list = []
-        # + 0.0 turns -0.0 into 0.0, so angles print as _format_angle prints them
-        for k, q, q2, a, b in self._columns(self.values + 0.0):
+        # -0.0 is read as 0.0, so angles print as _format_angle prints them
+        for k, q, q2, a, b in self._row_tuples(signed_zeros=False):
             if k == PULSE:
                 template = _PULSE_LINES.get(a)
                 templates.append(template or "PULSE q%d sigma=%.12g phase=%.12g")
@@ -834,7 +870,7 @@ def parse_schedule(text: str) -> PulseSchedule:
                 raise CircuitError(f"unrecognized schedule line {raw!r}")
         except ValueError as exc:
             raise CircuitSyntaxError(str(exc), line_no) from None
-    return PulseSchedule._from_rows(2, rows, names)
+    return PulseSchedule(2, *_schedule_columns(rows), tuple(names))
 
 
 # Each policy's row (see compile_circuit): its 2q rules in order, a gate taking
@@ -1067,7 +1103,8 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
     :data:`_RULE_FLUSHES`, run by one loop; each flush is one call of
     :func:`_flush`, which takes su2's phase-shift formulas.  Within an op,
     q0's pulses come before q1's.  The loop only notes each compiled 1q
-    gate's scheme; the :class:`ScheduleStats` are read off the rows at the end.
+    gate's scheme; the :class:`ScheduleStats` are counted from the rows at
+    the end, which the schedule keeps (see :class:`PulseSchedule`).
     """
     policy = policy or CompilePolicy()
     rules = _gate2_rules(ir, policy.mode)
@@ -1080,7 +1117,8 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
     frames = [0.0] * n
     buffers: list = [None] * n  # None or one gate's angles
     measured = [False] * n
-    ops = zip(ir.kind.tolist(), *ir.qubits.T.tolist(), ir.angles.tolist())
+    op_kinds = ir.kind.tolist()
+    ops = zip(op_kinds, *ir.qubits.T.tolist(), ir.angles.tolist())
     # after the ops, a measurement of each qubit still unmeasured (read lazily)
     end = ((MEASURE, q, 0, None) for q in range(n) if not measured[q])
     for i, (k, q, q2, gate) in enumerate(itertools.chain(ops, end)):
@@ -1108,11 +1146,14 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
             buffers[qf] = None
             pairs, scheme, frames[qf] = _flush(buffered, f, t, vz, special)
             schemes.append(scheme)
+            # each phase normalized as emitted; sigma is pi/2 or pi already
             if qf or vz is not None:
                 for sigma, phase in pairs:
-                    rows += PULSE, qf, 0, sigma, phase
+                    rows += PULSE, qf, 0, sigma, _wrap(phase)
             else:  # the mirror flushed q1 first: q0's pulses go before its
-                rows[start:start] = [x for pair in pairs for x in (PULSE, 0, 0, *pair)]
+                rows[start:start] = [
+                    x for sigma, phase in pairs for x in (PULSE, 0, 0, sigma, _wrap(phase))
+                ]
 
         if k == GATE2:
             f0, f1 = frames
@@ -1125,22 +1166,19 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
             rows += FRAME, q, 0, _wrap(frames[q]), 0.0
             measured[q] = True
 
-    names = [ir.gate2_labels[row] for row in ir.gate2_row[ir.kind == GATE2].tolist()]
-    schedule = PulseSchedule._from_rows(n, rows, names)
-    # the rows counted by kind (PULSE, GATE2, FRAME) and qubit
-    pulses, _, frame_rows = np.bincount(
-        schedule.kind * n + schedule.qubits[:, 0], minlength=3 * n
-    ).reshape(3, n).tolist()
-    schedule.stats = ScheduleStats(
-        pulses=sum(pulses),
-        per_qubit=tuple(pulses),
-        gates_1q=int(np.count_nonzero(ir.kind == GATE1)),
+    names = [ir.gate2_labels[row] for row in ir.gate2_row.tolist() if row >= 0]
+    kinds = rows[0::5]  # the stats count the PULSE rows by qubit and the FRAME rows
+    pulse_qubits = [q for k, q in zip(kinds, rows[1::5]) if k == PULSE]
+    stats = ScheduleStats(
+        pulses=len(pulse_qubits),
+        per_qubit=tuple(pulse_qubits.count(q) for q in range(n)),
+        gates_1q=op_kinds.count(GATE1),
         gates_2q=len(rules),
         compiled_1q=len(schemes),
-        frames=sum(frame_rows),
+        frames=kinds.count(FRAME),
         schemes={k: schemes.count(k) for k in _SCHEME_KEYS},
     )
-    return schedule
+    return PulseSchedule._compiled(n, rows, names, stats)
 
 
 def _check_schedule(schedule: PulseSchedule, ir: CircuitIR) -> list[int]:

@@ -41,10 +41,13 @@ _UNITS_NOTE = (
 
 def _read_input(path: str) -> str:
     """The text of a file, or of stdin for '-', read as UTF-8 whatever the
-    locale, without a leading byte-order mark; bytes that are not UTF-8 raise
+    locale, without a leading byte-order mark; bytes that are not UTF-8, or
+    a closed stdin (``sys.stdin`` is None), raise
     :class:`~phasepulse.circuit.CircuitError`."""
     try:
         if path == "-":
+            if sys.stdin is None:
+                raise circ.CircuitError("stdin is closed")
             return sys.stdin.buffer.read().decode("utf-8-sig")
         with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import angles_matrix
+from phasepulse import circuit
 from phasepulse.circuit import (
     FRAME,
     CircuitIR,
@@ -28,6 +29,7 @@ from phasepulse.circuit import (
     parse_schedule,
     simulate_schedule,
 )
+from phasepulse.cli import main
 from phasepulse.schemes import Pulse
 from phasepulse.su2 import GateParams, _quaternion, conjugated_x, z_rot
 
@@ -177,3 +179,62 @@ def test_ops_view_is_built_once_and_kept_for_hand_built_circuits():
     gate2 = [op for op in ops if isinstance(op, Gate2)]
     assert all(np.array_equal(op.effective_matrix, ir.gate2_matrices[row])
                for op, row in zip(gate2, ir.gate2_row[ir.kind == 1].tolist()))
+
+
+def _no_columns(rows):
+    raise AssertionError("schedule columns built")
+
+
+@pytest.mark.parametrize("special", [True, False])
+@pytest.mark.parametrize("mode", list(PolicyMode))
+def test_compile_builds_no_columns(monkeypatch, capsys, tmp_path, mode, special):
+    # a compiled schedule's text, stats, length and events come from its rows
+    monkeypatch.setattr(circuit, "_schedule_columns", _no_columns)
+    policy = CompilePolicy(mode, special)
+    compiled = 0
+    for _, text in _workload_circuits():
+        try:
+            schedule = compile_circuit(parse_circuit(text), policy)
+        except IllegalPolicyError:
+            continue
+        compiled += 1
+        assert schedule.to_text().endswith(schedule.stats.stats_line() + "\n")
+        assert len(schedule) == len(schedule.events) > 0
+    assert compiled
+    path = tmp_path / "circuit.txt"
+    path.write_text((DATA / "golden_circuit_enc.txt").read_text())
+    flag = [] if special else ["--no-special-cases"]
+    assert main(["compile", str(path), "--policy", mode.value, *flag]) == 0
+    assert main(["stats", str(path), *flag]) == 0
+    assert "# stats: " in capsys.readouterr().out
+
+
+def test_compiled_columns_are_built_once_and_read_only(monkeypatch):
+    calls = []
+    original = circuit._schedule_columns
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(circuit, "_schedule_columns", counting)
+    ir = parse_circuit((DATA / "golden_circuit_enc.txt").read_text())
+    schedule = compile_circuit(ir, CompilePolicy(PolicyMode.AUTO))
+    text = schedule.to_text()
+    assert calls == []
+    kind = schedule.kind
+    assert calls == [5 * len(schedule)]
+    assert schedule.kind is kind and schedule.qubits is schedule.qubits
+    assert schedule.values is schedule.values and calls == [5 * len(schedule)]
+    for column in (schedule.kind, schedule.qubits, schedule.values):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0
+    # the columns are those of the schedule's events, and text and length hold
+    rebuilt = PulseSchedule.from_events(schedule.events)
+    for name in ("kind", "qubits", "values"):
+        got, want = getattr(schedule, name), getattr(rebuilt, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert schedule.to_text() == text and len(schedule) == len(schedule.kind)
+    with pytest.raises(AttributeError):
+        schedule.no_such_column

@@ -385,17 +385,21 @@ def test_classify_loose_tolerance_carrier_whatever_its_pivots(monkeypatch, capsy
     assert all(carry_defect(u, cmap, t0, t1) == 0.0 for t0, t1 in ((0.3, -1.2), (2.5, 0.7)))
 
 
+def _cli_env() -> dict[str, str]:
+    """The environment of a ``python -m phasepulse`` child that imports this package."""
+    src = str(Path(phasepulse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _run_with_closed_stdout(*args: str) -> subprocess.CompletedProcess:
     """``python -m phasepulse ARGS`` whose stdout's reader is gone before the
     child starts, as ``phasepulse ARGS | (exec 0<&-; true)``."""
-    src = str(Path(phasepulse.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
     read, write = os.pipe()
     os.close(read)
     try:
         return subprocess.run([sys.executable, "-m", "phasepulse", *args],
-                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+                              stdout=write, stderr=subprocess.PIPE, env=_cli_env(), timeout=60)
     finally:
         os.close(write)
 
@@ -408,6 +412,17 @@ def test_a_closed_stdout_exits_without_traceback():
 def test_compile_to_a_closed_stdout_exits_without_traceback(circuit_file):
     proc = _run_with_closed_stdout("compile", circuit_file)
     assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")
+
+
+@pytest.mark.parametrize("args", [
+    ["compile", "-"], ["verify", "{circuit}", "-"], ["stats", "-"], ["classify", "CUSTOM"],
+])
+def test_a_closed_stdin_is_an_input_error(args, circuit_file):
+    # fd 0 closed, as ``phasepulse ARGS <&-``: Python's sys.stdin is None
+    args = [a.format(circuit=circuit_file) for a in args]
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m phasepulse "$@" <&-', sys.executable, *args],
+                          capture_output=True, env=_cli_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, b"error: stdin is closed\n")
 
 
 def test_stats_subcommand(tmp_path, capsys):

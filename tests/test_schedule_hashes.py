@@ -5,15 +5,19 @@ schedules under each of the four policies, with special cases on and off,
 are hashed: each circuit's schedule text, or the text of the
 :class:`IllegalPolicyError` its policy raises, in corpus order, into one
 sha256 per (source, policy, special cases).  ``data/schedule_sha256.json``
-holds the recorded hashes; regenerate it with
+holds the recorded hashes.  ``data/schedule_columns_sha256.json`` pins the
+``kind``, ``qubits`` and ``values`` columns of the same schedules the same
+way: each column's dtype, shape and C-order bytes.  Regenerate both with
 ``PYTHONPATH=src python tests/test_schedule_hashes.py`` only where a change
-means to alter schedule text, and say why.
+means to alter schedule text or columns, and say why.
 """
 
 import hashlib
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from phasepulse.circuit import (
     CompilePolicy,
@@ -25,6 +29,7 @@ from phasepulse.circuit import (
 
 DATA = Path(__file__).parent / "data"
 HASHES = DATA / "schedule_sha256.json"
+COLUMN_HASHES = DATA / "schedule_columns_sha256.json"
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  (the benchmark's seeded circuit generators)
 
@@ -47,34 +52,56 @@ def _key(source: str, mode: PolicyMode, special: bool) -> str:
     return f"{source} | {mode.value} | special_cases={'on' if special else 'off'}"
 
 
-def _digest(irs, policy: CompilePolicy) -> str:
+def _text(schedule) -> bytes:
+    return schedule.to_text().encode()
+
+
+def _columns(schedule) -> bytes:
+    """Each column's dtype, shape and C-order bytes."""
+    return b"".join(
+        f"{a.dtype} {a.shape}\n".encode() + np.ascontiguousarray(a).tobytes()
+        for a in (schedule.kind, schedule.qubits, schedule.values)
+    )
+
+
+def _digest(irs, policy: CompilePolicy, serialize) -> str:
     h = hashlib.sha256()
     for ir in irs:
         try:
-            text = compile_circuit(ir, policy).to_text()
+            data = serialize(compile_circuit(ir, policy))
         except IllegalPolicyError as exc:
-            text = f"IllegalPolicyError: {exc}\n"
-        h.update(text.encode())
+            data = f"IllegalPolicyError: {exc}\n".encode()
+        h.update(data)
     return h.hexdigest()
 
 
-def _hashes() -> dict[str, str]:
+def _hashes(serialize) -> dict[str, str]:
     hashes = {}
     for source, texts in _sources().items():
         irs = [parse_circuit(text) for text in texts]
         for mode, special in POLICIES:
-            hashes[_key(source, mode, special)] = _digest(irs, CompilePolicy(mode, special))
+            policy = CompilePolicy(mode, special)
+            hashes[_key(source, mode, special)] = _digest(irs, policy, serialize)
     return hashes
 
 
-def test_every_policy_compiles_the_recorded_schedules():
-    want = json.loads(HASHES.read_text())
-    got = _hashes()
+def _assert_recorded(path: Path, serialize) -> None:
+    want = json.loads(path.read_text())
+    got = _hashes(serialize)
     assert sorted(got) == sorted(want)
     changed = [key for key in want if got[key] != want[key]]
     assert not changed, changed
 
 
+def test_every_policy_compiles_the_recorded_schedules():
+    _assert_recorded(HASHES, _text)
+
+
+def test_every_policy_builds_the_recorded_columns():
+    _assert_recorded(COLUMN_HASHES, _columns)
+
+
 if __name__ == "__main__":
-    HASHES.write_text(json.dumps(_hashes(), indent=2) + "\n")
-    print(f"wrote {HASHES}")
+    for path, serialize in ((HASHES, _text), (COLUMN_HASHES, _columns)):
+        path.write_text(json.dumps(_hashes(serialize), indent=2) + "\n")
+        print(f"wrote {path}")
