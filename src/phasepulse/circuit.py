@@ -14,7 +14,7 @@ import itertools
 import math
 import numbers
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
@@ -657,8 +657,8 @@ class ScheduleStats:
         return "# stats: " + " ".join(parts)
 
 
-# The rows of a schedule as they are written, five numbers an event (kind,
-# qubit, second qubit, value, second value) back to back; see PulseSchedule.
+# The rows of a schedule, five numbers an event (kind, qubit, second qubit,
+# value, second value) back to back; see PulseSchedule.
 _Rows = list[float]
 _COLUMNS = ("kind", "qubits", "values")
 
@@ -667,9 +667,9 @@ def _schedule_columns(rows: _Rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``kind``, ``qubits`` and ``values`` columns of ``rows``, with PULSE
     angles normalized as :class:`Pulse` normalizes them."""
     kind = np.array(rows[0::5], dtype=np.int8)
-    # The column pairs are built as (2, n) arrays, so the transposes that
-    # _row_tuples lists are contiguous.  Normalizing is idempotent, so angles
-    # that already are normalized keep every bit.
+    # The column pairs are built as (2, n) arrays, so each column of a pair is
+    # contiguous.  Normalizing is idempotent, so angles that already are
+    # normalized keep every bit.
     values = np.array((rows[3::5], rows[4::5]), dtype=float)
     angles = _normalize_angle_array(values)
     np.copyto(angles[0], PI, where=angles[0] == -PI)  # sigma in (-pi, pi]
@@ -680,58 +680,45 @@ def _schedule_columns(rows: _Rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class PulseSchedule:
-    """A schedule as columns, one row per event in time order.
+    """A schedule as rows, one per event in time order.
 
-    ``kind[i]`` is PULSE, GATE2 or FRAME.  ``qubits[i]`` holds the event's
-    qubit, and for a GATE2 its second qubit (else 0).  ``values[i]`` is
-    ``(sigma, phase)`` for a PULSE and ``(z, 0)`` for a FRAME (else zeros).
-    ``gate2_names`` names the GATE2 events in order.  ``stats`` is None
-    unless :func:`compile_circuit` built the schedule.  :attr:`events` shows
-    the rows as event objects.  PULSE angles are normalized as
-    :class:`Pulse` normalizes them; FRAME angles are kept as given.
+    ``rows`` holds five numbers an event, back to back: kind (PULSE, GATE2
+    or FRAME), qubit, second qubit (a GATE2's, else 0) and two values,
+    ``(sigma, phase)`` for a PULSE, ``(z, 0)`` for a FRAME and zeros for a
+    GATE2.  ``gate2_names`` names the GATE2 events in order.  ``stats`` is
+    None unless :func:`compile_circuit` built the schedule.  :meth:`to_text`,
+    :attr:`events` and ``len`` read the rows as they are.
 
-    A schedule built from columns (this constructor, :func:`parse_schedule`,
-    :meth:`from_events`) holds them from the start.  A compiled one keeps
-    the flat rows its compile loop wrote, already normalized, and
-    :meth:`to_text`, :attr:`events` and ``len`` read those; its columns are
-    built from the rows on first read of one, then kept read-only, so they
-    cannot drift from the rows.
+    The numpy columns ``kind``, ``qubits`` (shape ``(n, 2)``) and ``values``
+    (shape ``(n, 2)``) are the rows' one conversion, :func:`_schedule_columns`,
+    which normalizes PULSE angles as :class:`Pulse` normalizes them; FRAME
+    angles are kept as given.  :func:`parse_schedule` builds them at once;
+    any other schedule builds them on first read of one and keeps them
+    read-only, so they cannot drift from the rows.
     """
 
     n_qubits: int
-    kind: np.ndarray
-    qubits: np.ndarray
-    values: np.ndarray
+    rows: _Rows
     gate2_names: tuple[str, ...]
     stats: ScheduleStats | None = None
-    _rows = None  # a compiled schedule's rows, else None (a class attribute, not a field)
-
-    @classmethod
-    def _compiled(cls, n_qubits: int, rows: _Rows, names: list[str],
-                  stats: ScheduleStats) -> "PulseSchedule":
-        """The schedule of compiled ``rows``, whose PULSE angles are normalized
-        and whose numbers hold no -0.0; its columns are not built yet."""
-        schedule = cls.__new__(cls)
-        schedule.n_qubits, schedule.gate2_names, schedule.stats = n_qubits, tuple(names), stats
-        schedule._rows = rows
-        return schedule
 
     def __getattr__(self, name: str):
-        # reached only for an attribute not set: a compiled schedule's columns
-        # on first read are built from its rows, all three at once
-        if name not in _COLUMNS or self._rows is None:
+        # reached only for an attribute not set: the columns on first read,
+        # built from the rows all three at once
+        if name not in _COLUMNS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        columns = _schedule_columns(self._rows)
+        columns = _schedule_columns(self.rows)
         for column in columns:
             column.setflags(write=False)
-        vars(self).update(zip(_COLUMNS, columns))
-        return vars(self)[name]
+        self.kind, self.qubits, self.values = columns
+        return columns[_COLUMNS.index(name)]
 
     @classmethod
     def from_events(cls, events: Sequence[Event]) -> "PulseSchedule":
-        """The schedule of hand-built events.  An event that its text cannot
-        carry raises :class:`CircuitError` with its index: an object other than
-        a PulseEvent of a ``Pulse``, a Gate2Event of a tuple or a FrameEvent of
+        """The schedule of hand-built events, whose rows hold Python ``int``
+        qubits and ``float`` values.  An event that its text cannot carry
+        raises :class:`CircuitError` with its index: an object other than a
+        PulseEvent of a ``Pulse``, a Gate2Event of a tuple or a FrameEvent of
         a real angle, a qubit that is not an integer 0 or 1, a GATE2 without
         two qubits or whose name is not one word without ``#``, or a FRAME
         angle that is not finite."""
@@ -761,19 +748,11 @@ class PulseSchedule:
             elif not math.isfinite(row[3]):
                 problem = "FRAME angle must be finite"
             else:
-                rows += row
+                k, q, q2, a, b = row
+                rows += k, int(q), int(q2), float(a), float(b)
                 continue
             raise CircuitError(f"event {i}: {problem}, got {ev!r}", i)
-        return cls(2, *_schedule_columns(rows), tuple(names))
-
-    def _row_tuples(self, signed_zeros: bool = True) -> Iterator[tuple]:
-        """Rows of ``(kind, qubit, second qubit, value, second value)`` as Python
-        numbers: a compiled schedule's own rows, else the columns', with -0.0
-        read as 0.0 unless ``signed_zeros``."""
-        if self._rows is not None:
-            return zip(*[iter(self._rows)] * 5)
-        values = self.values if signed_zeros else self.values + 0.0
-        return zip(self.kind.tolist(), *self.qubits.T.tolist(), *values.T.tolist())
+        return cls(2, rows, tuple(names))
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -784,31 +763,33 @@ class PulseSchedule:
             PulseEvent(q, Pulse(a, b)) if k == PULSE
             else Gate2Event((q, q2), next(names)) if k == GATE2
             else FrameEvent(q, a)
-            for k, q, q2, a, b in self._row_tuples()
+            for k, q, q2, a, b in zip(*[iter(self.rows)] * 5)
         )
 
     def __len__(self) -> int:
-        return len(self.kind) if self._rows is None else len(self._rows) // 5
+        return len(self.rows) // 5
 
     def to_text(self) -> str:
         """One line a row, then the stats line if any: each row's template and
         numbers are collected, and the joined templates formatted with one
-        ``%``.  A PULSE of a calibrated area takes its :data:`_PULSE_LINES` one."""
+        ``%``.  A PULSE of a calibrated area takes its :data:`_PULSE_LINES` one.
+        Each number is written as its row holds it, -0.0 as 0, so parsed
+        text comes back as it was read."""
         names = iter(self.gate2_names)
         templates: list[str] = []
         args: list = []
-        # -0.0 is read as 0.0, so angles print as _format_angle prints them
-        for k, q, q2, a, b in self._row_tuples(signed_zeros=False):
+        # "x or 0.0" reads -0.0 as 0.0, so angles print as _format_angle prints them
+        for k, q, q2, a, b in zip(*[iter(self.rows)] * 5):
             if k == PULSE:
                 template = _PULSE_LINES.get(a)
                 templates.append(template or "PULSE q%d sigma=%.12g phase=%.12g")
-                args += (q, b) if template else (q, a, b)
+                args += (q, b or 0.0) if template else (q, a or 0.0, b or 0.0)
             elif k == GATE2:
                 templates.append("GATE2 %s q%d q%d")
                 args += next(names), q, q2
             else:
                 templates.append("FRAME q%d z=%.12g")
-                args += q, a
+                args += q, a or 0.0
         if self.stats is not None:
             templates.append("%s")
             args.append(self.stats.stats_line())
@@ -822,7 +803,9 @@ def parse_schedule(text: str) -> PulseSchedule:
     :func:`parse_circuit` reads a circuit: the comment split off, the rest
     split into tokens and checked in token order (kind and token count,
     qubits, the ``sigma=``/``phase=``/``z=`` keys, then the numbers); the
-    first failing check words the error.  FRAME angles are kept as written.
+    first failing check words the error.  The rows hold the numbers as
+    read, so :meth:`PulseSchedule.to_text` writes them back unchanged; the
+    columns normalize PULSE angles and keep FRAME angles as written.
     Qubits and numbers are ASCII, as in :func:`parse_circuit`; a ``GATE2``
     name may be any one word.
     """
@@ -870,7 +853,10 @@ def parse_schedule(text: str) -> PulseSchedule:
                 raise CircuitError(f"unrecognized schedule line {raw!r}")
         except ValueError as exc:
             raise CircuitSyntaxError(str(exc), line_no) from None
-    return PulseSchedule(2, *_schedule_columns(rows), tuple(names))
+    schedule = PulseSchedule(2, rows, tuple(names))
+    # verify reads the columns at once, so they are built here, and left writeable
+    schedule.kind, schedule.qubits, schedule.values = _schedule_columns(rows)
+    return schedule
 
 
 # Each policy's row (see compile_circuit): its 2q rules in order, a gate taking
@@ -1178,7 +1164,7 @@ def compile_circuit(ir: CircuitIR, policy: CompilePolicy | None = None) -> Pulse
         frames=kinds.count(FRAME),
         schemes={k: schemes.count(k) for k in _SCHEME_KEYS},
     )
-    return PulseSchedule._compiled(n, rows, names, stats)
+    return PulseSchedule(n, rows, tuple(names), stats)
 
 
 def _check_schedule(schedule: PulseSchedule, ir: CircuitIR) -> list[int]:
@@ -1206,13 +1192,15 @@ def _check_schedule(schedule: PulseSchedule, ir: CircuitIR) -> list[int]:
     gate_rows = np.flatnonzero(kind[:late] == GATE2)
     ops = np.flatnonzero(ir.kind == GATE2)
     labels = ir.gate2_labels
-    for i, (got, want, name, row) in enumerate(zip(
-        qubits[gate_rows].tolist(), ir.qubits[ops].tolist(), schedule.gate2_names,
+    # the qubit pairs are read as two flat lists a side, not one list per
+    # event, whose allocations would set off collections that walk the rows
+    for i, (got0, got1, want0, want1, name, row) in enumerate(zip(
+        *qubits[gate_rows].T.tolist(), *ir.qubits[ops].T.tolist(), schedule.gate2_names,
         ir.gate2_row[ops].tolist(),
     )):
-        if got != want:
+        if got0 != want0 or got1 != want1:
             raise ScheduleMismatchError(
-                f"GATE2 event {i} acts on {tuple(got)}, circuit says {tuple(want)}"
+                f"GATE2 event {i} acts on {(got0, got1)}, circuit says {(want0, want1)}"
             )
         if name != labels[row]:
             raise ScheduleMismatchError(f"GATE2 event {i} is {name}, circuit says {labels[row]}")

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -617,15 +618,13 @@ def test_schedule_text_round_trip():
 
 
 def _reference_text(schedule: PulseSchedule) -> str:
-    """The schedule's text as each row's own ``%.12g`` formatting writes it."""
+    """The schedule's text as each row's own ``%.12g`` formatting writes it, -0.0 as 0."""
     names = iter(schedule.gate2_names)
     lines = [
-        "PULSE q%d sigma=%.12g phase=%.12g" % (q, a, b) if k == 0
+        "PULSE q%d sigma=%.12g phase=%.12g" % (q, a + 0.0, b + 0.0) if k == 0
         else f"GATE2 {next(names)} q{q} q{q2}" if k == 1
-        else "FRAME q%d z=%.12g" % (q, a)
-        for k, (q, q2), (a, b) in zip(
-            schedule.kind.tolist(), schedule.qubits.tolist(), (schedule.values + 0.0).tolist()
-        )
+        else "FRAME q%d z=%.12g" % (q, a + 0.0)
+        for k, q, q2, a, b in zip(*[iter(schedule.rows)] * 5)
     ]
     if schedule.stats is not None:
         lines.append(schedule.stats.stats_line())
@@ -654,8 +653,8 @@ _ROWS = st.lists(st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_to_text_writes_each_row_as_its_own_format(rows):
     # Hand-built schedules, without stats: through from_events, which
-    # normalizes the pulses, and as raw columns, whose -0.0, -pi and areas
-    # one ulp off pi/2 or pi reach to_text as drawn.
+    # normalizes the pulses, and as raw rows, whose -0.0, -pi and areas one
+    # ulp off pi/2 or pi reach to_text as drawn.
     events = [
         PulseEvent(row[1], Pulse(row[2], row[3])) if row[0] == 0
         else Gate2Event((row[1], 1 - row[1]), row[2]) if row[0] == 1
@@ -664,15 +663,15 @@ def test_to_text_writes_each_row_as_its_own_format(rows):
     ]
     schedule = PulseSchedule.from_events(events)
     assert schedule.to_text() == _reference_text(schedule)
-    raw = PulseSchedule(
-        2,
-        np.array([row[0] for row in rows], dtype=np.int8),
-        np.array([(row[1], 1 - row[1] if row[0] == 1 else 0) for row in rows],
-                 dtype=np.int8).reshape(-1, 2),
-        np.array([row[2:] if row[0] == 0 else (0.0, 0.0) if row[0] == 1 else (row[2], 0.0)
-                  for row in rows], dtype=float).reshape(-1, 2),
-        tuple(row[2] for row in rows if row[0] == 1),
-    )
+    raw_rows = [
+        x for row in rows for x in (
+            (0, row[1], 0, row[2], row[3]) if row[0] == 0
+            else (1, row[1], 1 - row[1], 0.0, 0.0) if row[0] == 1
+            else (2, row[1], 0, row[2], 0.0)
+        )
+    ]
+    raw = PulseSchedule(2, raw_rows, tuple(row[2] for row in rows if row[0] == 1))
+    assert raw.rows is raw_rows
     assert raw.to_text() == _reference_text(raw)
 
 
@@ -716,6 +715,62 @@ def test_schedule_reads_long_qubit_names_and_finite_angles_whose_sum_overflows()
     schedule = parse_schedule("PULSE q01 sigma=1e308 phase=1e308\nGATE2 CZ q01 q00\n")
     assert schedule.qubits.tolist() == [[1, 0], [1, 0]]
     assert np.isfinite(schedule.values).all()
+
+
+# Hand-written lines whose numbers are not normalized: a negative area, a
+# phase past pi, an area 2.1e-13 past pi (an X180 as to_text writes it), a
+# FRAME past 2*pi and a number in exponent form.
+_UNNORMALIZED_TEXT = (
+    "PULSE q0 sigma=-1.5707963268 phase=7\n"
+    "PULSE q1 sigma=3.14159265359 phase=-3.14159265359\n"
+    "GATE2 FSIM(1,2) q1 q0\n"
+    "PULSE q1 sigma=1e-300 phase=12.5\n"
+    "FRAME q0 z=9\n"
+    "FRAME q1 z=-20.0000000001\n"
+)
+
+
+def test_parsed_text_is_written_back_as_read_while_its_columns_are_normalized():
+    schedule = parse_schedule(_UNNORMALIZED_TEXT)
+    assert schedule.to_text() == _UNNORMALIZED_TEXT
+    pulses = [Pulse(-1.5707963268, 7.0), Pulse(3.14159265359, -3.14159265359), Pulse(1e-300, 12.5)]
+    assert schedule.values.tolist() == [
+        [pulses[0].sigma, pulses[0].phase], [pulses[1].sigma, pulses[1].phase],
+        [0.0, 0.0], [pulses[2].sigma, pulses[2].phase], [9.0, 0.0], [-20.0000000001, 0.0],
+    ]
+    assert schedule.values[1, 0] < 0.0  # the normalized area of the X180 line
+    assert [ev.pulse for ev in schedule.events if isinstance(ev, PulseEvent)] == pulses
+    # the columns are built at once and left writeable, as verify reads them
+    assert all(c.flags.writeable for c in (schedule.kind, schedule.qubits, schedule.values))
+    # spacing and comments are not kept, and -0 is written as 0
+    spaced = parse_schedule("PULSE  q0 sigma=1.0 phase=-0  # a note\n\nFRAME q1 z=-0.0\n")
+    assert spaced.to_text() == "PULSE q0 sigma=1 phase=0\nFRAME q1 z=0\n"
+
+
+@pytest.mark.parametrize("angle", [np.float64(-0.25), 3, Fraction(1, 3), -0.0, 7 * PI])
+def test_from_events_keeps_python_numbers(angle):
+    # numpy qubits and numpy, int or Fraction angles are stored as Python
+    # int and float, so events and text are those of the same Python numbers
+    schedule = PulseSchedule.from_events([
+        PulseEvent(np.int64(1), Pulse(np.float64(PI / 2), np.float64(-0.5))),
+        PulseEvent(np.int64(0), Pulse(-3.0, 4.0)),
+        Gate2Event((np.int64(1), np.int64(0)), "CZ"),
+        FrameEvent(np.int64(0), angle),
+        FrameEvent(1, -0.0),
+    ])
+    assert [type(x) for x in schedule.rows] == [int, int, int, float, float] * 5
+    events = schedule.events
+    assert [type(q) for q in (events[0].qubit, events[1].qubit, *events[2].qubits,
+                              events[3].qubit, events[4].qubit)] == [int] * 6
+    assert type(events[3].angle) is float and events[3].angle == float(angle)
+    assert math.copysign(1.0, events[4].angle) == -1.0  # events keep -0.0
+    assert schedule.to_text() == (
+        "PULSE q1 sigma=1.57079632679 phase=-0.5\n"
+        "PULSE q0 sigma=-3 phase=-2.28318530718\n"
+        "GATE2 CZ q1 q0\n"
+        f"FRAME q0 z={float(angle) + 0.0:.12g}\n"
+        "FRAME q1 z=0\n"
+    )
 
 
 _CUSTOM_ENTRIES = " ".join(f"{z.real:g},{z.imag:g}" for z in np.eye(4).ravel())

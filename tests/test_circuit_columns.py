@@ -210,6 +210,7 @@ def test_compile_builds_no_columns(monkeypatch, capsys, tmp_path, mode, special)
 
 
 def test_compiled_columns_are_built_once_and_read_only(monkeypatch):
+    # and so are the columns of a schedule from from_events or the constructor
     calls = []
     original = circuit._schedule_columns
 
@@ -219,22 +220,32 @@ def test_compiled_columns_are_built_once_and_read_only(monkeypatch):
 
     monkeypatch.setattr(circuit, "_schedule_columns", counting)
     ir = parse_circuit((DATA / "golden_circuit_enc.txt").read_text())
-    schedule = compile_circuit(ir, CompilePolicy(PolicyMode.AUTO))
-    text = schedule.to_text()
-    assert calls == []
-    kind = schedule.kind
-    assert calls == [5 * len(schedule)]
-    assert schedule.kind is kind and schedule.qubits is schedule.qubits
-    assert schedule.values is schedule.values and calls == [5 * len(schedule)]
-    for column in (schedule.kind, schedule.qubits, schedule.values):
-        assert not column.flags.writeable
-        with pytest.raises(ValueError):
-            column[0] = 0
-    # the columns are those of the schedule's events, and text and length hold
-    rebuilt = PulseSchedule.from_events(schedule.events)
-    for name in ("kind", "qubits", "values"):
-        got, want = getattr(schedule, name), getattr(rebuilt, name)
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-    assert schedule.to_text() == text and len(schedule) == len(schedule.kind)
-    with pytest.raises(AttributeError):
-        schedule.no_such_column
+    compiled = compile_circuit(ir, CompilePolicy(PolicyMode.AUTO))
+    built = {
+        "compile": compiled,
+        "from_events": PulseSchedule.from_events(compiled.events),
+        "constructor": PulseSchedule(2, list(compiled.rows), compiled.gate2_names),
+    }
+    for how, schedule in built.items():
+        text, n = schedule.to_text(), len(schedule)
+        assert calls == [] and n == len(schedule.events) > 0, how
+        kind = schedule.kind
+        assert calls == [5 * n], how
+        assert schedule.kind is kind and schedule.qubits is schedule.qubits
+        assert schedule.values is schedule.values and calls == [5 * n], how
+        for column in (schedule.kind, schedule.qubits, schedule.values):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+        # the columns are those of the schedule's events, and text and length hold
+        rebuilt = PulseSchedule.from_events(schedule.events)
+        for name in ("kind", "qubits", "values"):
+            got, want = getattr(schedule, name), getattr(rebuilt, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert schedule.to_text() == text and len(schedule) == len(schedule.kind) == n
+        with pytest.raises(AttributeError):
+            schedule.no_such_column
+        calls.clear()
+    # every schedule but a parsed one holds the same rows, so writes the same text
+    assert len({s.to_text().removesuffix(compiled.stats.stats_line() + "\n")
+                for s in built.values()}) == 1
