@@ -692,15 +692,25 @@ class PulseSchedule:
     The numpy columns ``kind``, ``qubits`` (shape ``(n, 2)``) and ``values``
     (shape ``(n, 2)``) are the rows' one conversion, :func:`_schedule_columns`,
     which normalizes PULSE angles as :class:`Pulse` normalizes them; FRAME
-    angles are kept as given.  :func:`parse_schedule` builds them at once;
-    any other schedule builds them on first read of one and keeps them
-    read-only, so they cannot drift from the rows.
+    angles are kept as given.  Every schedule builds them on first read of
+    one and keeps them read-only, so they cannot drift from the rows.
+    A ``rows`` whose length is not a multiple of five, or whose GATE2 rows
+    are not as many as ``gate2_names``, raises :class:`CircuitError`.
     """
 
     n_qubits: int
     rows: _Rows
     gate2_names: tuple[str, ...]
     stats: ScheduleStats | None = None
+
+    def __post_init__(self) -> None:
+        if len(self.rows) % 5:
+            raise CircuitError(f"rows hold five numbers an event, got {len(self.rows)} numbers")
+        n_gate2 = self.rows[0::5].count(GATE2)
+        if n_gate2 != len(self.gate2_names):
+            raise CircuitError(
+                f"{n_gate2} GATE2 rows but {len(self.gate2_names)} gate2_names"
+            )
 
     def __getattr__(self, name: str):
         # reached only for an attribute not set: the columns on first read,
@@ -853,10 +863,7 @@ def parse_schedule(text: str) -> PulseSchedule:
                 raise CircuitError(f"unrecognized schedule line {raw!r}")
         except ValueError as exc:
             raise CircuitSyntaxError(str(exc), line_no) from None
-    schedule = PulseSchedule(2, rows, tuple(names))
-    # verify reads the columns at once, so they are built here, and left writeable
-    schedule.kind, schedule.qubits, schedule.values = _schedule_columns(rows)
-    return schedule
+    return PulseSchedule(2, rows, tuple(names))
 
 
 # Each policy's row (see compile_circuit): its 2q rules in order, a gate taking

@@ -675,6 +675,15 @@ def test_to_text_writes_each_row_as_its_own_format(rows):
     assert raw.to_text() == _reference_text(raw)
 
 
+def test_schedule_rows_must_be_whole_events_with_every_gate2_named():
+    with pytest.raises(CircuitError, match="^rows hold five numbers an event, got 4 numbers$"):
+        PulseSchedule(2, [0, 0, 0, 1.0], ())
+    with pytest.raises(CircuitError, match="^1 GATE2 rows but 0 gate2_names$"):
+        PulseSchedule(2, [0, 0, 0, 1.0, 0.0, 1, 0, 1, 0.0, 0.0], ())
+    with pytest.raises(CircuitError, match="^0 GATE2 rows but 1 gate2_names$"):
+        PulseSchedule(2, [2, 1, 0, 0.5, 0.0], ("CZ",))
+
+
 @given(text=runs_circuits(), mode=st.sampled_from(
     [PolicyMode.THREE_ALWAYS, PolicyMode.ENC_MIXED, PolicyMode.AUTO]), special=st.booleans())
 @settings(max_examples=150, deadline=None)
@@ -740,8 +749,8 @@ def test_parsed_text_is_written_back_as_read_while_its_columns_are_normalized():
     ]
     assert schedule.values[1, 0] < 0.0  # the normalized area of the X180 line
     assert [ev.pulse for ev in schedule.events if isinstance(ev, PulseEvent)] == pulses
-    # the columns are built at once and left writeable, as verify reads them
-    assert all(c.flags.writeable for c in (schedule.kind, schedule.qubits, schedule.values))
+    # the columns are built from the rows on first read, read-only as any schedule's
+    assert not any(c.flags.writeable for c in (schedule.kind, schedule.qubits, schedule.values))
     # spacing and comments are not kept, and -0 is written as 0
     spaced = parse_schedule("PULSE  q0 sigma=1.0 phase=-0  # a note\n\nFRAME q1 z=-0.0\n")
     assert spaced.to_text() == "PULSE q0 sigma=1 phase=0\nFRAME q1 z=0\n"

@@ -210,7 +210,8 @@ def test_compile_builds_no_columns(monkeypatch, capsys, tmp_path, mode, special)
 
 
 def test_compiled_columns_are_built_once_and_read_only(monkeypatch):
-    # and so are the columns of a schedule from from_events or the constructor
+    # and so are the columns of a schedule from from_events, the constructor
+    # or parse_schedule
     calls = []
     original = circuit._schedule_columns
 
@@ -225,6 +226,7 @@ def test_compiled_columns_are_built_once_and_read_only(monkeypatch):
         "compile": compiled,
         "from_events": PulseSchedule.from_events(compiled.events),
         "constructor": PulseSchedule(2, list(compiled.rows), compiled.gate2_names),
+        "parse_schedule": parse_schedule(compiled.to_text()),
     }
     for how, schedule in built.items():
         text, n = schedule.to_text(), len(schedule)
@@ -246,6 +248,6 @@ def test_compiled_columns_are_built_once_and_read_only(monkeypatch):
         with pytest.raises(AttributeError):
             schedule.no_such_column
         calls.clear()
-    # every schedule but a parsed one holds the same rows, so writes the same text
+    # each writes the same text: a parsed schedule's rows hold the numbers as read
     assert len({s.to_text().removesuffix(compiled.stats.stats_line() + "\n")
                 for s in built.values()}) == 1
